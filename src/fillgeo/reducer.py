@@ -17,6 +17,7 @@ degrees and the outcome of every check; it never hides a failure.
 """
 
 import json
+import weakref
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalInvariantError, ValidationError
@@ -31,14 +32,18 @@ class FillingMap:
     genus: int
 
 
-def _opposite_table(cmap: CombinatorialMap) -> list:
+def _opposite_table(cmap: CombinatorialMap) -> tuple:
     """Strand continuation at every vertex: the germ opposite each dart.
 
     Even-valence vertices pair germs half a rotation apart.  A
     three-valent vertex must carry exactly one straight corner, which
     names the two germs that continue each other; the remaining germ
-    is a strand endpoint (opposite None).
+    is a strand endpoint (opposite None).  Kept on the map.
     """
+    return cmap.derived("_opposite", _strand_opposites)
+
+
+def _strand_opposites(cmap: CombinatorialMap) -> tuple:
     opp = [None] * cmap.dart_count
     for cycle in cmap.vertices():
         val = len(cycle)
@@ -57,7 +62,16 @@ def _opposite_table(cmap: CombinatorialMap) -> list:
             opp[cmap.sigma[d]] = d
         else:
             raise ValidationError(f"unsupported vertex valence {val}")
-    return opp
+    return tuple(opp)
+
+
+def _face_of(cmap: CombinatorialMap) -> tuple:
+    """The index of the face (in cmap.faces()) on the left of each dart."""
+    face_of = [0] * cmap.dart_count
+    for index, cycle in enumerate(cmap.faces()):
+        for d in cycle:
+            face_of[d] = index
+    return tuple(face_of)
 
 
 def validate_input(map_or_data, genus: int) -> FillingMap:
@@ -118,26 +132,21 @@ class Region:
 
 
 class _RegionData:
-    """Working data for the complement of a subgraph in a map."""
+    """The complement of a subgraph in a map: its regions and their data.
 
-    def __init__(self, cmap: CombinatorialMap, subgraph):
-        g = frozenset(subgraph)
-        for d in g:
-            if not isinstance(d, int) or not 0 <= d < cmap.dart_count:
-                raise ValidationError(f"subgraph dart {d!r} out of range")
-            if cmap.alpha[d] not in g:
-                raise ValidationError(
-                    "subgraph is not closed under the edge involution"
-                )
+    One instance serves a whole reduction step.  The all-disk test and
+    the candidate scan read it, and each candidate curve is judged by
+    the complement its commit would leave (trial).  The trial that
+    proves a curve essential is kept, so that reduce takes it as the
+    next state instead of committing the curve again.
+    """
+
+    def __init__(self, cmap: CombinatorialMap, g: frozenset):
         self.cmap = cmap
         self.g = g
-        faces = cmap.faces()
-        self.face_of = [0] * cmap.dart_count
-        for index, cycle in enumerate(faces):
-            for d in cycle:
-                self.face_of[d] = index
-
-        parent = list(range(len(faces)))
+        face_of = cmap.derived("_face_of", _face_of)
+        nfaces = len(cmap.faces())
+        parent = list(range(nfaces))
 
         def find(x):
             while parent[x] != x:
@@ -145,32 +154,34 @@ class _RegionData:
                 x = parent[x]
             return x
 
+        alpha = cmap.alpha
         for d in range(cmap.dart_count):
-            if d not in g and d < cmap.alpha[d]:
-                a, b = find(self.face_of[d]), find(self.face_of[cmap.alpha[d]])
+            if d not in g and d < alpha[d]:
+                a, b = find(face_of[d]), find(face_of[alpha[d]])
                 if a != b:
                     parent[a] = b
-        self.face_root = [find(i) for i in range(len(faces))]
-        self.roots = sorted(set(self.face_root))
-        self.region_index = {r: i for i, r in enumerate(self.roots)}
+        face_root = [find(i) for i in range(nfaces)]
+        region_index = {r: i for i, r in enumerate(sorted(set(face_root)))}
+        self.face_region = [region_index[r] for r in face_root]
+        # region of the side (face) on the left of each dart
+        self.region_of = [self.face_region[f] for f in face_of]
         self.owner = cmap.vertex_of_dart()
         self.vertex_cycles = cmap.vertices()
         self.g_at_vertex = [
             [d for d in cycle if d in g] for cycle in self.vertex_cycles
         ]
-
-    def region_of_side(self, d: int) -> int:
-        return self.region_index[self.face_root[self.face_of[d]]]
+        self.regions = self._regions(len(region_index))
+        self.fills = all(r.is_disk for r in self.regions)
+        self._accepted = None
 
     def gaps(self):
         """Yield (vertex, germ, next_germ, region) for every corner gap
         between cyclically consecutive subgraph germs at a vertex."""
+        sigma, region_of = self.cmap.sigma, self.region_of
         for v, germs in enumerate(self.g_at_vertex):
-            if not germs:
-                continue
             for i, d in enumerate(germs):
                 nxt = germs[(i + 1) % len(germs)]
-                yield v, d, nxt, self.region_of_side(self.cmap.sigma[d])
+                yield v, d, nxt, region_of[sigma[d]]
 
     def boundary_successor(self, d: int) -> int:
         """Next subgraph dart along the region contour through d.
@@ -201,30 +212,30 @@ class _RegionData:
                 seen.add(d)
                 cycle.append(d)
                 d = self.boundary_successor(d)
-            region = self.region_of_side(d)
-            cycles_by_region.setdefault(region, []).append(tuple(cycle))
+            cycles_by_region.setdefault(self.region_of[d], []).append(tuple(cycle))
         return cycles_by_region
 
-    def regions(self) -> tuple:
-        cmap = self.cmap
-        n = len(self.roots)
+    def _regions(self, n: int) -> tuple:
+        cmap, g, region_of = self.cmap, self.g, self.region_of
         faces_in = [[] for _ in range(n)]
-        for face_index, root in enumerate(self.face_root):
-            faces_in[self.region_index[root]].append(face_index)
+        for face_index, region in enumerate(self.face_region):
+            faces_in[region].append(face_index)
         interior_edges = [0] * n
         boundary_sides = [0] * n
         for d in range(cmap.dart_count):
-            if d < cmap.alpha[d] and d not in self.g:
-                interior_edges[self.region_of_side(d)] += 1
-        for d in self.g:
-            boundary_sides[self.region_of_side(d)] += 1
+            if d < cmap.alpha[d] and d not in g:
+                interior_edges[region_of[d]] += 1
+        for d in g:
+            boundary_sides[region_of[d]] += 1
         interior_vertices = [0] * n
         gap_count = [0] * n
-        for v, cycle in enumerate(self.vertex_cycles):
-            if not self.g_at_vertex[v]:
-                interior_vertices[self.region_of_side(cycle[0])] += 1
-        for _, _, _, region in self.gaps():
-            gap_count[region] += 1
+        sigma = cmap.sigma
+        for cycle, germs in zip(self.vertex_cycles, self.g_at_vertex):
+            if not germs:
+                interior_vertices[region_of[cycle[0]]] += 1
+            # one corner gap follows each subgraph germ (see gaps)
+            for d in germs:
+                gap_count[region_of[sigma[d]]] += 1
         cycles_by_region = self.boundary_cycles_by_region()
 
         out = []
@@ -246,6 +257,71 @@ class _RegionData:
             )
         return tuple(out)
 
+    def trial(self, curve: "CuttingCurve"):
+        """The complement left by committing curve, or None if it is inessential.
+
+        The cut is inessential when some new piece is a disk whose
+        boundary is either entirely curve material (a contractible
+        loop) or one run of curve material against one run of old
+        boundary (the curve merely pushes off existing boundary).
+        """
+        accepted = self._accepted
+        if accepted is not None and accepted[0] == curve:
+            return accepted[1]
+        new_map, new_g = add_cutting_curve(self.cmap, self.g, curve)
+        after = _RegionData(new_map, new_g)
+        added = new_g - self.g
+        for region in after.regions:
+            if not region.is_disk:
+                continue
+            cycle = region.boundary_cycles[0]
+            labels = [d in added for d in cycle]
+            if not any(labels):
+                continue
+            if all(labels):
+                return None
+            transitions = sum(
+                labels[i] != labels[(i + 1) % len(labels)] for i in range(len(labels))
+            )
+            if transitions == 2:
+                return None
+        self._accepted = (curve, after)
+        return after
+
+
+def _keep(data: _RegionData) -> _RegionData:
+    """Let lookups on data's map find data for as long as a caller holds it.
+
+    The map holds it weakly: a strong reference would form a cycle
+    (data refers to its map) that keeps both alive until the cyclic
+    garbage collector runs.
+    """
+    data.cmap.__dict__["_complement"] = weakref.ref(data)
+    return data
+
+
+def _complement(cmap: CombinatorialMap, subgraph) -> _RegionData:
+    """The complement of subgraph in cmap.
+
+    The map points to the complement last built on it or kept by
+    reduce, for as long as that is in use, so the calls of one
+    reduction step that ask about the same subgraph share one build.
+    The subgraph is validated when it is new.
+    """
+    g = frozenset(subgraph)
+    ref = cmap.__dict__.get("_complement")
+    kept = ref() if ref is not None else None
+    if kept is not None and (kept.g is g or kept.g == g):
+        return kept
+    for d in g:
+        if not isinstance(d, int) or not 0 <= d < cmap.dart_count:
+            raise ValidationError(f"subgraph dart {d!r} out of range")
+        if cmap.alpha[d] not in g:
+            raise ValidationError(
+                "subgraph is not closed under the edge involution"
+            )
+    return _keep(_RegionData(cmap, g))
+
 
 def complement_regions(cmap: CombinatorialMap, subgraph) -> tuple:
     """Cut the surface along the subgraph and describe every piece.
@@ -255,7 +331,7 @@ def complement_regions(cmap: CombinatorialMap, subgraph) -> tuple:
     it equals 1), its boundary cycles of subgraph darts, the number of
     distinct vertices on each cycle, and an interior census.
     """
-    return _RegionData(cmap, subgraph).regions()
+    return _complement(cmap, subgraph).regions
 
 
 @dataclass(frozen=True)
@@ -272,7 +348,6 @@ class CuttingCurve:
 
     darts: tuple
     kind: str
-    essential: bool = True
 
 
 class _Work:
@@ -282,8 +357,8 @@ class _Work:
         self.alpha = list(cmap.alpha)
         self.sigma = list(cmap.sigma)
         self.straight = set(cmap.straight_corners)
-        self.opp = _opposite_table(cmap)
-        self.vertex = cmap.vertex_of_dart()
+        self.opp = list(_opposite_table(cmap))
+        self.vertex = list(cmap.vertex_of_dart())
         self.nverts = len(cmap.vertices())
         self.g = set(subgraph)
 
@@ -430,7 +505,9 @@ def add_cutting_curve(cmap: CombinatorialMap, subgraph, curve: CuttingCurve):
     Loop kinds only mark edges.  Arc and lasso ends are attached to the
     subgraph, displacing an end off its vertex (through new three- and
     four-valent vertices) whenever a direct attachment would spoil the
-    corner pattern there.
+    corner pattern there.  When the commit adds no darts (loops, and
+    arcs or lassos attached directly) the map is unchanged and the
+    input map object itself is returned, with the tables kept on it.
     """
     work = _Work(cmap, subgraph)
     darts = list(curve.darts)
@@ -480,36 +557,24 @@ def add_cutting_curve(cmap: CombinatorialMap, subgraph, curve: CuttingCurve):
     else:
         raise ValidationError(f"unknown cutting curve kind {curve.kind!r}")
 
+    if len(work.alpha) == cmap.dart_count:
+        return cmap, frozenset(work.g)
     return work.to_map(), frozenset(work.g)
 
 
 def is_essential(cmap: CombinatorialMap, subgraph, curve: CuttingCurve) -> bool:
     """Decide whether a cutting curve genuinely cuts its region.
 
-    The curve is committed to a scratch copy and the new complement is
-    inspected: the cut is inessential when some new piece is a disk
+    The curve is committed to a copy of the map and the new complement
+    is inspected: the cut is inessential when some new piece is a disk
     whose boundary is either entirely curve material (a contractible
     loop) or one run of curve material against one run of old boundary
-    (the curve merely pushes off existing boundary).
+    (the curve merely pushes off existing boundary).  The complement of
+    subgraph itself is the one kept on the map, so judging many
+    candidates against one subgraph builds it once, and reduce takes
+    the commit of the curve found essential instead of redoing it.
     """
-    g = frozenset(subgraph)
-    new_map, new_g = add_cutting_curve(cmap, g, curve)
-    added = new_g - g
-    for region in complement_regions(new_map, new_g):
-        if not region.is_disk:
-            continue
-        cycle = region.boundary_cycles[0]
-        labels = [d in added for d in cycle]
-        if not any(labels):
-            continue
-        if all(labels):
-            return False
-        transitions = sum(
-            labels[i] != labels[(i + 1) % len(labels)] for i in range(len(labels))
-        )
-        if transitions == 2:
-            return False
-    return True
+    return _complement(cmap, subgraph).trial(curve) is not None
 
 
 def _strand_orbit(cmap, opp, start: int) -> list:
@@ -595,13 +660,12 @@ def find_cutting_curve(cmap: CombinatorialMap, subgraph) -> CuttingCurve:
     or finding only inessential ones, contradicts the validated filling
     input and raises InternalInvariantError.
     """
-    data = _RegionData(cmap, subgraph)
-    regions = data.regions()
-    nondisk = {i for i, r in enumerate(regions) if not r.is_disk}
-    if not nondisk:
+    data = _complement(cmap, subgraph)
+    if data.fills:
         raise DomainError(
             "the subgraph already fills: every complementary region is a disk"
         )
+    nondisk = {i for i, r in enumerate(data.regions) if not r.is_disk}
     opp = _opposite_table(cmap)
     owner = data.owner
     g_vertex = [bool(germs) for germs in data.g_at_vertex]
@@ -609,7 +673,7 @@ def find_cutting_curve(cmap: CombinatorialMap, subgraph) -> CuttingCurve:
     tried = 0
 
     def essential(darts, kind):
-        curve = CuttingCurve(darts=darts, kind=kind, essential=True)
+        curve = CuttingCurve(darts=darts, kind=kind)
         return curve if is_essential(cmap, data.g, curve) else None
 
     if not data.g:
@@ -648,7 +712,7 @@ def find_cutting_curve(cmap: CombinatorialMap, subgraph) -> CuttingCurve:
     )
 
 
-def _face_degree_census(cmap: CombinatorialMap, subgraph) -> list:
+def _face_degree_census(data: _RegionData) -> list:
     """Effective degree of every complementary region of the subgraph.
 
     Counts, per region, the corner gaps between consecutive subgraph
@@ -657,9 +721,8 @@ def _face_degree_census(cmap: CombinatorialMap, subgraph) -> list:
     subgraph valence two are interior points of subgraph edges and
     contribute nothing.
     """
-    data = _RegionData(cmap, subgraph)
-    opp = _opposite_table(cmap)
-    degrees = [0] * len(data.roots)
+    opp = _opposite_table(data.cmap)
+    degrees = [0] * len(data.regions)
     for v, d, nxt, region in data.gaps():
         if len(data.g_at_vertex[v]) < 3:
             continue
@@ -668,7 +731,7 @@ def _face_degree_census(cmap: CombinatorialMap, subgraph) -> list:
     return degrees
 
 
-def _smoothed_subgraph_map(cmap: CombinatorialMap, subgraph) -> CombinatorialMap:
+def _smoothed_subgraph_map(data: _RegionData) -> CombinatorialMap:
     """The subgraph as a standalone map, two-valent vertices smoothed.
 
     Vertices of subgraph valence two become interior points of edges.
@@ -676,13 +739,8 @@ def _smoothed_subgraph_map(cmap: CombinatorialMap, subgraph) -> CombinatorialMap
     of the result discounts the corner between the two edge germs that
     continue each other.
     """
-    g = frozenset(subgraph)
+    cmap, g, owner, g_at = data.cmap, data.g, data.owner, data.g_at_vertex
     opp = _opposite_table(cmap)
-    owner = cmap.vertex_of_dart()
-    cycles = cmap.vertices()
-    g_at = [
-        [d for d in cycle if d in g] for cycle in cycles
-    ]
     real = sorted(d for d in g if len(g_at[owner[d]]) >= 3)
     if not real:
         raise InternalInvariantError(
@@ -793,36 +851,35 @@ def reduce(filling: FillingMap) -> ReductionCertificate:
     """
     if not isinstance(filling, FillingMap):
         raise ValidationError("reduce expects a FillingMap from validate_input")
-    cmap = filling.cmap
     genus = filling.genus
-    input_dart_count = cmap.dart_count
-    subgraph = frozenset()
+    input_dart_count = filling.cmap.dart_count
+    state = _complement(filling.cmap, frozenset())
     steps = []
-    budget = len(cmap.edges())
+    budget = len(filling.cmap.edges())
     iterations = 0
 
     def abort(message):
         log = "; ".join(steps) if steps else "no steps taken"
         raise InternalInvariantError(f"{message} [step log: {log}]")
 
-    while True:
-        if all(r.is_disk for r in complement_regions(cmap, subgraph)):
-            break
+    while not state.fills:
         if iterations >= budget:
             abort(
                 "reduction exceeded its iteration budget of one step per input edge"
             )
         try:
-            curve = find_cutting_curve(cmap, subgraph)
+            curve = find_cutting_curve(state.cmap, state.g)
         except InternalInvariantError as err:
             abort(str(err))
-        cmap, subgraph = add_cutting_curve(cmap, subgraph, curve)
+        # the trial that proved the curve essential, kept by the search
+        state = _keep(state.trial(curve))
         iterations += 1
         steps.append(
             f"step {iterations}: kind {curve.kind} cutting curve, darts "
             f"{list(curve.darts)}, essential"
         )
 
+    cmap, subgraph = state.cmap, state.g
     if cmap.dart_count > input_dart_count and all(
         len(cycle) == 4 for cycle in filling.cmap.vertices()
     ):
@@ -831,12 +888,12 @@ def reduce(filling: FillingMap) -> ReductionCertificate:
         # surfacing, not something to hide
         abort("the attachment split rule fired on an input with only double points")
 
-    degrees = _face_degree_census(cmap, subgraph)
+    degrees = _face_degree_census(state)
     face_degrees = tuple(sorted(degrees, reverse=True))
     k = len(face_degrees)
     min_degree_ok = all(m >= 5 for m in face_degrees)
     degree_sum_ok = sum(m - 4 for m in face_degrees) == 8 * genus - 8
-    reduced = _smoothed_subgraph_map(cmap, subgraph)
+    reduced = _smoothed_subgraph_map(state)
     passed = min_degree_ok and degree_sum_ok
     return ReductionCertificate(
         genus=genus,

@@ -15,7 +15,7 @@ Faces are traced with the convention next(d) = sigma(alpha(d)).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, InternalInvariantError, ValidationError
 from .polygeom import circumradius, min_filling_length, side_length
@@ -66,6 +66,14 @@ class CombinatorialMap:
     orientable is False when the gluing identified some side pair
     without reversal; face tracing then does not apply and the face
     data recorded at build time is used instead.
+
+    The map is frozen, so every table derived from it (the orbits, the
+    vertex of each dart, and the tables other modules attach through
+    derived()) is computed once, on first use, and kept in the
+    instance __dict__ as an immutable tuple.  Every caller gets that
+    same object: copy it before mutating.  Other modules may keep
+    further per-map data in that __dict__ under their own underscore
+    keys; none of it takes part in equality or hashing.
     """
 
     dart_count: int
@@ -109,21 +117,27 @@ class CombinatorialMap:
             cycles.append(tuple(cycle))
         return tuple(cycles)
 
+    def derived(self, key: str, compute):
+        """The table compute(self), computed on first use and kept under key."""
+        table = self.__dict__.get(key)
+        if table is None:
+            table = self.__dict__[key] = compute(self)
+        return table
+
     def vertices(self) -> tuple:
-        return self.orbits(self.sigma)
+        return self.derived("_vertices", lambda m: m.orbits(m.sigma))
 
     def edges(self) -> tuple:
-        return self.orbits(self.alpha)
+        return self.derived("_edges", lambda m: m.orbits(m.alpha))
 
     def faces(self) -> tuple:
-        return self.orbits([self.sigma[self.alpha[d]] for d in range(self.dart_count)])
+        return self.derived(
+            "_faces",
+            lambda m: m.orbits([m.sigma[m.alpha[d]] for d in range(m.dart_count)]),
+        )
 
-    def vertex_of_dart(self) -> list:
-        owner = [0] * self.dart_count
-        for index, cycle in enumerate(self.vertices()):
-            for d in cycle:
-                owner[d] = index
-        return owner
+    def vertex_of_dart(self) -> tuple:
+        return self.derived("_vertex_of_dart", _owner_table)
 
     def is_connected(self) -> bool:
         n = self.dart_count
@@ -142,6 +156,14 @@ class CombinatorialMap:
         if self.dart_names is not None:
             return self.dart_names[d]
         return str(d)
+
+
+def _owner_table(cmap: CombinatorialMap) -> tuple:
+    owner = [0] * cmap.dart_count
+    for index, cycle in enumerate(cmap.vertices()):
+        for d in cycle:
+            owner[d] = index
+    return tuple(owner)
 
 
 def build_map(word) -> CombinatorialMap:

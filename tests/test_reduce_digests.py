@@ -1,0 +1,115 @@
+"""Reduction outcomes stay byte-identical on a fixed input corpus.
+
+``tests/data/reduce_digests.json`` maps each input to its outcome: the
+sha256 of the certificate JSON when ``reduce`` returns one (passing or
+not), or the exception class and the sha256 of its message when
+validation or the reduction raises (an abort message embeds the step
+log).  The corpus is every ``tests/data`` fixture, 4-valent 48-vertex
+maps for seeds 0..39, and maps of 6 to 10 vertices of valence 4, 6 or 8
+for seeds 0..39.  Any change to a certificate, a step log or a failure
+message shows here.  After an intended change of output, regenerate
+the file with
+
+    PYTHONPATH=src python tests/test_reduce_digests.py --write
+"""
+
+import hashlib
+import json
+import pathlib
+import random
+import sys
+
+from conftest import random_map
+from fillgeo import reducer
+from fillgeo.errors import DomainError, InternalInvariantError, ValidationError
+
+DATA_DIR = pathlib.Path(__file__).parent / "data"
+GOLDEN = DATA_DIR / "reduce_digests.json"
+FIXTURES = (
+    "bigon",
+    "canonical_g2",
+    "canonical_g3",
+    "canonical_g4",
+    "canonical_g5",
+    "sixvalent_a",
+    "sixvalent_b",
+    "torus_claim",
+    "triangle_a",
+    "triangle_b",
+    "triangle_c",
+)
+SEEDS = range(40)
+MIXED_VALENCES = (4, 6, 8)
+
+
+def surface_genus(cmap):
+    """Genus of the rotation system when it is a reducer input, else None.
+
+    An input is connected, has no face of degree below three and lies
+    on a surface of genus at least two.
+    """
+    faces = cmap.faces()
+    if not cmap.is_connected() or min(len(f) for f in faces) < 3:
+        return None
+    euler = len(cmap.vertices()) - len(cmap.edges()) + len(faces)
+    genus = (2 - euler) // 2
+    return genus if genus >= 2 else None
+
+
+def draw_input(rng, valences):
+    """Draw maps from rng until one is a reducer input; returns (map, genus)."""
+    while True:
+        cmap = random_map(rng, valences)
+        genus = surface_genus(cmap)
+        if genus is not None:
+            return cmap, genus
+
+
+def four_valent(seed, vertices=48):
+    return draw_input(random.Random(seed), [4] * vertices)
+
+
+def mixed(seed):
+    rng = random.Random(seed)
+    valences = [rng.choice(MIXED_VALENCES) for _ in range(rng.randint(6, 10))]
+    return draw_input(rng, valences)
+
+
+def outcome(map_or_data, genus):
+    """The digest of one reduction: certificate hash or failure hash."""
+    try:
+        cert = reducer.reduce(reducer.validate_input(map_or_data, genus))
+    except (DomainError, InternalInvariantError, ValidationError) as err:
+        message = hashlib.sha256(str(err).encode()).hexdigest()
+        return f"{type(err).__name__} {message}"
+    return "certificate " + hashlib.sha256(cert.to_json().encode()).hexdigest()
+
+
+def corpus():
+    """(name, map or interchange data, genus) for every input, in order."""
+    for name in FIXTURES:
+        data = json.loads((DATA_DIR / f"{name}.json").read_text())
+        yield f"fixture/{name}", data, data["genus"]
+    for seed in SEEDS:
+        yield (f"four_valent_48/{seed}", *four_valent(seed))
+    for seed in SEEDS:
+        yield (f"mixed/{seed}", *mixed(seed))
+
+
+def digests():
+    return {name: outcome(cmap, genus) for name, cmap, genus in corpus()}
+
+
+def test_reduction_outcomes_match_golden_digests():
+    golden = json.loads(GOLDEN.read_text())
+    current = digests()
+    assert current.keys() == golden.keys()
+    changed = sorted(name for name in golden if current[name] != golden[name])
+    assert not changed, f"reduction outcome changed for {changed}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit(__doc__)
+    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

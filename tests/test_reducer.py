@@ -1,10 +1,12 @@
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_map
 from fillgeo import reducer, surfmap
 from fillgeo.errors import DomainError, InternalInvariantError, ValidationError
 from fillgeo.reducer import (
@@ -171,7 +173,7 @@ class TestFindCuttingCurve:
         cmap, _ = load_fixture("canonical_g2")
         curve = find_cutting_curve(cmap, frozenset())
         assert curve.kind in ("I", "II", "III", "IV")
-        assert curve.essential
+        assert is_essential(cmap, frozenset(), curve)
         assert len(curve.darts) >= 1
 
     def test_nonempty_subgraph_gives_arc_or_lasso(self):
@@ -180,7 +182,7 @@ class TestFindCuttingCurve:
         cmap2, subgraph = add_cutting_curve(cmap, frozenset(), first)
         second = find_cutting_curve(cmap2, subgraph)
         assert second.kind in ("V", "VI")
-        assert second.essential
+        assert is_essential(cmap2, subgraph, second)
 
     def test_filling_subgraph_is_precondition_violation(self):
         cmap, _ = load_fixture("canonical_g2")
@@ -380,28 +382,7 @@ class TestReduce:
 
 
 def _random_four_valent_map(seed):
-    import random as _random
-
-    rng = _random.Random(seed)
-    dart = 0
-    sigma = {}
-    for _ in range(6):
-        cycle = list(range(dart, dart + 4))
-        rng.shuffle(cycle)
-        for i, d in enumerate(cycle):
-            sigma[d] = cycle[(i + 1) % 4]
-        dart += 4
-    darts = list(range(dart))
-    rng.shuffle(darts)
-    alpha = {}
-    for i in range(0, dart, 2):
-        alpha[darts[i]] = darts[i + 1]
-        alpha[darts[i + 1]] = darts[i]
-    return surfmap.CombinatorialMap(
-        dart_count=dart,
-        alpha=tuple(alpha[d] for d in range(dart)),
-        sigma=tuple(sigma[d] for d in range(dart)),
-    )
+    return random_map(random.Random(seed), [4] * 6)
 
 
 @settings(max_examples=25, deadline=None)
