@@ -13,12 +13,9 @@ The package has four working parts:
   filling graph by repeatedly adding essential cutting curves.
 """
 
-from .tolerances import Tolerance, DEFAULT_TOL
 from .errors import DomainError, ValidationError, InternalInvariantError
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "DomainError",
     "ValidationError",
     "InternalInvariantError",

@@ -106,7 +106,7 @@ def cmd_polygon(args) -> int:
 
 def _verify_reports(which: str, args) -> list:
     grid = isoperim.GridSpec(
-        a_steps=args.steps, x_steps=args.steps, samples=args.samples, seed=args.seed
+        a_steps=args.steps, x_steps=args.steps, samples=args.samples
     )
     reports = []
 
@@ -244,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true", help="run every check")
     p_verify.add_argument("--n", type=int, default=None,
                           help="restrict the per-n sweeps to one side count")
-    p_verify.add_argument("--samples", type=int, default=10000,
+    p_verify.add_argument("--samples", type=int, default=isoperim.GridSpec.samples,
                           help="sample count for the 1d sweeps")
-    p_verify.add_argument("--steps", type=int, default=40,
+    p_verify.add_argument("--steps", type=int, default=isoperim.GridSpec.a_steps,
                           help="grid steps per axis for the 2d sweeps")
     p_verify.add_argument("--count", type=int, default=10000,
                           help="random instance count")

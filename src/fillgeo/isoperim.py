@@ -21,29 +21,23 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import tolerances as tol
 from .errors import DomainError, ValidationError
 from .polygeom import (
     RegularPolygonSpec,
+    _check_area,
+    _perimeter_derivative,
+    _perimeter_from_angle,
+    _perimeter_from_area,
+    _perimeter_second_derivative,
     angle_from_area,
     area_from_angle,
     max_angle,
     max_area,
-    perimeter_derivative,
-    perimeter_from_angle,
     perimeter_from_area,
     perimeter_second_derivative,
 )
 from .report import CheckReport
-
-# a polygon counts as degenerate when area and perimeter are both
-# below this
-DEGENERATE_TOL = 1e-9
-
-# slack for the inequality lhs <= rhs and the equality flag
-INEQ_TOL = 1e-9
-
-# slack for angle lower bounds (right angles reached up to rounding)
-ANGLE_TOL = 1e-12
 
 
 def f(n, a: float, x: float) -> float:
@@ -55,10 +49,17 @@ def f(n, a: float, x: float) -> float:
     """
     if x < 0.0 or x > a:
         raise DomainError(f"need 0 <= x <= a, got x={x!r}, a={a!r}")
+    _check_area(4.0, x)
+    n = _check_area(n, a - x)
+    _check_area(n, a)
+    return _f(n, a, x)
+
+
+def _f(n: float, a: float, x: float) -> float:
     return (
-        perimeter_from_area(4, x)
-        + perimeter_from_area(n, a - x)
-        - perimeter_from_area(n, a)
+        _perimeter_from_area(4.0, x)
+        + _perimeter_from_area(n, a - x)
+        - _perimeter_from_area(n, a)
     )
 
 
@@ -66,18 +67,23 @@ def df_dx(n, a: float, x: float) -> float:
     """Partial derivative of f in x; defined for 0 < x < min(a, 2*pi)."""
     if not 0.0 < x < a:
         raise DomainError(f"need 0 < x < a, got x={x!r}, a={a!r}")
-    return perimeter_derivative(4, x) - perimeter_derivative(n, a - x)
+    _check_area(4.0, x, positive=True)
+    n = _check_area(n, a - x, positive=True)
+    return _df_dx(n, a, x)
+
+
+def _df_dx(n: float, a: float, x: float) -> float:
+    return _perimeter_derivative(4.0, x) - _perimeter_derivative(n, a - x)
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sweep configuration: which n values, how dense, which seed."""
+    """Sweep side counts and densities; empty n_values means each sweep's default."""
 
     n_values: tuple = ()
     a_steps: int = 40
     x_steps: int = 40
     samples: int = 10000
-    seed: int = 0
 
     def __post_init__(self):
         if self.a_steps < 2 or self.x_steps < 2 or self.samples < 2:
@@ -92,14 +98,11 @@ def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
     a_steps x x_steps midpoint grid, recording the minimum.  Also
     evaluates the constant (3 + 2*sqrt(2)) * (4/9) * (1/2), which the
     written argument needs to exceed 1, and checks it equals 1.29521
-    to within 5e-6.
+    to within LEMMA_3_2_CONSTANT_TOL.
     """
-    if grid is None or not grid.n_values:
-        n_values = tuple(range(8, 65))
-    else:
-        n_values = grid.n_values
-    a_steps = grid.a_steps if grid else 40
-    x_steps = grid.x_steps if grid else 40
+    grid = grid or GridSpec()
+    n_values = grid.n_values or tuple(range(8, 65))
+    a_steps, x_steps = grid.a_steps, grid.x_steps
 
     min_value = math.inf
     argmin = None
@@ -109,20 +112,21 @@ def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
         a_hi = (n / 2.0 - 2.0) * math.pi
         if a_hi < a_lo:
             continue
+        # the grid's a - x all lie in (pi, a_hi)
+        side = _check_area(n, a_hi, positive=True)
         for i in range(a_steps):
             a = a_lo + (a_hi - a_lo) * (i + 0.5) / a_steps
             x_hi = min(a - math.pi, 2.0 * math.pi)
             for j in range(x_steps):
                 x = x_hi * (j + 0.5) / x_steps
-                value = df_dx(n, a, x)
+                value = _df_dx(side, a, x)
                 count += 1
                 if value < min_value:
                     min_value = value
                     argmin = (n, a, x)
 
     constant = (3.0 + 2.0 * math.sqrt(2.0)) * (4.0 / 9.0) * 0.5
-    constant_tol = 5e-6
-    constant_ok = abs(constant - 1.29521) <= constant_tol and constant > 1.0
+    constant_ok = abs(constant - 1.29521) <= tol.LEMMA_3_2_CONSTANT_TOL and constant > 1.0
     passed = min_value > 0.0 and constant_ok
     return CheckReport(
         check_id="lemma_3_2",
@@ -134,7 +138,7 @@ def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
         grid_size=count,
         min_value=min_value,
         argmin=argmin,
-        tolerance=constant_tol,
+        tolerance=tol.LEMMA_3_2_CONSTANT_TOL,
         details={
             "constant": constant,
             "constant_target": 1.29521,
@@ -143,7 +147,7 @@ def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
     )
 
 
-def verify_lemma_3_3(n: int, samples: int = 10000) -> CheckReport:
+def verify_lemma_3_3(n: int, samples: int = GridSpec.samples) -> CheckReport:
     """Sign pattern of the perimeter second derivative for one n.
 
     Samples P'' at midpoints of (0, (n-2)*pi) and requires exactly one
@@ -155,6 +159,8 @@ def verify_lemma_3_3(n: int, samples: int = 10000) -> CheckReport:
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples!r}")
     span = (n - 2.0) * math.pi
+    # checked at the first sample; the others lie in (0, span) too
+    side = _check_area(n, span * 0.5 / samples, positive=True)
     signs = []
     criterion_mismatches = 0
     change_x = None
@@ -163,11 +169,15 @@ def verify_lemma_3_3(n: int, samples: int = 10000) -> CheckReport:
     changes = 0
     for i in range(samples):
         x = span * (i + 0.5) / samples
-        value = perimeter_second_derivative(n, x)
+        value = _perimeter_second_derivative(side, x)
         sign = value > 0.0
-        w = ((n - 2.0) * math.pi - x) / (2.0 * n)
+        w = (span - x) / (2.0 * n)
         crit = c2 - math.sin(w) ** 2 * (1.0 + math.cos(w) ** 2)
-        if abs(crit) > 1e-12 and abs(value) > 1e-15 and (crit > 0) != sign:
+        if (
+            abs(crit) > tol.SIGN_CRITERION_TOL
+            and abs(value) > tol.SECOND_DERIVATIVE_TOL
+            and (crit > 0) != sign
+        ):
             criterion_mismatches += 1
         if prev_sign is not None and sign != prev_sign:
             changes += 1
@@ -213,7 +223,7 @@ _RATIO_CLAIM_MAX = 10
 _RATIO_FAILURE_MIN = 21
 
 
-def verify_lemma_3_4(n: int, samples: int = 10000) -> CheckReport:
+def verify_lemma_3_4(n: int, samples: int = GridSpec.samples) -> CheckReport:
     """Monotonicity of perimeter_from_area(n, x)/x on (0, (n/2-2)*pi).
 
     The ratio is documented to be strictly decreasing for n = 7..10
@@ -236,7 +246,7 @@ def verify_lemma_3_4(n: int, samples: int = 10000) -> CheckReport:
     prev_x = None
     for i in range(samples):
         x = span * (i + 0.5) / samples
-        ratio = perimeter_from_area(n, x) / x
+        ratio = _perimeter_from_area(n, x) / x
         if prev is not None:
             drop = prev - ratio
             if drop < min_drop:
@@ -285,7 +295,7 @@ def verify_prop_3_5(grid: GridSpec | None = None) -> CheckReport:
     3. P_6(x) - P_7(x) is positive and strictly increasing on
        (0, 4*pi).
     """
-    samples = grid.samples if grid else 2000
+    samples = (grid or GridSpec()).samples
     details = {}
     passed = True
     count = 0
@@ -294,7 +304,7 @@ def verify_prop_3_5(grid: GridSpec | None = None) -> CheckReport:
     values = []
     for i in range(samples + 1):
         nv = 4.0 + 60.0 * i / samples
-        values.append(perimeter_from_angle(nv, math.pi / 2.0))
+        values.append(_perimeter_from_angle(nv, math.pi / 2.0))
         count += 1
     worst_d2 = -math.inf
     worst_n = None
@@ -314,7 +324,7 @@ def verify_prop_3_5(grid: GridSpec | None = None) -> CheckReport:
         prev = None
         for i in range(samples):
             nv = lo + (64.0 - lo) * (i + 0.5) / samples
-            p = perimeter_from_area(nv, a)
+            p = _perimeter_from_area(nv, a)
             count += 1
             if prev is not None:
                 worst_drop = min(worst_drop, prev - p)
@@ -328,7 +338,7 @@ def verify_prop_3_5(grid: GridSpec | None = None) -> CheckReport:
     min_rise = math.inf
     for i in range(samples):
         x = 4.0 * math.pi * (i + 0.5) / samples
-        gap = perimeter_from_area(6, x) - perimeter_from_area(7, x)
+        gap = _perimeter_from_area(6.0, x) - _perimeter_from_area(7.0, x)
         count += 2
         min_gap = min(min_gap, gap)
         if prev is not None:
@@ -355,15 +365,12 @@ def verify_prop_3_6(grid: GridSpec | None = None) -> CheckReport:
 
     Sweeps n (default 5..40), a over [0, (n/2-2)*pi] and x over
     [0, min(a, 2*pi)] with endpoints included.  Passes when the grid
-    minimum is >= -1e-9 and every grid point with |f| < 1e-9 sits at
+    minimum is >= -INEQ_TOL and every grid point with |f| < INEQ_TOL sits at
     x smaller than the local grid step.
     """
-    if grid is None or not grid.n_values:
-        n_values = tuple(range(5, 41))
-    else:
-        n_values = grid.n_values
-    a_steps = grid.a_steps if grid else 40
-    x_steps = grid.x_steps if grid else 40
+    grid = grid or GridSpec()
+    n_values = grid.n_values or tuple(range(5, 41))
+    a_steps, x_steps = grid.a_steps, grid.x_steps
 
     min_value = math.inf
     argmin = None
@@ -372,25 +379,27 @@ def verify_prop_3_6(grid: GridSpec | None = None) -> CheckReport:
     exact_zero_line = True
     for n in n_values:
         a_hi = (n / 2.0 - 2.0) * math.pi
+        # the grid's a and a - x all lie in [0, a_hi]
+        side = _check_area(n, a_hi)
         for i in range(a_steps + 1):
             a = a_hi * i / a_steps
-            x_cap = min(a, 2.0 * math.pi * (1.0 - 1e-12))
+            x_cap = min(a, 2.0 * math.pi * (1.0 - tol.X_CAP_MARGIN))
             step = x_cap / x_steps if x_cap > 0.0 else 1.0
             for j in range(x_steps + 1):
                 x = x_cap * j / x_steps
-                value = f(n, a, x)
+                value = _f(side, a, x)
                 count += 1
                 if x == 0.0 and value != 0.0:
                     exact_zero_line = False
                 if value < min_value:
                     min_value = value
                     argmin = (n, a, x)
-                if abs(value) < INEQ_TOL and x >= step:
+                if abs(value) < tol.INEQ_TOL and x >= step:
                     near_zero_off_line += 1
                 if x_cap == 0.0:
                     break
     passed = (
-        min_value >= -INEQ_TOL and near_zero_off_line == 0 and exact_zero_line
+        min_value >= -tol.INEQ_TOL and near_zero_off_line == 0 and exact_zero_line
     )
     return CheckReport(
         check_id="prop_3_6",
@@ -402,7 +411,7 @@ def verify_prop_3_6(grid: GridSpec | None = None) -> CheckReport:
         grid_size=count,
         min_value=min_value,
         argmin=argmin,
-        tolerance=INEQ_TOL,
+        tolerance=tol.INEQ_TOL,
         details={
             "near_zero_off_line": near_zero_off_line,
             "exact_zero_at_x0": exact_zero_line,
@@ -433,14 +442,13 @@ class PolygonFamily:
         return sum(m for m, _ in self.items) - 4 * self.k + 4
 
     def sorted_by_angle(self) -> "PolygonFamily":
-        order = sorted(
-            range(self.k), key=lambda i: -self.angles()[i]
-        )
+        angles = self.angles()
+        order = sorted(range(self.k), key=lambda i: -angles[i])
         return PolygonFamily(tuple(self.items[i] for i in order))
 
     def is_sorted_by_angle(self) -> bool:
         ang = self.angles()
-        return all(ang[i] >= ang[i + 1] - ANGLE_TOL for i in range(self.k - 1))
+        return all(ang[i] >= ang[i + 1] - tol.ANGLE_TOL for i in range(self.k - 1))
 
 
 @dataclass(frozen=True)
@@ -475,16 +483,16 @@ def validate_instance(inst: IsoperimetricInstance) -> None:
     m_target = inst.target.n
     if m_target != int(m_target):
         raise ValidationError(f"target side count {m_target!r} not an integer")
-    if int(m_target) - 4 != sum(m for m, _ in fam.items) - 4 * fam.k:
+    if int(m_target) != fam.merged_sides():
         raise ValidationError(
             "side-count balance violated: target-4 must equal sum(m_i)-4k"
         )
     total = fam.total_area()
-    if abs(total - inst.target.area) > max(1e-12, 1e-9 * abs(total)):
+    if abs(total - inst.target.area) > max(tol.AREA_MATCH_ABS, tol.AREA_MATCH_REL * abs(total)):
         raise ValidationError(
             f"area mismatch: family total {total!r} vs target {inst.target.area!r}"
         )
-    if inst.strict and inst.target.theta < math.pi / 2.0 - ANGLE_TOL:
+    if inst.strict and inst.target.theta < math.pi / 2.0 - tol.ANGLE_TOL:
         raise ValidationError(
             f"target angle {inst.target.theta!r} below pi/2 in strict mode"
         )
@@ -498,12 +506,12 @@ def check_instance(inst: IsoperimetricInstance) -> dict:
     """
     validate_instance(inst)
     lhs = perimeter_from_area(inst.target.n, inst.target.area)
-    rhs = sum(perimeter_from_area(m, a) for m, a in inst.family.items)
+    rhs = sum(_perimeter_from_area(float(m), a) for m, a in inst.family.items)
     return {
         "lhs": lhs,
         "rhs": rhs,
-        "holds": lhs <= rhs + INEQ_TOL,
-        "equality": abs(lhs - rhs) < INEQ_TOL,
+        "holds": lhs <= rhs + tol.INEQ_TOL,
+        "equality": abs(lhs - rhs) < tol.INEQ_TOL,
     }
 
 
@@ -517,14 +525,14 @@ class EqualityClassification:
 
 def classify_equality(inst: IsoperimetricInstance) -> EqualityClassification:
     """Equality must mean: one member congruent to the target, rest
-    degenerate (area and perimeter both below 1e-9)."""
+    degenerate (area and perimeter both below DEGENERATE_TOL)."""
     nondeg = [
         (m, a)
         for m, a in inst.family.items
-        if a >= DEGENERATE_TOL or perimeter_from_area(m, a) >= DEGENERATE_TOL
+        if a >= tol.DEGENERATE_TOL or perimeter_from_area(m, a) >= tol.DEGENERATE_TOL
     ]
     if len(nondeg) == 0:
-        ok = inst.target.area < DEGENERATE_TOL
+        ok = inst.target.area < tol.DEGENERATE_TOL
         return EqualityClassification(
             expected_shape=ok,
             nondegenerate_count=0,
@@ -534,7 +542,7 @@ def classify_equality(inst: IsoperimetricInstance) -> EqualityClassification:
         )
     if len(nondeg) == 1:
         m, a = nondeg[0]
-        congruent = m == int(inst.target.n) and abs(a - inst.target.area) <= DEGENERATE_TOL
+        congruent = m == int(inst.target.n) and abs(a - inst.target.area) <= tol.DEGENERATE_TOL
         return EqualityClassification(
             expected_shape=congruent,
             nondegenerate_count=1,
@@ -653,7 +661,7 @@ def verify_theorem_3_1(count: int = 10000, seed: int = 0) -> CheckReport:
         grid_size=count,
         min_value=min_margin,
         argmin=argmin,
-        tolerance=INEQ_TOL,
+        tolerance=tol.INEQ_TOL,
         details={
             "equalities": equalities,
             "holds_failures": holds_failures,
@@ -666,7 +674,7 @@ def verify_merge_properties(count: int = 10000, seed: int = 0) -> CheckReport:
     """Angle bounds along the merge sequence on random instances.
 
     Checks, for each instance: every partial-merge angle is at least
-    pi/2 (up to 1e-12), the final merge reproduces the target, the
+    pi/2 (up to ANGLE_TOL), the final merge reproduces the target, the
     largest member angle is at least pi/2 and the smallest member
     angle is at most the target angle.
     """
@@ -684,17 +692,16 @@ def verify_merge_properties(count: int = 10000, seed: int = 0) -> CheckReport:
             if excess < min_excess:
                 min_excess = excess
                 argmin = (index, j)
-            if excess < -ANGLE_TOL:
+            if excess < -tol.ANGLE_TOL:
                 failures += 1
         last = seq.steps[-1]
-        if int(last.n) != int(inst.target.n) or abs(last.area - inst.target.area) > 1e-12 * max(
-            1.0, inst.target.area
-        ):
+        area_slack = tol.MERGE_AREA_TOL * max(1.0, inst.target.area)
+        if int(last.n) != int(inst.target.n) or abs(last.area - inst.target.area) > area_slack:
             final_mismatches += 1
         angles = inst.family.angles()
-        if max(angles) < math.pi / 2.0 - ANGLE_TOL:
+        if max(angles) < math.pi / 2.0 - tol.ANGLE_TOL:
             bound_failures += 1
-        if min(angles) > inst.target.theta + ANGLE_TOL:
+        if min(angles) > inst.target.theta + tol.ANGLE_TOL:
             bound_failures += 1
     passed = failures == 0 and final_mismatches == 0 and bound_failures == 0
     return CheckReport(
@@ -704,7 +711,7 @@ def verify_merge_properties(count: int = 10000, seed: int = 0) -> CheckReport:
         grid_size=count,
         min_value=min_excess,
         argmin=argmin,
-        tolerance=ANGLE_TOL,
+        tolerance=tol.ANGLE_TOL,
         details={
             "merge_angle_failures": failures,
             "final_step_mismatches": final_mismatches,
@@ -745,7 +752,7 @@ def verify_example_3_12() -> CheckReport:
     target_theta = angle_from_area(5, 5.0)
 
     passed = (
-        margin > INEQ_TOL
+        margin > tol.INEQ_TOL
         and strict_rejected
         and not permissive["holds"]
         and target_theta < math.pi / 2.0
@@ -757,7 +764,7 @@ def verify_example_3_12() -> CheckReport:
         grid_size=1,
         min_value=margin,
         argmin=None,
-        tolerance=INEQ_TOL,
+        tolerance=tol.INEQ_TOL,
         details={
             "p6_of_4.99": p6,
             "p3_of_0.01": p3,

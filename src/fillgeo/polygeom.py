@@ -13,26 +13,31 @@ that describe an actual geometric polygon insist on integers.
 Degenerate polygons (area 0, collapsed to a point) are inside the
 domain: perimeter_from_area(n, 0.0) returns exactly 0.0, and the
 formulas are arranged so this holds bitwise, not just approximately.
+
+Public functions validate their arguments, then call a private kernel
+that holds the formula and assumes validated input; the isoperim sweeps
+check each side count once and call the kernels at every grid point.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from . import tolerances as tol
 from .errors import DomainError
-
-# acosh arguments this far below 1 are treated as rounding noise and
-# clamped to 1; anything lower is a real domain violation.
-_ACOSH_CLAMP = 1e-12
 
 
 def _acosh_clamped(x: float) -> float:
     if x >= 1.0:
         return math.acosh(x)
-    if x >= 1.0 - _ACOSH_CLAMP:
+    if x >= 1.0 - tol.ACOSH_CLAMP:
         return 0.0
     raise DomainError(
-        f"acosh argument {x!r} is below 1 by more than {_ACOSH_CLAMP}"
+        f"acosh argument {x!r} is below 1 by more than {tol.ACOSH_CLAMP}"
     )
+
+
+def _max_area(n: float) -> float:
+    return (n - 2.0) * math.pi
 
 
 def _check_sides(n) -> float:
@@ -41,6 +46,25 @@ def _check_sides(n) -> float:
     if not n >= 3:
         raise DomainError(f"side count must be at least 3, got {n!r}")
     return float(n)
+
+
+def _check_angle(n, theta) -> float:
+    """Check n and an angle in (0, pi); returns n as a float."""
+    n = _check_sides(n)
+    if not 0.0 < theta < math.pi:
+        raise DomainError(f"interior angle must lie in (0, pi), got {theta!r}")
+    return n
+
+
+def _check_area(n, area, positive: bool = False) -> float:
+    """Check n and an area in [0, (n-2)*pi), or (0, ...) if positive."""
+    n = _check_sides(n)
+    top = _max_area(n)
+    if not ((0.0 < area) if positive else (0.0 <= area)) or not area < top:
+        raise DomainError(
+            f"area must lie in {'(' if positive else '['}0, {top}), got {area!r}"
+        )
+    return n
 
 
 def _check_genus(g) -> int:
@@ -53,8 +77,7 @@ def _check_genus(g) -> int:
 
 def max_area(n) -> float:
     """Supremum (n-2)*pi of areas of regular n-gons; not attained."""
-    n = _check_sides(n)
-    return (n - 2.0) * math.pi
+    return _max_area(_check_sides(n))
 
 
 def max_angle(n) -> float:
@@ -63,7 +86,7 @@ def max_angle(n) -> float:
     Attained only by the degenerate (area 0) polygon.
     """
     n = _check_sides(n)
-    return (n - 2.0) * math.pi / n
+    return _max_area(n) / n
 
 
 def area_from_angle(n, theta: float) -> float:
@@ -72,20 +95,19 @@ def area_from_angle(n, theta: float) -> float:
     May be negative or zero; callers needing a geometric polygon must
     check positivity themselves.  Zero means the degenerate polygon.
     """
-    n = _check_sides(n)
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"interior angle must lie in (0, pi), got {theta!r}")
+    n = _check_angle(n, theta)
     return (math.pi - theta) * n - 2.0 * math.pi
 
 
 def angle_from_area(n, area: float) -> float:
     """Interior angle of the regular n-gon with the given area."""
-    n = _check_sides(n)
-    if not 0.0 <= area < (n - 2.0) * math.pi:
-        raise DomainError(
-            f"area must lie in [0, {(n - 2.0) * math.pi}), got {area!r}"
-        )
+    n = _check_area(n, area)
     return math.pi - (area + 2.0 * math.pi) / n
+
+
+def _perimeter_from_area(n: float, area: float) -> float:
+    ratio = math.cos(math.pi / n) / math.cos((2.0 * math.pi + area) / (2.0 * n))
+    return 2.0 * n * _acosh_clamped(ratio)
 
 
 def perimeter_from_area(n, area: float) -> float:
@@ -95,17 +117,25 @@ def perimeter_from_area(n, area: float) -> float:
     area 0 the two cosine arguments coincide bitwise, so the result is
     exactly 0.0.  Strictly increasing in area.
     """
-    n = _check_sides(n)
-    if not 0.0 <= area < (n - 2.0) * math.pi:
-        raise DomainError(
-            f"area must lie in [0, {(n - 2.0) * math.pi}), got {area!r}"
-        )
-    ratio = math.cos(math.pi / n) / math.cos((2.0 * math.pi + area) / (2.0 * n))
-    return 2.0 * n * _acosh_clamped(ratio)
+    return _perimeter_from_area(_check_area(n, area), area)
+
+
+def _side_length(n: float, theta: float) -> float:
+    ratio = math.cos(math.pi / n) / math.cos(math.pi / 2.0 - theta / 2.0)
+    return 2.0 * _acosh_clamped(ratio)
+
+
+def side_length(n, theta: float) -> float:
+    """Length of one side of the regular n-gon with interior angle theta."""
+    return _side_length(_check_angle(n, theta), theta)
+
+
+def _perimeter_from_angle(n: float, theta: float) -> float:
+    return n * _side_length(n, theta)
 
 
 def perimeter_from_angle(n, theta: float) -> float:
-    """Perimeter of the regular n-gon with interior angle theta.
+    """Perimeter n * side_length(n, theta) of the regular n-gon.
 
     Defined when cos(pi/n) >= sin(theta/2), i.e. n >= 2*pi/(pi-theta).
     Written with cos(pi/2 - theta/2) rather than sin(theta/2) so the
@@ -113,20 +143,16 @@ def perimeter_from_angle(n, theta: float) -> float:
     theta = pi/2 the two cosine arguments agree bitwise and the
     perimeter is exactly 0.0.
     """
-    n = _check_sides(n)
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"interior angle must lie in (0, pi), got {theta!r}")
-    ratio = math.cos(math.pi / n) / math.cos(math.pi / 2.0 - theta / 2.0)
-    return 2.0 * n * _acosh_clamped(ratio)
+    return _perimeter_from_angle(_check_angle(n, theta), theta)
 
 
-def side_length(n, theta: float) -> float:
-    """Length of one side of the regular n-gon with interior angle theta."""
-    n = _check_sides(n)
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"interior angle must lie in (0, pi), got {theta!r}")
-    ratio = math.cos(math.pi / n) / math.cos(math.pi / 2.0 - theta / 2.0)
-    return 2.0 * _acosh_clamped(ratio)
+def _perimeter_derivative(n: float, area: float) -> float:
+    u = (2.0 * math.pi + area) / (2.0 * n)
+    c = math.cos(math.pi / n)
+    under = c * c - math.cos(u) ** 2
+    if under <= 0.0:
+        raise DomainError(f"derivative undefined at area {area!r} for n = {n}")
+    return c * math.tan(u) / math.sqrt(under)
 
 
 def perimeter_derivative(n, area: float) -> float:
@@ -135,17 +161,20 @@ def perimeter_derivative(n, area: float) -> float:
     Defined on the open range (0, (n-2)*pi); blows up like
     area**-0.5 at the degenerate end and diverges at the supremum too.
     """
-    n = _check_sides(n)
-    if not 0.0 < area < (n - 2.0) * math.pi:
-        raise DomainError(
-            f"area must lie in (0, {(n - 2.0) * math.pi}), got {area!r}"
-        )
-    u = (2.0 * math.pi + area) / (2.0 * n)
+    return _perimeter_derivative(_check_area(n, area, positive=True), area)
+
+
+def _perimeter_second_derivative(n: float, area: float) -> float:
+    w = (_max_area(n) - area) / (2.0 * n)
     c = math.cos(math.pi / n)
-    under = c * c - math.cos(u) ** 2
-    if under <= 0.0:
-        raise DomainError(f"derivative undefined at area {area!r} for n = {n}")
-    return c * math.tan(u) / math.sqrt(under)
+    sw = math.sin(w)
+    cw = math.cos(w)
+    d = c * c - sw * sw
+    if d <= 0.0:
+        raise DomainError(
+            f"second derivative undefined at area {area!r} for n = {n}"
+        )
+    return (c / (2.0 * n)) * (1.0 / (sw * sw * math.sqrt(d)) - cw * cw / d**1.5)
 
 
 def perimeter_second_derivative(n, area: float) -> float:
@@ -160,21 +189,7 @@ def perimeter_second_derivative(n, area: float) -> float:
     cos(pi/n)**2 >= sin(w)**2 * (1 + cos(w)**2); negative for small
     area, positive near the supremum, one sign change in between.
     """
-    n = _check_sides(n)
-    if not 0.0 < area < (n - 2.0) * math.pi:
-        raise DomainError(
-            f"area must lie in (0, {(n - 2.0) * math.pi}), got {area!r}"
-        )
-    w = ((n - 2.0) * math.pi - area) / (2.0 * n)
-    c = math.cos(math.pi / n)
-    sw = math.sin(w)
-    cw = math.cos(w)
-    d = c * c - sw * sw
-    if d <= 0.0:
-        raise DomainError(
-            f"second derivative undefined at area {area!r} for n = {n}"
-        )
-    return (c / (2.0 * n)) * (1.0 / (sw * sw * math.sqrt(d)) - cw * cw / d**1.5)
+    return _perimeter_second_derivative(_check_area(n, area, positive=True), area)
 
 
 def circumradius(n, theta: float) -> float:
@@ -182,15 +197,13 @@ def circumradius(n, theta: float) -> float:
 
     cosh(R) = cot(pi/n) * cot(theta/2).  The degenerate polygon has
     R = 0; because cot*cot only rounds to within an ulp of 1 there,
-    values within 1e-12 of 1 on either side snap to R = 0 so the
+    values within CIRCUMRADIUS_SNAP of 1 snap to R = 0 so the
     degenerate case is exact.  Angles past the Euclidean limit raise
     DomainError.
     """
-    n = _check_sides(n)
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"interior angle must lie in (0, pi), got {theta!r}")
+    n = _check_angle(n, theta)
     value = 1.0 / (math.tan(math.pi / n) * math.tan(theta / 2.0))
-    if abs(value - 1.0) <= _ACOSH_CLAMP:
+    if abs(value - 1.0) <= tol.CIRCUMRADIUS_SNAP:
         return 0.0
     return _acosh_clamped(value)
 
@@ -232,8 +245,8 @@ class RegularPolygonSpec:
     def circumradius(self) -> float:
         return circumradius(self.n, self.theta)
 
-    def is_degenerate(self, tol: float = 1e-9) -> bool:
-        return self.area < tol
+    def is_degenerate(self) -> bool:
+        return self.area < tol.DEGENERATE_TOL
 
     def as_dict(self) -> dict:
         return {
@@ -280,14 +293,9 @@ class ExtremalReport:
     kissing_lower_bound: float | None = None
 
     def as_dict(self) -> dict:
-        d = {
-            "genus": self.genus,
-            "min_filling_length": self.min_filling_length,
-            "polygon_side": self.polygon_side,
-            "polygon_perimeter": self.polygon_perimeter,
-        }
-        if self.kissing_lower_bound is not None:
-            d["kissing_lower_bound"] = self.kissing_lower_bound
+        d = asdict(self)
+        if self.kissing_lower_bound is None:
+            del d["kissing_lower_bound"]
         return d
 
 

@@ -123,8 +123,6 @@ class Region:
     euler: int
     boundary_cycles: tuple
     boundary_vertex_counts: tuple
-    interior_vertices: int
-    interior_edges: int
 
     @property
     def is_disk(self) -> bool:
@@ -251,8 +249,6 @@ class _RegionData:
                     euler=v_r - e_r + f_r,
                     boundary_cycles=cycles,
                     boundary_vertex_counts=counts,
-                    interior_vertices=interior_vertices[index],
-                    interior_edges=interior_edges[index],
                 )
             )
         return tuple(out)
@@ -329,7 +325,7 @@ def complement_regions(cmap: CombinatorialMap, subgraph) -> tuple:
     Pieces are unions of the map's faces glued across edges outside the
     subgraph.  Each Region carries its Euler characteristic (a disk iff
     it equals 1), its boundary cycles of subgraph darts, the number of
-    distinct vertices on each cycle, and an interior census.
+    distinct vertices on each cycle.
     """
     return _complement(cmap, subgraph).regions
 

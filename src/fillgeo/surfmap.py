@@ -17,6 +17,7 @@ Faces are traced with the convention next(d) = sigma(alpha(d)).
 import math
 from dataclasses import dataclass
 
+from . import tolerances as tol
 from .errors import DomainError, InternalInvariantError, ValidationError
 from .polygeom import circumradius, min_filling_length, side_length
 from .report import CheckReport
@@ -435,7 +436,7 @@ def verify_canonical(g: int) -> CheckReport:
         "face_effective_degree": report["face_effective_degrees"] == [n_sides],
         "single_component": report["curve_components"] == 1,
         "self_intersections": report["self_intersections"] == 2 * g - 1,
-        "geodesic_length": rel <= 1e-12,
+        "geodesic_length": rel <= tol.LENGTH_REL_TOL,
     }
     details = dict(report)
     details.pop("vertex_valences")
@@ -454,7 +455,7 @@ def verify_canonical(g: int) -> CheckReport:
         grid_size=n_sides,
         min_value=None,
         argmin=None,
-        tolerance=1e-12,
+        tolerance=tol.LENGTH_REL_TOL,
         details=details,
     )
 
@@ -537,7 +538,7 @@ def gluing_svg(word, theta: float = math.pi / 2.0) -> str:
     n = len(sides)
     corners = polygon_vertices(n, theta)
     zs = [complex(x, y) for x, y in corners]
-    degenerate = all(abs(z) < 1e-12 for z in zs)
+    degenerate = all(abs(z) < tol.SVG_POINT_TOL for z in zs)
 
     font = max(0.018, min(0.06, 2.5 / n))
     parts = [

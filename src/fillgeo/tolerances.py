@@ -1,33 +1,43 @@
-"""Shared numerical tolerances.
+"""Every numerical tolerance of the package, one named constant per role.
 
-Every approximate comparison in the package goes through one Tolerance
-object so the accuracy contract lives in a single place.
+A comparison keeps its own rule where it is made (absolute, relative,
+or the larger of both), and the reports print the value used; this
+module holds each value and its reason.  No other module writes a float
+literal in exponent form, and a test keeps it that way.
 """
 
-from dataclasses import dataclass
+# polygeom: acosh arguments this far below 1 are rounding noise and
+# clamp to 1; anything lower is a real domain violation
+ACOSH_CLAMP = 1e-12
+# polygeom.circumradius: cot(pi/n)*cot(theta/2) rounds to within an ulp
+# of 1 at the degenerate polygon, so values this close to 1 give R = 0
+CIRCUMRADIUS_SNAP = 1e-12
+# a polygon is degenerate when its area (and, for the equality
+# classifier, its perimeter) is below this
+DEGENERATE_TOL = 1e-9
 
+# isoperim: slack for the inequality lhs <= rhs, the equality flag and
+# the nonnegativity of f
+INEQ_TOL = 1e-9
+# isoperim: slack for angle lower bounds (right angles up to rounding)
+ANGLE_TOL = 1e-12
+# validate_instance: |total - target| <= max(ABS, REL * |total|)
+AREA_MATCH_ABS = 1e-12
+AREA_MATCH_REL = 1e-9
+# verify_lemma_3_3 compares a sample with the closed-form sign criterion
+# only when both are clear of zero by these; nearer, rounding decides
+SIGN_CRITERION_TOL = 1e-12
+SECOND_DERIVATIVE_TOL = 1e-15
+# verify_lemma_3_2: the written constant 1.29521 has five decimals
+LEMMA_3_2_CONSTANT_TOL = 5e-6
+# verify_prop_3_6: x stops this fraction short of 2*pi, the supremum of
+# the areas P_4 accepts
+X_CAP_MARGIN = 1e-12
+# verify_merge_properties: last merge area against the target's,
+# relative to max(1, target area)
+MERGE_AREA_TOL = 1e-12
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute plus relative comparison tolerance.
-
-    close(a, b) tests |a - b| <= max(abs_tol, rel_tol * max(|a|, |b|)),
-    so tiny quantities are compared absolutely and large ones relatively.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-9
-
-    def close(self, a: float, b: float) -> bool:
-        return abs(a - b) <= max(self.abs_tol, self.rel_tol * max(abs(a), abs(b)))
-
-    def is_zero(self, a: float) -> bool:
-        return abs(a) <= self.abs_tol
-
-
-DEFAULT_TOL = Tolerance()
-
-# Slack for one-sided inequality checks: lhs <= rhs is accepted when
-# lhs <= rhs + INEQUALITY_SLACK.  Wider than DEFAULT_TOL.abs_tol because
-# the quantities compared are sums of many evaluations.
-INEQUALITY_SLACK = 1e-9
+# surfmap.verify_canonical: relative error of the canonical strand length
+LENGTH_REL_TOL = 1e-12
+# surfmap.gluing_svg: corners this close to the origin draw as one point
+SVG_POINT_TOL = 1e-12
