@@ -14,6 +14,7 @@ identical bytes.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -79,9 +80,8 @@ def cmd_minlen(args) -> int:
     else:
         lines = ["# genus  sides  side  perimeter  min_length"]
         for rep in rows:
-            side = rep.polygon_perimeter / (8 * rep.genus - 4)
             lines.append(
-                f"{rep.genus}  {8 * rep.genus - 4}  {side!r}  "
+                f"{rep.genus}  {8 * rep.genus - 4}  {rep.polygon_side!r}  "
                 f"{rep.polygon_perimeter!r}  {rep.min_filling_length!r}"
             )
         text = "\n".join(lines)
@@ -279,9 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: a parser holds reference
+    cycles, which each call would otherwise leave to the cyclic
+    garbage collector."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, ValidationError) as err:

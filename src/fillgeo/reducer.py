@@ -17,8 +17,10 @@ degrees and the outcome of every check; it never hides a failure.
 """
 
 import json
-import weakref
+from bisect import bisect_left, insort
+from collections import Counter, deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InternalInvariantError, ValidationError
 from .surfmap import CombinatorialMap, from_interchange, to_interchange
@@ -129,22 +131,66 @@ class Region:
         return self.euler == 1
 
 
-class _RegionData:
-    """The complement of a subgraph in a map: its regions and their data.
+class _Cut(NamedTuple):
+    """What committing one cutting curve changes in a complement.
 
-    One instance serves a whole reduction step.  The all-disk test and
-    the candidate scan read it, and each candidate curve is judged by
-    the complement its commit would leave (trial).  The trial that
-    proves a curve essential is kept, so that reduce takes it as the
-    next state instead of committing the curve again.
+    added holds the curve's darts in both directions and touched how
+    many of them lie at each vertex; weight is the change of each
+    face's doubled Euler share and removed the number of curve edges
+    between each pair of distinct faces (lower face first).  The curve
+    lies in one region: closed lists the faces of each piece the cut
+    splits off it, and euler2 the doubled Euler characteristic of those
+    pieces followed by that of the rest, which keeps the region's index.
     """
 
-    def __init__(self, cmap: CombinatorialMap, g: frozenset):
+    added: frozenset
+    touched: Counter
+    weight: Counter
+    removed: Counter
+    region: int
+    closed: list
+    euler2: list
+
+
+class _Complement:
+    """The complement of a subgraph in a map, kept up to date as curves are cut.
+
+    The surface cut along the subgraph falls into regions: unions of
+    the map's faces glued across edges outside the subgraph.  Per face
+    the state keeps its region and its doubled share of the region's
+    Euler characteristic: 2 for the face, -1 for each of its darts (a
+    dart outside the subgraph is half an interior edge) and another -1
+    for each subgraph dart (a boundary side), +2 for each corner gap
+    and each interior vertex assigned to it.  Per region it keeps the
+    doubled Euler characteristic (a disk has 2), per pair of distinct
+    faces the number of edges outside the subgraph between them, per
+    vertex its number of subgraph germs, and the candidate germs of the
+    arc search, in dart order: germs outside the subgraph at subgraph
+    vertices of non-disk regions.
+
+    reduce builds one per run and commits each accepted curve in place
+    (apply).  A trial judges a curve from the faces and vertices it
+    touches alone.  Only a curve whose attachment fires the split rule,
+    or one spread over several regions, is committed to a copy of the
+    map and judged on a complement built afresh.
+    """
+
+    def __init__(self, cmap: CombinatorialMap, subgraph):
+        g = set(subgraph)
+        for d in g:
+            if not isinstance(d, int) or not 0 <= d < cmap.dart_count:
+                raise ValidationError(f"subgraph dart {d!r} out of range")
+            if cmap.alpha[d] not in g:
+                raise ValidationError(
+                    "subgraph is not closed under the edge involution"
+                )
         self.cmap = cmap
         self.g = g
-        face_of = cmap.derived("_face_of", _face_of)
-        nfaces = len(cmap.faces())
-        parent = list(range(nfaces))
+        alpha = cmap.alpha
+        face_of = self.face_of = cmap.derived("_face_of", _face_of)
+        faces = cmap.faces()
+        owner = self.owner = cmap.vertex_of_dart()
+        parent = list(range(len(faces)))
 
         def find(x):
             while parent[x] != x:
@@ -152,34 +198,50 @@ class _RegionData:
                 x = parent[x]
             return x
 
-        alpha = cmap.alpha
         for d in range(cmap.dart_count):
             if d not in g and d < alpha[d]:
                 a, b = find(face_of[d]), find(face_of[alpha[d]])
                 if a != b:
                     parent[a] = b
-        face_root = [find(i) for i in range(nfaces)]
+        face_root = [find(f) for f in range(len(faces))]
         region_index = {r: i for i, r in enumerate(sorted(set(face_root)))}
         self.face_region = [region_index[r] for r in face_root]
-        # region of the side (face) on the left of each dart
-        self.region_of = [self.face_region[f] for f in face_of]
-        self.owner = cmap.vertex_of_dart()
-        self.vertex_cycles = cmap.vertices()
-        self.g_at_vertex = [
-            [d for d in cycle if d in g] for cycle in self.vertex_cycles
-        ]
-        self.regions = self._regions(len(region_index))
-        self.fills = all(r.is_disk for r in self.regions)
-        self._accepted = None
 
-    def gaps(self):
-        """Yield (vertex, germ, next_germ, region) for every corner gap
-        between cyclically consecutive subgraph germs at a vertex."""
-        sigma, region_of = self.cmap.sigma, self.region_of
-        for v, germs in enumerate(self.g_at_vertex):
-            for i, d in enumerate(germs):
-                nxt = germs[(i + 1) % len(germs)]
-                yield v, d, nxt, region_of[sigma[d]]
+        gcount = self.gcount = [0] * len(cmap.vertices())
+        weight = self.weight = [2 - len(cycle) for cycle in faces]
+        for d in g:
+            gcount[owner[d]] += 1
+            # a boundary side, and the corner gap after alpha(d), which
+            # lies in the same face
+            weight[face_of[d]] += 1
+        for v, cycle in enumerate(cmap.vertices()):
+            if not gcount[v]:
+                weight[face_of[cycle[0]]] += 2
+        self.adjacent = [{} for _ in faces]
+        for d in range(cmap.dart_count):
+            a, b = face_of[d], face_of[alpha[d]]
+            if d not in g and a != b:
+                self.adjacent[a][b] = self.adjacent[a].get(b, 0) + 1
+        self.euler2 = [0] * len(region_index)
+        for f, r in enumerate(self.face_region):
+            self.euler2[r] += weight[f]
+        self.candidates = [
+            d for d in range(cmap.dart_count)
+            if d not in g and gcount[owner[d]] and self.euler2[self.region_of(d)] != 2
+        ]
+
+    def region_of(self, d: int) -> int:
+        """The region of the face on the left of dart d."""
+        return self.face_region[self.face_of[d]]
+
+    @property
+    def fills(self) -> bool:
+        return all(e == 2 for e in self.euler2)
+
+    def germs_at_vertices(self) -> list:
+        """The subgraph germs at every vertex, in rotation order."""
+        g = self.g
+        return [[d for d in cycle if d in g] for cycle in self.cmap.vertices()]
 
     def boundary_successor(self, d: int) -> int:
         """Next subgraph dart along the region contour through d.
@@ -198,7 +260,11 @@ class _RegionData:
                 raise InternalInvariantError("boundary walk failed to close")
         return w
 
-    def boundary_cycles_by_region(self) -> dict:
+    def regions(self) -> tuple:
+        """Every region with its faces, Euler characteristic and boundary cycles."""
+        faces_in = [[] for _ in self.euler2]
+        for f, r in enumerate(self.face_region):
+            faces_in[r].append(f)
         cycles_by_region = {}
         seen = set()
         for start in sorted(self.g):
@@ -210,113 +276,277 @@ class _RegionData:
                 seen.add(d)
                 cycle.append(d)
                 d = self.boundary_successor(d)
-            cycles_by_region.setdefault(self.region_of[d], []).append(tuple(cycle))
-        return cycles_by_region
-
-    def _regions(self, n: int) -> tuple:
-        cmap, g, region_of = self.cmap, self.g, self.region_of
-        faces_in = [[] for _ in range(n)]
-        for face_index, region in enumerate(self.face_region):
-            faces_in[region].append(face_index)
-        interior_edges = [0] * n
-        boundary_sides = [0] * n
-        for d in range(cmap.dart_count):
-            if d < cmap.alpha[d] and d not in g:
-                interior_edges[region_of[d]] += 1
-        for d in g:
-            boundary_sides[region_of[d]] += 1
-        interior_vertices = [0] * n
-        gap_count = [0] * n
-        sigma = cmap.sigma
-        for cycle, germs in zip(self.vertex_cycles, self.g_at_vertex):
-            if not germs:
-                interior_vertices[region_of[cycle[0]]] += 1
-            # one corner gap follows each subgraph germ (see gaps)
-            for d in germs:
-                gap_count[region_of[sigma[d]]] += 1
-        cycles_by_region = self.boundary_cycles_by_region()
-
+            cycles_by_region.setdefault(self.region_of(d), []).append(tuple(cycle))
         out = []
-        for index in range(n):
-            cycles = tuple(cycles_by_region.get(index, ()))
-            v_r = interior_vertices[index] + gap_count[index]
-            e_r = interior_edges[index] + boundary_sides[index]
-            f_r = len(faces_in[index])
-            counts = tuple(len({self.owner[d] for d in cycle}) for cycle in cycles)
+        for r, faces in enumerate(faces_in):
+            cycles = tuple(cycles_by_region.get(r, ()))
             out.append(
                 Region(
-                    faces=tuple(faces_in[index]),
-                    euler=v_r - e_r + f_r,
+                    faces=tuple(faces),
+                    euler=self.euler2[r] // 2,
                     boundary_cycles=cycles,
-                    boundary_vertex_counts=counts,
+                    boundary_vertex_counts=tuple(
+                        len({self.owner[d] for d in cycle}) for cycle in cycles
+                    ),
                 )
             )
         return tuple(out)
 
     def trial(self, curve: "CuttingCurve"):
-        """The complement left by committing curve, or None if it is inessential.
+        """What committing curve changes, or None if the curve is inessential.
 
         The cut is inessential when some new piece is a disk whose
         boundary is either entirely curve material (a contractible
         loop) or one run of curve material against one run of old
         boundary (the curve merely pushes off existing boundary).
+        The result is a _Cut, or the complement after the commit when
+        the commit changes the map; apply takes either.
         """
-        accepted = self._accepted
-        if accepted is not None and accepted[0] == curve:
-            return accepted[1]
+        cmap = self.cmap
+        opp = _opposite_table(cmap)
+        darts = _checked_darts(cmap, self.g, curve)
+        added = frozenset(darts) | frozenset(cmap.alpha[d] for d in darts)
+        regions = {self.region_of(x) for x in added}
+        ends = _split_ends(cmap, self.g, opp, curve.kind, darts)
+        landings = self._landings(ends, added) if len(regions) == 1 else None
+        if landings is None:
+            return self._judged_afresh(curve)
+        cut = self._cut(added, regions.pop(), landings)
+        if cut is None or not landings:
+            return cut
+        # an accepted curve that fires the split rule refines the map
+        return _Complement(*add_cutting_curve(cmap, self.g, curve))
+
+    def _judged_afresh(self, curve: "CuttingCurve"):
+        """The trial of a curve committed to a copy of the map, judged on
+        the complement built there."""
         new_map, new_g = add_cutting_curve(self.cmap, self.g, curve)
-        after = _RegionData(new_map, new_g)
+        after = _Complement(new_map, new_g)
         added = new_g - self.g
-        for region in after.regions:
-            if not region.is_disk:
-                continue
-            cycle = region.boundary_cycles[0]
-            labels = [d in added for d in cycle]
-            if not any(labels):
-                continue
-            if all(labels):
-                return None
-            transitions = sum(
-                labels[i] != labels[(i + 1) % len(labels)] for i in range(len(labels))
-            )
-            if transitions == 2:
-                return None
-        self._accepted = (curve, after)
+        ends = {after.owner[x] for x in added}
+        ends.update(after.owner[new_map.alpha[x]] for x in added)
+        if _pushes_off(new_map, new_g.__contains__, added, ends,
+                       after.face_region.__getitem__, after.euler2):
+            return None
         return after
 
+    def _landings(self, ends: list, added: frozenset):
+        """The landing germs of the displaced curve ends, or None when a
+        displaced end cannot be judged locally.
 
-def _keep(data: _RegionData) -> _RegionData:
-    """Let lookups on data's map find data for as long as a caller holds it.
+        The split rule displaces an end off its vertex v: the curve stops
+        on its end edge near v, sweeps around v and lands on the edge of
+        the next subgraph germ L at v (see _deviate).  Cutting along that
+        cuts the region into the pieces the direct attachment would,
+        with the same Euler characteristics: the small faces the sweep
+        cuts off around v are glued to the piece on the near side along
+        one edge, and the rest of each face cut keeps its adjacencies.
+        One end is judged locally when the curve touches v only there
+        and the far end of L's edge is neither v nor on the curve.
+        """
+        if not ends:
+            return []
+        if len(ends) > 1:
+            return None
+        cmap, owner = self.cmap, self.owner
+        germ = ends[0]
+        v = owner[germ]
+        if sum(owner[x] == v for x in added) != 1:
+            return None
+        landing = cmap.sigma[germ]
+        while landing not in self.g:
+            landing = cmap.sigma[landing]
+        far = owner[cmap.alpha[landing]]
+        if far == v or any(owner[x] == far for x in added):
+            return None
+        return [landing]
 
-    The map holds it weakly: a strong reference would form a cycle
-    (data refers to its map) that keeps both alive until the cyclic
-    garbage collector runs.
-    """
-    data.cmap.__dict__["_complement"] = weakref.ref(data)
-    return data
+    def _cut(self, added: frozenset, region: int, landings: list):
+        """The trial of a curve that adds the edges of added inside region,
+        its ends displaced onto the edges of landings.
 
+        A displaced end subdivides its landing edge, and the new darts
+        on it count as added: on the far side of that edge the contour
+        changes twice between added and old material (at v and at the
+        subdivision point), on top of what the direct attachment gives.
+        """
+        cmap, g, face_of = self.cmap, self.g, self.face_of
+        cycles = cmap.vertices()
+        touched = Counter(self.owner[x] for x in added)
+        # each added dart is a boundary side (-1) and opens a corner gap
+        # in the face of its alpha (+2, counted at its own face here,
+        # since added is closed under alpha)
+        weight = Counter(face_of[x] for x in added)
+        for v in touched:
+            if not self.gcount[v]:
+                weight[face_of[cycles[v][0]]] -= 2
+        removed = Counter()
+        for x in added:
+            a, b = face_of[x], face_of[cmap.alpha[x]]
+            if a < b:
+                removed[a, b] += 1
+        emptied = [(a, b) for (a, b), n in removed.items() if self.adjacent[a][b] == n]
+        closed = self._split(emptied, removed) if emptied else []
+        piece = {f: i for i, faces in enumerate(closed) for f in faces}
+        euler2 = [sum(self.weight[f] + weight[f] for f in faces) for faces in closed]
+        euler2.append(self.euler2[region] + sum(weight.values()) - sum(euler2))
+        rest = len(closed)
+        far_sides = []
+        for landing in landings:
+            f = face_of[cmap.sigma[landing]]
+            if self.face_region[f] == region:
+                far_sides.append(piece.get(f, rest))
+            elif self.euler2[self.face_region[f]] == 2:
+                return None
+        if _pushes_off(cmap, lambda x: x in g or x in added, added, touched,
+                       lambda f: piece.get(f, rest), euler2, far_sides):
+            return None
+        return _Cut(added, touched, weight, removed, region, closed, euler2)
 
-def _complement(cmap: CombinatorialMap, subgraph) -> _RegionData:
-    """The complement of subgraph in cmap.
+    def _split(self, emptied: list, removed: Counter) -> list:
+        """The faces of every piece but one that a cut splits a region into.
 
-    The map points to the complement last built on it or kept by
-    reduce, for as long as that is in use, so the calls of one
-    reduction step that ask about the same subgraph share one build.
-    The subgraph is validated when it is new.
-    """
-    g = frozenset(subgraph)
-    ref = cmap.__dict__.get("_complement")
-    kept = ref() if ref is not None else None
-    if kept is not None and (kept.g is g or kept.g == g):
-        return kept
-    for d in g:
-        if not isinstance(d, int) or not 0 <= d < cmap.dart_count:
-            raise ValidationError(f"subgraph dart {d!r} out of range")
-        if cmap.alpha[d] not in g:
-            raise ValidationError(
-                "subgraph is not closed under the edge involution"
+        A region can only fall apart where the cut empties an adjacency
+        between two faces.  One search starts at each face of the
+        emptied adjacencies and they take one face each in turn;
+        searches that meet merge, and a search that runs out has found
+        a whole piece.  The last search left is in the rest of the
+        region, which is never walked, so the cost is bounded by the
+        pieces split off.
+        """
+        adjacent = self.adjacent
+        sources = sorted({f for pair in emptied for f in pair})
+        search_of = {f: i for i, f in enumerate(sources)}
+        parent = list(range(len(sources)))
+        queues = {i: deque([f]) for i, f in enumerate(sources)}
+        members = {i: [f] for i, f in enumerate(sources)}
+        closed = []
+        while len(queues) > 1:
+            for i in list(queues):
+                queue = queues.get(i)
+                if queue is None or len(queues) == 1:
+                    continue
+                if not queue:
+                    del queues[i]
+                    closed.append(members.pop(i))
+                    continue
+                f = queue.popleft()
+                for h, n in adjacent[f].items():
+                    if n == removed[(f, h) if f < h else (h, f)]:
+                        continue
+                    j = search_of.get(h)
+                    if j is None:
+                        search_of[h] = i
+                        members[i].append(h)
+                        queue.append(h)
+                        continue
+                    while parent[j] != j:
+                        j = parent[j]
+                    if j != i:
+                        parent[j] = i
+                        queue.extend(queues.pop(j))
+                        members[i].extend(members.pop(j))
+        return closed
+
+    def apply(self, cut):
+        """Commit an accepted trial; returns the complement after it."""
+        if isinstance(cut, _Complement):
+            return cut
+        g, gcount, cycles = self.g, self.gcount, self.cmap.vertices()
+        fresh = [v for v in cut.touched if not gcount[v]]
+        g |= cut.added
+        for v, n in cut.touched.items():
+            gcount[v] += n
+        for f, change in cut.weight.items():
+            self.weight[f] += change
+        adjacent = self.adjacent
+        for (a, b), n in cut.removed.items():
+            left = adjacent[a][b] - n
+            if left:
+                adjacent[a][b] = adjacent[b][a] = left
+            else:
+                del adjacent[a][b], adjacent[b][a]
+        for faces, euler2 in zip(cut.closed, cut.euler2):
+            for f in faces:
+                self.face_region[f] = len(self.euler2)
+            self.euler2.append(euler2)
+        self.euler2[cut.region] = cut.euler2[-1]
+        candidates = self.candidates
+        for x in cut.added:
+            i = bisect_left(candidates, x)
+            if i < len(candidates) and candidates[i] == x:
+                del candidates[i]
+        for v in fresh:
+            for x in cycles[v]:
+                if x not in g:
+                    insort(candidates, x)
+        if 2 in cut.euler2:
+            self.candidates = [
+                x for x in candidates if self.euler2[self.region_of(x)] != 2
+            ]
+        return self
+
+    def cutting_curve(self):
+        """The first essential cutting curve and its trial (see find_cutting_curve)."""
+        if self.fills:
+            raise DomainError(
+                "the subgraph already fills: every complementary region is a disk"
             )
-    return _keep(_RegionData(cmap, g))
+        cmap, owner = self.cmap, self.owner
+        opp = _opposite_table(cmap)
+        if self.g:
+            walks = (_walk_arc(cmap, opp, owner, self.gcount, x) for x in self.candidates)
+        else:
+            walks = (_extract_loop(cmap, opp, owner, d) for d in range(cmap.dart_count))
+        tried = 0
+        for darts, kind in walks:
+            if darts is None:
+                continue
+            tried += 1
+            curve = CuttingCurve(darts=darts, kind=kind)
+            cut = self.trial(curve)
+            if cut is not None:
+                return curve, cut
+        if tried:
+            raise InternalInvariantError(
+                "every candidate cutting curve is inessential although a non-disk "
+                "complementary region remains"
+            )
+        raise InternalInvariantError(
+            "a non-disk complementary region admits no cutting curve; the input "
+            "appears to contain parallel homotopic components"
+        )
+
+
+def _pushes_off(cmap, in_g, added, vertices, piece_of_face, euler2, far_sides=()) -> bool:
+    """Whether a cut leaves a disk piece that makes its curve inessential.
+
+    added holds the darts the cut adds, in_g tells the subgraph after
+    it, piece_of_face maps a face to its piece and euler2 a piece to
+    its doubled Euler characteristic.  A disk has one boundary cycle,
+    which passes every corner gap of the piece once and changes
+    between added and old material exactly at the gaps where the dart
+    arriving along one germ and the dart leaving along the next differ
+    in being added.  Such gaps lie at the ends of added darts, which
+    vertices lists, so no boundary is walked.  The curve is inessential
+    when a disk piece touching added darts has at most two of them:
+    its boundary is all curve, or one run of curve and one of old.
+    far_sides lists pieces with two more such gaps and added darts
+    (see _Complement._cut).
+    """
+    face_of = cmap.derived("_face_of", _face_of)
+    alpha, sigma, cycles = cmap.alpha, cmap.sigma, cmap.vertices()
+    changes = Counter()
+    for v in vertices:
+        germs = [x for x in cycles[v] if in_g(x)]
+        for i, p in enumerate(germs):
+            if (alpha[p] in added) != (germs[(i + 1) % len(germs)] in added):
+                changes[piece_of_face(face_of[sigma[p]])] += 1
+    pieces = {piece_of_face(face_of[x]) for x in added}
+    for p in far_sides:
+        changes[p] += 2
+        pieces.add(p)
+    return any(euler2[p] == 2 and changes[p] <= 2 for p in pieces)
 
 
 def complement_regions(cmap: CombinatorialMap, subgraph) -> tuple:
@@ -327,7 +557,7 @@ def complement_regions(cmap: CombinatorialMap, subgraph) -> tuple:
     it equals 1), its boundary cycles of subgraph darts, the number of
     distinct vertices on each cycle.
     """
-    return _complement(cmap, subgraph).regions
+    return _Complement(cmap, subgraph).regions()
 
 
 @dataclass(frozen=True)
@@ -410,15 +640,40 @@ class _Work:
         )
 
 
-def _clean_corner_pattern(work: _Work, germs) -> bool:
+def _clean_corner_pattern(opp, germs) -> bool:
     """True for three germs containing a strand-opposite pair or four
     germs forming two strand-opposite pairs."""
     gset = set(germs)
     if len(gset) == 3:
-        return any(work.opp[d] is not None and work.opp[d] in gset for d in gset)
+        return any(opp[d] is not None and opp[d] in gset for d in gset)
     if len(gset) == 4:
-        return all(work.opp[d] is not None and work.opp[d] in gset for d in gset)
+        return all(opp[d] is not None and opp[d] in gset for d in gset)
     return False
+
+
+def _split_ends(cmap, g, opp, kind: str, darts: list) -> list:
+    """The end germs of a curve whose attachment fires the split rule
+    (see _attach_end).
+
+    Each end is judged as if the other attached directly, which is
+    exact unless both ends lie at one vertex and the first is displaced.
+    """
+    if kind not in ("V", "VI"):
+        return []
+    cycles, owner = cmap.vertices(), cmap.vertex_of_dart()
+    start = darts[0]
+    germs = [x for x in cycles[owner[start]] if x in g]
+    ends = [] if _clean_corner_pattern(opp, germs + [start]) else [start]
+    if kind == "V":
+        # the arrival end is attached after the other edges are committed
+        arrival = cmap.alpha[darts[-1]]
+        before = set(darts[:-1]) | {cmap.alpha[d] for d in darts[:-1]}
+        germs = [x for x in cycles[owner[arrival]] if x in g or x in before]
+        if len(darts) == 1 and owner[start] == owner[arrival]:
+            germs.append(start)
+        if not _clean_corner_pattern(opp, germs + [arrival]):
+            ends.append(arrival)
+    return ends
 
 
 def _deviate(work: _Work, germ: int) -> int:
@@ -490,9 +745,42 @@ def _attach_end(work: _Work, germ: int, extra_germs=()) -> int:
     terminal germ after the operation (germ itself when direct).
     """
     prospective = work.g_germs_at_vertex_of(germ) + list(extra_germs) + [germ]
-    if _clean_corner_pattern(work, prospective):
+    if _clean_corner_pattern(work.opp, prospective):
         return germ
     return _deviate(work, germ)
+
+
+def _checked_darts(cmap: CombinatorialMap, g, curve: CuttingCurve) -> list:
+    """The darts of a cutting curve, checked against the map and subgraph."""
+    darts = list(curve.darts)
+    if not darts:
+        raise ValidationError("empty cutting curve")
+    for d in darts:
+        if not isinstance(d, int) or not 0 <= d < cmap.dart_count:
+            raise ValidationError(f"cutting curve dart {d!r} out of range")
+        if d in g or cmap.alpha[d] in g:
+            raise ValidationError("cutting curve reuses subgraph material")
+    cycles, owner = cmap.vertices(), cmap.vertex_of_dart()
+
+    def on_subgraph(d):
+        return any(x in g for x in cycles[owner[d]])
+
+    if curve.kind in ("I", "II", "III", "IV"):
+        if g:
+            raise ValidationError(
+                "loop cutting curves (kinds I-IV) apply only to an empty subgraph"
+            )
+    elif curve.kind == "V":
+        if not on_subgraph(darts[0]):
+            raise ValidationError("arc cutting curve must start on the subgraph")
+        if not on_subgraph(cmap.alpha[darts[-1]]):
+            raise ValidationError("arc cutting curve must end on the subgraph")
+    elif curve.kind == "VI":
+        if not on_subgraph(darts[0]):
+            raise ValidationError("lasso cutting curve must start on the subgraph")
+    else:
+        raise ValidationError(f"unknown cutting curve kind {curve.kind!r}")
+    return darts
 
 
 def add_cutting_curve(cmap: CombinatorialMap, subgraph, curve: CuttingCurve):
@@ -506,28 +794,12 @@ def add_cutting_curve(cmap: CombinatorialMap, subgraph, curve: CuttingCurve):
     input map object itself is returned, with the tables kept on it.
     """
     work = _Work(cmap, subgraph)
-    darts = list(curve.darts)
-    if not darts:
-        raise ValidationError("empty cutting curve")
-    for d in darts:
-        if not isinstance(d, int) or not 0 <= d < cmap.dart_count:
-            raise ValidationError(f"cutting curve dart {d!r} out of range")
-        if d in work.g or work.alpha[d] in work.g:
-            raise ValidationError("cutting curve reuses subgraph material")
-
+    darts = _checked_darts(cmap, work.g, curve)
     if curve.kind in ("I", "II", "III", "IV"):
-        if work.g:
-            raise ValidationError(
-                "loop cutting curves (kinds I-IV) apply only to an empty subgraph"
-            )
         for d in darts:
             work.g.add(d)
             work.g.add(work.alpha[d])
     elif curve.kind == "V":
-        if not work.g_germs_at_vertex_of(darts[0]):
-            raise ValidationError("arc cutting curve must start on the subgraph")
-        if not work.g_germs_at_vertex_of(work.alpha[darts[-1]]):
-            raise ValidationError("arc cutting curve must end on the subgraph")
         darts[0] = _attach_end(work, darts[0])
         for d in darts[:-1]:
             work.g.add(d)
@@ -543,15 +815,11 @@ def add_cutting_curve(cmap: CombinatorialMap, subgraph, curve: CuttingCurve):
         work.g.add(work.alpha[arrival])
         work.g.add(darts[0])
         work.g.add(work.alpha[darts[0]])
-    elif curve.kind == "VI":
-        if not work.g_germs_at_vertex_of(darts[0]):
-            raise ValidationError("lasso cutting curve must start on the subgraph")
+    else:
         darts[0] = _attach_end(work, darts[0])
         for d in darts:
             work.g.add(d)
             work.g.add(work.alpha[d])
-    else:
-        raise ValidationError(f"unknown cutting curve kind {curve.kind!r}")
 
     if len(work.alpha) == cmap.dart_count:
         return cmap, frozenset(work.g)
@@ -561,16 +829,16 @@ def add_cutting_curve(cmap: CombinatorialMap, subgraph, curve: CuttingCurve):
 def is_essential(cmap: CombinatorialMap, subgraph, curve: CuttingCurve) -> bool:
     """Decide whether a cutting curve genuinely cuts its region.
 
-    The curve is committed to a copy of the map and the new complement
-    is inspected: the cut is inessential when some new piece is a disk
-    whose boundary is either entirely curve material (a contractible
-    loop) or one run of curve material against one run of old boundary
-    (the curve merely pushes off existing boundary).  The complement of
-    subgraph itself is the one kept on the map, so judging many
-    candidates against one subgraph builds it once, and reduce takes
-    the commit of the curve found essential instead of redoing it.
+    The cut is inessential when some new piece is a disk whose boundary
+    is either entirely curve material (a contractible loop) or one run
+    of curve material against one run of old boundary (the curve merely
+    pushes off existing boundary).  The pieces, their Euler
+    characteristics and the boundary runs are worked out from the faces
+    and vertices the curve touches, without committing it; only a curve
+    whose attachment fires the split rule is committed to a copy of the
+    map, whose complement is then built afresh.
     """
-    return _complement(cmap, subgraph).trial(curve) is not None
+    return _Complement(cmap, subgraph).trial(curve) is not None
 
 
 def _strand_orbit(cmap, opp, start: int) -> list:
@@ -656,59 +924,10 @@ def find_cutting_curve(cmap: CombinatorialMap, subgraph) -> CuttingCurve:
     or finding only inessential ones, contradicts the validated filling
     input and raises InternalInvariantError.
     """
-    data = _complement(cmap, subgraph)
-    if data.fills:
-        raise DomainError(
-            "the subgraph already fills: every complementary region is a disk"
-        )
-    nondisk = {i for i, r in enumerate(data.regions) if not r.is_disk}
-    opp = _opposite_table(cmap)
-    owner = data.owner
-    g_vertex = [bool(germs) for germs in data.g_at_vertex]
-
-    tried = 0
-
-    def essential(darts, kind):
-        curve = CuttingCurve(darts=darts, kind=kind)
-        return curve if is_essential(cmap, data.g, curve) else None
-
-    if not data.g:
-        for d in range(cmap.dart_count):
-            tried += 1
-            darts, kind = _extract_loop(cmap, opp, owner, d)
-            curve = essential(darts, kind)
-            if curve is not None:
-                return curve
-    else:
-        germ_candidates = []
-        for _, d, nxt, region in data.gaps():
-            if region not in nondisk:
-                continue
-            x = cmap.sigma[d]
-            while x != nxt:
-                germ_candidates.append(x)
-                x = cmap.sigma[x]
-        for x in sorted(germ_candidates):
-            walk = _walk_arc(cmap, opp, owner, g_vertex, x)
-            if walk[0] is None:
-                continue
-            tried += 1
-            curve = essential(*walk)
-            if curve is not None:
-                return curve
-
-    if tried:
-        raise InternalInvariantError(
-            "every candidate cutting curve is inessential although a non-disk "
-            "complementary region remains"
-        )
-    raise InternalInvariantError(
-        "a non-disk complementary region admits no cutting curve; the input "
-        "appears to contain parallel homotopic components"
-    )
+    return _Complement(cmap, subgraph).cutting_curve()[0]
 
 
-def _face_degree_census(data: _RegionData) -> list:
+def _face_degree_census(state: _Complement) -> list:
     """Effective degree of every complementary region of the subgraph.
 
     Counts, per region, the corner gaps between consecutive subgraph
@@ -717,17 +936,18 @@ def _face_degree_census(data: _RegionData) -> list:
     subgraph valence two are interior points of subgraph edges and
     contribute nothing.
     """
-    opp = _opposite_table(data.cmap)
-    degrees = [0] * len(data.regions)
-    for v, d, nxt, region in data.gaps():
-        if len(data.g_at_vertex[v]) < 3:
+    opp, sigma = _opposite_table(state.cmap), state.cmap.sigma
+    degrees = [0] * len(state.euler2)
+    for germs in state.germs_at_vertices():
+        if len(germs) < 3:
             continue
-        if opp[d] != nxt:
-            degrees[region] += 1
+        for i, d in enumerate(germs):
+            if opp[d] != germs[(i + 1) % len(germs)]:
+                degrees[state.region_of(sigma[d])] += 1
     return degrees
 
 
-def _smoothed_subgraph_map(data: _RegionData) -> CombinatorialMap:
+def _smoothed_subgraph_map(state: _Complement) -> CombinatorialMap:
     """The subgraph as a standalone map, two-valent vertices smoothed.
 
     Vertices of subgraph valence two become interior points of edges.
@@ -735,7 +955,8 @@ def _smoothed_subgraph_map(data: _RegionData) -> CombinatorialMap:
     of the result discounts the corner between the two edge germs that
     continue each other.
     """
-    cmap, g, owner, g_at = data.cmap, data.g, data.owner, data.g_at_vertex
+    cmap, g, owner = state.cmap, state.g, state.owner
+    g_at = state.germs_at_vertices()
     opp = _opposite_table(cmap)
     real = sorted(d for d in g if len(g_at[owner[d]]) >= 3)
     if not real:
@@ -849,7 +1070,7 @@ def reduce(filling: FillingMap) -> ReductionCertificate:
         raise ValidationError("reduce expects a FillingMap from validate_input")
     genus = filling.genus
     input_dart_count = filling.cmap.dart_count
-    state = _complement(filling.cmap, frozenset())
+    state = _Complement(filling.cmap, frozenset())
     steps = []
     budget = len(filling.cmap.edges())
     iterations = 0
@@ -864,11 +1085,10 @@ def reduce(filling: FillingMap) -> ReductionCertificate:
                 "reduction exceeded its iteration budget of one step per input edge"
             )
         try:
-            curve = find_cutting_curve(state.cmap, state.g)
+            curve, cut = state.cutting_curve()
         except InternalInvariantError as err:
             abort(str(err))
-        # the trial that proved the curve essential, kept by the search
-        state = _keep(state.trial(curve))
+        state = state.apply(cut)
         iterations += 1
         steps.append(
             f"step {iterations}: kind {curve.kind} cutting curve, darts "

@@ -1,5 +1,6 @@
 """Command line behaviour: subcommands, exit codes, output formats."""
 
+import gc
 import json
 import math
 import os
@@ -77,6 +78,14 @@ class TestMinlen:
         _, first, _ = run_cli(["minlen", "--genus", "2..6"], capsys)
         _, second, _ = run_cli(["minlen", "--genus", "2..6"], capsys)
         assert first == second
+
+    def test_side_column_is_polygon_side(self, capsys):
+        # the text table prints the same side as --json, not perimeter / n
+        code, out, _ = run_cli(["minlen", "--genus", "2..50"], capsys)
+        assert code == 0
+        for row in data_rows(out):
+            genus, _, side = row.split()[:3]
+            assert side == repr(polygeom.extremal_report(int(genus)).polygon_side)
 
 
 class TestPolygon:
@@ -246,6 +255,26 @@ class TestReduce:
         code, _, err = run_cli(["reduce", str(path), "--genus", "2"], capsys)
         assert code == 2
         assert "not valid JSON" in err
+
+
+def test_repeated_calls_leave_no_parser_garbage(capsys):
+    # the parser is built once: a later call leaves no argparse objects
+    # in reference cycles for the cyclic collector
+    argv = ["reduce", os.path.join(DATA_DIR, "canonical_g2.json"), "--genus", "2"]
+    assert cli.main(argv) == 0
+    gc.collect()
+    flags, kept = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert cli.main(argv) == 0
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage[kept:]
+                if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[kept:]
+    capsys.readouterr()
+    assert left == []
 
 
 def test_missing_subcommand_is_usage_error(capsys):

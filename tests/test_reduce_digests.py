@@ -4,11 +4,11 @@
 sha256 of the certificate JSON when ``reduce`` returns one (passing or
 not), or the exception class and the sha256 of its message when
 validation or the reduction raises (an abort message embeds the step
-log).  The corpus is every ``tests/data`` fixture, 4-valent 48-vertex
-maps for seeds 0..39, and maps of 6 to 10 vertices of valence 4, 6 or 8
-for seeds 0..39.  Any change to a certificate, a step log or a failure
-message shows here.  After an intended change of output, regenerate
-the file with
+log).  The corpus is every ``tests/data`` fixture, 4-valent 48- and
+192-vertex maps for seeds 0..39, and maps of 6 to 10 vertices of
+valence 4, 6 or 8 for seeds 0..39.  Any change to a certificate, a
+step log or a failure message shows here.  After an intended change
+of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_reduce_digests.py --write
 """
@@ -39,6 +39,7 @@ FIXTURES = (
     "triangle_c",
 )
 SEEDS = range(40)
+FOUR_VALENT_SIZES = (48, 192)
 MIXED_VALENCES = (4, 6, 8)
 
 
@@ -90,8 +91,9 @@ def corpus():
     for name in FIXTURES:
         data = json.loads((DATA_DIR / f"{name}.json").read_text())
         yield f"fixture/{name}", data, data["genus"]
-    for seed in SEEDS:
-        yield (f"four_valent_48/{seed}", *four_valent(seed))
+    for vertices in FOUR_VALENT_SIZES:
+        for seed in SEEDS:
+            yield (f"four_valent_{vertices}/{seed}", *four_valent(seed, vertices))
     for seed in SEEDS:
         yield (f"mixed/{seed}", *mixed(seed))
 

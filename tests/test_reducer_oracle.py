@@ -1,0 +1,206 @@
+"""The reducer's live complement against a from-scratch oracle.
+
+``reduce`` keeps one complement state per run and judges each candidate
+cutting curve from the faces and vertices it touches.  The oracle here
+shares no code with that state: it traces faces as orbits of
+sigma∘alpha, glues them across edges outside the subgraph with its own
+union-find, counts V - E + F per region (interior vertices and corner
+gaps, interior edges and boundary sides, faces) and walks the boundary
+of every disk.  A curve is committed with ``add_cutting_curve``, which
+builds the refined map; judging the result is the oracle's own work.
+
+At every step of a reduction the live state's region partition, Euler
+characteristics, candidate germs and ``fills`` must match the oracle,
+and every candidate tried must get the oracle's essential/inessential
+verdict.  The inputs are the 4-valent 48-vertex maps and the {4,6,8}-
+valent maps of ``test_reduce_digests.py``; the split rule fires on many
+of the latter.
+"""
+
+import pytest
+
+from fillgeo import reducer
+from fillgeo.errors import InternalInvariantError, ValidationError
+from test_reduce_digests import SEEDS, four_valent, mixed
+
+
+def _orbit_index(n, step):
+    """Orbit number of every dart under step, orbits numbered by least dart."""
+    index = [-1] * n
+    count = 0
+    for start in range(n):
+        d = start
+        while index[d] < 0:
+            index[d] = count
+            d = step(d)
+        if index[start] == count:
+            count += 1
+    return index, count
+
+
+def oracle_complement(cmap, g):
+    """(region of each dart, Euler characteristic of each region)."""
+    n, alpha, sigma = cmap.dart_count, cmap.alpha, cmap.sigma
+    face, faces = _orbit_index(n, lambda d: sigma[alpha[d]])
+    vertex, vertices = _orbit_index(n, lambda d: sigma[d])
+    parent = list(range(faces))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for d in range(n):
+        if d not in g:
+            parent[root(face[d])] = root(face[alpha[d]])
+    region = [root(face[d]) for d in range(n)]
+    euler = {}
+    for d in range(n):
+        r = region[d]
+        if d not in g and d < alpha[d]:
+            euler[r] = euler.get(r, 0) - 1  # interior edge
+        if d in g:
+            euler[r] = euler.get(r, 0) - 1  # boundary side
+            euler[region[sigma[d]]] = euler.get(region[sigma[d]], 0) + 1  # gap after d
+    for f in range(faces):
+        r = root(f)
+        euler[r] = euler.get(r, 0) + 1
+    interior = {}
+    for d in range(n):
+        interior.setdefault(vertex[d], []).append(d)
+    for darts in interior.values():
+        if not any(d in g for d in darts):
+            euler[region[darts[0]]] += 1  # interior vertex
+    return region, euler
+
+
+def oracle_boundary_cycles(cmap, g):
+    """Boundary cycles of the complement: from d, pivot at the far end."""
+    alpha, sigma = cmap.alpha, cmap.sigma
+
+    def successor(d):
+        w = sigma[alpha[d]]
+        while w not in g:
+            w = sigma[w]
+        return w
+
+    seen = set()
+    for start in sorted(g):
+        if start in seen:
+            continue
+        cycle = []
+        d = start
+        while d not in seen:
+            seen.add(d)
+            cycle.append(d)
+            d = successor(d)
+        yield cycle
+
+
+def oracle_essential(cmap, g, curve):
+    """Commit the curve, then look for a disk whose boundary is all curve
+    or one run of curve against one run of old boundary.
+
+    Returns (essential, whether the commit fired the split rule).
+    """
+    new_map, new_g = reducer.add_cutting_curve(cmap, frozenset(g), curve)
+    added = new_g - set(g)
+    region, euler = oracle_complement(new_map, new_g)
+    cycles_in = {}
+    for cycle in oracle_boundary_cycles(new_map, new_g):
+        cycles_in.setdefault(region[cycle[0]], []).append(cycle)
+    for r, value in euler.items():
+        if value != 1:
+            continue
+        assert len(cycles_in[r]) == 1, "a disk has one boundary cycle"
+        labels = [d in added for d in cycles_in[r][0]]
+        transitions = sum(labels[i] != labels[i - 1] for i in range(len(labels)))
+        if any(labels) and (all(labels) or transitions == 2):
+            return False, new_map.dart_count > cmap.dart_count
+    return True, new_map.dart_count > cmap.dart_count
+
+
+def check_state(state):
+    cmap, g = state.cmap, state.g
+    region, euler = oracle_complement(cmap, g)
+    pairs = {(state.region_of(d), region[d]) for d in range(cmap.dart_count)}
+    assert len(pairs) == len(state.euler2) == len(euler), "region partition differs"
+    assert len({live for live, _ in pairs}) == len(pairs), "region partition differs"
+    for live, r in pairs:
+        assert state.euler2[live] == 2 * euler[r], "Euler characteristic differs"
+    assert state.fills == all(value == 1 for value in euler.values())
+    owner = cmap.vertex_of_dart()
+    on_g = {owner[d] for d in g}
+    assert state.candidates == [
+        d for d in range(cmap.dart_count)
+        if d not in g and owner[d] in on_g and euler[region[d]] != 1
+    ]
+
+
+@pytest.fixture
+def watched(monkeypatch):
+    """Check every state and every trial of the reductions run under it."""
+    seen = {"states": 0, "trials": 0, "essential": 0, "split": 0}
+    live = reducer._Complement
+    original = {name: getattr(live, name) for name in ("cutting_curve", "apply", "trial")}
+
+    def cutting_curve(self):
+        check_state(self)
+        seen["states"] += 1
+        return original["cutting_curve"](self)
+
+    def apply(self, cut):
+        state = original["apply"](self, cut)
+        check_state(state)
+        seen["states"] += 1
+        return state
+
+    def trial(self, curve):
+        cut = original["trial"](self, curve)
+        essential, split = oracle_essential(self.cmap, self.g, curve)
+        assert (cut is not None) == essential, curve
+        seen["trials"] += 1
+        seen["essential"] += essential
+        seen["split"] += split
+        return cut
+
+    monkeypatch.setattr(live, "cutting_curve", cutting_curve)
+    monkeypatch.setattr(live, "apply", apply)
+    monkeypatch.setattr(live, "trial", trial)
+    return seen
+
+
+def reduce_all(inputs):
+    for cmap, genus in inputs:
+        try:
+            reducer.reduce(reducer.validate_input(cmap, genus))
+        except (InternalInvariantError, ValidationError):
+            pass
+
+
+def test_four_valent_reductions_match_oracle(watched):
+    reduce_all(four_valent(seed) for seed in SEEDS)
+    assert watched["states"] > 1000
+    assert watched["essential"] < watched["trials"]
+
+
+def test_mixed_valence_reductions_match_oracle(watched):
+    reduce_all(mixed(seed) for seed in SEEDS)
+    assert watched["essential"] < watched["trials"]
+    assert watched["split"] > 100, "the split rule should fire on these maps"
+
+
+def test_reduction_builds_the_complement_once(monkeypatch):
+    """A 192-vertex reduction judges and commits every curve locally."""
+    builds = []
+    build = reducer._Complement.__init__
+
+    def counted(self, cmap, subgraph):
+        builds.append(cmap.dart_count)
+        build(self, cmap, subgraph)
+
+    monkeypatch.setattr(reducer._Complement, "__init__", counted)
+    cmap, genus = four_valent(0, 192)
+    cert = reducer.reduce(reducer.validate_input(cmap, genus))
+    assert cert.iterations > 150
+    assert len(builds) <= 2, f"{len(builds)} full complement builds"
