@@ -19,7 +19,10 @@ import json
 import math
 import sys
 
-from . import isoperim, polygeom, reducer, surfmap
+# isoperim supplies the parser's verify defaults; reducer and surfmap
+# are imported by the subcommands that use them, so start-up and
+# ``minlen`` do not load them
+from . import isoperim, polygeom
 from .errors import DomainError, InternalInvariantError, ValidationError
 
 
@@ -161,6 +164,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gluing(args) -> int:
+    from . import surfmap
+
     report = surfmap.verify_canonical(args.genus)
     word = surfmap.canonical_word(args.genus)
     lines = []
@@ -187,6 +192,8 @@ def cmd_gluing(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import reducer
+
     try:
         with open(args.mapfile) as handle:
             data = json.load(handle)

@@ -169,10 +169,11 @@ class _Complement:
     vertices of non-disk regions.
 
     reduce builds one per run and commits each accepted curve in place
-    (apply).  A trial judges a curve from the faces and vertices it
-    touches alone.  Only a curve whose attachment fires the split rule,
-    or one spread over several regions, is committed to a copy of the
-    map and judged on a complement built afresh.
+    (apply).  A trial judges a curve as its direct attachment, from the
+    faces and vertices it touches alone (see trial).  Only an accepted
+    curve whose attachment fires the split rule, which refines the map,
+    and an arc with both ends at one vertex and an end displaced, which
+    is judged after its commit, build a complement afresh.
     """
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
@@ -295,81 +296,61 @@ class _Complement:
     def trial(self, curve: "CuttingCurve"):
         """What committing curve changes, or None if the curve is inessential.
 
-        The cut is inessential when some new piece is a disk whose
-        boundary is either entirely curve material (a contractible
-        loop) or one run of curve material against one run of old
-        boundary (the curve merely pushes off existing boundary).
+        The curve is inessential when the cut leaves a disk piece whose
+        boundary is all curve (a contractible loop) or one run of curve
+        against one run of old boundary (the curve merely pushes off
+        existing boundary); see _pushes_off.  A displaced end (see
+        _deviate) slides the curve's end along the boundary, inside the
+        corner gap it attaches in, to a point on the next subgraph edge;
+        that changes neither the pieces, nor their Euler characteristics,
+        nor the boundary runs, so the curve is judged as its direct
+        attachment.  Only an arc with both ends at one vertex and an end
+        displaced is not: its displaced end can land past the other end
+        along the boundary, so it is judged after its commit.
+
         The result is a _Cut, or the complement after the commit when
         the commit changes the map; apply takes either.
         """
-        cmap = self.cmap
-        opp = _opposite_table(cmap)
+        cmap, owner = self.cmap, self.owner
         darts = _checked_darts(cmap, self.g, curve)
-        added = frozenset(darts) | frozenset(cmap.alpha[d] for d in darts)
-        regions = {self.region_of(x) for x in added}
-        ends = _split_ends(cmap, self.g, opp, curve.kind, darts)
-        landings = self._landings(ends, added) if len(regions) == 1 else None
-        if landings is None:
+        ends = _split_ends(cmap, self.g, curve.kind, darts)
+        if ends and curve.kind == "V" and owner[darts[0]] == owner[cmap.alpha[darts[-1]]]:
             return self._judged_afresh(curve)
-        cut = self._cut(added, regions.pop(), landings)
-        if cut is None or not landings:
+        added = frozenset(darts) | frozenset(cmap.alpha[d] for d in darts)
+        cut = self._cut(added, self.region_of(darts[0]))
+        if cut is None or not ends:
             return cut
         # an accepted curve that fires the split rule refines the map
         return _Complement(*add_cutting_curve(cmap, self.g, curve))
 
     def _judged_afresh(self, curve: "CuttingCurve"):
         """The trial of a curve committed to a copy of the map, judged on
-        the complement built there."""
+        the complement built there.
+
+        The curve material is what the commit adds to the subgraph but
+        the halves of a subdivided subgraph edge, which stay old
+        boundary: the path from each subgraph dart along its strand to
+        the next dart of the map before the commit.
+        """
+        n = self.cmap.dart_count
         new_map, new_g = add_cutting_curve(self.cmap, self.g, curve)
         after = _Complement(new_map, new_g)
-        added = new_g - self.g
-        ends = {after.owner[x] for x in added}
-        ends.update(after.owner[new_map.alpha[x]] for x in added)
-        if _pushes_off(new_map, new_g.__contains__, added, ends,
+        alpha, opp = new_map.alpha, _opposite_table(new_map)
+        old = set()
+        for d in self.g:
+            x = alpha[d]
+            while x >= n:
+                old.update((x, opp[x]))
+                x = alpha[opp[x]]
+        added = new_g - self.g - old
+        if _pushes_off(new_map, new_g.__contains__, added, {after.owner[x] for x in added},
                        after.face_region.__getitem__, after.euler2):
             return None
         return after
 
-    def _landings(self, ends: list, added: frozenset):
-        """The landing germs of the displaced curve ends, or None when a
-        displaced end cannot be judged locally.
-
-        The split rule displaces an end off its vertex v: the curve stops
-        on its end edge near v, sweeps around v and lands on the edge of
-        the next subgraph germ L at v (see _deviate).  Cutting along that
-        cuts the region into the pieces the direct attachment would,
-        with the same Euler characteristics: the small faces the sweep
-        cuts off around v are glued to the piece on the near side along
-        one edge, and the rest of each face cut keeps its adjacencies.
-        One end is judged locally when the curve touches v only there
-        and the far end of L's edge is neither v nor on the curve.
-        """
-        if not ends:
-            return []
-        if len(ends) > 1:
-            return None
-        cmap, owner = self.cmap, self.owner
-        germ = ends[0]
-        v = owner[germ]
-        if sum(owner[x] == v for x in added) != 1:
-            return None
-        landing = cmap.sigma[germ]
-        while landing not in self.g:
-            landing = cmap.sigma[landing]
-        far = owner[cmap.alpha[landing]]
-        if far == v or any(owner[x] == far for x in added):
-            return None
-        return [landing]
-
-    def _cut(self, added: frozenset, region: int, landings: list):
+    def _cut(self, added: frozenset, region: int):
         """The trial of a curve that adds the edges of added inside region,
-        its ends displaced onto the edges of landings.
-
-        A displaced end subdivides its landing edge, and the new darts
-        on it count as added: on the far side of that edge the contour
-        changes twice between added and old material (at v and at the
-        subdivision point), on top of what the direct attachment gives.
-        """
+        attached directly at its ends."""
         cmap, g, face_of = self.cmap, self.g, self.face_of
         cycles = cmap.vertices()
         touched = Counter(self.owner[x] for x in added)
@@ -391,15 +372,8 @@ class _Complement:
         euler2 = [sum(self.weight[f] + weight[f] for f in faces) for faces in closed]
         euler2.append(self.euler2[region] + sum(weight.values()) - sum(euler2))
         rest = len(closed)
-        far_sides = []
-        for landing in landings:
-            f = face_of[cmap.sigma[landing]]
-            if self.face_region[f] == region:
-                far_sides.append(piece.get(f, rest))
-            elif self.euler2[self.face_region[f]] == 2:
-                return None
         if _pushes_off(cmap, lambda x: x in g or x in added, added, touched,
-                       lambda f: piece.get(f, rest), euler2, far_sides):
+                       lambda f: piece.get(f, rest), euler2):
             return None
         return _Cut(added, touched, weight, removed, region, closed, euler2)
 
@@ -518,21 +492,22 @@ class _Complement:
         )
 
 
-def _pushes_off(cmap, in_g, added, vertices, piece_of_face, euler2, far_sides=()) -> bool:
+def _pushes_off(cmap, in_g, added, vertices, piece_of_face, euler2) -> bool:
     """Whether a cut leaves a disk piece that makes its curve inessential.
 
-    added holds the darts the cut adds, in_g tells the subgraph after
-    it, piece_of_face maps a face to its piece and euler2 a piece to
-    its doubled Euler characteristic.  A disk has one boundary cycle,
-    which passes every corner gap of the piece once and changes
-    between added and old material exactly at the gaps where the dart
-    arriving along one germ and the dart leaving along the next differ
-    in being added.  Such gaps lie at the ends of added darts, which
-    vertices lists, so no boundary is walked.  The curve is inessential
-    when a disk piece touching added darts has at most two of them:
-    its boundary is all curve, or one run of curve and one of old.
-    far_sides lists pieces with two more such gaps and added darts
-    (see _Complement._cut).
+    This is the one inessential rule.  added holds the curve material:
+    the curve's darts and the darts the split rule makes for it, but
+    not the halves of a subdivided subgraph edge, which stay old
+    boundary.  in_g tells the subgraph after the cut, piece_of_face
+    maps a face to its piece and euler2 a piece to its doubled Euler
+    characteristic.  A disk has one boundary cycle, which passes every
+    corner gap of the piece once and changes between curve and old
+    material exactly at the gaps where the dart arriving along one
+    germ and the dart leaving along the next differ in being added.
+    Such gaps lie at the ends of added darts, which vertices lists, so
+    no boundary is walked.  The curve is inessential when a disk piece
+    touching added darts has at most two of them: its boundary is all
+    curve, or one run of curve and one of old.
     """
     face_of = cmap.derived("_face_of", _face_of)
     alpha, sigma, cycles = cmap.alpha, cmap.sigma, cmap.vertices()
@@ -543,9 +518,6 @@ def _pushes_off(cmap, in_g, added, vertices, piece_of_face, euler2, far_sides=()
             if (alpha[p] in added) != (germs[(i + 1) % len(germs)] in added):
                 changes[piece_of_face(face_of[sigma[p]])] += 1
     pieces = {piece_of_face(face_of[x]) for x in added}
-    for p in far_sides:
-        changes[p] += 2
-        pieces.add(p)
     return any(euler2[p] == 2 and changes[p] <= 2 for p in pieces)
 
 
@@ -583,53 +555,34 @@ class _Work:
         self.alpha = list(cmap.alpha)
         self.sigma = list(cmap.sigma)
         self.straight = set(cmap.straight_corners)
-        self.opp = list(_opposite_table(cmap))
-        self.vertex = list(cmap.vertex_of_dart())
-        self.nverts = len(cmap.vertices())
         self.g = set(subgraph)
 
-    def new_dart(self, vertex: int) -> int:
+    def new_dart(self) -> int:
         self.alpha.append(-1)
         self.sigma.append(-1)
-        self.opp.append(None)
-        self.vertex.append(vertex)
         return len(self.alpha) - 1
-
-    def germs_at_vertex_of(self, d: int) -> list:
-        germs = [d]
-        x = self.sigma[d]
-        while x != d:
-            germs.append(x)
-            x = self.sigma[x]
-        return germs
-
-    def g_germs_at_vertex_of(self, d: int) -> list:
-        return [x for x in self.germs_at_vertex_of(d) if x in self.g]
 
     def subdivide(self, d: int):
         """Split the edge of d with a new vertex adjacent to v(d).
 
-        Returns (vertex, near, far): near faces v(d), far faces the old
-        far endpoint.  The strand continues straight through, and
-        subgraph membership is inherited by both halves.
+        Returns (near, far), the darts at the new vertex: near faces
+        v(d), far faces the old far endpoint.  The strand continues
+        straight through, and subgraph membership is inherited by both
+        halves.
         """
         a = self.alpha[d]
-        w = self.nverts
-        self.nverts += 1
-        near = self.new_dart(w)
-        far = self.new_dart(w)
+        near = self.new_dart()
+        far = self.new_dart()
         self.alpha[d] = near
         self.alpha[near] = d
         self.alpha[far] = a
         self.alpha[a] = far
         self.sigma[near] = far
         self.sigma[far] = near
-        self.opp[near] = far
-        self.opp[far] = near
         if d in self.g:
             self.g.add(near)
             self.g.add(far)
-        return w, near, far
+        return near, far
 
     def to_map(self) -> CombinatorialMap:
         return CombinatorialMap(
@@ -651,26 +604,37 @@ def _clean_corner_pattern(opp, germs) -> bool:
     return False
 
 
-def _split_ends(cmap, g, opp, kind: str, darts: list) -> list:
-    """The end germs of a curve whose attachment fires the split rule
-    (see _attach_end).
+def _split_ends(cmap, g, kind: str, darts: list) -> list:
+    """The end germs of a curve that its commit displaces off their vertex.
 
-    Each end is judged as if the other attached directly, which is
-    exact unless both ends lie at one vertex and the first is displaced.
+    This is the one split rule: an end attaches directly when the
+    subgraph germs at its vertex form a clean corner pattern with it,
+    and is displaced (see _deviate) otherwise.  The start is attached
+    first and an arc's arrival after its other edges.  A displaced
+    start leaves its germ off the subgraph, and an arrival germ that
+    the start's sweep crosses ends at that four-valent crossing, where
+    it always attaches directly.
     """
     if kind not in ("V", "VI"):
         return []
+    opp, sigma = _opposite_table(cmap), cmap.sigma
     cycles, owner = cmap.vertices(), cmap.vertex_of_dart()
     start = darts[0]
     germs = [x for x in cycles[owner[start]] if x in g]
     ends = [] if _clean_corner_pattern(opp, germs + [start]) else [start]
     if kind == "V":
-        # the arrival end is attached after the other edges are committed
         arrival = cmap.alpha[darts[-1]]
-        before = set(darts[:-1]) | {cmap.alpha[d] for d in darts[:-1]}
-        germs = [x for x in cycles[owner[arrival]] if x in g or x in before]
-        if len(darts) == 1 and owner[start] == owner[arrival]:
-            germs.append(start)
+        placed = {x for d in darts[:-1] for x in (d, cmap.alpha[d])}
+        if ends:
+            placed.discard(start)
+            swept = sigma[start]
+            while swept not in g and swept != arrival:
+                swept = sigma[swept]
+            if swept == arrival:
+                return ends
+        else:
+            placed.add(start)
+        germs = [x for x in cycles[owner[arrival]] if x in g or x in placed]
         if not _clean_corner_pattern(opp, germs + [arrival]):
             ends.append(arrival)
     return ends
@@ -696,58 +660,40 @@ def _deviate(work: _Work, germ: int) -> int:
     landing = x
 
     # clip the terminal edge just short of the vertex
-    _, near0, far0 = work.subdivide(germ)
-    u0 = work.vertex[near0]
-    f0 = work.new_dart(u0)
+    near0, far0 = work.subdivide(germ)
+    f0 = work.new_dart()
     work.sigma[far0] = f0
     work.sigma[f0] = near0
     # sigma[near0] still points to far0, closing the 3-cycle; the gap
     # between the two old edge halves is straight
     work.straight.add(near0)
-    work.opp[f0] = None
 
     prev = f0
     for gamma in crossed:
-        w, near, far = work.subdivide(gamma)
-        fw = work.new_dart(w)
-        pw = work.new_dart(w)
+        near, far = work.subdivide(gamma)
+        fw = work.new_dart()
+        pw = work.new_dart()
         work.sigma[far] = fw
         work.sigma[fw] = near
         work.sigma[near] = pw
         work.sigma[pw] = far
-        work.opp[fw] = pw
-        work.opp[pw] = fw
         work.alpha[prev] = pw
         work.alpha[pw] = prev
         work.g.add(prev)
         work.g.add(pw)
         prev = fw
 
-    _, near, far = work.subdivide(landing)
-    q = work.new_dart(work.vertex[near])
+    near, far = work.subdivide(landing)
+    q = work.new_dart()
     work.sigma[near] = q
     work.sigma[q] = far
     # sigma[far] still points to near: the far-side corner is straight
     work.straight.add(far)
-    work.opp[q] = None
     work.alpha[prev] = q
     work.alpha[q] = prev
     work.g.add(prev)
     work.g.add(q)
     return far0
-
-
-def _attach_end(work: _Work, germ: int, extra_germs=()) -> int:
-    """Attach a curve end terminating along germ at its vertex.
-
-    The attachment is direct when the resulting corner pattern at the
-    vertex is clean, and displaced otherwise.  Returns the curve's
-    terminal germ after the operation (germ itself when direct).
-    """
-    prospective = work.g_germs_at_vertex_of(germ) + list(extra_germs) + [germ]
-    if _clean_corner_pattern(work.opp, prospective):
-        return germ
-    return _deviate(work, germ)
 
 
 def _checked_darts(cmap: CombinatorialMap, g, curve: CuttingCurve) -> list:
@@ -795,31 +741,20 @@ def add_cutting_curve(cmap: CombinatorialMap, subgraph, curve: CuttingCurve):
     """
     work = _Work(cmap, subgraph)
     darts = _checked_darts(cmap, work.g, curve)
-    if curve.kind in ("I", "II", "III", "IV"):
-        for d in darts:
-            work.g.add(d)
-            work.g.add(work.alpha[d])
-    elif curve.kind == "V":
-        darts[0] = _attach_end(work, darts[0])
+    ends = _split_ends(cmap, work.g, curve.kind, darts)
+    if darts[0] in ends:
+        darts[0] = _deviate(work, darts[0])
+    if curve.kind == "V":
+        # the arrival is attached after the other edges; a one-edge
+        # arc's start joins the subgraph only with it
         for d in darts[:-1]:
-            work.g.add(d)
-            work.g.add(work.alpha[d])
+            work.g.update((d, work.alpha[d]))
         arrival = work.alpha[darts[-1]]
-        # a one-edge arc with both ends at one vertex attaches them at
-        # once, so the start germ joins the corner pattern test there
-        extra = ()
-        if len(darts) == 1 and work.vertex[darts[0]] == work.vertex[arrival]:
-            extra = (darts[0],)
-        arrival = _attach_end(work, arrival, extra)
-        work.g.add(arrival)
-        work.g.add(work.alpha[arrival])
-        work.g.add(darts[0])
-        work.g.add(work.alpha[darts[0]])
-    else:
-        darts[0] = _attach_end(work, darts[0])
-        for d in darts:
-            work.g.add(d)
-            work.g.add(work.alpha[d])
+        if arrival in ends:
+            arrival = _deviate(work, arrival)
+        darts = [arrival, darts[0]]
+    for d in darts:
+        work.g.update((d, work.alpha[d]))
 
     if len(work.alpha) == cmap.dart_count:
         return cmap, frozenset(work.g)
@@ -832,11 +767,11 @@ def is_essential(cmap: CombinatorialMap, subgraph, curve: CuttingCurve) -> bool:
     The cut is inessential when some new piece is a disk whose boundary
     is either entirely curve material (a contractible loop) or one run
     of curve material against one run of old boundary (the curve merely
-    pushes off existing boundary).  The pieces, their Euler
-    characteristics and the boundary runs are worked out from the faces
-    and vertices the curve touches, without committing it; only a curve
-    whose attachment fires the split rule is committed to a copy of the
-    map, whose complement is then built afresh.
+    pushes off existing boundary).  The curve is judged as its direct
+    attachment, from the faces and vertices it touches, without
+    committing it; only an arc with both ends at one vertex and an end
+    displaced by the split rule is committed to a copy of the map and
+    judged there (see _Complement.trial).
     """
     return _Complement(cmap, subgraph).trial(curve) is not None
 

@@ -18,6 +18,7 @@ from fillgeo.reducer import (
     reduce,
     validate_input,
 )
+from test_reduce_digests import surface_genus
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -408,3 +409,52 @@ def test_certificate_identity_on_random_filling_maps(seed):
     report = surfmap.surface_report(reduced)
     assert tuple(report["face_effective_degrees"]) == cert.face_degrees
     assert report["genus"] == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_certificate_passes_on_random_mixed_valence_maps(seed):
+    # scan forward from the drawn seed to the next filling map with a
+    # vertex of valence 6 or 8 on a surface of genus 2 to 4
+    for offset in range(2000):
+        rng = random.Random(seed + offset)
+        valences = [rng.choice((4, 6, 8)) for _ in range(rng.randint(3, 6))]
+        cmap = random_map(rng, valences)
+        genus = surface_genus(cmap)
+        if genus in (2, 3, 4) and max(valences) > 4:
+            break
+    else:
+        assume(False)
+    cert = reduce(validate_input(cmap, genus))
+    assert cert.passed, (valences, cert.face_degrees)
+
+
+# Maps random_map(random.Random(seed), valences) on which the reducer
+# once raised InternalInvariantError or certified a degree-4 face.
+REPRODUCERS = (
+    ((6, 4, 4, 4, 4), 397),
+    ((6, 6, 4, 4), 305),
+    ((6, 6, 4, 4), 690),
+    ((6, 6, 4, 4), 1565),
+    ((6, 6, 6, 6), 46),
+    ((6, 6, 6, 6), 81),
+    ((6, 6, 6, 6), 1439),
+    ((6, 6, 6, 6), 242),
+    ((10, 4, 4, 4), 480),
+    ((6, 6, 6, 4, 4, 4), 482),
+    ((6, 4, 4, 4, 4), 1020),
+    ((8, 6, 4, 4, 4), 775),
+)
+
+
+@pytest.mark.parametrize(
+    "valences, seed",
+    REPRODUCERS,
+    ids=[f"{'-'.join(map(str, v))}@{s}" for v, s in REPRODUCERS],
+)
+def test_mixed_valence_reproducer_passes(valences, seed):
+    cmap = random_map(random.Random(seed), valences)
+    cert = reduce(validate_input(cmap, surface_genus(cmap)))
+    assert all(m >= 5 for m in cert.face_degrees), cert.face_degrees
+    assert sum(m - 4 for m in cert.face_degrees) == 8 * cert.genus - 8
+    assert cert.passed
