@@ -7,6 +7,8 @@ Emits, deterministically:
   * bigon.json: two circles crossing twice on a sphere (all faces bigons)
   * torus_claim.json: a multi-curve filling a torus (claimed genus 2 by
     the tests, so validation must reject it)
+  * reproducer_<valences>@<seed>.json: the mixed-valence maps listed in
+    REPRODUCERS, at the genus of their rotation system
 
 Random fixtures are found by seeded search over rotation systems and
 filtered: connected, no face of degree <= 2, right genus, and a full
@@ -24,6 +26,23 @@ from fillgeo import reducer, surfmap
 from fillgeo.errors import InternalInvariantError, ValidationError
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
+
+# Maps random_map(random.Random(seed), valences) on which the reducer
+# once raised InternalInvariantError or certified a degree-4 face.
+REPRODUCERS = (
+    ((6, 4, 4, 4, 4), 397),
+    ((6, 6, 4, 4), 305),
+    ((6, 6, 4, 4), 690),
+    ((6, 6, 4, 4), 1565),
+    ((6, 6, 6, 6), 46),
+    ((6, 6, 6, 6), 81),
+    ((6, 6, 6, 6), 1439),
+    ((6, 6, 6, 6), 242),
+    ((10, 4, 4, 4), 480),
+    ((6, 6, 6, 4, 4, 4), 482),
+    ((6, 4, 4, 4, 4), 1020),
+    ((8, 6, 4, 4, 4), 775),
+)
 
 
 def random_map(rng, valences):
@@ -149,6 +168,16 @@ def main():
         "torus_claim", handmade_torus(), 2,
         "a multi-curve filling a torus; claiming genus 2 must be rejected",
     )
+
+    for valences, seed in REPRODUCERS:
+        cmap = random_map(random.Random(seed), valences)
+        euler = len(cmap.vertices()) - len(cmap.edges()) + len(cmap.faces())
+        name = "-".join(map(str, valences))
+        write_fixture(
+            f"reproducer_{name}@{seed}", cmap, (2 - euler) // 2,
+            f"random map with vertex valences {name} (seed {seed}) on which the "
+            "reducer once raised InternalInvariantError or certified a degree-4 face",
+        )
 
 
 if __name__ == "__main__":

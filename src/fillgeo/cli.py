@@ -19,10 +19,9 @@ import json
 import math
 import sys
 
-# isoperim supplies the parser's verify defaults; reducer and surfmap
-# are imported by the subcommands that use them, so start-up and
-# ``minlen`` do not load them
-from . import isoperim, polygeom
+# isoperim, reducer and surfmap are imported by the subcommands that
+# use them, so start-up and ``minlen`` do not load them
+from . import polygeom
 from .errors import DomainError, InternalInvariantError, ValidationError
 
 
@@ -108,9 +107,11 @@ def cmd_polygon(args) -> int:
 
 
 def _verify_reports(which: str, args) -> list:
-    grid = isoperim.GridSpec(
-        a_steps=args.steps, x_steps=args.steps, samples=args.samples
-    )
+    from . import isoperim
+
+    # flags left unset keep GridSpec's defaults
+    density = {"steps": args.steps, "samples": args.samples}
+    grid = isoperim.GridSpec(**{k: v for k, v in density.items() if v is not None})
     reports = []
 
     def wanted(name):
@@ -121,11 +122,11 @@ def _verify_reports(which: str, args) -> list:
     if wanted("lemma33"):
         ns = (args.n,) if args.n is not None else range(4, 21)
         for n in ns:
-            reports.append(isoperim.verify_lemma_3_3(n, args.samples))
+            reports.append(isoperim.verify_lemma_3_3(n, grid.samples))
     if wanted("lemma34"):
         ns = (args.n,) if args.n is not None else range(7, 11)
         for n in ns:
-            reports.append(isoperim.verify_lemma_3_4(n, args.samples))
+            reports.append(isoperim.verify_lemma_3_4(n, grid.samples))
     if wanted("prop35"):
         reports.append(isoperim.verify_prop_3_5(grid))
     if wanted("prop36"):
@@ -251,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true", help="run every check")
     p_verify.add_argument("--n", type=int, default=None,
                           help="restrict the per-n sweeps to one side count")
-    p_verify.add_argument("--samples", type=int, default=isoperim.GridSpec.samples,
+    p_verify.add_argument("--samples", type=int, default=None,
                           help="sample count for the 1d sweeps")
-    p_verify.add_argument("--steps", type=int, default=isoperim.GridSpec.a_steps,
+    p_verify.add_argument("--steps", type=int, default=None,
                           help="grid steps per axis for the 2d sweeps")
     p_verify.add_argument("--count", type=int, default=10000,
                           help="random instance count")

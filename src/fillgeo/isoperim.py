@@ -78,31 +78,28 @@ def _df_dx(n: float, a: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sweep side counts and densities; empty n_values means each sweep's default."""
+    """Sweep densities: steps per axis of the 2d grids, samples of the 1d sweeps."""
 
-    n_values: tuple = ()
-    a_steps: int = 40
-    x_steps: int = 40
+    steps: int = 40
     samples: int = 10000
 
     def __post_init__(self):
-        if self.a_steps < 2 or self.x_steps < 2 or self.samples < 2:
+        if self.steps < 2 or self.samples < 2:
             raise ValidationError("grid step counts must be at least 2")
 
 
 def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
     """Positivity of df_dx on its large-n domain.
 
-    Sweeps n over grid.n_values (default 8..64), a over
-    [3*pi/2, (n/2-2)*pi] and x over (0, min(a - pi, 2*pi)) on an
-    a_steps x x_steps midpoint grid, recording the minimum.  Also
-    evaluates the constant (3 + 2*sqrt(2)) * (4/9) * (1/2), which the
-    written argument needs to exceed 1, and checks it equals 1.29521
-    to within LEMMA_3_2_CONSTANT_TOL.
+    Sweeps n over 8..64, a over [3*pi/2, (n/2-2)*pi] and x over
+    (0, min(a - pi, 2*pi)) on a steps x steps midpoint grid, recording
+    the minimum.  Also evaluates the constant
+    (3 + 2*sqrt(2)) * (4/9) * (1/2), which the written argument needs
+    to exceed 1, and checks it equals 1.29521 to within
+    LEMMA_3_2_CONSTANT_TOL.
     """
-    grid = grid or GridSpec()
-    n_values = grid.n_values or tuple(range(8, 65))
-    a_steps, x_steps = grid.a_steps, grid.x_steps
+    steps = (grid or GridSpec()).steps
+    n_values = range(8, 65)
 
     min_value = math.inf
     argmin = None
@@ -114,11 +111,11 @@ def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
             continue
         # the grid's a - x all lie in (pi, a_hi)
         side = _check_area(n, a_hi, positive=True)
-        for i in range(a_steps):
-            a = a_lo + (a_hi - a_lo) * (i + 0.5) / a_steps
+        for i in range(steps):
+            a = a_lo + (a_hi - a_lo) * (i + 0.5) / steps
             x_hi = min(a - math.pi, 2.0 * math.pi)
-            for j in range(x_steps):
-                x = x_hi * (j + 0.5) / x_steps
+            for j in range(steps):
+                x = x_hi * (j + 0.5) / steps
                 value = _df_dx(side, a, x)
                 count += 1
                 if value < min_value:
@@ -363,14 +360,13 @@ def verify_prop_3_5(grid: GridSpec | None = None) -> CheckReport:
 def verify_prop_3_6(grid: GridSpec | None = None) -> CheckReport:
     """Nonnegativity of f with equality only on the x = 0 line.
 
-    Sweeps n (default 5..40), a over [0, (n/2-2)*pi] and x over
-    [0, min(a, 2*pi)] with endpoints included.  Passes when the grid
-    minimum is >= -INEQ_TOL and every grid point with |f| < INEQ_TOL sits at
-    x smaller than the local grid step.
+    Sweeps n over 5..40, a over [0, (n/2-2)*pi] and x over
+    [0, min(a, 2*pi)] on a steps x steps grid with endpoints included.
+    Passes when the grid minimum is >= -INEQ_TOL and every grid point
+    with |f| < INEQ_TOL sits at x smaller than the local grid step.
     """
-    grid = grid or GridSpec()
-    n_values = grid.n_values or tuple(range(5, 41))
-    a_steps, x_steps = grid.a_steps, grid.x_steps
+    steps = (grid or GridSpec()).steps
+    n_values = range(5, 41)
 
     min_value = math.inf
     argmin = None
@@ -381,12 +377,12 @@ def verify_prop_3_6(grid: GridSpec | None = None) -> CheckReport:
         a_hi = (n / 2.0 - 2.0) * math.pi
         # the grid's a and a - x all lie in [0, a_hi]
         side = _check_area(n, a_hi)
-        for i in range(a_steps + 1):
-            a = a_hi * i / a_steps
+        for i in range(steps + 1):
+            a = a_hi * i / steps
             x_cap = min(a, 2.0 * math.pi * (1.0 - tol.X_CAP_MARGIN))
-            step = x_cap / x_steps if x_cap > 0.0 else 1.0
-            for j in range(x_steps + 1):
-                x = x_cap * j / x_steps
+            step = x_cap / steps if x_cap > 0.0 else 1.0
+            for j in range(steps + 1):
+                x = x_cap * j / steps
                 value = _f(side, a, x)
                 count += 1
                 if x == 0.0 and value != 0.0:
@@ -595,16 +591,15 @@ def merge_sequence(inst: IsoperimetricInstance) -> MergeSequence:
     return MergeSequence(steps=tuple(steps))
 
 
-def random_instance(rng: random.Random, max_members: int = 5,
-                    sides_low: int = 4, sides_high: int = 12) -> IsoperimetricInstance:
+def random_instance(rng: random.Random) -> IsoperimetricInstance:
     """Draw a random valid strict instance.
 
-    Side counts are uniform, the target angle is uniform in
-    [pi/2, euclidean limit), and the area is split by a symmetric
-    Dirichlet draw with per-member domain rejection.
+    Up to 5 members with side counts uniform in [4, 12], a target
+    angle uniform in [pi/2, euclidean limit), and the area split by a
+    symmetric Dirichlet draw with per-member domain rejection.
     """
-    k = rng.randint(1, max_members)
-    ms = [rng.randint(sides_low, sides_high) for _ in range(k)]
+    k = rng.randint(1, 5)
+    ms = [rng.randint(4, 12) for _ in range(k)]
     m = sum(ms) - 4 * k + 4
     if m == 4:
         # all members are squares; the only strict target is degenerate

@@ -34,48 +34,6 @@ class FillingMap:
     genus: int
 
 
-def _opposite_table(cmap: CombinatorialMap) -> tuple:
-    """Strand continuation at every vertex: the germ opposite each dart.
-
-    Even-valence vertices pair germs half a rotation apart.  A
-    three-valent vertex must carry exactly one straight corner, which
-    names the two germs that continue each other; the remaining germ
-    is a strand endpoint (opposite None).  Kept on the map.
-    """
-    return cmap.derived("_opposite", _strand_opposites)
-
-
-def _strand_opposites(cmap: CombinatorialMap) -> tuple:
-    opp = [None] * cmap.dart_count
-    for cycle in cmap.vertices():
-        val = len(cycle)
-        if val % 2 == 0:
-            half = val // 2
-            for i, d in enumerate(cycle):
-                opp[d] = cycle[(i + half) % val]
-        elif val == 3:
-            marked = [d for d in cycle if d in cmap.straight_corners]
-            if len(marked) != 1:
-                raise ValidationError(
-                    "a 3-valent vertex needs exactly one straight corner"
-                )
-            d = marked[0]
-            opp[d] = cmap.sigma[d]
-            opp[cmap.sigma[d]] = d
-        else:
-            raise ValidationError(f"unsupported vertex valence {val}")
-    return tuple(opp)
-
-
-def _face_of(cmap: CombinatorialMap) -> tuple:
-    """The index of the face (in cmap.faces()) on the left of each dart."""
-    face_of = [0] * cmap.dart_count
-    for index, cycle in enumerate(cmap.faces()):
-        for d in cycle:
-            face_of[d] = index
-    return tuple(face_of)
-
-
 def validate_input(map_or_data, genus: int) -> FillingMap:
     """Check that a map is a filling multi-curve on the stated surface.
 
@@ -188,7 +146,7 @@ class _Complement:
         self.cmap = cmap
         self.g = g
         alpha = cmap.alpha
-        face_of = self.face_of = cmap.derived("_face_of", _face_of)
+        face_of = self.face_of = cmap.face_of_dart()
         faces = cmap.faces()
         owner = self.owner = cmap.vertex_of_dart()
         parent = list(range(len(faces)))
@@ -308,22 +266,23 @@ class _Complement:
         displaced is not: its displaced end can land past the other end
         along the boundary, so it is judged after its commit.
 
-        The result is a _Cut, or the complement after the commit when
-        the commit changes the map; apply takes either.
+        The curve is taken as valid for this complement: the reducer's
+        own candidates are, and is_essential checks an outside one.  The
+        result is a _Cut, or the complement after the commit when the
+        commit changes the map; apply takes either.
         """
-        cmap, owner = self.cmap, self.owner
-        darts = _checked_darts(cmap, self.g, curve)
-        ends = _split_ends(cmap, self.g, curve.kind, darts)
-        if ends and curve.kind == "V" and owner[darts[0]] == owner[cmap.alpha[darts[-1]]]:
-            return self._judged_afresh(curve)
+        cmap, owner, kind, darts = self.cmap, self.owner, curve.kind, curve.darts
+        ends = _split_ends(cmap, self.g, kind, darts)
+        if ends and kind == "V" and owner[darts[0]] == owner[cmap.alpha[darts[-1]]]:
+            return self._judged_afresh(kind, darts, ends)
         added = frozenset(darts) | frozenset(cmap.alpha[d] for d in darts)
         cut = self._cut(added, self.region_of(darts[0]))
         if cut is None or not ends:
             return cut
         # an accepted curve that fires the split rule refines the map
-        return _Complement(*add_cutting_curve(cmap, self.g, curve))
+        return _Complement(*_commit(cmap, self.g, kind, darts, ends))
 
-    def _judged_afresh(self, curve: "CuttingCurve"):
+    def _judged_afresh(self, kind: str, darts, ends: list):
         """The trial of a curve committed to a copy of the map, judged on
         the complement built there.
 
@@ -333,9 +292,9 @@ class _Complement:
         the next dart of the map before the commit.
         """
         n = self.cmap.dart_count
-        new_map, new_g = add_cutting_curve(self.cmap, self.g, curve)
+        new_map, new_g = _commit(self.cmap, self.g, kind, darts, ends)
         after = _Complement(new_map, new_g)
-        alpha, opp = new_map.alpha, _opposite_table(new_map)
+        alpha, opp = new_map.alpha, new_map.strand_opposites()
         old = set()
         for d in self.g:
             x = alpha[d]
@@ -467,7 +426,7 @@ class _Complement:
                 "the subgraph already fills: every complementary region is a disk"
             )
         cmap, owner = self.cmap, self.owner
-        opp = _opposite_table(cmap)
+        opp = cmap.strand_opposites()
         if self.g:
             walks = (_walk_arc(cmap, opp, owner, self.gcount, x) for x in self.candidates)
         else:
@@ -509,7 +468,7 @@ def _pushes_off(cmap, in_g, added, vertices, piece_of_face, euler2) -> bool:
     touching added darts has at most two of them: its boundary is all
     curve, or one run of curve and one of old.
     """
-    face_of = cmap.derived("_face_of", _face_of)
+    face_of = cmap.face_of_dart()
     alpha, sigma, cycles = cmap.alpha, cmap.sigma, cmap.vertices()
     changes = Counter()
     for v in vertices:
@@ -617,7 +576,7 @@ def _split_ends(cmap, g, kind: str, darts: list) -> list:
     """
     if kind not in ("V", "VI"):
         return []
-    opp, sigma = _opposite_table(cmap), cmap.sigma
+    opp, sigma = cmap.strand_opposites(), cmap.sigma
     cycles, owner = cmap.vertices(), cmap.vertex_of_dart()
     start = darts[0]
     germs = [x for x in cycles[owner[start]] if x in g]
@@ -739,12 +698,19 @@ def add_cutting_curve(cmap: CombinatorialMap, subgraph, curve: CuttingCurve):
     arcs or lassos attached directly) the map is unchanged and the
     input map object itself is returned, with the tables kept on it.
     """
-    work = _Work(cmap, subgraph)
-    darts = _checked_darts(cmap, work.g, curve)
-    ends = _split_ends(cmap, work.g, curve.kind, darts)
+    g = set(subgraph)
+    darts = _checked_darts(cmap, g, curve)
+    return _commit(cmap, g, curve.kind, darts, _split_ends(cmap, g, curve.kind, darts))
+
+
+def _commit(cmap: CombinatorialMap, g, kind: str, darts, ends: list):
+    """Commit a curve known to be valid, displacing the end germs that
+    _split_ends chose for it; add_cutting_curve describes the result."""
+    work = _Work(cmap, g)
+    darts = list(darts)
     if darts[0] in ends:
         darts[0] = _deviate(work, darts[0])
-    if curve.kind == "V":
+    if kind == "V":
         # the arrival is attached after the other edges; a one-edge
         # arc's start joins the subgraph only with it
         for d in darts[:-1]:
@@ -773,7 +739,9 @@ def is_essential(cmap: CombinatorialMap, subgraph, curve: CuttingCurve) -> bool:
     displaced by the split rule is committed to a copy of the map and
     judged there (see _Complement.trial).
     """
-    return _Complement(cmap, subgraph).trial(curve) is not None
+    state = _Complement(cmap, subgraph)
+    _checked_darts(cmap, state.g, curve)
+    return state.trial(curve) is not None
 
 
 def _strand_orbit(cmap, opp, start: int) -> list:
@@ -871,7 +839,7 @@ def _face_degree_census(state: _Complement) -> list:
     subgraph valence two are interior points of subgraph edges and
     contribute nothing.
     """
-    opp, sigma = _opposite_table(state.cmap), state.cmap.sigma
+    opp, sigma = state.cmap.strand_opposites(), state.cmap.sigma
     degrees = [0] * len(state.euler2)
     for germs in state.germs_at_vertices():
         if len(germs) < 3:
@@ -892,7 +860,7 @@ def _smoothed_subgraph_map(state: _Complement) -> CombinatorialMap:
     """
     cmap, g, owner = state.cmap, state.g, state.owner
     g_at = state.germs_at_vertices()
-    opp = _opposite_table(cmap)
+    opp = cmap.strand_opposites()
     real = sorted(d for d in g if len(g_at[owner[d]]) >= 3)
     if not real:
         raise InternalInvariantError(

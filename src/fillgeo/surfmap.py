@@ -65,16 +65,14 @@ class CombinatorialMap:
     which the corner between d and sigma(d) is straight (the two edge
     germs continue each other instead of meeting transversally).
     orientable is False when the gluing identified some side pair
-    without reversal; face tracing then does not apply and the face
-    data recorded at build time is used instead.
+    without reversal; face tracing then does not apply, and the map
+    has the one face of its polygon.
 
-    The map is frozen, so every table derived from it (the orbits, the
-    vertex of each dart, and the tables other modules attach through
-    derived()) is computed once, on first use, and kept in the
-    instance __dict__ as an immutable tuple.  Every caller gets that
-    same object: copy it before mutating.  Other modules may keep
-    further per-map data in that __dict__ under their own underscore
-    keys; none of it takes part in equality or hashing.
+    The map is frozen, so every per-dart table derived from it (the
+    orbits, the vertex and face of each dart, the strand continuation)
+    is computed here once, on first use, and kept in the instance
+    __dict__ as an immutable tuple, outside equality and hashing.
+    Every caller gets that same object: copy it before mutating.
     """
 
     dart_count: int
@@ -83,7 +81,6 @@ class CombinatorialMap:
     straight_corners: frozenset = frozenset()
     orientable: bool = True
     dart_names: tuple | None = None
-    face_count_override: int | None = None
 
     def __post_init__(self):
         n = self.dart_count
@@ -118,7 +115,7 @@ class CombinatorialMap:
             cycles.append(tuple(cycle))
         return tuple(cycles)
 
-    def derived(self, key: str, compute):
+    def _derived(self, key: str, compute):
         """The table compute(self), computed on first use and kept under key."""
         table = self.__dict__.get(key)
         if table is None:
@@ -126,19 +123,35 @@ class CombinatorialMap:
         return table
 
     def vertices(self) -> tuple:
-        return self.derived("_vertices", lambda m: m.orbits(m.sigma))
+        return self._derived("_vertices", lambda m: m.orbits(m.sigma))
 
     def edges(self) -> tuple:
-        return self.derived("_edges", lambda m: m.orbits(m.alpha))
+        return self._derived("_edges", lambda m: m.orbits(m.alpha))
 
     def faces(self) -> tuple:
-        return self.derived(
+        return self._derived(
             "_faces",
             lambda m: m.orbits([m.sigma[m.alpha[d]] for d in range(m.dart_count)]),
         )
 
     def vertex_of_dart(self) -> tuple:
-        return self.derived("_vertex_of_dart", _owner_table)
+        """The index (in vertices()) of the vertex of each dart."""
+        return self._derived("_vertex_of_dart", lambda m: _orbit_index(m, m.vertices()))
+
+    def face_of_dart(self) -> tuple:
+        """The index (in faces()) of the face on the left of each dart."""
+        return self._derived("_face_of_dart", lambda m: _orbit_index(m, m.faces()))
+
+    def strand_opposites(self) -> tuple:
+        """Strand continuation at every vertex: the germ opposite each dart.
+
+        Even-valence vertices pair germs half a rotation apart.  A
+        three-valent vertex must carry exactly one straight corner, which
+        names the two germs that continue each other; the remaining germ
+        is a strand endpoint (opposite None).  Other valences raise
+        ValidationError.
+        """
+        return self._derived("_strand_opposites", _strand_opposites)
 
     def is_connected(self) -> bool:
         n = self.dart_count
@@ -159,12 +172,34 @@ class CombinatorialMap:
         return str(d)
 
 
-def _owner_table(cmap: CombinatorialMap) -> tuple:
-    owner = [0] * cmap.dart_count
-    for index, cycle in enumerate(cmap.vertices()):
+def _orbit_index(cmap: CombinatorialMap, cycles: tuple) -> tuple:
+    index_of = [0] * cmap.dart_count
+    for index, cycle in enumerate(cycles):
         for d in cycle:
-            owner[d] = index
-    return tuple(owner)
+            index_of[d] = index
+    return tuple(index_of)
+
+
+def _strand_opposites(cmap: CombinatorialMap) -> tuple:
+    opp = [None] * cmap.dart_count
+    for cycle in cmap.vertices():
+        val = len(cycle)
+        if val % 2 == 0:
+            half = val // 2
+            for i, d in enumerate(cycle):
+                opp[d] = cycle[(i + half) % val]
+        elif val == 3:
+            marked = [d for d in cycle if d in cmap.straight_corners]
+            if len(marked) != 1:
+                raise ValidationError(
+                    "a 3-valent vertex needs exactly one straight corner"
+                )
+            d = marked[0]
+            opp[d] = cmap.sigma[d]
+            opp[cmap.sigma[d]] = d
+        else:
+            raise ValidationError(f"unsupported vertex valence {val}")
+    return tuple(opp)
 
 
 def build_map(word) -> CombinatorialMap:
@@ -253,7 +288,6 @@ def build_map(word) -> CombinatorialMap:
         straight_corners=frozenset(),
         orientable=orientable,
         dart_names=tuple(dart_names),
-        face_count_override=None if orientable else 1,
     )
     if orientable and len(cmap.faces()) != 1:
         raise InternalInvariantError(
@@ -303,20 +337,13 @@ def trace_curve(cmap: CombinatorialMap) -> dict:
     of closed strand components and the total crossing count
     sum over vertices of C(valence/2, 2).  Odd valence is an error.
     """
-    owner = cmap.vertex_of_dart()
-    cycles = cmap.vertices()
-    valence = [len(c) for c in cycles]
+    valence = [len(c) for c in cmap.vertices()]
     for v, val in enumerate(valence):
         if val % 2 != 0:
             raise ValidationError(
                 f"vertex {v} has odd valence {val}: strands cannot pass through"
             )
-
-    def succ(d: int) -> int:
-        e = cmap.alpha[d]
-        for _ in range(valence[owner[e]] // 2):
-            e = cmap.sigma[e]
-        return e
+    alpha, opp = cmap.alpha, cmap.strand_opposites()
 
     orbit_id = [None] * cmap.dart_count
     orbits = []
@@ -329,7 +356,7 @@ def trace_curve(cmap: CombinatorialMap) -> dict:
         while orbit_id[d] is None:
             orbit_id[d] = index
             members.append(d)
-            d = succ(d)
+            d = opp[alpha[d]]
         orbits.append(members)
 
     # a strand traversed backwards visits the alpha images, so orbits
@@ -339,7 +366,7 @@ def trace_curve(cmap: CombinatorialMap) -> dict:
     for index, members in enumerate(orbits):
         if index in seen:
             continue
-        partner = orbit_id[cmap.alpha[members[0]]]
+        partner = orbit_id[alpha[members[0]]]
         seen.add(index)
         seen.add(partner)
         components += 1
@@ -361,9 +388,9 @@ def surface_report(cmap: CombinatorialMap) -> dict:
         raise ValidationError("map is disconnected: not a single closed surface")
     v = len(cmap.vertices())
     e = len(cmap.edges())
-    if cmap.face_count_override is not None:
-        f = cmap.face_count_override
+    if not cmap.orientable:
         # the single polygon face runs through every dart once
+        f = 1
         effective = [cmap.dart_count]
     else:
         faces = cmap.faces()

@@ -4,6 +4,8 @@ import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -280,3 +282,19 @@ def test_repeated_calls_leave_no_parser_garbage(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli([], capsys)
     assert code == 2
+
+
+def test_import_loads_only_polygeom():
+    # minlen needs only polygeom; isoperim, reducer and surfmap load with
+    # the subcommands that use them, so start-up does not compile them
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, fillgeo.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout.split()
+    assert "fillgeo.polygeom" in loaded
+    for name in ("fillgeo.isoperim", "fillgeo.reducer", "fillgeo.surfmap"):
+        assert name not in loaded

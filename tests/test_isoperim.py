@@ -98,13 +98,13 @@ def test_df_dx_domain():
 
 def test_gridspec_validates():
     with pytest.raises(ValidationError):
-        GridSpec(a_steps=1)
+        GridSpec(steps=1)
     with pytest.raises(ValidationError):
-        GridSpec(x_steps=0)
+        GridSpec(samples=0)
 
 
 def test_lemma_3_2_reduced_grid():
-    report = verify_lemma_3_2(GridSpec(n_values=tuple(range(8, 25)), a_steps=8, x_steps=8))
+    report = verify_lemma_3_2(GridSpec(steps=8))
     assert report.passed
     assert report.min_value > 0.0
     assert report.details["constant"] == pytest.approx(1.29521, abs=5e-6)
@@ -179,7 +179,7 @@ def test_prop_3_5_reduced():
 
 
 def test_prop_3_6_reduced():
-    report = verify_prop_3_6(GridSpec(n_values=tuple(range(5, 21)), a_steps=16, x_steps=16))
+    report = verify_prop_3_6(GridSpec(steps=16))
     assert report.passed, report.text()
     assert report.min_value >= -1e-9
     assert report.details["near_zero_off_line"] == 0

@@ -110,6 +110,19 @@ def test_reduction_outcomes_match_golden_digests():
     assert not changed, f"reduction outcome changed for {changed}"
 
 
+def test_reduce_checks_no_curve_of_its_own(monkeypatch):
+    # the outside-curve check belongs to is_essential and
+    # add_cutting_curve; reduce's own candidates are valid by construction
+    calls = []
+    checked = reducer._checked_darts
+    monkeypatch.setattr(
+        reducer, "_checked_darts", lambda *args: calls.append(1) or checked(*args)
+    )
+    for seed in SEEDS:
+        outcome(*mixed(seed))
+    assert len(calls) == 0
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit(__doc__)

@@ -429,32 +429,17 @@ def test_certificate_passes_on_random_mixed_valence_maps(seed):
     assert cert.passed, (valences, cert.face_degrees)
 
 
-# Maps random_map(random.Random(seed), valences) on which the reducer
-# once raised InternalInvariantError or certified a degree-4 face.
-REPRODUCERS = (
-    ((6, 4, 4, 4, 4), 397),
-    ((6, 6, 4, 4), 305),
-    ((6, 6, 4, 4), 690),
-    ((6, 6, 4, 4), 1565),
-    ((6, 6, 6, 6), 46),
-    ((6, 6, 6, 6), 81),
-    ((6, 6, 6, 6), 1439),
-    ((6, 6, 6, 6), 242),
-    ((10, 4, 4, 4), 480),
-    ((6, 6, 6, 4, 4, 4), 482),
-    ((6, 4, 4, 4, 4), 1020),
-    ((8, 6, 4, 4, 4), 775),
-)
+# Maps on which the reducer once raised InternalInvariantError or
+# certified a degree-4 face, written by scripts/make_reducer_fixtures.py.
+REPRODUCERS = sorted(DATA_DIR.glob("reproducer_*.json"))
 
 
 @pytest.mark.parametrize(
-    "valences, seed",
-    REPRODUCERS,
-    ids=[f"{'-'.join(map(str, v))}@{s}" for v, s in REPRODUCERS],
+    "path", REPRODUCERS, ids=[p.stem.removeprefix("reproducer_") for p in REPRODUCERS]
 )
-def test_mixed_valence_reproducer_passes(valences, seed):
-    cmap = random_map(random.Random(seed), valences)
-    cert = reduce(validate_input(cmap, surface_genus(cmap)))
+def test_mixed_valence_reproducer_passes(path):
+    data = json.loads(path.read_text())
+    cert = reduce(validate_input(data, data["genus"]))
     assert all(m >= 5 for m in cert.face_degrees), cert.face_degrees
     assert sum(m - 4 for m in cert.face_degrees) == 8 * cert.genus - 8
     assert cert.passed

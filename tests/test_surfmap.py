@@ -143,6 +143,33 @@ def test_canonical_g2_curve_orbit():
     ]
 
 
+def test_dart_tables_index_their_orbits():
+    # two curves crossing twice on a torus: two square faces
+    cmap = CombinatorialMap(
+        dart_count=8, alpha=(4, 5, 6, 7, 0, 1, 2, 3), sigma=(1, 2, 3, 0, 5, 6, 7, 4)
+    )
+    for table, cycles in ((cmap.vertex_of_dart(), cmap.vertices()),
+                          (cmap.face_of_dart(), cmap.faces())):
+        assert all(d in cycles[table[d]] for d in range(cmap.dart_count))
+    assert len(cmap.faces()) == 2
+
+
+def test_strand_opposites_at_three_valent_vertices():
+    # a theta graph: vertices (0 1 2) and (3 4 5), edges 0-3, 1-5, 2-4
+    theta = dict(dart_count=6, alpha=(3, 5, 4, 0, 2, 1), sigma=(1, 2, 0, 4, 5, 3))
+    cmap = CombinatorialMap(**theta, straight_corners=frozenset({0, 3}))
+    assert cmap.strand_opposites() == (1, 0, None, 4, 3, None)
+    with pytest.raises(ValidationError, match="exactly one straight corner"):
+        CombinatorialMap(**theta).strand_opposites()
+    # a five-valent vertex (0..4) and a marked three-valent one (5 6 7)
+    five = CombinatorialMap(
+        dart_count=8, alpha=(5, 6, 7, 4, 3, 0, 1, 2),
+        sigma=(1, 2, 3, 4, 0, 6, 7, 5), straight_corners=frozenset({5}),
+    )
+    with pytest.raises(ValidationError, match="unsupported vertex valence 5"):
+        five.strand_opposites()
+
+
 def test_canonical_g2_report():
     report = surface_report(build_map(canonical_word(2)))
     assert report["vertices"] == 3
