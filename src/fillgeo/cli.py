@@ -167,8 +167,9 @@ def cmd_verify(args) -> int:
 def cmd_gluing(args) -> int:
     from . import surfmap
 
-    report = surfmap.verify_canonical(args.genus)
     word = surfmap.canonical_word(args.genus)
+    cmap = surfmap.build_map(word)
+    report = surfmap.canonical_report(cmap, args.genus)
     lines = []
     if args.svg:
         svg = surfmap.gluing_svg(word, math.pi / 2.0)
@@ -176,7 +177,7 @@ def cmd_gluing(args) -> int:
             handle.write(svg if svg.endswith("\n") else svg + "\n")
         lines.append(f"svg written to {args.svg}")
     if args.emit_map:
-        data = surfmap.to_interchange(surfmap.build_map(word))
+        data = surfmap.to_interchange(cmap)
         with open(args.emit_map, "w") as handle:
             handle.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
         lines.append(f"map written to {args.emit_map}")

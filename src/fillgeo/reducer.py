@@ -131,20 +131,14 @@ class _Complement:
     faces and vertices it touches alone (see trial).  Only an accepted
     curve whose attachment fires the split rule, which refines the map,
     and an arc with both ends at one vertex and an end displaced, which
-    is judged after its commit, build a complement afresh.
+    is judged after its commit, build a complement afresh.  The
+    subgraph is taken as valid: the public functions check a caller's
+    (_checked_subgraph), and the reducer's own subgraphs are.
     """
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
-        g = set(subgraph)
-        for d in g:
-            if not isinstance(d, int) or not 0 <= d < cmap.dart_count:
-                raise ValidationError(f"subgraph dart {d!r} out of range")
-            if cmap.alpha[d] not in g:
-                raise ValidationError(
-                    "subgraph is not closed under the edge involution"
-                )
         self.cmap = cmap
-        self.g = g
+        self.g = g = set(subgraph)
         alpha = cmap.alpha
         face_of = self.face_of = cmap.face_of_dart()
         faces = cmap.faces()
@@ -196,11 +190,6 @@ class _Complement:
     @property
     def fills(self) -> bool:
         return all(e == 2 for e in self.euler2)
-
-    def germs_at_vertices(self) -> list:
-        """The subgraph germs at every vertex, in rotation order."""
-        g = self.g
-        return [[d for d in cycle if d in g] for cycle in self.cmap.vertices()]
 
     def boundary_successor(self, d: int) -> int:
         """Next subgraph dart along the region contour through d.
@@ -480,6 +469,19 @@ def _pushes_off(cmap, in_g, added, vertices, piece_of_face, euler2) -> bool:
     return any(euler2[p] == 2 and changes[p] <= 2 for p in pieces)
 
 
+def _checked_subgraph(cmap: CombinatorialMap, subgraph) -> set:
+    """A caller's subgraph as a set, checked for range and edge closure."""
+    g = set(subgraph)
+    for d in g:
+        if not isinstance(d, int) or not 0 <= d < cmap.dart_count:
+            raise ValidationError(f"subgraph dart {d!r} out of range")
+        if cmap.alpha[d] not in g:
+            raise ValidationError(
+                "subgraph is not closed under the edge involution"
+            )
+    return g
+
+
 def complement_regions(cmap: CombinatorialMap, subgraph) -> tuple:
     """Cut the surface along the subgraph and describe every piece.
 
@@ -488,7 +490,7 @@ def complement_regions(cmap: CombinatorialMap, subgraph) -> tuple:
     it equals 1), its boundary cycles of subgraph darts, the number of
     distinct vertices on each cycle.
     """
-    return _Complement(cmap, subgraph).regions()
+    return _Complement(cmap, _checked_subgraph(cmap, subgraph)).regions()
 
 
 @dataclass(frozen=True)
@@ -698,7 +700,7 @@ def add_cutting_curve(cmap: CombinatorialMap, subgraph, curve: CuttingCurve):
     arcs or lassos attached directly) the map is unchanged and the
     input map object itself is returned, with the tables kept on it.
     """
-    g = set(subgraph)
+    g = _checked_subgraph(cmap, subgraph)
     darts = _checked_darts(cmap, g, curve)
     return _commit(cmap, g, curve.kind, darts, _split_ends(cmap, g, curve.kind, darts))
 
@@ -739,7 +741,7 @@ def is_essential(cmap: CombinatorialMap, subgraph, curve: CuttingCurve) -> bool:
     displaced by the split rule is committed to a copy of the map and
     judged there (see _Complement.trial).
     """
-    state = _Complement(cmap, subgraph)
+    state = _Complement(cmap, _checked_subgraph(cmap, subgraph))
     _checked_darts(cmap, state.g, curve)
     return state.trial(curve) is not None
 
@@ -827,41 +829,28 @@ def find_cutting_curve(cmap: CombinatorialMap, subgraph) -> CuttingCurve:
     or finding only inessential ones, contradicts the validated filling
     input and raises InternalInvariantError.
     """
-    return _Complement(cmap, subgraph).cutting_curve()[0]
+    return _Complement(cmap, _checked_subgraph(cmap, subgraph)).cutting_curve()[0]
 
 
-def _face_degree_census(state: _Complement) -> list:
-    """Effective degree of every complementary region of the subgraph.
-
-    Counts, per region, the corner gaps between consecutive subgraph
-    germs at vertices of subgraph valence at least three, discounting
-    straight corners (gaps between strand-opposite germs).  Vertices of
-    subgraph valence two are interior points of subgraph edges and
-    contribute nothing.
-    """
-    opp, sigma = state.cmap.strand_opposites(), state.cmap.sigma
-    degrees = [0] * len(state.euler2)
-    for germs in state.germs_at_vertices():
-        if len(germs) < 3:
-            continue
-        for i, d in enumerate(germs):
-            if opp[d] != germs[(i + 1) % len(germs)]:
-                degrees[state.region_of(sigma[d])] += 1
-    return degrees
-
-
-def _smoothed_subgraph_map(state: _Complement) -> CombinatorialMap:
-    """The subgraph as a standalone map, two-valent vertices smoothed.
+def _smoothed_subgraph_map(state: _Complement):
+    """The subgraph as a standalone map, two-valent vertices smoothed,
+    and the effective degree of every complementary region.
 
     Vertices of subgraph valence two become interior points of edges.
     Three-valent vertices keep a straight corner mark so face tracing
     of the result discounts the corner between the two edge germs that
-    continue each other.
+    continue each other.  A region's effective degree counts its corner
+    gaps between consecutive subgraph germs at the remaining vertices,
+    straight corners (gaps between strand-opposite germs) discounted.
     """
-    cmap, g, owner = state.cmap, state.g, state.owner
-    g_at = state.germs_at_vertices()
-    opp = cmap.strand_opposites()
-    real = sorted(d for d in g if len(g_at[owner[d]]) >= 3)
+    cmap, g, owner, gcount = state.cmap, state.g, state.owner, state.gcount
+    opp, alpha, sigma = cmap.strand_opposites(), cmap.alpha, cmap.sigma
+
+    def next_germ(d):
+        # the subgraph germ after d counterclockwise around its vertex
+        return state.boundary_successor(alpha[d])
+
+    real = sorted(d for d in g if gcount[owner[d]] >= 3)
     if not real:
         raise InternalInvariantError(
             "subgraph has no vertices of valence three or more"
@@ -871,40 +860,39 @@ def _smoothed_subgraph_map(state: _Complement) -> CombinatorialMap:
     alpha_out = [None] * len(real)
     consumed = set()
     for d in real:
-        e = cmap.alpha[d]
+        e = alpha[d]
         hops = 0
-        while len(g_at[owner[e]]) == 2:
-            consumed.add(e)
-            pair = g_at[owner[e]]
-            other = pair[0] if pair[1] == e else pair[1]
-            consumed.add(other)
-            e = cmap.alpha[other]
+        while gcount[owner[e]] == 2:
+            other = next_germ(e)
+            consumed.update((e, other))
+            e = alpha[other]
             hops += 1
             if hops > cmap.dart_count:
                 raise InternalInvariantError("edge smoothing failed to terminate")
         alpha_out[index[d]] = index[e]
     for d in g:
-        if len(g_at[owner[d]]) == 2 and d not in consumed:
+        if gcount[owner[d]] == 2 and d not in consumed:
             raise InternalInvariantError(
                 "subgraph contains a vertex-free circle component"
             )
 
     sigma_out = [None] * len(real)
     straight_out = set()
+    degrees = [0] * len(state.euler2)
     for d in real:
-        x = cmap.sigma[d]
-        while x not in g:
-            x = cmap.sigma[x]
+        x = next_germ(d)
         sigma_out[index[d]] = index[x]
         if opp[d] == x:
             straight_out.add(index[d])
+        else:
+            degrees[state.region_of(sigma[d])] += 1
 
     return CombinatorialMap(
         dart_count=len(real),
         alpha=tuple(alpha_out),
         sigma=tuple(sigma_out),
         straight_corners=frozenset(straight_out),
-    )
+    ), degrees
 
 
 @dataclass(frozen=True)
@@ -1007,12 +995,11 @@ def reduce(filling: FillingMap) -> ReductionCertificate:
         # surfacing, not something to hide
         abort("the attachment split rule fired on an input with only double points")
 
-    degrees = _face_degree_census(state)
+    reduced, degrees = _smoothed_subgraph_map(state)
     face_degrees = tuple(sorted(degrees, reverse=True))
     k = len(face_degrees)
     min_degree_ok = all(m >= 5 for m in face_degrees)
     degree_sum_ok = sum(m - 4 for m in face_degrees) == 8 * genus - 8
-    reduced = _smoothed_subgraph_map(state)
     passed = min_degree_ok and degree_sum_ok
     return ReductionCertificate(
         genus=genus,

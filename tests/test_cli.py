@@ -205,6 +205,26 @@ class TestGluing:
         assert report["genus"] == 2
         assert report["faces"] == 1
 
+    def test_emitted_map_is_the_one_checked(self, capsys, tmp_path, monkeypatch):
+        expected = surfmap.to_interchange(surfmap.build_map(surfmap.canonical_word(5)))
+        calls = {"build_map": 0, "parse_gluing_word": 0}
+        for name in calls:
+            original = getattr(surfmap, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(surfmap, name, counted)
+        map_path = tmp_path / "g5.json"
+        code, out, _ = run_cli(
+            ["gluing", "--genus", "5", "--json", "--emit-map", str(map_path)], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["passed"]
+        assert calls == {"build_map": 1, "parse_gluing_word": 1}
+        assert json.loads(map_path.read_text()) == expected
+
     def test_genus_fifty_is_fast(self, capsys):
         start = time.perf_counter()
         code, out, _ = run_cli(["gluing", "--genus", "50"], capsys)

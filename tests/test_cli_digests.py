@@ -1,12 +1,13 @@
 """CLI output stays byte-identical on a fixed set of commands.
 
 ``tests/data/cli_digests.json`` maps each command to the sha256 of its
-stdout and stderr and its exit code; the ``gluing`` command that writes
-an SVG picture and a map interchange file also pins the sha256 of both
-files.  The commands cover the extremal-length table, single polygons
+stdout and stderr and its exit code; the ``gluing`` commands that write
+an SVG picture or a map interchange file also pin the sha256 of each
+file.  The commands cover the extremal-length table, single polygons
 (including the degenerate right-angled square and a non-integer side
 count), the verification suite at two seeds, the documented lemma 3.4
-violation, the canonical gluings, and the messages of domain errors.
+violation, the canonical gluings up to genus 40, and the messages of
+domain errors.
 After an intended change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_digests.py --write
@@ -53,6 +54,12 @@ def _commands():
         ("gluing", "--genus", "3", "--json", "--svg", "{dir}/g3.svg",
          "--emit-map", "{dir}/g3.json"),
     ))
+    # genus 40 carries 38 label blocks past the g = 3 word
+    commands.append((
+        "gluing g=40 --json map",
+        ("gluing", "--genus", "40", "--json", "--emit-map", "{dir}/g40.json"),
+    ))
+    commands.append(("gluing g=40 svg", ("gluing", "--genus", "40", "--svg", "{dir}/g40.svg")))
     commands.append(("error polygon n=2", ("polygon", "--n", "2", "--area", "1")))
     commands.append(("error polygon area", ("polygon", "--n", "5", "--area", "100")))
     commands.append(("error polygon theta", ("polygon", "--n", "5", "--theta", "3")))
@@ -71,7 +78,9 @@ def _run(argv) -> dict:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        result = {"exit": code, "stdout": _sha(out.getvalue()), "stderr": _sha(err.getvalue())}
+        # text output names the files it wrote, under a fresh directory each run
+        stdout = out.getvalue().replace(workdir, "{dir}")
+        result = {"exit": code, "stdout": _sha(stdout), "stderr": _sha(err.getvalue())}
         for name in sorted(p.name for p in pathlib.Path(workdir).iterdir()):
             result[f"file:{name}"] = _sha((pathlib.Path(workdir) / name).read_bytes())
     return result

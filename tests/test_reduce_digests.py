@@ -111,13 +111,15 @@ def test_reduction_outcomes_match_golden_digests():
 
 
 def test_reduce_checks_no_curve_of_its_own(monkeypatch):
-    # the outside-curve check belongs to is_essential and
-    # add_cutting_curve; reduce's own candidates are valid by construction
+    # the outside-curve and outside-subgraph checks belong to the public
+    # functions; reduce's own candidates and subgraphs are valid by
+    # construction
     calls = []
-    checked = reducer._checked_darts
-    monkeypatch.setattr(
-        reducer, "_checked_darts", lambda *args: calls.append(1) or checked(*args)
-    )
+    for name in ("_checked_darts", "_checked_subgraph"):
+        checked = getattr(reducer, name)
+        monkeypatch.setattr(
+            reducer, name, lambda *args, checked=checked: calls.append(1) or checked(*args)
+        )
     for seed in SEEDS:
         outcome(*mixed(seed))
     assert len(calls) == 0

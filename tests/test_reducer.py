@@ -254,6 +254,27 @@ class TestAddCuttingCurve:
             assert all(cmap.alpha[d] in subgraph for d in subgraph)
 
 
+PUBLIC_WITH_SUBGRAPH = {
+    "complement_regions": lambda cmap, g, curve: complement_regions(cmap, g),
+    "find_cutting_curve": lambda cmap, g, curve: find_cutting_curve(cmap, g),
+    "is_essential": is_essential,
+    "add_cutting_curve": add_cutting_curve,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_WITH_SUBGRAPH))
+def test_public_functions_check_a_callers_subgraph(name):
+    call = PUBLIC_WITH_SUBGRAPH[name]
+    cmap, _ = load_fixture("canonical_g2")
+    first = find_cutting_curve(cmap, frozenset())
+    cmap, subgraph = add_cutting_curve(cmap, frozenset(), first)
+    curve = find_cutting_curve(cmap, subgraph)
+    with pytest.raises(ValidationError, match="out of range"):
+        call(cmap, subgraph | {999}, curve)
+    with pytest.raises(ValidationError, match="involution"):
+        call(cmap, subgraph - {min(subgraph)}, curve)
+
+
 class TestIsEssential:
     def test_spanning_arc_of_annulus(self):
         cmap = torus_two_curves()

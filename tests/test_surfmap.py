@@ -1,6 +1,8 @@
 """Tests for polygon gluings and the canonical filling curve."""
 
+import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from fillgeo.polygeom import min_filling_length, side_length
 from fillgeo.surfmap import (
     CombinatorialMap,
     build_map,
+    canonical_report,
     canonical_word,
     disk_distance,
     from_interchange,
@@ -204,6 +207,29 @@ def test_verify_canonical_negative_control():
     assert not cmap.orientable
     report = surface_report(cmap)
     assert not report["orientable"]
+
+
+def test_canonical_report_matches_verify_canonical():
+    for g in range(2, 7):
+        rep = canonical_report(build_map(canonical_word(g)), g)
+        assert rep.passed, rep.text()
+        assert rep.as_dict() == verify_canonical(g).as_dict()
+
+
+def test_canonical_report_names_the_failed_checks():
+    path = pathlib.Path(__file__).parent / "data" / "canonical_g3.json"
+    cmap = from_interchange(json.loads(path.read_text()))
+    assert canonical_report(cmap, 3).passed
+    rep = canonical_report(cmap, 2)
+    assert not rep.passed
+    assert rep.details["failed_checks"] == [
+        "all_four_valent",
+        "edge_count",
+        "face_effective_degree",
+        "genus",
+        "self_intersections",
+        "vertex_count",
+    ]
 
 
 def test_interchange_round_trip():
