@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, InternalInvariantError, ValidationError
-from .surfmap import CombinatorialMap, from_interchange, to_interchange
+from .surfmap import CombinatorialMap, from_interchange, pair_strands, to_interchange
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,9 @@ class _Cut(NamedTuple):
     lies in one region: closed lists the faces of each piece the cut
     splits off it, and euler2 the doubled Euler characteristic of those
     pieces followed by that of the rest, which keeps the region's index.
+    state is the complement the cut was made in.  A curve judged as its
+    direct attachment whose commit fires the split rule carries the end
+    germs to displace (ends) and the curve; apply refines for them.
     """
 
     added: frozenset
@@ -108,41 +111,239 @@ class _Cut(NamedTuple):
     region: int
     closed: list
     euler2: list
+    state: "_Complement"
+    ends: tuple = ()
+    curve: "CuttingCurve" = None
 
 
-class _Complement:
+class _MutableMap:
+    """A map and a subgraph as mutable tables, refined in place by the split rule.
+
+    The tables are alpha, sigma and the straight corners, the vertex
+    rotations (cycles), the vertex of each dart (owner) and the strand
+    opposites (opp).  _refine commits a curve's displaced ends, for
+    add_cutting_curve and, through _Complement, for reduce; freeze
+    gives the map as a CombinatorialMap.  Until the first refinement
+    the tables are the frozen map's own tuples, which _refine turns
+    into lists before it changes them.
+    """
+
+    def __init__(self, cmap: CombinatorialMap, subgraph):
+        self._frozen = cmap
+        self.alpha, self.sigma = cmap.alpha, cmap.sigma
+        self.straight = set(cmap.straight_corners)
+        self.cycles = cmap.vertices()
+        self.owner = cmap.vertex_of_dart()
+        self.opp = cmap.strand_opposites()
+        self.g = set(subgraph)
+
+    def freeze(self) -> CombinatorialMap:
+        """The live map as a CombinatorialMap: the map this one was built
+        from, that same object, until a refinement adds darts."""
+        if self._frozen.dart_count < len(self.alpha):
+            self._frozen = CombinatorialMap(
+                dart_count=len(self.alpha),
+                alpha=tuple(self.alpha),
+                sigma=tuple(self.sigma),
+                straight_corners=frozenset(self.straight),
+            )
+        return self._frozen
+
+    def _split_ends(self, kind: str, darts) -> tuple:
+        """The end germs of a curve that its commit displaces off their vertex.
+
+        This is the one split rule: an end attaches directly when the
+        subgraph germs at its vertex form a clean corner pattern with
+        it, and is displaced (see _deviate) otherwise.  The start is
+        attached first and an arc's arrival after its other edges.  A
+        displaced start leaves its germ off the subgraph, and an arrival
+        germ that the start's sweep crosses ends at that four-valent
+        crossing, where it always attaches directly.
+        """
+        if kind not in ("V", "VI"):
+            return ()
+        g, opp, sigma, alpha = self.g, self.opp, self.sigma, self.alpha
+        cycles, owner = self.cycles, self.owner
+        start = darts[0]
+        germs = [x for x in cycles[owner[start]] if x in g]
+        ends = () if _clean_corner_pattern(opp, germs + [start]) else (start,)
+        if kind == "V":
+            arrival = alpha[darts[-1]]
+            placed = {x for d in darts[:-1] for x in (d, alpha[d])}
+            if ends:
+                placed.discard(start)
+                swept = sigma[start]
+                while swept not in g and swept != arrival:
+                    swept = sigma[swept]
+                if swept == arrival:
+                    return ends
+            else:
+                placed.add(start)
+            germs = [x for x in cycles[owner[arrival]] if x in g or x in placed]
+            if not _clean_corner_pattern(opp, germs + [arrival]):
+                ends += (arrival,)
+        return ends
+
+    def _refine(self, kind: str, darts, ends: tuple) -> frozenset:
+        """Refine the map in place for a curve, displacing the end germs
+        that _split_ends chose for it; returns the curve material.
+
+        The start is displaced first; an arc's arrival is displaced
+        after the arc's other edges are placed, and a one-edge arc's
+        start is placed only with it.  New darts are numbered from the
+        old dart count up, in the order _deviate makes them, and form
+        new vertices, numbered by least dart; old darts keep their
+        sigma.  The subgraph gains only the halves of its subdivided
+        edges, so the regions stay as they were.
+        """
+        n, start = len(self.alpha), darts[0]
+        if ends:
+            for name, table in vars(self).items():
+                if isinstance(table, tuple):
+                    setattr(self, name, list(table))
+        placed = set()
+        darts = list(darts)
+        if darts[0] in ends:
+            darts[0] = self._deviate(darts[0], placed)
+        if kind == "V":
+            for d in darts[:-1]:
+                placed.update((d, self.alpha[d]))
+            arrival = self.alpha[darts[-1]]
+            if arrival in ends:
+                arrival = self._deviate(arrival, placed)
+            darts = [arrival, darts[0]]
+        for d in darts:
+            placed.update((d, self.alpha[d]))
+        if len(self.alpha) > n:
+            self._retrace(n, start)
+        return frozenset(placed)
+
+    def _new_dart(self) -> int:
+        for table in (self.alpha, self.sigma, self.owner, self.opp):
+            table.append(None)
+        return len(self.alpha) - 1
+
+    def _subdivide(self, d: int, placed: set):
+        """Split the edge of d at a new point near v(d).
+
+        Returns (near, far), the new darts there: near faces v(d), far
+        faces the old far endpoint; _vertex makes them a vertex.  Both
+        halves inherit the membership of d in the subgraph or in placed.
+        """
+        alpha = self.alpha
+        a = alpha[d]
+        near = self._new_dart()
+        far = self._new_dart()
+        alpha[d] = near
+        alpha[near] = d
+        alpha[far] = a
+        alpha[a] = far
+        if d in self.g:
+            self.g.update((near, far))
+        elif d in placed:
+            placed.update((near, far))
+        return near, far
+
+    def _deviate(self, germ: int, placed: set) -> int:
+        """Displace a curve end off the vertex of germ.
+
+        The curve used to terminate along the edge of germ; it now stops
+        just short of the vertex, sweeps counterclockwise across the
+        intervening germs outside the subgraph and placed, the curve
+        material placed so far (crossing their edges at new four-valent
+        vertices), and lands with a new three-valent vertex on the side
+        of the first edge of either it meets.  The new curve darts join
+        placed.  Returns the dart that replaces germ as the curve's
+        terminal germ.
+        """
+        alpha, sigma = self.alpha, self.sigma
+        crossed = []
+        x = sigma[germ]
+        while x not in self.g and x not in placed:
+            if x == germ:
+                raise InternalInvariantError("no subgraph germ to land on")
+            crossed.append(x)
+            x = sigma[x]
+        landing = x
+
+        # clip the terminal edge just short of the vertex; the gap
+        # between the two old edge halves is straight
+        near0, far0 = self._subdivide(germ, placed)
+        prev = self._new_dart()
+        self._vertex((near0, far0, prev), near0)
+
+        for gamma in crossed:
+            near, far = self._subdivide(gamma, placed)
+            fw = self._new_dart()
+            pw = self._new_dart()
+            self._vertex((near, pw, far, fw))
+            alpha[prev] = pw
+            alpha[pw] = prev
+            placed.update((prev, pw))
+            prev = fw
+
+        near, far = self._subdivide(landing, placed)
+        q = self._new_dart()
+        # the far-side corner is straight
+        self._vertex((near, q, far), far)
+        alpha[prev] = q
+        alpha[q] = prev
+        placed.update((prev, q))
+        return far0
+
+    def _vertex(self, rotation: tuple, straight=None):
+        """Make the new darts of rotation a vertex, in that counterclockwise
+        order, with the corner after the dart straight, if one is given."""
+        v = len(self.cycles)
+        for x, y in zip(rotation, rotation[1:] + rotation[:1]):
+            self.sigma[x] = y
+            self.owner[x] = v
+        if straight is not None:
+            self.straight.add(straight)
+        self.cycles.append(rotation)
+        pair_strands(rotation, self.sigma, self.straight, self.opp)
+
+    def _retrace(self, n: int, start: int):
+        """Bring the face tables up to date after a refinement made darts
+        n and up for the curve that starts at the old dart start; the
+        bare map keeps none."""
+
+
+class _Complement(_MutableMap):
     """The complement of a subgraph in a map, kept up to date as curves are cut.
 
-    The surface cut along the subgraph falls into regions: unions of
-    the map's faces glued across edges outside the subgraph.  Per face
+    The state owns the map as the mutable tables of _MutableMap and the
+    face of each dart (face_of).  The surface cut along the subgraph
+    falls into regions: unions of the map's faces glued across edges
+    outside the subgraph.  Per face
     the state keeps its region and its doubled share of the region's
     Euler characteristic: 2 for the face, -1 for each of its darts (a
     dart outside the subgraph is half an interior edge) and another -1
     for each subgraph dart (a boundary side), +2 for each corner gap
-    and each interior vertex assigned to it.  Per region it keeps the
-    doubled Euler characteristic (a disk has 2), per pair of distinct
-    faces the number of edges outside the subgraph between them, per
-    vertex its number of subgraph germs, and the candidate germs of the
-    arc search, in dart order: germs outside the subgraph at subgraph
-    vertices of non-disk regions.
+    and each interior vertex assigned to it (at the first dart of its
+    rotation).  Per region it keeps the doubled Euler characteristic
+    (a disk has 2), per pair of distinct faces the number of edges
+    outside the subgraph between them, per vertex its number of
+    subgraph germs, and the candidate germs of the arc search, in dart
+    order: germs outside the subgraph at subgraph vertices of non-disk
+    regions.
 
-    reduce builds one per run and commits each accepted curve in place
-    (apply).  A trial judges a curve as its direct attachment, from the
-    faces and vertices it touches alone (see trial).  Only an accepted
-    curve whose attachment fires the split rule, which refines the map,
-    and an arc with both ends at one vertex and an end displaced, which
-    is judged after its commit, build a complement afresh.  The
-    subgraph is taken as valid: the public functions check a caller's
-    (_checked_subgraph), and the reducer's own subgraphs are.
+    reduce builds one per run and keeps it current through every
+    commit (apply), refined maps included: the split rule refines the
+    tables in place (_refine) and retraces only the faces it changed.
+    A trial judges a curve as its direct attachment, from the faces and
+    vertices it touches alone (see trial); a one-vertex arc with an end
+    displaced is judged on a refined copy.  freeze gives the live map
+    as a CombinatorialMap.  The subgraph is taken as valid: the public
+    functions check a caller's (_checked_subgraph), and the reducer's
+    own subgraphs are.
     """
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
-        self.cmap = cmap
-        self.g = g = set(subgraph)
-        alpha = cmap.alpha
+        super().__init__(cmap, subgraph)
+        alpha, g = self.alpha, self.g
         face_of = self.face_of = cmap.face_of_dart()
         faces = cmap.faces()
-        owner = self.owner = cmap.vertex_of_dart()
         parent = list(range(len(faces)))
 
         def find(x):
@@ -160,28 +361,56 @@ class _Complement:
         region_index = {r: i for i, r in enumerate(sorted(set(face_root)))}
         self.face_region = [region_index[r] for r in face_root]
 
-        gcount = self.gcount = [0] * len(cmap.vertices())
-        weight = self.weight = [2 - len(cycle) for cycle in faces]
-        for d in g:
-            gcount[owner[d]] += 1
-            # a boundary side, and the corner gap after alpha(d), which
-            # lies in the same face
-            weight[face_of[d]] += 1
-        for v, cycle in enumerate(cmap.vertices()):
-            if not gcount[v]:
-                weight[face_of[cycle[0]]] += 2
+        self.gcount = [sum(x in g for x in cycle) for cycle in self.cycles]
+        self.weight = [0] * len(faces)
         self.adjacent = [{} for _ in faces]
-        for d in range(cmap.dart_count):
-            a, b = face_of[d], face_of[alpha[d]]
-            if d not in g and a != b:
-                self.adjacent[a][b] = self.adjacent[a].get(b, 0) + 1
+        self._tally(enumerate(faces), range(len(faces)))
         self.euler2 = [0] * len(region_index)
         for f, r in enumerate(self.face_region):
-            self.euler2[r] += weight[f]
-        self.candidates = [
-            d for d in range(cmap.dart_count)
+            self.euler2[r] += self.weight[f]
+        self.candidates = self._candidates(range(cmap.dart_count))
+
+    def _candidates(self, darts) -> list:
+        """The candidate germs among darts, in their order."""
+        g, gcount, owner = self.g, self.gcount, self.owner
+        return [
+            d for d in darts
             if d not in g and gcount[owner[d]] and self.euler2[self.region_of(d)] != 2
         ]
+
+    def _tally(self, faces, listed):
+        """Weigh each (face, darts) pair of faces and count its edges
+        outside the subgraph to other faces, on both sides of an edge
+        whose far face is not listed."""
+        g, alpha, face_of, owner = self.g, self.alpha, self.face_of, self.owner
+        cycles, gcount, adjacent = self.cycles, self.gcount, self.adjacent
+        for f, darts in faces:
+            share = 2 - len(darts)
+            for x in darts:
+                v = owner[x]
+                if not gcount[v] and cycles[v][0] == x:
+                    share += 2
+                if x in g:
+                    # a boundary side, and the corner gap after alpha(x),
+                    # which lies in the same face
+                    share += 1
+                    continue
+                b = face_of[alpha[x]]
+                if b != f:
+                    adjacent[f][b] = adjacent[f].get(b, 0) + 1
+                    if b not in listed:
+                        adjacent[b][f] = adjacent[b].get(f, 0) + 1
+            self.weight[f] = share
+
+    def copy(self) -> "_Complement":
+        """A copy to refine and cut, leaving this complement as it is."""
+        twin = object.__new__(type(self))
+        twin.__dict__ = {
+            name: value.copy() if isinstance(value, (list, set)) else value
+            for name, value in vars(self).items()
+        }
+        twin.adjacent = [dict(counts) for counts in self.adjacent]
+        return twin
 
     def region_of(self, d: int) -> int:
         """The region of the face on the left of dart d."""
@@ -198,13 +427,13 @@ class _Complement:
         and pivots counterclockwise past interior germs to the first
         subgraph germ, which it traverses outward.
         """
-        cmap = self.cmap
-        w = cmap.sigma[cmap.alpha[d]]
+        sigma = self.sigma
+        w = sigma[self.alpha[d]]
         steps = 0
         while w not in self.g:
-            w = cmap.sigma[w]
+            w = sigma[w]
             steps += 1
-            if steps > cmap.dart_count:
+            if steps > len(sigma):
                 raise InternalInvariantError("boundary walk failed to close")
         return w
 
@@ -241,7 +470,7 @@ class _Complement:
         return tuple(out)
 
     def trial(self, curve: "CuttingCurve"):
-        """What committing curve changes, or None if the curve is inessential.
+        """The _Cut that commits curve, or None if the curve is inessential.
 
         The curve is inessential when the cut leaves a disk piece whose
         boundary is all curve (a contractible loop) or one run of curve
@@ -251,56 +480,31 @@ class _Complement:
         corner gap it attaches in, to a point on the next subgraph edge;
         that changes neither the pieces, nor their Euler characteristics,
         nor the boundary runs, so the curve is judged as its direct
-        attachment.  Only an arc with both ends at one vertex and an end
-        displaced is not: its displaced end can land past the other end
-        along the boundary, so it is judged after its commit.
+        attachment and apply refines the map for it.  Only an arc with
+        both ends at one vertex and an end displaced is not: its
+        displaced end can land past the other end along the boundary,
+        so it is refined and cut on a copy of this complement, which
+        apply then takes as the next state.
 
         The curve is taken as valid for this complement: the reducer's
-        own candidates are, and is_essential checks an outside one.  The
-        result is a _Cut, or the complement after the commit when the
-        commit changes the map; apply takes either.
+        own candidates are, and is_essential checks an outside one.
         """
-        cmap, owner, kind, darts = self.cmap, self.owner, curve.kind, curve.darts
-        ends = _split_ends(cmap, self.g, kind, darts)
-        if ends and kind == "V" and owner[darts[0]] == owner[cmap.alpha[darts[-1]]]:
-            return self._judged_afresh(kind, darts, ends)
-        added = frozenset(darts) | frozenset(cmap.alpha[d] for d in darts)
-        cut = self._cut(added, self.region_of(darts[0]))
-        if cut is None or not ends:
-            return cut
-        # an accepted curve that fires the split rule refines the map
-        return _Complement(*_commit(cmap, self.g, kind, darts, ends))
+        alpha, owner, kind, darts = self.alpha, self.owner, curve.kind, curve.darts
+        ends = self._split_ends(kind, darts)
+        region = self.region_of(darts[0])
+        if ends and kind == "V" and owner[darts[0]] == owner[alpha[darts[-1]]]:
+            state = self.copy()
+            cut = state._cut(state._refine(kind, darts, ends), region)
+        else:
+            cut = self._cut(frozenset(darts) | frozenset(alpha[d] for d in darts), region)
+            if ends:
+                cut = cut._replace(ends=ends, curve=curve)
+        return None if cut.state._pushes_off(cut) else cut
 
-    def _judged_afresh(self, kind: str, darts, ends: list):
-        """The trial of a curve committed to a copy of the map, judged on
-        the complement built there.
-
-        The curve material is what the commit adds to the subgraph but
-        the halves of a subdivided subgraph edge, which stay old
-        boundary: the path from each subgraph dart along its strand to
-        the next dart of the map before the commit.
-        """
-        n = self.cmap.dart_count
-        new_map, new_g = _commit(self.cmap, self.g, kind, darts, ends)
-        after = _Complement(new_map, new_g)
-        alpha, opp = new_map.alpha, new_map.strand_opposites()
-        old = set()
-        for d in self.g:
-            x = alpha[d]
-            while x >= n:
-                old.update((x, opp[x]))
-                x = alpha[opp[x]]
-        added = new_g - self.g - old
-        if _pushes_off(new_map, new_g.__contains__, added, {after.owner[x] for x in added},
-                       after.face_region.__getitem__, after.euler2):
-            return None
-        return after
-
-    def _cut(self, added: frozenset, region: int):
-        """The trial of a curve that adds the edges of added inside region,
+    def _cut(self, added: frozenset, region: int) -> _Cut:
+        """The cut of a curve that adds the edges of added inside region,
         attached directly at its ends."""
-        cmap, g, face_of = self.cmap, self.g, self.face_of
-        cycles = cmap.vertices()
+        alpha, face_of, cycles = self.alpha, self.face_of, self.cycles
         touched = Counter(self.owner[x] for x in added)
         # each added dart is a boundary side (-1) and opens a corner gap
         # in the face of its alpha (+2, counted at its own face here,
@@ -311,19 +515,41 @@ class _Complement:
                 weight[face_of[cycles[v][0]]] -= 2
         removed = Counter()
         for x in added:
-            a, b = face_of[x], face_of[cmap.alpha[x]]
+            a, b = face_of[x], face_of[alpha[x]]
             if a < b:
                 removed[a, b] += 1
         emptied = [(a, b) for (a, b), n in removed.items() if self.adjacent[a][b] == n]
         closed = self._split(emptied, removed) if emptied else []
-        piece = {f: i for i, faces in enumerate(closed) for f in faces}
         euler2 = [sum(self.weight[f] + weight[f] for f in faces) for faces in closed]
         euler2.append(self.euler2[region] + sum(weight.values()) - sum(euler2))
-        rest = len(closed)
-        if _pushes_off(cmap, lambda x: x in g or x in added, added, touched,
-                       lambda f: piece.get(f, rest), euler2):
-            return None
-        return _Cut(added, touched, weight, removed, region, closed, euler2)
+        return _Cut(added, touched, weight, removed, region, closed, euler2, self)
+
+    def _pushes_off(self, cut: _Cut) -> bool:
+        """Whether a cut leaves a disk piece that makes its curve inessential.
+
+        This is the one inessential rule.  cut.added holds the curve
+        material: the curve's darts and the darts the split rule makes
+        for it, but not the halves of a subdivided subgraph edge, which
+        stay old boundary.  A disk has one boundary cycle, which passes
+        every corner gap of the piece once and changes between curve and
+        old material exactly at the gaps where the dart arriving along
+        one germ and the dart leaving along the next differ in being
+        added.  Such gaps lie at the ends of added darts, at the touched
+        vertices, so no boundary is walked.  The curve is inessential
+        when a disk piece touching added darts has at most two of them:
+        its boundary is all curve, or one run of curve and one of old.
+        """
+        alpha, sigma, face_of, g, added = self.alpha, self.sigma, self.face_of, self.g, cut.added
+        piece = {f: i for i, faces in enumerate(cut.closed) for f in faces}
+        rest = len(cut.closed)
+        changes = Counter()
+        for v in cut.touched:
+            germs = [x for x in self.cycles[v] if x in g or x in added]
+            for i, p in enumerate(germs):
+                if (alpha[p] in added) != (germs[(i + 1) % len(germs)] in added):
+                    changes[piece.get(face_of[sigma[p]], rest)] += 1
+        pieces = {piece.get(face_of[x], rest) for x in added}
+        return any(cut.euler2[p] == 2 and changes[p] <= 2 for p in pieces)
 
     def _split(self, emptied: list, removed: Counter) -> list:
         """The faces of every piece but one that a cut splits a region into.
@@ -370,18 +596,24 @@ class _Complement:
                         members[i].extend(members.pop(j))
         return closed
 
-    def apply(self, cut):
-        """Commit an accepted trial; returns the complement after it."""
-        if isinstance(cut, _Complement):
-            return cut
-        g, gcount, cycles = self.g, self.gcount, self.cmap.vertices()
+    def apply(self, cut: _Cut):
+        """Commit an accepted trial of this complement; returns the
+        complement after it: this one, or the refined copy a one-vertex
+        arc was judged on.  A cut with ends to displace first refines
+        the map and then commits its refined curve, a direct attachment
+        there."""
+        state = cut.state
+        if cut.ends:
+            kind, darts = cut.curve.kind, cut.curve.darts
+            cut = state._cut(state._refine(kind, darts, cut.ends), cut.region)
+        g, gcount, cycles = state.g, state.gcount, state.cycles
         fresh = [v for v in cut.touched if not gcount[v]]
         g |= cut.added
         for v, n in cut.touched.items():
             gcount[v] += n
         for f, change in cut.weight.items():
-            self.weight[f] += change
-        adjacent = self.adjacent
+            state.weight[f] += change
+        adjacent = state.adjacent
         for (a, b), n in cut.removed.items():
             left = adjacent[a][b] - n
             if left:
@@ -390,10 +622,10 @@ class _Complement:
                 del adjacent[a][b], adjacent[b][a]
         for faces, euler2 in zip(cut.closed, cut.euler2):
             for f in faces:
-                self.face_region[f] = len(self.euler2)
-            self.euler2.append(euler2)
-        self.euler2[cut.region] = cut.euler2[-1]
-        candidates = self.candidates
+                state.face_region[f] = len(state.euler2)
+            state.euler2.append(euler2)
+        state.euler2[cut.region] = cut.euler2[-1]
+        candidates = state.candidates
         for x in cut.added:
             i = bisect_left(candidates, x)
             if i < len(candidates) and candidates[i] == x:
@@ -403,10 +635,53 @@ class _Complement:
                 if x not in g:
                     insort(candidates, x)
         if 2 in cut.euler2:
-            self.candidates = [
-                x for x in candidates if self.euler2[self.region_of(x)] != 2
+            state.candidates = [
+                x for x in candidates if state.euler2[state.region_of(x)] != 2
             ]
-        return self
+        return state
+
+    def _retrace(self, n: int, start: int):
+        """Also retrace the faces a refinement changed.
+
+        They are the orbits through a dart whose alpha changed: the new
+        darts and the old darts of a subdivided edge.  Traced from their
+        least such dart, the first orbit through an old face keeps its
+        index and region and the others take new indices; a face of new
+        darts alone lies in the region of start.  Each is weighed and its
+        adjacencies counted afresh.  A refinement leaves each region's
+        Euler characteristic as it was.
+        """
+        region = self.region_of(start)
+        alpha, sigma, g = self.alpha, self.sigma, self.g
+        face_of, adjacent = self.face_of, self.adjacent
+        new = range(n, len(alpha))
+        face_of += [None] * len(new)
+        self.gcount += [sum(x in g for x in cycle) for cycle in self.cycles[len(self.gcount):]]
+        changed = sorted({*new, *(alpha[y] for y in new if alpha[y] < n)})
+        ids = {face_of[x] for x in changed if x < n}
+        for f in ids:
+            for h in adjacent[f]:
+                if h not in ids:
+                    del adjacent[h][f]
+            adjacent[f] = {}
+        traced, seen = {}, set()
+        for x in changed:
+            if x in seen:
+                continue
+            f = face_of[x]
+            if f is None or f in traced:
+                self.face_region.append(region if f is None else self.face_region[f])
+                f = len(self.weight)
+                self.weight.append(0)
+                adjacent.append({})
+            traced[f] = []
+            while x not in seen:
+                seen.add(x)
+                traced[f].append(x)
+                face_of[x] = f
+                x = sigma[alpha[x]]
+        self._tally(traced.items(), traced)
+        self.candidates += self._candidates(new)
 
     def cutting_curve(self):
         """The first essential cutting curve and its trial (see find_cutting_curve)."""
@@ -414,12 +689,11 @@ class _Complement:
             raise DomainError(
                 "the subgraph already fills: every complementary region is a disk"
             )
-        cmap, owner = self.cmap, self.owner
-        opp = cmap.strand_opposites()
+        alpha, opp, owner = self.alpha, self.opp, self.owner
         if self.g:
-            walks = (_walk_arc(cmap, opp, owner, self.gcount, x) for x in self.candidates)
+            walks = (_walk_arc(alpha, opp, owner, self.gcount, x) for x in self.candidates)
         else:
-            walks = (_extract_loop(cmap, opp, owner, d) for d in range(cmap.dart_count))
+            walks = (_extract_loop(alpha, opp, owner, d) for d in range(len(alpha)))
         tried = 0
         for darts, kind in walks:
             if darts is None:
@@ -438,35 +712,6 @@ class _Complement:
             "a non-disk complementary region admits no cutting curve; the input "
             "appears to contain parallel homotopic components"
         )
-
-
-def _pushes_off(cmap, in_g, added, vertices, piece_of_face, euler2) -> bool:
-    """Whether a cut leaves a disk piece that makes its curve inessential.
-
-    This is the one inessential rule.  added holds the curve material:
-    the curve's darts and the darts the split rule makes for it, but
-    not the halves of a subdivided subgraph edge, which stay old
-    boundary.  in_g tells the subgraph after the cut, piece_of_face
-    maps a face to its piece and euler2 a piece to its doubled Euler
-    characteristic.  A disk has one boundary cycle, which passes every
-    corner gap of the piece once and changes between curve and old
-    material exactly at the gaps where the dart arriving along one
-    germ and the dart leaving along the next differ in being added.
-    Such gaps lie at the ends of added darts, which vertices lists, so
-    no boundary is walked.  The curve is inessential when a disk piece
-    touching added darts has at most two of them: its boundary is all
-    curve, or one run of curve and one of old.
-    """
-    face_of = cmap.face_of_dart()
-    alpha, sigma, cycles = cmap.alpha, cmap.sigma, cmap.vertices()
-    changes = Counter()
-    for v in vertices:
-        germs = [x for x in cycles[v] if in_g(x)]
-        for i, p in enumerate(germs):
-            if (alpha[p] in added) != (germs[(i + 1) % len(germs)] in added):
-                changes[piece_of_face(face_of[sigma[p]])] += 1
-    pieces = {piece_of_face(face_of[x]) for x in added}
-    return any(euler2[p] == 2 and changes[p] <= 2 for p in pieces)
 
 
 def _checked_subgraph(cmap: CombinatorialMap, subgraph) -> set:
@@ -509,51 +754,6 @@ class CuttingCurve:
     kind: str
 
 
-class _Work:
-    """Mutable copy of a map while a cutting curve is committed."""
-
-    def __init__(self, cmap: CombinatorialMap, subgraph):
-        self.alpha = list(cmap.alpha)
-        self.sigma = list(cmap.sigma)
-        self.straight = set(cmap.straight_corners)
-        self.g = set(subgraph)
-
-    def new_dart(self) -> int:
-        self.alpha.append(-1)
-        self.sigma.append(-1)
-        return len(self.alpha) - 1
-
-    def subdivide(self, d: int):
-        """Split the edge of d with a new vertex adjacent to v(d).
-
-        Returns (near, far), the darts at the new vertex: near faces
-        v(d), far faces the old far endpoint.  The strand continues
-        straight through, and subgraph membership is inherited by both
-        halves.
-        """
-        a = self.alpha[d]
-        near = self.new_dart()
-        far = self.new_dart()
-        self.alpha[d] = near
-        self.alpha[near] = d
-        self.alpha[far] = a
-        self.alpha[a] = far
-        self.sigma[near] = far
-        self.sigma[far] = near
-        if d in self.g:
-            self.g.add(near)
-            self.g.add(far)
-        return near, far
-
-    def to_map(self) -> CombinatorialMap:
-        return CombinatorialMap(
-            dart_count=len(self.alpha),
-            alpha=tuple(self.alpha),
-            sigma=tuple(self.sigma),
-            straight_corners=frozenset(self.straight),
-        )
-
-
 def _clean_corner_pattern(opp, germs) -> bool:
     """True for three germs containing a strand-opposite pair or four
     germs forming two strand-opposite pairs."""
@@ -563,98 +763,6 @@ def _clean_corner_pattern(opp, germs) -> bool:
     if len(gset) == 4:
         return all(opp[d] is not None and opp[d] in gset for d in gset)
     return False
-
-
-def _split_ends(cmap, g, kind: str, darts: list) -> list:
-    """The end germs of a curve that its commit displaces off their vertex.
-
-    This is the one split rule: an end attaches directly when the
-    subgraph germs at its vertex form a clean corner pattern with it,
-    and is displaced (see _deviate) otherwise.  The start is attached
-    first and an arc's arrival after its other edges.  A displaced
-    start leaves its germ off the subgraph, and an arrival germ that
-    the start's sweep crosses ends at that four-valent crossing, where
-    it always attaches directly.
-    """
-    if kind not in ("V", "VI"):
-        return []
-    opp, sigma = cmap.strand_opposites(), cmap.sigma
-    cycles, owner = cmap.vertices(), cmap.vertex_of_dart()
-    start = darts[0]
-    germs = [x for x in cycles[owner[start]] if x in g]
-    ends = [] if _clean_corner_pattern(opp, germs + [start]) else [start]
-    if kind == "V":
-        arrival = cmap.alpha[darts[-1]]
-        placed = {x for d in darts[:-1] for x in (d, cmap.alpha[d])}
-        if ends:
-            placed.discard(start)
-            swept = sigma[start]
-            while swept not in g and swept != arrival:
-                swept = sigma[swept]
-            if swept == arrival:
-                return ends
-        else:
-            placed.add(start)
-        germs = [x for x in cycles[owner[arrival]] if x in g or x in placed]
-        if not _clean_corner_pattern(opp, germs + [arrival]):
-            ends.append(arrival)
-    return ends
-
-
-def _deviate(work: _Work, germ: int) -> int:
-    """Displace a curve end off the vertex of germ.
-
-    The curve used to terminate along the edge of germ; it now stops
-    just short of the vertex, sweeps counterclockwise across the
-    intervening non-subgraph germs (crossing their edges at new
-    four-valent vertices) and lands with a new three-valent vertex on
-    the side of the first subgraph edge it meets.  Returns the dart
-    that replaces germ as the curve's terminal germ.
-    """
-    crossed = []
-    x = work.sigma[germ]
-    while x not in work.g:
-        if x == germ:
-            raise InternalInvariantError("no subgraph germ to land on")
-        crossed.append(x)
-        x = work.sigma[x]
-    landing = x
-
-    # clip the terminal edge just short of the vertex
-    near0, far0 = work.subdivide(germ)
-    f0 = work.new_dart()
-    work.sigma[far0] = f0
-    work.sigma[f0] = near0
-    # sigma[near0] still points to far0, closing the 3-cycle; the gap
-    # between the two old edge halves is straight
-    work.straight.add(near0)
-
-    prev = f0
-    for gamma in crossed:
-        near, far = work.subdivide(gamma)
-        fw = work.new_dart()
-        pw = work.new_dart()
-        work.sigma[far] = fw
-        work.sigma[fw] = near
-        work.sigma[near] = pw
-        work.sigma[pw] = far
-        work.alpha[prev] = pw
-        work.alpha[pw] = prev
-        work.g.add(prev)
-        work.g.add(pw)
-        prev = fw
-
-    near, far = work.subdivide(landing)
-    q = work.new_dart()
-    work.sigma[near] = q
-    work.sigma[q] = far
-    # sigma[far] still points to near: the far-side corner is straight
-    work.straight.add(far)
-    work.alpha[prev] = q
-    work.alpha[q] = prev
-    work.g.add(prev)
-    work.g.add(q)
-    return far0
 
 
 def _checked_darts(cmap: CombinatorialMap, g, curve: CuttingCurve) -> list:
@@ -696,37 +804,18 @@ def add_cutting_curve(cmap: CombinatorialMap, subgraph, curve: CuttingCurve):
     Loop kinds only mark edges.  Arc and lasso ends are attached to the
     subgraph, displacing an end off its vertex (through new three- and
     four-valent vertices) whenever a direct attachment would spoil the
-    corner pattern there.  When the commit adds no darts (loops, and
+    corner pattern there; this is the refinement reduce commits with
+    (_Complement._refine).  When the commit adds no darts (loops, and
     arcs or lassos attached directly) the map is unchanged and the
     input map object itself is returned, with the tables kept on it.
+    Otherwise every old dart keeps its sigma entry and the new darts
+    are numbered from the input dart_count up.
     """
     g = _checked_subgraph(cmap, subgraph)
     darts = _checked_darts(cmap, g, curve)
-    return _commit(cmap, g, curve.kind, darts, _split_ends(cmap, g, curve.kind, darts))
-
-
-def _commit(cmap: CombinatorialMap, g, kind: str, darts, ends: list):
-    """Commit a curve known to be valid, displacing the end germs that
-    _split_ends chose for it; add_cutting_curve describes the result."""
-    work = _Work(cmap, g)
-    darts = list(darts)
-    if darts[0] in ends:
-        darts[0] = _deviate(work, darts[0])
-    if kind == "V":
-        # the arrival is attached after the other edges; a one-edge
-        # arc's start joins the subgraph only with it
-        for d in darts[:-1]:
-            work.g.update((d, work.alpha[d]))
-        arrival = work.alpha[darts[-1]]
-        if arrival in ends:
-            arrival = _deviate(work, arrival)
-        darts = [arrival, darts[0]]
-    for d in darts:
-        work.g.update((d, work.alpha[d]))
-
-    if len(work.alpha) == cmap.dart_count:
-        return cmap, frozenset(work.g)
-    return work.to_map(), frozenset(work.g)
+    live = _MutableMap(cmap, g)
+    added = live._refine(curve.kind, darts, live._split_ends(curve.kind, darts))
+    return live.freeze(), frozenset(live.g | added)
 
 
 def is_essential(cmap: CombinatorialMap, subgraph, curve: CuttingCurve) -> bool:
@@ -738,30 +827,30 @@ def is_essential(cmap: CombinatorialMap, subgraph, curve: CuttingCurve) -> bool:
     pushes off existing boundary).  The curve is judged as its direct
     attachment, from the faces and vertices it touches, without
     committing it; only an arc with both ends at one vertex and an end
-    displaced by the split rule is committed to a copy of the map and
-    judged there (see _Complement.trial).
+    displaced by the split rule is refined and cut on a copy of the
+    complement (see _Complement.trial).
     """
     state = _Complement(cmap, _checked_subgraph(cmap, subgraph))
     _checked_darts(cmap, state.g, curve)
     return state.trial(curve) is not None
 
 
-def _strand_orbit(cmap, opp, start: int) -> list:
+def _strand_orbit(alpha, opp, start: int) -> list:
     orbit = [start]
-    d = opp[cmap.alpha[start]]
+    d = opp[alpha[start]]
     steps = 0
     while d != start:
         if d is None:
             raise InternalInvariantError("strand walk hit a dangling end")
         orbit.append(d)
-        d = opp[cmap.alpha[d]]
+        d = opp[alpha[d]]
         steps += 1
-        if steps > cmap.dart_count:
+        if steps > len(alpha):
             raise InternalInvariantError("strand walk failed to close")
     return orbit
 
 
-def _extract_loop(cmap, opp, owner, start: int):
+def _extract_loop(alpha, opp, owner, start: int):
     """Extract a simple closed loop from the strand through start.
 
     Returns (darts, kind): kind I when the whole strand is simple, II
@@ -769,7 +858,7 @@ def _extract_loop(cmap, opp, owner, start: int):
     leftover strand material stays off the loop's other vertices, IV
     when it crosses them.
     """
-    orbit = _strand_orbit(cmap, opp, start)
+    orbit = _strand_orbit(alpha, opp, start)
     length = len(orbit)
     verts = [owner[d] for d in orbit]
     seen = {verts[0]: 0}
@@ -791,7 +880,7 @@ def _extract_loop(cmap, opp, owner, start: int):
     raise InternalInvariantError("strand walk never revisited a vertex")
 
 
-def _walk_arc(cmap, opp, owner, g_vertex, start: int):
+def _walk_arc(alpha, opp, owner, g_vertex, start: int):
     """Walk unused strand material from a germ at a subgraph vertex.
 
     Stops on reaching another subgraph vertex (a simple arc, kind V) or
@@ -801,7 +890,7 @@ def _walk_arc(cmap, opp, owner, g_vertex, start: int):
     visited = set()
     steps = 0
     while True:
-        arrival = cmap.alpha[darts[-1]]
+        arrival = alpha[darts[-1]]
         u = owner[arrival]
         if g_vertex[u]:
             return tuple(darts), "V"
@@ -813,7 +902,7 @@ def _walk_arc(cmap, opp, owner, g_vertex, start: int):
             return None, None
         darts.append(nxt)
         steps += 1
-        if steps > cmap.dart_count:
+        if steps > len(alpha):
             raise InternalInvariantError("arc walk failed to terminate")
 
 
@@ -843,8 +932,8 @@ def _smoothed_subgraph_map(state: _Complement):
     gaps between consecutive subgraph germs at the remaining vertices,
     straight corners (gaps between strand-opposite germs) discounted.
     """
-    cmap, g, owner, gcount = state.cmap, state.g, state.owner, state.gcount
-    opp, alpha, sigma = cmap.strand_opposites(), cmap.alpha, cmap.sigma
+    g, owner, gcount = state.g, state.owner, state.gcount
+    opp, alpha, sigma = state.opp, state.alpha, state.sigma
 
     def next_germ(d):
         # the subgraph germ after d counterclockwise around its vertex
@@ -867,7 +956,7 @@ def _smoothed_subgraph_map(state: _Complement):
             consumed.update((e, other))
             e = alpha[other]
             hops += 1
-            if hops > cmap.dart_count:
+            if hops > len(alpha):
                 raise InternalInvariantError("edge smoothing failed to terminate")
         alpha_out[index[d]] = index[e]
     for d in g:
@@ -986,8 +1075,7 @@ def reduce(filling: FillingMap) -> ReductionCertificate:
             f"{list(curve.darts)}, essential"
         )
 
-    cmap, subgraph = state.cmap, state.g
-    if cmap.dart_count > input_dart_count and all(
+    if len(state.alpha) > input_dart_count and all(
         len(cycle) == 4 for cycle in filling.cmap.vertices()
     ):
         # an input with only double points should embed its subgraph
@@ -1009,9 +1097,9 @@ def reduce(filling: FillingMap) -> ReductionCertificate:
         degree_sum_ok=degree_sum_ok,
         face_degrees=face_degrees,
         k=k,
-        subgraph_darts=tuple(sorted(subgraph)),
+        subgraph_darts=tuple(sorted(state.g)),
         input_dart_count=input_dart_count,
-        ambient_map=to_interchange(cmap),
+        ambient_map=to_interchange(state.freeze()),
         reduced_map=to_interchange(reduced),
         steps=tuple(steps),
         iterations=iterations,

@@ -183,23 +183,32 @@ def _orbit_index(cmap: CombinatorialMap, cycles: tuple) -> tuple:
 def _strand_opposites(cmap: CombinatorialMap) -> tuple:
     opp = [None] * cmap.dart_count
     for cycle in cmap.vertices():
-        val = len(cycle)
-        if val % 2 == 0:
-            half = val // 2
-            for i, d in enumerate(cycle):
-                opp[d] = cycle[(i + half) % val]
-        elif val == 3:
-            marked = [d for d in cycle if d in cmap.straight_corners]
-            if len(marked) != 1:
-                raise ValidationError(
-                    "a 3-valent vertex needs exactly one straight corner"
-                )
-            d = marked[0]
-            opp[d] = cmap.sigma[d]
-            opp[cmap.sigma[d]] = d
-        else:
-            raise ValidationError(f"unsupported vertex valence {val}")
+        pair_strands(cycle, cmap.sigma, cmap.straight_corners, opp)
     return tuple(opp)
+
+
+def pair_strands(cycle, sigma, straight, opp) -> None:
+    """Write the strand rule of one vertex, with rotation cycle, into opp.
+
+    The rule is the one CombinatorialMap.strand_opposites describes;
+    straight is the set of straight-corner darts.
+    """
+    val = len(cycle)
+    if val % 2 == 0:
+        half = val // 2
+        for i, d in enumerate(cycle):
+            opp[d] = cycle[(i + half) % val]
+    elif val == 3:
+        marked = [d for d in cycle if d in straight]
+        if len(marked) != 1:
+            raise ValidationError(
+                "a 3-valent vertex needs exactly one straight corner"
+            )
+        d = marked[0]
+        opp[d] = sigma[d]
+        opp[sigma[d]] = d
+    else:
+        raise ValidationError(f"unsupported vertex valence {val}")
 
 
 def build_map(word) -> CombinatorialMap:

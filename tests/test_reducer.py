@@ -253,6 +253,39 @@ class TestAddCuttingCurve:
             cmap, subgraph = add_cutting_curve(cmap, subgraph, curve)
             assert all(cmap.alpha[d] in subgraph for d in subgraph)
 
+    def test_commit_without_new_darts_returns_the_input_map(self):
+        cmap, _ = load_fixture("canonical_g2")
+        loop = find_cutting_curve(cmap, frozenset())
+        after_loop, subgraph = add_cutting_curve(cmap, frozenset(), loop)
+        assert after_loop is cmap
+        arc = find_cutting_curve(cmap, subgraph)
+        assert arc.kind == "V"
+        after_arc, grown = add_cutting_curve(cmap, subgraph, arc)
+        assert after_arc is cmap
+        assert grown > subgraph
+
+    def test_displaced_commit_keeps_old_darts(self):
+        """A commit that fires the split rule keeps every old dart's sigma
+        entry and numbers the new darts from the input dart count up."""
+        displaced = []
+        for path in sorted(DATA_DIR.glob("reproducer_*.json")):
+            cmap, subgraph = load_fixture(path.stem)[0], frozenset()
+            while not all(r.is_disk for r in complement_regions(cmap, subgraph)):
+                curve = find_cutting_curve(cmap, subgraph)
+                new_map, new_g = add_cutting_curve(cmap, subgraph, curve)
+                if new_map.dart_count > cmap.dart_count:
+                    displaced.append((cmap, subgraph, new_map, new_g))
+                cmap, subgraph = new_map, new_g
+        assert displaced, "the split rule should fire on the reproducers"
+        for cmap, subgraph, new_map, new_g in displaced:
+            n = cmap.dart_count
+            assert new_map.sigma[:n] == cmap.sigma
+            assert all(new_map.sigma[d] >= n for d in range(n, new_map.dart_count))
+            assert all(new_map.alpha[d] in (cmap.alpha[d], *range(n, new_map.dart_count))
+                       for d in range(n))
+            assert cmap.straight_corners < new_map.straight_corners
+            assert subgraph < new_g
+
 
 PUBLIC_WITH_SUBGRAPH = {
     "complement_regions": lambda cmap, g, curve: complement_regions(cmap, g),

@@ -1,7 +1,9 @@
 """The reducer's live complement against a from-scratch oracle.
 
-``reduce`` keeps one complement state per run and judges each candidate
-cutting curve from the faces and vertices it touches.  The oracle here
+``reduce`` keeps one complement state per run, refines its map in place
+when the split rule fires, and judges each candidate cutting curve from
+the faces and vertices it touches.  The harness reads the live map
+through the state's ``freeze``.  The oracle here
 shares no code with that state: it traces faces as orbits of
 sigma∘alpha, glues them across edges outside the subgraph with its own
 union-find, counts V - E + F per region (interior vertices and corner
@@ -13,8 +15,10 @@ subgraph, except the darts on the path that replaced a subdivided old
 subgraph edge, which stay old boundary; the oracle finds that path
 from the maps before and after the commit alone.
 
-At every step of a reduction the live state's region partition, Euler
-characteristics, candidate germs and ``fills`` must match the oracle,
+At every step of a reduction, and right after each refinement of a
+state, the live state's face partition, its per-pair counts of edges
+outside the subgraph, its region partition, Euler characteristics,
+candidate germs and ``fills`` must match the oracle,
 and every candidate tried must get the oracle's essential/inessential
 verdict.  The inputs are the 4-valent 48-vertex maps and the {4,6,8}-
 valent maps of ``test_reduce_digests.py``, with four more mixed maps
@@ -22,9 +26,13 @@ that try arcs with both ends at one vertex and an end displaced; the
 split rule fires on many of the mixed maps.
 """
 
+import json
+import pathlib
+from collections import Counter
+
 import pytest
 
-from fillgeo import reducer
+from fillgeo import reducer, surfmap
 from fillgeo.errors import InternalInvariantError, ValidationError
 from test_reduce_digests import SEEDS, four_valent, mixed
 
@@ -44,7 +52,8 @@ def _orbit_index(n, step):
 
 
 def oracle_complement(cmap, g):
-    """(region of each dart, Euler characteristic of each region)."""
+    """(face of each dart, region of each dart, Euler characteristic of
+    each region)."""
     n, alpha, sigma = cmap.dart_count, cmap.alpha, cmap.sigma
     face, faces = _orbit_index(n, lambda d: sigma[alpha[d]])
     vertex, vertices = _orbit_index(n, lambda d: sigma[d])
@@ -76,7 +85,7 @@ def oracle_complement(cmap, g):
     for darts in interior.values():
         if not any(d in g for d in darts):
             euler[region[darts[0]]] += 1  # interior vertex
-    return region, euler
+    return face, region, euler
 
 
 def oracle_boundary_cycles(cmap, g):
@@ -134,7 +143,7 @@ def oracle_essential(cmap, g, curve):
     """
     new_map, new_g = reducer.add_cutting_curve(cmap, frozenset(g), curve)
     added = new_g - set(g) - old_boundary(cmap, new_map, g)
-    region, euler = oracle_complement(new_map, new_g)
+    _, region, euler = oracle_complement(new_map, new_g)
     cycles_in = {}
     for cycle in oracle_boundary_cycles(new_map, new_g):
         cycles_in.setdefault(region[cycle[0]], []).append(cycle)
@@ -150,9 +159,19 @@ def oracle_essential(cmap, g, curve):
 
 
 def check_state(state):
-    cmap, g = state.cmap, state.g
-    region, euler = oracle_complement(cmap, g)
-    pairs = {(state.region_of(d), region[d]) for d in range(cmap.dart_count)}
+    cmap, g = state.freeze(), state.g
+    n, alpha = cmap.dart_count, cmap.alpha
+    face, region, euler = oracle_complement(cmap, g)
+    live_face, faces = state.face_of, max(face) + 1
+    assert len(live_face) == n and len(state.weight) == faces, "face count differs"
+    assert len(set(zip(live_face, face))) == faces, "face partition differs"
+    across = Counter((live_face[d], live_face[alpha[d]]) for d in range(n) if d not in g)
+    assert {
+        (a, b): count for a, row in enumerate(state.adjacent) for b, count in row.items()
+    } == {(a, b): count for (a, b), count in across.items() if a != b}, (
+        "edge counts between faces differ"
+    )
+    pairs = set(zip([state.face_region[f] for f in live_face], region))
     assert len(pairs) == len(state.euler2) == len(euler), "region partition differs"
     assert len({live for live, _ in pairs}) == len(pairs), "region partition differs"
     for live, r in pairs:
@@ -168,10 +187,14 @@ def check_state(state):
 
 @pytest.fixture
 def watched(monkeypatch):
-    """Check every state and every trial of the reductions run under it."""
-    seen = {"states": 0, "trials": 0, "essential": 0, "split": 0, "one_vertex": 0}
+    """Check every state, every refinement and every trial of the
+    reductions run under it."""
+    seen = {"states": 0, "trials": 0, "essential": 0, "split": 0, "one_vertex": 0,
+            "refined": 0}
     live = reducer._Complement
-    original = {name: getattr(live, name) for name in ("cutting_curve", "apply", "trial")}
+    original = {
+        name: getattr(live, name) for name in ("cutting_curve", "apply", "trial", "_refine")
+    }
 
     def cutting_curve(self):
         check_state(self)
@@ -184,24 +207,33 @@ def watched(monkeypatch):
         seen["states"] += 1
         return state
 
+    def refine(self, kind, darts, ends):
+        added = original["_refine"](self, kind, darts, ends)
+        if ends:
+            check_state(self)
+            seen["refined"] += 1
+        return added
+
     def trial(self, curve):
         cut = original["trial"](self, curve)
-        essential, new_map = oracle_essential(self.cmap, self.g, curve)
+        cmap = self.freeze()
+        essential, new_map = oracle_essential(cmap, self.g, curve)
         assert (cut is not None) == essential, curve
         seen["trials"] += 1
         seen["essential"] += essential
-        seen["split"] += new_map.dart_count > self.cmap.dart_count
-        seen["one_vertex"] += one_vertex_displaced(self.cmap, curve, new_map)
+        seen["split"] += new_map.dart_count > cmap.dart_count
+        seen["one_vertex"] += one_vertex_displaced(cmap, curve, new_map)
         return cut
 
     monkeypatch.setattr(live, "cutting_curve", cutting_curve)
     monkeypatch.setattr(live, "apply", apply)
     monkeypatch.setattr(live, "trial", trial)
+    monkeypatch.setattr(live, "_refine", refine)
     return seen
 
 
 # Mixed maps whose reductions try arcs with both ends at one vertex and
-# an end displaced, which trial judges after the commit.  Judged as their
+# an end displaced, which trial judges on a refined copy.  Judged as their
 # direct attachment, 169, 342 and 368 leave a face of degree 3 in the
 # certificate; with the halves of the subdivided landing edge counted as
 # curve material, the reduction of 50 raises InternalInvariantError.
@@ -237,10 +269,14 @@ def test_mixed_valence_reductions_match_oracle(watched):
     assert watched["essential"] < watched["trials"]
     assert watched["split"] > 100, "the split rule should fire on these maps"
     assert watched["one_vertex"] > 0
+    assert watched["refined"] > watched["one_vertex"]
 
 
-def test_reduction_builds_the_complement_once(monkeypatch):
-    """A 192-vertex reduction judges and commits every curve locally."""
+REPRODUCERS = sorted((pathlib.Path(__file__).parent / "data").glob("reproducer_*.json"))
+
+
+def counting_builds(monkeypatch):
+    """Count every _Complement build and the dart count of its map."""
     builds = []
     build = reducer._Complement.__init__
 
@@ -249,40 +285,53 @@ def test_reduction_builds_the_complement_once(monkeypatch):
         build(self, cmap, subgraph)
 
     monkeypatch.setattr(reducer._Complement, "__init__", counted)
+    return builds
+
+
+def test_reduction_builds_the_complement_once(monkeypatch):
+    """A 192-vertex reduction, and each reduction of the frozen
+    reproducers, where the split rule refines the map, builds its
+    complement once and commits every curve in place."""
+    builds = counting_builds(monkeypatch)
     cmap, genus = four_valent(0, 192)
     cert = reducer.reduce(reducer.validate_input(cmap, genus))
     assert cert.iterations > 150
-    assert len(builds) <= 2, f"{len(builds)} full complement builds"
+    assert len(builds) == 1, f"{len(builds)} full complement builds"
+    refined = 0
+    for path in REPRODUCERS:
+        data = json.loads(path.read_text())
+        del builds[:]
+        cert = reducer.reduce(reducer.validate_input(surfmap.from_interchange(data), data["genus"]))
+        assert len(builds) == 1, (path.stem, len(builds))
+        refined += cert.ambient_map["dart_count"] > cert.input_dart_count
+    assert refined > 0, "the split rule should fire on the reproducers"
 
 
-def test_mixed_reductions_build_only_where_the_map_changes(monkeypatch):
-    """Every complement build after the first is an accepted curve that
-    refined the map or the trial of a one-vertex arc with an end
-    displaced."""
-    builds, expected = [], []
-    build, trial = reducer._Complement.__init__, reducer._Complement.trial
+def test_mixed_reductions_build_the_complement_once(monkeypatch):
+    """Every mixed reduction builds its complement once, and copies it
+    once per trial of a one-vertex arc with an end displaced."""
+    builds = counting_builds(monkeypatch)
+    copies, one_vertex = [], []
+    copy, trial = reducer._Complement.copy, reducer._Complement.trial
 
-    def counted_build(self, cmap, subgraph):
-        builds.append(cmap.dart_count)
-        build(self, cmap, subgraph)
+    def counted_copy(self):
+        copies.append(len(self.alpha))
+        return copy(self)
 
     def counted_trial(self, curve):
         cut = trial(self, curve)
-        new_map, _ = reducer.add_cutting_curve(self.cmap, self.g, curve)
-        if one_vertex_displaced(self.cmap, curve, new_map):
-            expected.append("one-vertex")
-        elif cut is not None and new_map.dart_count > self.cmap.dart_count:
-            expected.append("refined")
+        cmap = self.freeze()
+        new_map, _ = reducer.add_cutting_curve(cmap, self.g, curve)
+        one_vertex.append(one_vertex_displaced(cmap, curve, new_map))
         return cut
 
-    monkeypatch.setattr(reducer._Complement, "__init__", counted_build)
+    monkeypatch.setattr(reducer._Complement, "copy", counted_copy)
     monkeypatch.setattr(reducer._Complement, "trial", counted_trial)
-    kinds = []
     for seed in (*SEEDS, *ONE_VERTEX_SEEDS):
-        del builds[:], expected[:]
+        del builds[:]
         cmap, genus = mixed(seed)
         cert = reducer.reduce(reducer.validate_input(cmap, genus))
         assert cert.passed, seed
-        assert len(builds) == 1 + len(expected), seed
-        kinds += expected
-    assert {"one-vertex", "refined"} <= set(kinds)
+        assert len(builds) == 1, (seed, len(builds))
+    assert sum(one_vertex) > 0
+    assert len(copies) == sum(one_vertex)
