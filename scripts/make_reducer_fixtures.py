@@ -46,7 +46,12 @@ REPRODUCERS = (
 
 
 def random_map(rng, valences):
-    """A random rotation system with the given vertex valences."""
+    """A random rotation system with the given vertex valences.
+
+    ``perfbench/corpus.py`` makes its draws in the same order, so
+    ``(valences, seed)`` names the same map in the tests, the scripts
+    and the benchmark corpus.
+    """
     dart = 0
     sigma = {}
     for val in valences:

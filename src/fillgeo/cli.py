@@ -16,7 +16,6 @@ identical bytes.
 import argparse
 import functools
 import json
-import math
 import sys
 
 # isoperim, reducer and surfmap are imported by the subcommands that
@@ -172,7 +171,7 @@ def cmd_gluing(args) -> int:
     report = surfmap.canonical_report(cmap, args.genus)
     lines = []
     if args.svg:
-        svg = surfmap.gluing_svg(word, math.pi / 2.0)
+        svg = surfmap.gluing_svg(word)
         with open(args.svg, "w") as handle:
             handle.write(svg if svg.endswith("\n") else svg + "\n")
         lines.append(f"svg written to {args.svg}")
@@ -215,7 +214,11 @@ def cmd_reduce(args) -> int:
     return 0 if cert.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: a parser holds reference
+    cycles, which each call would otherwise leave to the cyclic
+    garbage collector."""
     parser = argparse.ArgumentParser(
         prog="fillgeo",
         description="Extremal filling geodesics: lengths, verification sweeps, "
@@ -288,16 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: a parser holds reference
-    cycles, which each call would otherwise leave to the cyclic
-    garbage collector."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, ValidationError) as err:

@@ -515,62 +515,37 @@ def check_instance(inst: IsoperimetricInstance) -> dict:
 class EqualityClassification:
     expected_shape: bool
     nondegenerate_count: int
-    congruent_to_target: bool
-    description: str
 
 
 def classify_equality(inst: IsoperimetricInstance) -> EqualityClassification:
     """Equality must mean: one member congruent to the target, rest
-    degenerate (area and perimeter both below DEGENERATE_TOL)."""
+    degenerate (area and perimeter both below DEGENERATE_TOL).
+
+    expected_shape says whether the family has that shape; a fully
+    degenerate family has it when the target is degenerate too.
+    """
     nondeg = [
         (m, a)
         for m, a in inst.family.items
         if a >= tol.DEGENERATE_TOL or perimeter_from_area(m, a) >= tol.DEGENERATE_TOL
     ]
     if len(nondeg) == 0:
-        ok = inst.target.area < tol.DEGENERATE_TOL
-        return EqualityClassification(
-            expected_shape=ok,
-            nondegenerate_count=0,
-            congruent_to_target=ok,
-            description="fully degenerate family"
-            + ("" if ok else " but target not degenerate"),
-        )
-    if len(nondeg) == 1:
+        expected = inst.target.area < tol.DEGENERATE_TOL
+    elif len(nondeg) == 1:
         m, a = nondeg[0]
-        congruent = m == int(inst.target.n) and abs(a - inst.target.area) <= tol.DEGENERATE_TOL
-        return EqualityClassification(
-            expected_shape=congruent,
-            nondegenerate_count=1,
-            congruent_to_target=congruent,
-            description="single nondegenerate member"
-            + ("" if congruent else " not congruent to target"),
-        )
-    return EqualityClassification(
-        expected_shape=False,
-        nondegenerate_count=len(nondeg),
-        congruent_to_target=False,
-        description="equality with several nondegenerate members",
-    )
+        expected = m == int(inst.target.n) and abs(a - inst.target.area) <= tol.DEGENERATE_TOL
+    else:
+        expected = False
+    return EqualityClassification(expected_shape=expected, nondegenerate_count=len(nondeg))
 
 
-@dataclass(frozen=True)
-class MergeSequence:
-    """Partial merges of a sorted family, largest angles first."""
-
-    steps: tuple  # of RegularPolygonSpec
-
-    def angles(self) -> tuple:
-        return tuple(s.theta for s in self.steps)
-
-
-def merge_sequence(inst: IsoperimetricInstance) -> MergeSequence:
+def merge_sequence(inst: IsoperimetricInstance) -> tuple:
     """Absorb family members one at a time into growing partial merges.
 
-    Step j is the regular polygon with sum(m_i, i<=j) - 4j + 4 sides
-    carrying the combined area of the first j members.  Requires the
-    family sorted by descending angle; the final step reproduces the
-    target.
+    Returns one RegularPolygonSpec per member: step j is the regular
+    polygon with sum(m_i, i<=j) - 4j + 4 sides carrying the combined
+    area of the first j members.  Requires the family sorted by
+    descending angle; the final step reproduces the target.
     """
     validate_instance(inst)
     if not inst.family.is_sorted_by_angle():
@@ -588,7 +563,7 @@ def merge_sequence(inst: IsoperimetricInstance) -> MergeSequence:
             raise ValidationError(
                 f"merge step {j} leaves the polygon domain: {exc}"
             ) from exc
-    return MergeSequence(steps=tuple(steps))
+    return tuple(steps)
 
 
 def random_instance(rng: random.Random) -> IsoperimetricInstance:
@@ -627,8 +602,17 @@ def random_instance(rng: random.Random) -> IsoperimetricInstance:
     return IsoperimetricInstance(family=family, target=target, strict=True)
 
 
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise DomainError(f"instance count must be at least 1, got {count!r}")
+
+
 def verify_theorem_3_1(count: int = 10000, seed: int = 0) -> CheckReport:
-    """Randomized sweep of the inequality plus equality classification."""
+    """Randomized sweep of the inequality plus equality classification.
+
+    Raises DomainError for a count below 1, which would pass vacuously.
+    """
+    _check_count(count)
     rng = random.Random(seed)
     min_margin = math.inf
     argmin = None
@@ -671,8 +655,10 @@ def verify_merge_properties(count: int = 10000, seed: int = 0) -> CheckReport:
     Checks, for each instance: every partial-merge angle is at least
     pi/2 (up to ANGLE_TOL), the final merge reproduces the target, the
     largest member angle is at least pi/2 and the smallest member
-    angle is at most the target angle.
+    angle is at most the target angle.  Raises DomainError for a count
+    below 1.
     """
+    _check_count(count)
     rng = random.Random(seed)
     min_excess = math.inf
     argmin = None
@@ -681,15 +667,15 @@ def verify_merge_properties(count: int = 10000, seed: int = 0) -> CheckReport:
     bound_failures = 0
     for index in range(count):
         inst = random_instance(rng)
-        seq = merge_sequence(inst)
-        for j, step in enumerate(seq.steps, start=1):
+        steps = merge_sequence(inst)
+        for j, step in enumerate(steps, start=1):
             excess = step.theta - math.pi / 2.0
             if excess < min_excess:
                 min_excess = excess
                 argmin = (index, j)
             if excess < -tol.ANGLE_TOL:
                 failures += 1
-        last = seq.steps[-1]
+        last = steps[-1]
         area_slack = tol.MERGE_AREA_TOL * max(1.0, inst.target.area)
         if int(last.n) != int(inst.target.n) or abs(last.area - inst.target.area) > area_slack:
             final_mismatches += 1

@@ -245,9 +245,6 @@ class RegularPolygonSpec:
     def circumradius(self) -> float:
         return circumradius(self.n, self.theta)
 
-    def is_degenerate(self) -> bool:
-        return self.area < tol.DEGENERATE_TOL
-
     def as_dict(self) -> dict:
         return {
             "n": self.n,
@@ -290,16 +287,13 @@ class ExtremalReport:
     min_filling_length: float
     polygon_side: float
     polygon_perimeter: float
-    kissing_lower_bound: float | None = None
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        if self.kissing_lower_bound is None:
-            del d["kissing_lower_bound"]
-        return d
+        return asdict(self)
 
 
-def extremal_report(g: int, sys: float | None = None) -> ExtremalReport:
+def extremal_report(g: int) -> ExtremalReport:
+    """The right-angled regular (8g-4)-gon and the length it realizes."""
     g = _check_genus(g)
     n = 8 * g - 4
     perim = perimeter_from_angle(n, math.pi / 2.0)
@@ -308,5 +302,4 @@ def extremal_report(g: int, sys: float | None = None) -> ExtremalReport:
         min_filling_length=0.5 * perim,
         polygon_side=side_length(n, math.pi / 2.0),
         polygon_perimeter=perim,
-        kissing_lower_bound=None if sys is None else kissing_lower_bound(g, sys),
     )

@@ -19,7 +19,7 @@ degrees and the outcome of every check; it never hides a failure.
 import json
 from bisect import bisect_left, insort
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .errors import DomainError, InternalInvariantError, ValidationError
@@ -77,12 +77,10 @@ def validate_input(map_or_data, genus: int) -> FillingMap:
 
 @dataclass(frozen=True)
 class Region:
-    """One complementary piece of a subgraph, with its boundary data."""
+    """One complementary piece of a subgraph: its faces and Euler characteristic."""
 
     faces: tuple
     euler: int
-    boundary_cycles: tuple
-    boundary_vertex_counts: tuple
 
     @property
     def is_disk(self) -> bool:
@@ -438,36 +436,14 @@ class _Complement(_MutableMap):
         return w
 
     def regions(self) -> tuple:
-        """Every region with its faces, Euler characteristic and boundary cycles."""
+        """Every region with its faces and Euler characteristic."""
         faces_in = [[] for _ in self.euler2]
         for f, r in enumerate(self.face_region):
             faces_in[r].append(f)
-        cycles_by_region = {}
-        seen = set()
-        for start in sorted(self.g):
-            if start in seen:
-                continue
-            cycle = []
-            d = start
-            while d not in seen:
-                seen.add(d)
-                cycle.append(d)
-                d = self.boundary_successor(d)
-            cycles_by_region.setdefault(self.region_of(d), []).append(tuple(cycle))
-        out = []
-        for r, faces in enumerate(faces_in):
-            cycles = tuple(cycles_by_region.get(r, ()))
-            out.append(
-                Region(
-                    faces=tuple(faces),
-                    euler=self.euler2[r] // 2,
-                    boundary_cycles=cycles,
-                    boundary_vertex_counts=tuple(
-                        len({self.owner[d] for d in cycle}) for cycle in cycles
-                    ),
-                )
-            )
-        return tuple(out)
+        return tuple(
+            Region(faces=tuple(faces), euler=self.euler2[r] // 2)
+            for r, faces in enumerate(faces_in)
+        )
 
     def trial(self, curve: "CuttingCurve"):
         """The _Cut that commits curve, or None if the curve is inessential.
@@ -731,9 +707,8 @@ def complement_regions(cmap: CombinatorialMap, subgraph) -> tuple:
     """Cut the surface along the subgraph and describe every piece.
 
     Pieces are unions of the map's faces glued across edges outside the
-    subgraph.  Each Region carries its Euler characteristic (a disk iff
-    it equals 1), its boundary cycles of subgraph darts, the number of
-    distinct vertices on each cycle.
+    subgraph.  Each Region carries its faces and its Euler
+    characteristic (a disk iff it equals 1).
     """
     return _Complement(cmap, _checked_subgraph(cmap, subgraph)).regions()
 
@@ -1015,21 +990,8 @@ class ReductionCertificate:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "passed": self.passed,
-            "filling": self.filling,
-            "min_degree_ok": self.min_degree_ok,
-            "degree_sum_ok": self.degree_sum_ok,
-            "face_degrees": list(self.face_degrees),
-            "k": self.k,
-            "subgraph_darts": list(self.subgraph_darts),
-            "input_dart_count": self.input_dart_count,
-            "ambient_map": self.ambient_map,
-            "reduced_map": self.reduced_map,
-            "steps": list(self.steps),
-            "iterations": self.iterations,
-        }
+        # a shallow dict: asdict would deep-copy both maps' lists
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)

@@ -6,7 +6,7 @@ passed.  Reports serialize to key=value text lines and to JSON.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -42,16 +42,7 @@ class CheckReport:
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "passed": self.passed,
-            "domain": self.domain,
-            "grid_size": self.grid_size,
-            "min_value": self.min_value,
-            "argmin": list(self.argmin) if self.argmin is not None else None,
-            "tolerance": self.tolerance,
-            "details": self.details,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True, default=repr)

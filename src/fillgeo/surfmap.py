@@ -541,22 +541,24 @@ def polygon_vertices(n, theta: float) -> list:
     return points
 
 
-def _geodesic_points(z1: complex, z2: complex, samples: int = 24) -> list:
-    """Sample the hyperbolic segment between two disk points."""
+def _geodesic_points(z1: complex, z2: complex) -> list:
+    """Sample the hyperbolic segment between two disk points at 25 points."""
     w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
     points = []
-    for t in range(samples + 1):
-        u = w * (t / samples)
+    for t in range(25):
+        u = w * (t / 24)
         z = (u + z1) / (1.0 + z1.conjugate() * u)
         points.append(z)
     return points
 
 
-def gluing_svg(word, theta: float = math.pi / 2.0) -> str:
-    """Draw a gluing word's polygon: disk, geodesic sides, side labels."""
+def gluing_svg(word) -> str:
+    """Draw a gluing word's right-angled polygon: disk, geodesic sides,
+    side labels.  A four-sided word draws the degenerate square as a
+    point at the origin."""
     sides = parse_gluing_word(word)
     n = len(sides)
-    corners = polygon_vertices(n, theta)
+    corners = polygon_vertices(n, math.pi / 2.0)
     zs = [complex(x, y) for x, y in corners]
     degenerate = all(abs(z) < tol.SVG_POINT_TOL for z in zs)
 

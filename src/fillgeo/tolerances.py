@@ -12,8 +12,8 @@ ACOSH_CLAMP = 1e-12
 # polygeom.circumradius: cot(pi/n)*cot(theta/2) rounds to within an ulp
 # of 1 at the degenerate polygon, so values this close to 1 give R = 0
 CIRCUMRADIUS_SNAP = 1e-12
-# a polygon is degenerate when its area (and, for the equality
-# classifier, its perimeter) is below this
+# isoperim.classify_equality: a polygon is degenerate when its area and
+# its perimeter are below this
 DEGENERATE_TOL = 1e-9
 
 # isoperim: slack for the inequality lhs <= rhs, the equality flag and

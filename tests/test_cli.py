@@ -182,6 +182,14 @@ class TestVerify:
         _, second, _ = run_cli(argv, capsys)
         assert first == second
 
+    def test_instance_count_below_one_is_usage_error(self, capsys):
+        # no instance drawn is no evidence: the sweep must not pass vacuously
+        assert cli.main(["verify", "thm31", "--count", "0"]) == 2
+        code, out, err = run_cli(["verify", "thm31", "--count", "-3", "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "instance count must be at least 1" in err
+
 
 class TestGluing:
     def test_svg_and_map_emission(self, capsys, tmp_path):

@@ -6,8 +6,9 @@ an SVG picture or a map interchange file also pin the sha256 of each
 file.  The commands cover the extremal-length table, single polygons
 (including the degenerate right-angled square and a non-integer side
 count), the verification suite at two seeds, the documented lemma 3.4
-violation, the canonical gluings up to genus 40, and the messages of
-domain errors.
+violation, the canonical gluings up to genus 40, the reduction certificate of
+a canonical map and of a map on which the split rule fires, and the
+messages of domain errors.
 After an intended change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_digests.py --write
@@ -23,7 +24,8 @@ import tempfile
 
 from fillgeo import cli
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_digests.json"
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = DATA / "cli_digests.json"
 RIGHT_ANGLE = "1.5707963267948966"
 VERIFY = ("verify", "--all", "--samples", "1000", "--steps", "10", "--count", "300")
 
@@ -60,6 +62,14 @@ def _commands():
         ("gluing", "--genus", "40", "--json", "--emit-map", "{dir}/g40.json"),
     ))
     commands.append(("gluing g=40 svg", ("gluing", "--genus", "40", "--svg", "{dir}/g40.svg")))
+    # the reproducer is one on which the split rule fires
+    for fixture in ("canonical_g3", "reproducer_6-6-4-4@690"):
+        for fmt in ((), ("--json",)):
+            suffix = "".join(" " + f for f in fmt)
+            commands.append((
+                f"reduce {fixture}{suffix}",
+                ("reduce", str(DATA / f"{fixture}.json"), "--genus", "3", *fmt),
+            ))
     commands.append(("error polygon n=2", ("polygon", "--n", "2", "--area", "1")))
     commands.append(("error polygon area", ("polygon", "--n", "5", "--area", "100")))
     commands.append(("error polygon theta", ("polygon", "--n", "5", "--theta", "3")))

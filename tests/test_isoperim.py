@@ -265,14 +265,14 @@ def test_merge_sequence_k2():
         family=PolygonFamily(((6, 2.0), (6, area - 2.0))),
         target=RegularPolygonSpec.from_area(8, area),
     )
-    seq = merge_sequence(inst)
-    assert len(seq.steps) == 2
-    assert seq.steps[0].n == 6
-    assert seq.steps[0].area == pytest.approx(2.0)
-    assert seq.steps[1].n == 8
-    assert seq.steps[1].area == pytest.approx(area, rel=1e-12)
-    assert seq.steps[1].theta == pytest.approx(math.pi / 2.0, rel=1e-12)
-    assert all(t >= math.pi / 2.0 - 1e-12 for t in seq.angles())
+    steps = merge_sequence(inst)
+    assert len(steps) == 2
+    assert steps[0].n == 6
+    assert steps[0].area == pytest.approx(2.0)
+    assert steps[1].n == 8
+    assert steps[1].area == pytest.approx(area, rel=1e-12)
+    assert steps[1].theta == pytest.approx(math.pi / 2.0, rel=1e-12)
+    assert all(step.theta >= math.pi / 2.0 - 1e-12 for step in steps)
 
 
 def test_merge_sequence_requires_sorted():
@@ -311,11 +311,11 @@ def test_random_instances_hold(seed):
 @settings(max_examples=100)
 def test_random_merge_angles(seed):
     inst = random_instance(random.Random(seed))
-    seq = merge_sequence(inst)
-    assert len(seq.steps) == inst.family.k
-    for step in seq.steps:
+    steps = merge_sequence(inst)
+    assert len(steps) == inst.family.k
+    for step in steps:
         assert step.theta >= math.pi / 2.0 - 1e-12
-    last = seq.steps[-1]
+    last = steps[-1]
     assert int(last.n) == int(inst.target.n)
     assert last.area == pytest.approx(inst.target.area, abs=1e-12, rel=1e-12)
 
@@ -334,6 +334,13 @@ def test_merge_properties_reduced():
     assert report.details["merge_angle_failures"] == 0
     assert report.details["final_step_mismatches"] == 0
     assert report.details["member_angle_bound_failures"] == 0
+
+
+@pytest.mark.parametrize("verify", [verify_theorem_3_1, verify_merge_properties])
+@pytest.mark.parametrize("count", [0, -3])
+def test_instance_sweeps_reject_empty_counts(verify, count):
+    with pytest.raises(DomainError, match="instance count"):
+        verify(count=count, seed=0)
 
 
 def test_example_instance_strict_rejected():

@@ -1,0 +1,45 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+``perfbench/tracing.py`` replaces named functions of the polygeom,
+isoperim, surfmap and reducer layers, and methods of
+``CombinatorialMap`` and ``ReductionCertificate``, when the benchmark
+runs with ``--trace 1``.  A deleted or renamed name breaks that mode
+with an AttributeError or KeyError, so this test installs the tracer
+from the checkout and takes it off again.
+"""
+
+import importlib.util
+import pathlib
+
+from fillgeo import isoperim, polygeom, reducer, surfmap
+
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    # loaded by path: perfbench's other modules have generic names
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_on_every_traced_name_and_restores():
+    tracing = load_tracing()
+    originals = {
+        (module, name): getattr(module, name)
+        for module, names in (
+            (polygeom, tracing.POLYGEOM_KERNELS),
+            (isoperim, tracing.ISOPERIM_CHECKS + tracing.ISOPERIM_COUNTED),
+            (surfmap, tracing.SURFMAP_SPANS),
+            (reducer, tracing.REDUCER_SPANS),
+        )
+        for name in names
+    }
+    restore = tracing.install(tracing.Tracer())
+    try:
+        wrapped = [key for key, fn in originals.items() if getattr(*key) is not fn]
+    finally:
+        restore()
+    assert len(wrapped) == len(originals)
+    assert all(getattr(*key) is fn for key, fn in originals.items())
