@@ -9,6 +9,8 @@ Emits, deterministically:
     the tests, so validation must reject it)
   * reproducer_<valences>@<seed>.json: the mixed-valence maps listed in
     REPRODUCERS, at the genus of their rotation system
+  * second_region_face.json: a mixed-valence map whose reduction makes a
+    face of new darts alone in a second region (SECOND_REGION_FACE)
 
 Random fixtures are found by seeded search over rotation systems and
 filtered: connected, no face of degree <= 2, right genus, and a full
@@ -43,6 +45,14 @@ REPRODUCERS = (
     ((6, 4, 4, 4, 4), 1020),
     ((8, 6, 4, 4, 4), 775),
 )
+
+# (valence choices, seed) of a map whose reduction refines the map into
+# a face made of new darts alone while the complement has two non-disk
+# regions, in the second of them: from random.Random(seed), 4 to 10
+# valences drawn from the choices, then the map.  Found by seeded search
+# over seeds 0..19999; smaller valences and 6-12-vertex {4,6,8} maps
+# only ever made such faces in a single region.
+SECOND_REGION_FACE = ((6, 8, 10, 12), 16570)
 
 
 def random_map(rng, valences):
@@ -183,6 +193,19 @@ def main():
             f"random map with vertex valences {name} (seed {seed}) on which the "
             "reducer once raised InternalInvariantError or certified a degree-4 face",
         )
+
+    choices, seed = SECOND_REGION_FACE
+    rng = random.Random(seed)
+    valences = [rng.choice(choices) for _ in range(rng.randint(4, 10))]
+    cmap = random_map(rng, valences)
+    euler = len(cmap.vertices()) - len(cmap.edges()) + len(cmap.faces())
+    name = "-".join(map(str, valences))
+    write_fixture(
+        "second_region_face", cmap, (2 - euler) // 2,
+        f"random map with vertex valences {name} (valences drawn from "
+        f"{list(choices)}, seed {seed}) whose reduction makes a face of new "
+        "darts alone in the second of two non-disk regions",
+    )
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Time the reducer on seeded 4-valent maps of doubling size.
+"""Time the reducer on seeded maps of doubling size.
 
 For each vertex count in 48, 96, 192, 384 and 768 the script draws a
 random 4-valent rotation system (``random_map`` of
@@ -9,7 +9,13 @@ count and the time per iteration.  The last line is the least-squares
 slope of log(seconds) against log(vertices): about 1 for a reducer
 linear in map size, 2 for a quadratic one.
 
-    python scripts/reduce_scaling.py [--seed 0] [--repeats 3]
+With ``--valences 4,6,8`` (any set other than the default 4) the ladder
+is 24, 48, 96 and 192 vertices, and each vertex valence is drawn from
+the set before the map, from the same generator; the maps of 24 and 48
+vertices are then the ``mixed_24``/``mixed_48`` maps of
+``tests/test_reduce_digests.py`` for the same seed.
+
+    python scripts/reduce_scaling.py [--seed 0] [--repeats 3] [--valences 4]
 """
 
 import argparse
@@ -27,18 +33,38 @@ from fillgeo.errors import ValidationError
 from make_reducer_fixtures import random_map
 
 SIZES = (48, 96, 192, 384, 768)
+MIXED_SIZES = (24, 48, 96, 192)
 
 
-def draw_input(rng, vertices):
-    """The first drawn 4-valent map that is a reducer input at its genus."""
+def draw_input(rng, vertices, valences):
+    """The first drawn map that is a reducer input at its genus.
+
+    One valence draws nothing for the valence list, so the 4-valent
+    maps do not depend on how the mixed ones are drawn.
+    """
+    if len(valences) == 1:
+        degrees = list(valences) * vertices
+    else:
+        degrees = [rng.choice(valences) for _ in range(vertices)]
     while True:
-        cmap = random_map(rng, [4] * vertices)
+        cmap = random_map(rng, degrees)
         euler = len(cmap.vertices()) - len(cmap.edges()) + len(cmap.faces())
         genus = (2 - euler) // 2
         try:
             return reducer.validate_input(cmap, genus)
         except ValidationError:
             continue
+
+
+def valence_set(text):
+    """Parse '4,6,8' into a tuple of even valences of at least four."""
+    try:
+        valences = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"valences must be integers, got {text!r}")
+    if any(v < 4 or v % 2 for v in valences):
+        raise argparse.ArgumentTypeError(f"valences must be even and at least 4, got {text!r}")
+    return valences
 
 
 def slope(xs, ys):
@@ -51,12 +77,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--valences", type=valence_set, default=(4,),
+        help="comma-separated vertex valences, e.g. 4,6,8 (default: 4)",
+    )
     args = parser.parse_args(argv)
+    sizes = SIZES if args.valences == (4,) else MIXED_SIZES
 
     print("# vertices  genus  iterations  seconds  ms/iteration")
     seconds = []
-    for vertices in SIZES:
-        filling = draw_input(random.Random(args.seed), vertices)
+    for vertices in sizes:
+        filling = draw_input(random.Random(args.seed), vertices, args.valences)
         times = []
         for _ in range(args.repeats):
             start = time.perf_counter()
@@ -68,7 +99,7 @@ def main(argv=None):
             f"{vertices}  {filling.genus}  {cert.iterations}  {median:.3f}  "
             f"{1000 * median / cert.iterations:.3f}"
         )
-    exponent = slope([math.log(v) for v in SIZES], [math.log(s) for s in seconds])
+    exponent = slope([math.log(v) for v in sizes], [math.log(s) for s in seconds])
     print(f"log-log slope (seconds vs vertices): {exponent:.2f}")
 
 

@@ -46,6 +46,17 @@ def _genus(text: str) -> int:
     return value
 
 
+def _count(text: str) -> int:
+    """An instance count: no instance drawn would pass vacuously."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"instance count must be an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"instance count must be at least 1, got {value}")
+    return value
+
+
 def _genus_range(text: str) -> tuple:
     """Parse '3' or '2..5' into an inclusive tuple of genera."""
     lo, sep, hi = text.partition("..")
@@ -260,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sample count for the 1d sweeps")
     p_verify.add_argument("--steps", type=int, default=None,
                           help="grid steps per axis for the 2d sweeps")
-    p_verify.add_argument("--count", type=int, default=10000,
+    p_verify.add_argument("--count", type=_count, default=10000,
                           help="random instance count")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="random seed for the instance suite")
@@ -292,7 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # a usage error or --help, which argparse has already printed
+        return exc.code
     try:
         return args.func(args)
     except (DomainError, ValidationError) as err:

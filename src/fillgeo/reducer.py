@@ -335,6 +335,28 @@ class _Complement(_MutableMap):
     as a CombinatorialMap.  The subgraph is taken as valid: the public
     functions check a caller's (_checked_subgraph), and the reducer's
     own subgraphs are.
+
+    Most trials of a reduction reject a curve that an earlier iteration
+    already rejected, so the state keeps a memo of rejections.  Each
+    commit counts as one step, and every face and vertex it touches is
+    stamped with it: apply stamps the faces of the curve's darts (the
+    only faces whose Euler shares and edge counts it changes) and the
+    vertices the curve reaches, and _retrace every face it retraces,
+    every new vertex and the vertex of every old dart whose alpha it
+    changed.  A rejection made on this
+    state (not on a refined copy) records the curve's kind and darts,
+    the faces of the disk piece P that rejected it, other than the
+    unwalked rest of the region, and the curve's vertices; the entry
+    stays true (_still_rejected) while none of those has been stamped
+    since.  That is sound: every edge between a face of P and a face
+    outside it is a subgraph edge or a curve edge, and a commit only
+    adds subgraph material, so while no face of P is retraced P stays a
+    piece of the cut, and its faces keep their Euler shares.  What the
+    curve adds to those shares, which end the split rule displaces, and
+    the material changes of P's boundary are read from the germs at the
+    curve's own vertices, which are unchanged too.  So P is still a disk
+    piece with at most two changes, and the curve is still inessential.
+    The memo is shared with a copy, which only an accepted trial keeps.
     """
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
@@ -367,6 +389,10 @@ class _Complement(_MutableMap):
         for f, r in enumerate(self.face_region):
             self.euler2[r] += self.weight[f]
         self.candidates = self._candidates(range(cmap.dart_count))
+        self.step = 0
+        self.face_touched = [0] * len(faces)
+        self.vertex_touched = [0] * len(self.cycles)
+        self.rejected = {}
 
     def _candidates(self, darts) -> list:
         """The candidate germs among darts, in their order."""
@@ -475,7 +501,24 @@ class _Complement(_MutableMap):
             cut = self._cut(frozenset(darts) | frozenset(alpha[d] for d in darts), region)
             if ends:
                 cut = cut._replace(ends=ends, curve=curve)
-        return None if cut.state._pushes_off(cut) else cut
+        piece = cut.state._pushes_off(cut)
+        if piece is None:
+            return cut
+        if cut.state is self and piece < len(cut.closed):
+            self.rejected[kind, tuple(darts)] = (self.step, cut.closed[piece], tuple(cut.touched))
+        return None
+
+    def _still_rejected(self, kind: str, darts: tuple) -> bool:
+        """Whether a rejection of the curve is on record and no face of
+        its disk piece and none of its vertices was touched since."""
+        entry = self.rejected.get((kind, darts))
+        if entry is None:
+            return False
+        step, faces, vertices = entry
+        face_touched, vertex_touched = self.face_touched, self.vertex_touched
+        return all(face_touched[f] <= step for f in faces) and all(
+            vertex_touched[v] <= step for v in vertices
+        )
 
     def _cut(self, added: frozenset, region: int) -> _Cut:
         """The cut of a curve that adds the edges of added inside region,
@@ -500,8 +543,8 @@ class _Complement(_MutableMap):
         euler2.append(self.euler2[region] + sum(weight.values()) - sum(euler2))
         return _Cut(added, touched, weight, removed, region, closed, euler2, self)
 
-    def _pushes_off(self, cut: _Cut) -> bool:
-        """Whether a cut leaves a disk piece that makes its curve inessential.
+    def _pushes_off(self, cut: _Cut):
+        """The disk piece of a cut that makes its curve inessential, or None.
 
         This is the one inessential rule.  cut.added holds the curve
         material: the curve's darts and the darts the split rule makes
@@ -514,6 +557,8 @@ class _Complement(_MutableMap):
         vertices, so no boundary is walked.  The curve is inessential
         when a disk piece touching added darts has at most two of them:
         its boundary is all curve, or one run of curve and one of old.
+        Pieces are numbered as in cut.euler2 and tried in that order, so
+        a piece split off is found before the rest of the region.
         """
         alpha, sigma, face_of, g, added = self.alpha, self.sigma, self.face_of, self.g, cut.added
         piece = {f: i for i, faces in enumerate(cut.closed) for f in faces}
@@ -524,8 +569,8 @@ class _Complement(_MutableMap):
             for i, p in enumerate(germs):
                 if (alpha[p] in added) != (germs[(i + 1) % len(germs)] in added):
                     changes[piece.get(face_of[sigma[p]], rest)] += 1
-        pieces = {piece.get(face_of[x], rest) for x in added}
-        return any(cut.euler2[p] == 2 and changes[p] <= 2 for p in pieces)
+        pieces = sorted({piece.get(face_of[x], rest) for x in added})
+        return next((p for p in pieces if cut.euler2[p] == 2 and changes[p] <= 2), None)
 
     def _split(self, emptied: list, removed: Counter) -> list:
         """The faces of every piece but one that a cut splits a region into.
@@ -583,12 +628,16 @@ class _Complement(_MutableMap):
             kind, darts = cut.curve.kind, cut.curve.darts
             cut = state._cut(state._refine(kind, darts, cut.ends), cut.region)
         g, gcount, cycles = state.g, state.gcount, state.cycles
+        now = state.step = state.step + 1
+        face_touched, vertex_touched = state.face_touched, state.vertex_touched
         fresh = [v for v in cut.touched if not gcount[v]]
         g |= cut.added
         for v, n in cut.touched.items():
             gcount[v] += n
+            vertex_touched[v] = now
         for f, change in cut.weight.items():
             state.weight[f] += change
+            face_touched[f] = now
         adjacent = state.adjacent
         for (a, b), n in cut.removed.items():
             left = adjacent[a][b] - n
@@ -625,17 +674,25 @@ class _Complement(_MutableMap):
         index and region and the others take new indices; a face of new
         darts alone lies in the region of start.  Each is weighed and its
         adjacencies counted afresh.  A refinement leaves each region's
-        Euler characteristic as it was.
+        Euler characteristic as it was.  The retraced faces, the new
+        vertices and the vertices of the old darts whose alpha changed
+        are stamped with the step of the commit under way.
         """
         region = self.region_of(start)
         alpha, sigma, g = self.alpha, self.sigma, self.g
         face_of, adjacent = self.face_of, self.adjacent
+        now, face_touched, vertex_touched = self.step + 1, self.face_touched, self.vertex_touched
         new = range(n, len(alpha))
         face_of += [None] * len(new)
         self.gcount += [sum(x in g for x in cycle) for cycle in self.cycles[len(self.gcount):]]
-        changed = sorted({*new, *(alpha[y] for y in new if alpha[y] < n)})
+        vertex_touched += [now] * (len(self.cycles) - len(vertex_touched))
+        old = [alpha[y] for y in new if alpha[y] < n]
+        for x in old:
+            vertex_touched[self.owner[x]] = now
+        changed = sorted({*new, *old})
         ids = {face_of[x] for x in changed if x < n}
         for f in ids:
+            face_touched[f] = now
             for h in adjacent[f]:
                 if h not in ids:
                     del adjacent[h][f]
@@ -650,6 +707,7 @@ class _Complement(_MutableMap):
                 f = len(self.weight)
                 self.weight.append(0)
                 adjacent.append({})
+                face_touched.append(now)
             traced[f] = []
             while x not in seen:
                 seen.add(x)
@@ -675,6 +733,8 @@ class _Complement(_MutableMap):
             if darts is None:
                 continue
             tried += 1
+            if self._still_rejected(kind, darts):
+                continue
             curve = CuttingCurve(darts=darts, kind=kind)
             cut = self.trial(curve)
             if cut is not None:

@@ -190,6 +190,17 @@ class TestVerify:
         assert out == ""
         assert "instance count must be at least 1" in err
 
+    def test_instance_count_is_refused_before_any_sweep(self, capsys, monkeypatch):
+        from fillgeo import isoperim
+
+        def sweep(*args):
+            raise AssertionError("a sweep ran before the count was refused")
+
+        monkeypatch.setattr(isoperim, "verify_lemma_3_2", sweep)
+        code, out, err = run_cli(["verify", "--all", "--count", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert "instance count must be at least 1" in err
+
 
 class TestGluing:
     def test_svg_and_map_emission(self, capsys, tmp_path):

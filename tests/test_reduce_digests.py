@@ -31,6 +31,7 @@ FIXTURES = (
     "canonical_g3",
     "canonical_g4",
     "canonical_g5",
+    "second_region_face",
     "sixvalent_a",
     "sixvalent_b",
     "torus_claim",
@@ -41,6 +42,8 @@ FIXTURES = (
 SEEDS = range(40)
 FOUR_VALENT_SIZES = (48, 192)
 MIXED_VALENCES = (4, 6, 8)
+MIXED_SIZES = (24, 48)
+MIXED_SIZE_SEEDS = range(5)
 
 
 def surface_genus(cmap):
@@ -70,9 +73,11 @@ def four_valent(seed, vertices=48):
     return draw_input(random.Random(seed), [4] * vertices)
 
 
-def mixed(seed):
+def mixed(seed, vertices=None):
+    """A {4,6,8}-valent input: of 6 to 10 vertices, or of the given count."""
     rng = random.Random(seed)
-    valences = [rng.choice(MIXED_VALENCES) for _ in range(rng.randint(6, 10))]
+    count = rng.randint(6, 10) if vertices is None else vertices
+    valences = [rng.choice(MIXED_VALENCES) for _ in range(count)]
     return draw_input(rng, valences)
 
 
@@ -96,6 +101,9 @@ def corpus():
             yield (f"four_valent_{vertices}/{seed}", *four_valent(seed, vertices))
     for seed in SEEDS:
         yield (f"mixed/{seed}", *mixed(seed))
+    for vertices in MIXED_SIZES:
+        for seed in MIXED_SIZE_SEEDS:
+            yield (f"mixed_{vertices}/{seed}", *mixed(seed, vertices))
 
 
 def digests():

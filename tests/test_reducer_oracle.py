@@ -19,11 +19,17 @@ At every step of a reduction, and right after each refinement of a
 state, the live state's face partition, its per-pair counts of edges
 outside the subgraph, its region partition, Euler characteristics,
 candidate germs and ``fills`` must match the oracle,
-and every candidate tried must get the oracle's essential/inessential
-verdict.  The inputs are the 4-valent 48-vertex maps and the {4,6,8}-
+every candidate tried must get the oracle's essential/inessential
+verdict, and every candidate the state's memo of rejections skips
+must be one the oracle rejects.  The memo's premise is checked too: a
+commit that changes a face of a recorded piece (its darts, their edges
+or its Euler share) or the germs at a recorded curve vertex must leave
+that record stale.  The inputs are the 4-valent 48-vertex maps and the {4,6,8}-
 valent maps of ``test_reduce_digests.py``, with four more mixed maps
 that try arcs with both ends at one vertex and an end displaced; the
-split rule fires on many of the mixed maps.
+split rule fires on many of the mixed maps.  The fixture
+``second_region_face`` refines its map into a face of new darts alone
+while the complement has two non-disk regions, in the second one.
 """
 
 import json
@@ -185,15 +191,38 @@ def check_state(state):
     ]
 
 
+def touchable(state):
+    """What a commit may change that a memo record depends on: per face,
+    its Euler share and its darts, and per vertex its germs, each dart
+    with its subgraph membership and alpha."""
+    g, alpha = state.g, state.alpha
+    faces = {}
+    for d, f in enumerate(state.face_of):
+        faces.setdefault(f, [state.weight[f]]).append((d, d in g, alpha[d]))
+    vertices = [[(x, x in g, alpha[x]) for x in cycle] for cycle in state.cycles]
+    return faces, vertices
+
+
+def check_stale(state, before, fresh):
+    """Every memo record whose faces or vertices a commit changed is stale."""
+    faces, vertices = touchable(state)
+    moved_faces = {f for f, view in before[0].items() if faces[f] != view}
+    moved_vertices = {v for v, view in enumerate(before[1]) if vertices[v] != view}
+    for (kind, darts), (_, piece, curve_vertices) in state.rejected.items():
+        if moved_faces.intersection(piece) or moved_vertices.intersection(curve_vertices):
+            assert not fresh(state, kind, darts), ("a changed record stayed fresh", darts)
+
+
 @pytest.fixture
 def watched(monkeypatch):
     """Check every state, every refinement and every trial of the
     reductions run under it."""
     seen = {"states": 0, "trials": 0, "essential": 0, "split": 0, "one_vertex": 0,
-            "refined": 0}
+            "refined": 0, "skipped": 0, "new_face_later_region": 0}
     live = reducer._Complement
     original = {
-        name: getattr(live, name) for name in ("cutting_curve", "apply", "trial", "_refine")
+        name: getattr(live, name)
+        for name in ("cutting_curve", "apply", "trial", "_refine", "_still_rejected")
     }
 
     def cutting_curve(self):
@@ -202,16 +231,23 @@ def watched(monkeypatch):
         return original["cutting_curve"](self)
 
     def apply(self, cut):
+        before = touchable(self)
         state = original["apply"](self, cut)
+        check_stale(state, before, original["_still_rejected"])
         check_state(state)
         seen["states"] += 1
         return state
 
     def refine(self, kind, darts, ends):
+        n = len(self.alpha)
         added = original["_refine"](self, kind, darts, ends)
         if ends:
             check_state(self)
             seen["refined"] += 1
+            old_faces = {self.face_of[x] for x in range(n)}
+            seen["new_face_later_region"] += sum(
+                self.face_region[f] != 0 for f in set(self.face_of[n:]) - old_faces
+            )
         return added
 
     def trial(self, curve):
@@ -225,10 +261,20 @@ def watched(monkeypatch):
         seen["one_vertex"] += one_vertex_displaced(cmap, curve, new_map)
         return cut
 
+    def still_rejected(self, kind, darts):
+        skip = original["_still_rejected"](self, kind, darts)
+        if skip:
+            curve = reducer.CuttingCurve(darts=darts, kind=kind)
+            essential, _ = oracle_essential(self.freeze(), self.g, curve)
+            assert not essential, ("memo skipped an essential curve", curve)
+            seen["skipped"] += 1
+        return skip
+
     monkeypatch.setattr(live, "cutting_curve", cutting_curve)
     monkeypatch.setattr(live, "apply", apply)
     monkeypatch.setattr(live, "trial", trial)
     monkeypatch.setattr(live, "_refine", refine)
+    monkeypatch.setattr(live, "_still_rejected", still_rejected)
     return seen
 
 
@@ -262,6 +308,7 @@ def test_four_valent_reductions_match_oracle(watched):
     reduce_all(four_valent(seed) for seed in SEEDS)
     assert watched["states"] > 1000
     assert watched["essential"] < watched["trials"]
+    assert watched["skipped"] > 0, "the memo of rejections should fire"
 
 
 def test_mixed_valence_reductions_match_oracle(watched):
@@ -270,9 +317,24 @@ def test_mixed_valence_reductions_match_oracle(watched):
     assert watched["split"] > 100, "the split rule should fire on these maps"
     assert watched["one_vertex"] > 0
     assert watched["refined"] > watched["one_vertex"]
+    # the memo answers more of the repeated rejections than trials make
+    assert watched["skipped"] > watched["trials"] - watched["essential"]
 
 
-REPRODUCERS = sorted((pathlib.Path(__file__).parent / "data").glob("reproducer_*.json"))
+DATA_DIR = pathlib.Path(__file__).parent / "data"
+REPRODUCERS = sorted(DATA_DIR.glob("reproducer_*.json"))
+
+
+def fixture(name):
+    data = json.loads((DATA_DIR / f"{name}.json").read_text())
+    return surfmap.from_interchange(data), data["genus"]
+
+
+def test_new_dart_face_in_a_second_region_matches_oracle(watched):
+    """_retrace puts a face of new darts alone in the region of the
+    curve's start, here not the first region."""
+    reduce_all([fixture("second_region_face")])
+    assert watched["new_face_later_region"] > 0
 
 
 def counting_builds(monkeypatch):
