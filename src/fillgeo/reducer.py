@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .errors import DomainError, InternalInvariantError, ValidationError
+from .polygeom import _check_genus
 from .surfmap import CombinatorialMap, from_interchange, pair_strands, to_interchange
 
 
@@ -41,8 +42,7 @@ def validate_input(map_or_data, genus: int) -> FillingMap:
     bigon faces, and maps whose rotation-system genus differs from the
     stated genus (the curve then fails to fill that surface).
     """
-    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 2:
-        raise DomainError(f"genus must be an integer >= 2, got {genus!r}")
+    _check_genus(genus)
     if isinstance(map_or_data, CombinatorialMap):
         cmap = map_or_data
     else:
@@ -97,9 +97,10 @@ class _Cut(NamedTuple):
     lies in one region: closed lists the faces of each piece the cut
     splits off it, and euler2 the doubled Euler characteristic of those
     pieces followed by that of the rest, which keeps the region's index.
-    state is the complement the cut was made in.  A curve judged as its
+    curve is the cutting curve, state the complement the cut was made
+    in and step that complement's step then.  A curve judged as its
     direct attachment whose commit fires the split rule carries the end
-    germs to displace (ends) and the curve; apply refines for them.
+    germs to displace (ends); add_cutting_curve refines for them.
     """
 
     added: frozenset
@@ -109,9 +110,10 @@ class _Cut(NamedTuple):
     region: int
     closed: list
     euler2: list
+    curve: "CuttingCurve"
     state: "_Complement"
+    step: int
     ends: tuple = ()
-    curve: "CuttingCurve" = None
 
 
 class _MutableMap:
@@ -120,10 +122,10 @@ class _MutableMap:
     The tables are alpha, sigma and the straight corners, the vertex
     rotations (cycles), the vertex of each dart (owner) and the strand
     opposites (opp).  _refine commits a curve's displaced ends, for
-    add_cutting_curve and, through _Complement, for reduce; freeze
-    gives the map as a CombinatorialMap.  Until the first refinement
-    the tables are the frozen map's own tuples, which _refine turns
-    into lists before it changes them.
+    _Complement and, on the bare tables, as the oracle test's reference
+    commit; freeze gives the map as a CombinatorialMap.  Until the
+    first refinement the tables are the frozen map's own tuples, which
+    _refine turns into lists before it changes them.
     """
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
@@ -327,19 +329,19 @@ class _Complement(_MutableMap):
     regions.
 
     reduce builds one per run and keeps it current through every
-    commit (apply), refined maps included: the split rule refines the
-    tables in place (_refine) and retraces only the faces it changed.
-    A trial judges a curve as its direct attachment, from the faces and
-    vertices it touches alone (see trial); a one-vertex arc with an end
-    displaced is judged on a refined copy.  freeze gives the live map
-    as a CombinatorialMap.  The subgraph is taken as valid: the public
-    functions check a caller's (_checked_subgraph), and the reducer's
-    own subgraphs are.
+    commit (add_cutting_curve), refined maps included: the split rule
+    refines the tables in place (_refine) and retraces only the faces
+    it changed.  A trial judges a curve as its direct attachment, from
+    the faces and vertices it touches alone (see trial); a one-vertex
+    arc with an end displaced is judged on a refined copy.  freeze
+    gives the live map as a CombinatorialMap.  The subgraph is taken as
+    valid: complement checks a caller's (_checked_subgraph), and the
+    reducer's own subgraphs are.
 
     Most trials of a reduction reject a curve that an earlier iteration
     already rejected, so the state keeps a memo of rejections.  Each
     commit counts as one step, and every face and vertex it touches is
-    stamped with it: apply stamps the faces of the curve's darts (the
+    stamped with it: add_cutting_curve stamps the faces of the curve's darts (the
     only faces whose Euler shares and edge counts it changes) and the
     vertices the curve reaches, and _retrace every face it retraces,
     every new vertex and the vertex of every old dart whose alpha it
@@ -356,7 +358,8 @@ class _Complement(_MutableMap):
     the material changes of P's boundary are read from the germs at the
     curve's own vertices, which are unchanged too.  So P is still a disk
     piece with at most two changes, and the curve is still inessential.
-    The memo is shared with a copy, which only an accepted trial keeps.
+    A copy keeps a memo of its own, so a state stays usable after a cut
+    judged on its copy was committed.
     """
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
@@ -430,7 +433,7 @@ class _Complement(_MutableMap):
         """A copy to refine and cut, leaving this complement as it is."""
         twin = object.__new__(type(self))
         twin.__dict__ = {
-            name: value.copy() if isinstance(value, (list, set)) else value
+            name: value.copy() if isinstance(value, (list, set, dict)) else value
             for name, value in vars(self).items()
         }
         twin.adjacent = [dict(counts) for counts in self.adjacent]
@@ -443,33 +446,6 @@ class _Complement(_MutableMap):
     @property
     def fills(self) -> bool:
         return all(e == 2 for e in self.euler2)
-
-    def boundary_successor(self, d: int) -> int:
-        """Next subgraph dart along the region contour through d.
-
-        The contour enters the far vertex of d along the germ alpha(d)
-        and pivots counterclockwise past interior germs to the first
-        subgraph germ, which it traverses outward.
-        """
-        sigma = self.sigma
-        w = sigma[self.alpha[d]]
-        steps = 0
-        while w not in self.g:
-            w = sigma[w]
-            steps += 1
-            if steps > len(sigma):
-                raise InternalInvariantError("boundary walk failed to close")
-        return w
-
-    def regions(self) -> tuple:
-        """Every region with its faces and Euler characteristic."""
-        faces_in = [[] for _ in self.euler2]
-        for f, r in enumerate(self.face_region):
-            faces_in[r].append(f)
-        return tuple(
-            Region(faces=tuple(faces), euler=self.euler2[r] // 2)
-            for r, faces in enumerate(faces_in)
-        )
 
     def trial(self, curve: "CuttingCurve"):
         """The _Cut that commits curve, or None if the curve is inessential.
@@ -486,7 +462,7 @@ class _Complement(_MutableMap):
         both ends at one vertex and an end displaced is not: its
         displaced end can land past the other end along the boundary,
         so it is refined and cut on a copy of this complement, which
-        apply then takes as the next state.
+        add_cutting_curve then takes as the next state.
 
         The curve is taken as valid for this complement: the reducer's
         own candidates are, and is_essential checks an outside one.
@@ -496,11 +472,10 @@ class _Complement(_MutableMap):
         region = self.region_of(darts[0])
         if ends and kind == "V" and owner[darts[0]] == owner[alpha[darts[-1]]]:
             state = self.copy()
-            cut = state._cut(state._refine(kind, darts, ends), region)
+            cut = state._cut(state._refine(kind, darts, ends), region, curve)
         else:
-            cut = self._cut(frozenset(darts) | frozenset(alpha[d] for d in darts), region)
-            if ends:
-                cut = cut._replace(ends=ends, curve=curve)
+            added = frozenset(darts) | frozenset(alpha[d] for d in darts)
+            cut = self._cut(added, region, curve, ends)
         piece = cut.state._pushes_off(cut)
         if piece is None:
             return cut
@@ -520,9 +495,9 @@ class _Complement(_MutableMap):
             vertex_touched[v] <= step for v in vertices
         )
 
-    def _cut(self, added: frozenset, region: int) -> _Cut:
-        """The cut of a curve that adds the edges of added inside region,
-        attached directly at its ends."""
+    def _cut(self, added: frozenset, region: int, curve, ends=()) -> _Cut:
+        """The cut of curve, which adds the edges of added inside region,
+        attached directly at its ends or with ends still to displace."""
         alpha, face_of, cycles = self.alpha, self.face_of, self.cycles
         touched = Counter(self.owner[x] for x in added)
         # each added dart is a boundary side (-1) and opens a corner gap
@@ -541,7 +516,8 @@ class _Complement(_MutableMap):
         closed = self._split(emptied, removed) if emptied else []
         euler2 = [sum(self.weight[f] + weight[f] for f in faces) for faces in closed]
         euler2.append(self.euler2[region] + sum(weight.values()) - sum(euler2))
-        return _Cut(added, touched, weight, removed, region, closed, euler2, self)
+        return _Cut(added, touched, weight, removed, region, closed, euler2, curve, self,
+                    self.step, ends)
 
     def _pushes_off(self, cut: _Cut):
         """The disk piece of a cut that makes its curve inessential, or None.
@@ -617,54 +593,6 @@ class _Complement(_MutableMap):
                         members[i].extend(members.pop(j))
         return closed
 
-    def apply(self, cut: _Cut):
-        """Commit an accepted trial of this complement; returns the
-        complement after it: this one, or the refined copy a one-vertex
-        arc was judged on.  A cut with ends to displace first refines
-        the map and then commits its refined curve, a direct attachment
-        there."""
-        state = cut.state
-        if cut.ends:
-            kind, darts = cut.curve.kind, cut.curve.darts
-            cut = state._cut(state._refine(kind, darts, cut.ends), cut.region)
-        g, gcount, cycles = state.g, state.gcount, state.cycles
-        now = state.step = state.step + 1
-        face_touched, vertex_touched = state.face_touched, state.vertex_touched
-        fresh = [v for v in cut.touched if not gcount[v]]
-        g |= cut.added
-        for v, n in cut.touched.items():
-            gcount[v] += n
-            vertex_touched[v] = now
-        for f, change in cut.weight.items():
-            state.weight[f] += change
-            face_touched[f] = now
-        adjacent = state.adjacent
-        for (a, b), n in cut.removed.items():
-            left = adjacent[a][b] - n
-            if left:
-                adjacent[a][b] = adjacent[b][a] = left
-            else:
-                del adjacent[a][b], adjacent[b][a]
-        for faces, euler2 in zip(cut.closed, cut.euler2):
-            for f in faces:
-                state.face_region[f] = len(state.euler2)
-            state.euler2.append(euler2)
-        state.euler2[cut.region] = cut.euler2[-1]
-        candidates = state.candidates
-        for x in cut.added:
-            i = bisect_left(candidates, x)
-            if i < len(candidates) and candidates[i] == x:
-                del candidates[i]
-        for v in fresh:
-            for x in cycles[v]:
-                if x not in g:
-                    insort(candidates, x)
-        if 2 in cut.euler2:
-            state.candidates = [
-                x for x in candidates if state.euler2[state.region_of(x)] != 2
-            ]
-        return state
-
     def _retrace(self, n: int, start: int):
         """Also retrace the faces a refinement changed.
 
@@ -717,38 +645,6 @@ class _Complement(_MutableMap):
         self._tally(traced.items(), traced)
         self.candidates += self._candidates(new)
 
-    def cutting_curve(self):
-        """The first essential cutting curve and its trial (see find_cutting_curve)."""
-        if self.fills:
-            raise DomainError(
-                "the subgraph already fills: every complementary region is a disk"
-            )
-        alpha, opp, owner = self.alpha, self.opp, self.owner
-        if self.g:
-            walks = (_walk_arc(alpha, opp, owner, self.gcount, x) for x in self.candidates)
-        else:
-            walks = (_extract_loop(alpha, opp, owner, d) for d in range(len(alpha)))
-        tried = 0
-        for darts, kind in walks:
-            if darts is None:
-                continue
-            tried += 1
-            if self._still_rejected(kind, darts):
-                continue
-            curve = CuttingCurve(darts=darts, kind=kind)
-            cut = self.trial(curve)
-            if cut is not None:
-                return curve, cut
-        if tried:
-            raise InternalInvariantError(
-                "every candidate cutting curve is inessential although a non-disk "
-                "complementary region remains"
-            )
-        raise InternalInvariantError(
-            "a non-disk complementary region admits no cutting curve; the input "
-            "appears to contain parallel homotopic components"
-        )
-
 
 def _checked_subgraph(cmap: CombinatorialMap, subgraph) -> set:
     """A caller's subgraph as a set, checked for range and edge closure."""
@@ -763,14 +659,27 @@ def _checked_subgraph(cmap: CombinatorialMap, subgraph) -> set:
     return g
 
 
-def complement_regions(cmap: CombinatorialMap, subgraph) -> tuple:
+def complement(cmap: CombinatorialMap, subgraph=frozenset()) -> _Complement:
+    """The complement of a caller's subgraph, checked here once: the
+    state that complement_regions, find_cutting_curve, is_essential and
+    add_cutting_curve take, as reduce's own unchecked state does."""
+    return _Complement(cmap, _checked_subgraph(cmap, subgraph))
+
+
+def complement_regions(state: _Complement) -> tuple:
     """Cut the surface along the subgraph and describe every piece.
 
     Pieces are unions of the map's faces glued across edges outside the
     subgraph.  Each Region carries its faces and its Euler
     characteristic (a disk iff it equals 1).
     """
-    return _Complement(cmap, _checked_subgraph(cmap, subgraph)).regions()
+    faces_in = [[] for _ in state.euler2]
+    for f, r in enumerate(state.face_region):
+        faces_in[r].append(f)
+    return tuple(
+        Region(faces=tuple(faces), euler=state.euler2[r] // 2)
+        for r, faces in enumerate(faces_in)
+    )
 
 
 @dataclass(frozen=True)
@@ -800,74 +709,103 @@ def _clean_corner_pattern(opp, germs) -> bool:
     return False
 
 
-def _checked_darts(cmap: CombinatorialMap, g, curve: CuttingCurve) -> list:
-    """The darts of a cutting curve, checked against the map and subgraph."""
-    darts = list(curve.darts)
+def _checked_darts(state: _Complement, curve: CuttingCurve):
+    """Check a caller's cutting curve against the state: unused material
+    and a strand walk, a loop (kinds I to IV) on no vertex twice back to
+    its first vertex, an arc or lasso the walk _walk_arc makes."""
+    darts = tuple(curve.darts)
     if not darts:
         raise ValidationError("empty cutting curve")
+    alpha, opp, owner, gcount, g = state.alpha, state.opp, state.owner, state.gcount, state.g
     for d in darts:
-        if not isinstance(d, int) or not 0 <= d < cmap.dart_count:
+        if not isinstance(d, int) or not 0 <= d < len(alpha):
             raise ValidationError(f"cutting curve dart {d!r} out of range")
-        if d in g or cmap.alpha[d] in g:
+        if d in g or alpha[d] in g:
             raise ValidationError("cutting curve reuses subgraph material")
-    cycles, owner = cmap.vertices(), cmap.vertex_of_dart()
-
-    def on_subgraph(d):
-        return any(x in g for x in cycles[owner[d]])
-
     if curve.kind in ("I", "II", "III", "IV"):
         if g:
             raise ValidationError(
                 "loop cutting curves (kinds I-IV) apply only to an empty subgraph"
             )
-    elif curve.kind == "V":
-        if not on_subgraph(darts[0]):
-            raise ValidationError("arc cutting curve must start on the subgraph")
-        if not on_subgraph(cmap.alpha[darts[-1]]):
-            raise ValidationError("arc cutting curve must end on the subgraph")
-    elif curve.kind == "VI":
-        if not on_subgraph(darts[0]):
-            raise ValidationError("lasso cutting curve must start on the subgraph")
+        walk = (
+            all(opp[alpha[d]] == e for d, e in zip(darts, darts[1:]))
+            and owner[alpha[darts[-1]]] == owner[darts[0]]
+            and len({owner[d] for d in darts}) == len(darts)
+        )
+    elif curve.kind in ("V", "VI"):
+        if not gcount[owner[darts[0]]]:
+            shape = "arc" if curve.kind == "V" else "lasso"
+            raise ValidationError(f"{shape} cutting curve must start on the subgraph")
+        walk = _walk_arc(alpha, opp, owner, gcount, darts[0]) == (darts, curve.kind)
     else:
         raise ValidationError(f"unknown cutting curve kind {curve.kind!r}")
-    return darts
+    if not walk:
+        raise ValidationError(f"kind {curve.kind} cutting curve is not a strand walk")
 
 
-def add_cutting_curve(cmap: CombinatorialMap, subgraph, curve: CuttingCurve):
-    """Commit a cutting curve: returns the refined map and new subgraph.
+def is_essential(state: _Complement, curve: CuttingCurve) -> "_Cut | None":
+    """Judge a caller's cutting curve: the cut that commits it, or None
+    when it is inessential (the cut leaves a disk piece bounded by curve
+    alone, or by one run of curve and one of old boundary).  The curve
+    is checked (_checked_darts), then judged as reduce judges its own
+    (trial)."""
+    _checked_darts(state, curve)
+    return state.trial(curve)
 
-    Loop kinds only mark edges.  Arc and lasso ends are attached to the
-    subgraph, displacing an end off its vertex (through new three- and
-    four-valent vertices) whenever a direct attachment would spoil the
-    corner pattern there; this is the refinement reduce commits with
-    (_Complement._refine).  When the commit adds no darts (loops, and
-    arcs or lassos attached directly) the map is unchanged and the
-    input map object itself is returned, with the tables kept on it.
-    Otherwise every old dart keeps its sigma entry and the new darts
-    are numbered from the input dart_count up.
+
+def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
+    """Commit a cut; returns the state after it: this one, updated in
+    place, or the refined copy a one-vertex arc was judged on.
+
+    An arc or lasso end whose direct attachment would spoil the corner
+    pattern at its vertex is displaced first (_refine: old darts keep
+    their sigma, new ones are numbered from the old dart count up), and
+    the refined curve is then committed as a direct attachment.  A cut
+    made before the state's last commit is refused.
     """
-    g = _checked_subgraph(cmap, subgraph)
-    darts = _checked_darts(cmap, g, curve)
-    live = _MutableMap(cmap, g)
-    added = live._refine(curve.kind, darts, live._split_ends(curve.kind, darts))
-    return live.freeze(), frozenset(live.g | added)
-
-
-def is_essential(cmap: CombinatorialMap, subgraph, curve: CuttingCurve) -> bool:
-    """Decide whether a cutting curve genuinely cuts its region.
-
-    The cut is inessential when some new piece is a disk whose boundary
-    is either entirely curve material (a contractible loop) or one run
-    of curve material against one run of old boundary (the curve merely
-    pushes off existing boundary).  The curve is judged as its direct
-    attachment, from the faces and vertices it touches, without
-    committing it; only an arc with both ends at one vertex and an end
-    displaced by the split rule is refined and cut on a copy of the
-    complement (see _Complement.trial).
-    """
-    state = _Complement(cmap, _checked_subgraph(cmap, subgraph))
-    _checked_darts(cmap, state.g, curve)
-    return state.trial(curve) is not None
+    if cut.step != state.step or cut.state.step != cut.step:
+        raise ValidationError("the cut was made before the state's last commit")
+    state = cut.state
+    if cut.ends:
+        kind, darts = cut.curve.kind, cut.curve.darts
+        cut = state._cut(state._refine(kind, darts, cut.ends), cut.region, cut.curve)
+    g, gcount, cycles = state.g, state.gcount, state.cycles
+    now = state.step = state.step + 1
+    face_touched, vertex_touched = state.face_touched, state.vertex_touched
+    fresh = [v for v in cut.touched if not gcount[v]]
+    g |= cut.added
+    for v, n in cut.touched.items():
+        gcount[v] += n
+        vertex_touched[v] = now
+    for f, change in cut.weight.items():
+        state.weight[f] += change
+        face_touched[f] = now
+    adjacent = state.adjacent
+    for (a, b), n in cut.removed.items():
+        left = adjacent[a][b] - n
+        if left:
+            adjacent[a][b] = adjacent[b][a] = left
+        else:
+            del adjacent[a][b], adjacent[b][a]
+    for faces, euler2 in zip(cut.closed, cut.euler2):
+        for f in faces:
+            state.face_region[f] = len(state.euler2)
+        state.euler2.append(euler2)
+    state.euler2[cut.region] = cut.euler2[-1]
+    candidates = state.candidates
+    for x in cut.added:
+        i = bisect_left(candidates, x)
+        if i < len(candidates) and candidates[i] == x:
+            del candidates[i]
+    for v in fresh:
+        for x in cycles[v]:
+            if x not in g:
+                insort(candidates, x)
+    if 2 in cut.euler2:
+        state.candidates = [
+            x for x in candidates if state.euler2[state.region_of(x)] != 2
+        ]
+    return state
 
 
 def _strand_orbit(alpha, opp, start: int) -> list:
@@ -941,19 +879,48 @@ def _walk_arc(alpha, opp, owner, g_vertex, start: int):
             raise InternalInvariantError("arc walk failed to terminate")
 
 
-def find_cutting_curve(cmap: CombinatorialMap, subgraph) -> CuttingCurve:
-    """Find the next essential cutting curve for the subgraph.
+def find_cutting_curve(state: _Complement) -> _Cut:
+    """Find the next essential cutting curve of the state: the cut that
+    commits it, with the curve as cut.curve.
 
-    Calling this with a subgraph whose complement is already all disks
-    is a precondition violation (DomainError).  Candidates are tried
-    deterministically, lowest dart first.  For an empty subgraph the
-    candidates are simple loops extracted from the strands (kinds I to
-    IV); afterwards they are arcs and lassos grown from boundary germs
-    of non-disk regions (kinds V and VI).  Exhausting all candidates,
-    or finding only inessential ones, contradicts the validated filling
-    input and raises InternalInvariantError.
+    Calling this on a state whose complement is already all disks is a
+    precondition violation (DomainError).  Candidates are tried
+    deterministically, lowest dart first, skipping recorded rejections.
+    For an empty subgraph the candidates are simple loops extracted
+    from the strands (kinds I to IV); afterwards they are arcs and
+    lassos grown from boundary germs of non-disk regions (kinds V and
+    VI).  Exhausting all candidates, or finding only inessential ones,
+    contradicts the validated filling input and raises
+    InternalInvariantError.
     """
-    return _Complement(cmap, _checked_subgraph(cmap, subgraph)).cutting_curve()[0]
+    if state.fills:
+        raise DomainError(
+            "the subgraph already fills: every complementary region is a disk"
+        )
+    alpha, opp, owner = state.alpha, state.opp, state.owner
+    if state.g:
+        walks = (_walk_arc(alpha, opp, owner, state.gcount, x) for x in state.candidates)
+    else:
+        walks = (_extract_loop(alpha, opp, owner, d) for d in range(len(alpha)))
+    tried = 0
+    for darts, kind in walks:
+        if darts is None:
+            continue
+        tried += 1
+        if state._still_rejected(kind, darts):
+            continue
+        cut = state.trial(CuttingCurve(darts=darts, kind=kind))
+        if cut is not None:
+            return cut
+    if tried:
+        raise InternalInvariantError(
+            "every candidate cutting curve is inessential although a non-disk "
+            "complementary region remains"
+        )
+    raise InternalInvariantError(
+        "a non-disk complementary region admits no cutting curve; the input "
+        "appears to contain parallel homotopic components"
+    )
 
 
 def _smoothed_subgraph_map(state: _Complement):
@@ -972,7 +939,10 @@ def _smoothed_subgraph_map(state: _Complement):
 
     def next_germ(d):
         # the subgraph germ after d counterclockwise around its vertex
-        return state.boundary_successor(alpha[d])
+        x = sigma[d]
+        while x not in g:
+            x = sigma[x]
+        return x
 
     real = sorted(d for d in g if gcount[owner[d]] >= 3)
     if not real:
@@ -1087,14 +1057,14 @@ def reduce(filling: FillingMap) -> ReductionCertificate:
                 "reduction exceeded its iteration budget of one step per input edge"
             )
         try:
-            curve, cut = state.cutting_curve()
+            cut = find_cutting_curve(state)
         except InternalInvariantError as err:
             abort(str(err))
-        state = state.apply(cut)
+        state = add_cutting_curve(state, cut)
         iterations += 1
         steps.append(
-            f"step {iterations}: kind {curve.kind} cutting curve, darts "
-            f"{list(curve.darts)}, essential"
+            f"step {iterations}: kind {cut.curve.kind} cutting curve, darts "
+            f"{list(cut.curve.darts)}, essential"
         )
 
     if len(state.alpha) > input_dart_count and all(

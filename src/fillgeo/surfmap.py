@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import tolerances as tol
 from .errors import DomainError, InternalInvariantError, ValidationError
-from .polygeom import circumradius, min_filling_length, side_length
+from .polygeom import _check_genus, circumradius, min_filling_length, side_length
 from .report import CheckReport
 
 
@@ -315,8 +315,7 @@ def canonical_word(g: int) -> list:
     block.  The second occurrence of every label is reversed, which is
     the unique orientable choice.
     """
-    if isinstance(g, bool) or not isinstance(g, int) or g < 2:
-        raise DomainError(f"genus must be an integer >= 2, got {g!r}")
+    _check_genus(g)
     tokens = ["a6", "a3", "a1", "a4", "a6"]
     for j in range(1, g - 1):
         p = f"b{j}_"

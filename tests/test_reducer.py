@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,13 +13,15 @@ from fillgeo.errors import DomainError, InternalInvariantError, ValidationError
 from fillgeo.reducer import (
     CuttingCurve,
     add_cutting_curve,
+    complement,
     complement_regions,
     find_cutting_curve,
     is_essential,
     reduce,
     validate_input,
 )
-from test_reduce_digests import surface_genus
+from test_perfbench_tracing import load_tracing
+from test_reduce_digests import mixed, surface_genus
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -126,32 +129,36 @@ class TestValidateInput:
             validate_input(marked, 2)
 
 
+def after_first_curve(cmap):
+    """The complement of the map after its first cutting curve."""
+    state = complement(cmap)
+    return add_cutting_curve(state, find_cutting_curve(state))
+
+
 class TestComplementRegions:
     def test_empty_subgraph_whole_surface(self):
         for name in ("canonical_g2", "canonical_g3"):
             cmap, genus = load_fixture(name)
-            regions = complement_regions(cmap, frozenset())
+            regions = complement_regions(complement(cmap))
             assert len(regions) == 1
             assert regions[0].euler == 2 - 2 * genus
             assert not regions[0].is_disk
 
     def test_full_subgraph_gives_faces(self):
         cmap, _ = load_fixture("canonical_g2")
-        regions = complement_regions(cmap, frozenset(range(cmap.dart_count)))
+        regions = complement_regions(complement(cmap, frozenset(range(cmap.dart_count))))
         assert len(regions) == len(cmap.faces())
         assert all(r.is_disk for r in regions)
 
     def test_nonseparating_loop_leaves_one_region(self):
         cmap, _ = load_fixture("canonical_g2")
-        curve = find_cutting_curve(cmap, frozenset())
-        _, subgraph = add_cutting_curve(cmap, frozenset(), curve)
-        regions = complement_regions(cmap, subgraph)
+        regions = complement_regions(after_first_curve(cmap))
         assert len(regions) == 1
         assert not regions[0].is_disk
 
     def test_annulus_between_curve_sides(self):
         cmap = torus_two_curves()
-        regions = complement_regions(cmap, frozenset({0, 2, 4, 6}))
+        regions = complement_regions(complement(cmap, frozenset({0, 2, 4, 6})))
         assert len(regions) == 1
         annulus = regions[0]
         assert annulus.euler == 0
@@ -159,121 +166,155 @@ class TestComplementRegions:
     def test_subgraph_dart_out_of_range(self):
         cmap, _ = load_fixture("canonical_g2")
         with pytest.raises(ValidationError, match="out of range"):
-            complement_regions(cmap, frozenset({cmap.dart_count}))
+            complement(cmap, frozenset({cmap.dart_count}))
 
     def test_subgraph_must_be_edge_closed(self):
         cmap, _ = load_fixture("canonical_g2")
         with pytest.raises(ValidationError, match="involution"):
-            complement_regions(cmap, frozenset({0}))
+            complement(cmap, frozenset({0}))
 
 
 class TestFindCuttingCurve:
     def test_empty_subgraph_gives_loop(self):
         cmap, _ = load_fixture("canonical_g2")
-        curve = find_cutting_curve(cmap, frozenset())
+        curve = find_cutting_curve(complement(cmap)).curve
         assert curve.kind in ("I", "II", "III", "IV")
-        assert is_essential(cmap, frozenset(), curve)
+        assert is_essential(complement(cmap), curve) is not None
         assert len(curve.darts) >= 1
 
     def test_nonempty_subgraph_gives_arc_or_lasso(self):
         cmap, _ = load_fixture("canonical_g2")
-        first = find_cutting_curve(cmap, frozenset())
-        cmap2, subgraph = add_cutting_curve(cmap, frozenset(), first)
-        second = find_cutting_curve(cmap2, subgraph)
+        state = after_first_curve(cmap)
+        second = find_cutting_curve(state).curve
         assert second.kind in ("V", "VI")
-        assert is_essential(cmap2, subgraph, second)
+        assert is_essential(state, second) is not None
 
     def test_filling_subgraph_is_precondition_violation(self):
         cmap, _ = load_fixture("canonical_g2")
         with pytest.raises(DomainError, match="already fills"):
-            find_cutting_curve(cmap, frozenset(range(cmap.dart_count)))
+            find_cutting_curve(complement(cmap, frozenset(range(cmap.dart_count))))
 
     def test_deterministic(self):
         cmap, _ = load_fixture("triangle_a")
-        a = find_cutting_curve(cmap, frozenset())
-        b = find_cutting_curve(cmap, frozenset())
+        a = find_cutting_curve(complement(cmap)).curve
+        b = find_cutting_curve(complement(cmap)).curve
         assert a == b
 
 
 class TestAddCuttingCurve:
+    """Commits, and the curves that never reach one: a caller's curve is
+    committed as the cut is_essential made of it, so is_essential is
+    where a bad curve is refused."""
+
     def test_loop_requires_empty_subgraph(self):
         cmap, _ = load_fixture("canonical_g2")
-        first = find_cutting_curve(cmap, frozenset())
-        cmap2, subgraph = add_cutting_curve(cmap, frozenset(), first)
+        state = after_first_curve(cmap)
         fresh = min(
-            d for d in range(cmap2.dart_count)
-            if d not in subgraph and cmap2.alpha[d] not in subgraph
+            d for d in range(len(state.alpha))
+            if d not in state.g and state.alpha[d] not in state.g
         )
         loop = CuttingCurve(darts=(fresh,), kind="II")
         with pytest.raises(ValidationError, match="empty subgraph"):
-            add_cutting_curve(cmap2, subgraph, loop)
+            is_essential(state, loop)
 
     def test_rejects_reused_material(self):
         cmap, _ = load_fixture("canonical_g2")
-        first = find_cutting_curve(cmap, frozenset())
-        cmap2, subgraph = add_cutting_curve(cmap, frozenset(), first)
-        stale = CuttingCurve(darts=(min(subgraph),), kind="V")
+        state = after_first_curve(cmap)
+        stale = CuttingCurve(darts=(min(state.g),), kind="V")
         with pytest.raises(ValidationError, match="reuses"):
-            add_cutting_curve(cmap2, subgraph, stale)
+            is_essential(state, stale)
 
     def test_rejects_empty_curve(self):
         cmap, _ = load_fixture("canonical_g2")
         with pytest.raises(ValidationError, match="empty"):
-            add_cutting_curve(cmap, frozenset(), CuttingCurve(darts=(), kind="I"))
+            is_essential(complement(cmap), CuttingCurve(darts=(), kind="I"))
 
     def test_rejects_unknown_kind(self):
         cmap, _ = load_fixture("canonical_g2")
         with pytest.raises(ValidationError, match="unknown"):
-            add_cutting_curve(cmap, frozenset(), CuttingCurve(darts=(0,), kind="X"))
+            is_essential(complement(cmap), CuttingCurve(darts=(0,), kind="X"))
 
     def test_arc_must_start_on_subgraph(self):
         cmap = torus_two_curves()
         bad = CuttingCurve(darts=(1,), kind="V")
         with pytest.raises(ValidationError, match="start on the subgraph"):
-            add_cutting_curve(cmap, frozenset(), bad)
+            is_essential(complement(cmap), bad)
+
+    def test_rejects_arcs_that_are_not_strand_walks(self):
+        cmap, _ = load_fixture("sixvalent_a")
+        state = after_first_curve(cmap)
+        alpha, opp, owner, g = state.alpha, state.opp, state.owner, state.g
+        free = [d for d in range(len(alpha)) if d not in g and alpha[d] not in g]
+        arcs = [
+            CuttingCurve(darts=(a, b), kind="V")
+            for a in state.candidates
+            for b in free
+            if b != opp[alpha[a]] and state.gcount[owner[alpha[b]]]
+        ]
+        assert len(arcs) > 50
+        for arc in arcs:
+            with pytest.raises(ValidationError, match="not a strand walk"):
+                is_essential(state, arc)
+        for x in state.candidates:
+            walk, kind = reducer._walk_arc(alpha, opp, owner, state.gcount, x)
+            if walk is not None:
+                with pytest.raises(ValidationError, match="not a strand walk"):
+                    is_essential(state, CuttingCurve(darts=walk, kind="VI" if kind == "V" else "V"))
+
+    def test_rejects_loops_that_are_not_strand_walks(self):
+        cmap, _ = load_fixture("canonical_g2")
+        state = complement(cmap)
+        loop = find_cutting_curve(state).curve.darts
+        strand = tuple(reducer._strand_orbit(state.alpha, state.opp, loop[0]))
+        assert len(loop) >= 2
+        assert len({state.owner[d] for d in strand}) < len(strand)
+        # unclosed, leaving its strand, and repeating a vertex
+        for darts in (loop[:-1], (loop[0], state.sigma[loop[1]], *loop[2:]), strand):
+            with pytest.raises(ValidationError, match="not a strand walk"):
+                is_essential(state, CuttingCurve(darts=darts, kind="III"))
 
     def test_spanning_arc_makes_two_trivalent_vertices(self):
-        cmap = torus_two_curves()
-        subgraph = frozenset({0, 2, 4, 6})
+        state = complement(torus_two_curves(), frozenset({0, 2, 4, 6}))
         arc = CuttingCurve(darts=(1,), kind="V")
-        new_map, new_g = add_cutting_curve(cmap, subgraph, arc)
-        owner = new_map.vertex_of_dart()
+        state = add_cutting_curve(state, is_essential(state, arc))
+        owner = state.freeze().vertex_of_dart()
         valence = {}
-        for d in new_g:
+        for d in state.g:
             valence[owner[d]] = valence.get(owner[d], 0) + 1
         assert sorted(valence.values()) == [3, 3]
 
     def test_subgraph_always_edge_closed(self):
         cmap, _ = load_fixture("sixvalent_a")
-        subgraph = frozenset()
+        state = complement(cmap)
         for _ in range(3):
-            curve = find_cutting_curve(cmap, subgraph)
-            cmap, subgraph = add_cutting_curve(cmap, subgraph, curve)
-            assert all(cmap.alpha[d] in subgraph for d in subgraph)
+            state = add_cutting_curve(state, find_cutting_curve(state))
+            cmap = state.freeze()
+            assert all(cmap.alpha[d] in state.g for d in state.g)
 
     def test_commit_without_new_darts_returns_the_input_map(self):
         cmap, _ = load_fixture("canonical_g2")
-        loop = find_cutting_curve(cmap, frozenset())
-        after_loop, subgraph = add_cutting_curve(cmap, frozenset(), loop)
-        assert after_loop is cmap
-        arc = find_cutting_curve(cmap, subgraph)
-        assert arc.kind == "V"
-        after_arc, grown = add_cutting_curve(cmap, subgraph, arc)
-        assert after_arc is cmap
-        assert grown > subgraph
+        state = complement(cmap)
+        state = add_cutting_curve(state, find_cutting_curve(state))
+        assert state.freeze() is cmap
+        subgraph = frozenset(state.g)
+        arc = find_cutting_curve(state)
+        assert arc.curve.kind == "V"
+        state = add_cutting_curve(state, arc)
+        assert state.freeze() is cmap
+        assert state.g > subgraph
 
     def test_displaced_commit_keeps_old_darts(self):
         """A commit that fires the split rule keeps every old dart's sigma
-        entry and numbers the new darts from the input dart count up."""
+        entry and numbers the new darts from the old dart count up."""
         displaced = []
         for path in sorted(DATA_DIR.glob("reproducer_*.json")):
-            cmap, subgraph = load_fixture(path.stem)[0], frozenset()
-            while not all(r.is_disk for r in complement_regions(cmap, subgraph)):
-                curve = find_cutting_curve(cmap, subgraph)
-                new_map, new_g = add_cutting_curve(cmap, subgraph, curve)
+            state = complement(load_fixture(path.stem)[0])
+            while not all(r.is_disk for r in complement_regions(state)):
+                cmap, subgraph = state.freeze(), frozenset(state.g)
+                state = add_cutting_curve(state, find_cutting_curve(state))
+                new_map, new_g = state.freeze(), frozenset(state.g)
                 if new_map.dart_count > cmap.dart_count:
                     displaced.append((cmap, subgraph, new_map, new_g))
-                cmap, subgraph = new_map, new_g
         assert displaced, "the split rule should fire on the reproducers"
         for cmap, subgraph, new_map, new_g in displaced:
             n = cmap.dart_count
@@ -284,47 +325,74 @@ class TestAddCuttingCurve:
             assert cmap.straight_corners < new_map.straight_corners
             assert subgraph < new_g
 
+    def test_cut_made_before_the_last_commit_is_refused(self):
+        cmap, _ = load_fixture("canonical_g2")
+        state = complement(cmap)
+        first = find_cutting_curve(state)
+        state = add_cutting_curve(state, first)
+        with pytest.raises(ValidationError, match="last commit"):
+            add_cutting_curve(state, first)
+        stale = find_cutting_curve(state)
+        state = add_cutting_curve(state, find_cutting_curve(state))
+        with pytest.raises(ValidationError, match="last commit"):
+            add_cutting_curve(state, stale)
 
-PUBLIC_WITH_SUBGRAPH = {
-    "complement_regions": lambda cmap, g, curve: complement_regions(cmap, g),
-    "find_cutting_curve": lambda cmap, g, curve: find_cutting_curve(cmap, g),
-    "is_essential": is_essential,
-    "add_cutting_curve": add_cutting_curve,
-}
+    def test_cut_judged_on_a_copy_commits_once(self):
+        """A one-vertex arc with an end displaced is cut on a copy of the
+        state; the copy is the next state, and the cut commits once."""
+        cmap, genus = mixed(50)
+        state = complement(cmap)
+        while True:
+            cut = find_cutting_curve(state)
+            if cut.state is not state:
+                break
+            state = add_cutting_curve(state, cut)
+        after = add_cutting_curve(state, cut)
+        assert after is cut.state
+        assert len(after.alpha) > len(state.alpha)
+        for target in (state, after):
+            with pytest.raises(ValidationError, match="last commit"):
+                add_cutting_curve(target, cut)
+
+    @pytest.mark.parametrize("name", ["sixvalent_a", "sixvalent_b", "reproducer_6-6-4-4@690"])
+    def test_judged_cut_commits_like_the_found_one(self, name):
+        cmap, _ = load_fixture(name)
+        state, twin = complement(cmap), complement(cmap)
+        while not state.fills:
+            found = find_cutting_curve(state)
+            judged = is_essential(twin, found.curve)
+            assert judged is not None
+            state = add_cutting_curve(state, found)
+            twin = add_cutting_curve(twin, judged)
+            assert twin.freeze() == state.freeze()
+            assert twin.g == state.g
+        assert len(state.alpha) > cmap.dart_count, "the split rule should fire"
 
 
-@pytest.mark.parametrize("name", sorted(PUBLIC_WITH_SUBGRAPH))
-def test_public_functions_check_a_callers_subgraph(name):
-    call = PUBLIC_WITH_SUBGRAPH[name]
+def test_complement_checks_a_callers_subgraph():
     cmap, _ = load_fixture("canonical_g2")
-    first = find_cutting_curve(cmap, frozenset())
-    cmap, subgraph = add_cutting_curve(cmap, frozenset(), first)
-    curve = find_cutting_curve(cmap, subgraph)
+    subgraph = frozenset(after_first_curve(cmap).g)
     with pytest.raises(ValidationError, match="out of range"):
-        call(cmap, subgraph | {999}, curve)
+        complement(cmap, subgraph | {999})
     with pytest.raises(ValidationError, match="involution"):
-        call(cmap, subgraph - {min(subgraph)}, curve)
+        complement(cmap, subgraph - {min(subgraph)})
 
 
 class TestIsEssential:
     def test_spanning_arc_of_annulus(self):
         cmap = torus_two_curves()
-        subgraph = frozenset({0, 2, 4, 6})
         arc = CuttingCurve(darts=(1,), kind="V")
-        assert is_essential(cmap, subgraph, arc)
+        assert is_essential(complement(cmap, frozenset({0, 2, 4, 6})), arc) is not None
 
     def test_boundary_parallel_arc(self):
         cmap, _ = load_fixture("triangle_b")
-        first = find_cutting_curve(cmap, frozenset())
-        cmap2, subgraph = add_cutting_curve(cmap, frozenset(), first)
         pushoff = CuttingCurve(darts=(13, 1), kind="V")
-        assert not is_essential(cmap2, subgraph, pushoff)
+        assert is_essential(after_first_curve(cmap), pushoff) is None
 
     def test_lasso_with_contractible_loop(self):
         cmap = lasso_with_trivial_loop()
-        subgraph = frozenset({0, 2})
         lasso = CuttingCurve(darts=(1, 6), kind="VI")
-        assert not is_essential(cmap, subgraph, lasso)
+        assert is_essential(complement(cmap, frozenset({0, 2})), lasso) is None
 
 
 class TestReduce:
@@ -364,7 +432,7 @@ class TestReduce:
         darts = set(cert.subgraph_darts)
         assert all(0 <= d < ambient.dart_count for d in darts)
         assert all(ambient.alpha[d] in darts for d in darts)
-        regions = complement_regions(ambient, frozenset(darts))
+        regions = complement_regions(complement(ambient, frozenset(darts)))
         assert all(r.is_disk for r in regions)
 
     def test_canonical_reduction_is_idempotent(self):
@@ -426,12 +494,25 @@ class TestReduce:
     def test_replay_of_step_log_reaches_certificate(self):
         cmap, genus = load_fixture("sixvalent_b")
         cert = reduce(validate_input(cmap, genus))
-        subgraph = frozenset()
+        state = complement(cmap)
         for _ in cert.steps:
-            curve = find_cutting_curve(cmap, subgraph)
-            cmap, subgraph = add_cutting_curve(cmap, subgraph, curve)
-        assert subgraph == frozenset(cert.subgraph_darts)
-        assert surfmap.to_interchange(cmap) == cert.ambient_map
+            state = add_cutting_curve(state, find_cutting_curve(state))
+        assert state.g == set(cert.subgraph_darts)
+        assert surfmap.to_interchange(state.freeze()) == cert.ambient_map
+
+    def test_reduce_steps_through_the_public_step_functions(self):
+        tracing = load_tracing()
+        tracer = tracing.Tracer()
+        restore = tracing.install(tracer)
+        try:
+            data = json.loads((DATA_DIR / "reproducer_6-6-4-4@690.json").read_text())
+            cert = reduce(validate_input(data, data["genus"]))
+        finally:
+            restore()
+        spans = Counter(span[tracing.NAME] for span in tracer.spans)
+        assert cert.iterations > 0
+        assert spans["reducer.find_cutting_curve"] == cert.iterations
+        assert spans["reducer.add_cutting_curve"] == cert.iterations
 
 
 def _random_four_valent_map(seed):

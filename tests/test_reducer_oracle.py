@@ -8,8 +8,9 @@ shares no code with that state: it traces faces as orbits of
 sigma∘alpha, glues them across edges outside the subgraph with its own
 union-find, counts V - E + F per region (interior vertices and corner
 gaps, interior edges and boundary sides, faces) and walks the boundary
-of every disk.  A curve is committed with ``add_cutting_curve``, which
-builds the refined map; judging the result is the oracle's own work.
+of every disk.  A curve is committed by ``reference_commit``, which
+refines a bare ``reducer._MutableMap`` and builds no regions; judging
+the result is the oracle's own work.
 Curve material on a disk's boundary is what the commit adds to the
 subgraph, except the darts on the path that replaced a subdivided old
 subgraph edge, which stay old boundary; the oracle finds that path
@@ -139,6 +140,14 @@ def old_boundary(cmap, new_map, g):
     return old
 
 
+def reference_commit(cmap, g, curve):
+    """The refined map and subgraph after committing curve: the split
+    rule alone, on the bare map tables (_MutableMap)."""
+    live = reducer._MutableMap(cmap, g)
+    added = live._refine(curve.kind, curve.darts, live._split_ends(curve.kind, curve.darts))
+    return live.freeze(), frozenset(live.g | added)
+
+
 def oracle_essential(cmap, g, curve):
     """Commit the curve, then look for a disk whose boundary is all curve
     or one run of curve against one run of old boundary.
@@ -147,7 +156,7 @@ def oracle_essential(cmap, g, curve):
     halves of a subdivided old subgraph edge: they are old boundary.
     Returns (essential, the refined map).
     """
-    new_map, new_g = reducer.add_cutting_curve(cmap, frozenset(g), curve)
+    new_map, new_g = reference_commit(cmap, g, curve)
     added = new_g - set(g) - old_boundary(cmap, new_map, g)
     _, region, euler = oracle_complement(new_map, new_g)
     cycles_in = {}
@@ -221,18 +230,18 @@ def watched(monkeypatch):
             "refined": 0, "skipped": 0, "new_face_later_region": 0}
     live = reducer._Complement
     original = {
-        name: getattr(live, name)
-        for name in ("cutting_curve", "apply", "trial", "_refine", "_still_rejected")
+        name: getattr(live, name) for name in ("trial", "_refine", "_still_rejected")
     }
+    find, commit = reducer.find_cutting_curve, reducer.add_cutting_curve
 
-    def cutting_curve(self):
-        check_state(self)
+    def find_cutting_curve(state):
+        check_state(state)
         seen["states"] += 1
-        return original["cutting_curve"](self)
+        return find(state)
 
-    def apply(self, cut):
-        before = touchable(self)
-        state = original["apply"](self, cut)
+    def add_cutting_curve(state, cut):
+        before = touchable(state)
+        state = commit(state, cut)
         check_stale(state, before, original["_still_rejected"])
         check_state(state)
         seen["states"] += 1
@@ -270,8 +279,8 @@ def watched(monkeypatch):
             seen["skipped"] += 1
         return skip
 
-    monkeypatch.setattr(live, "cutting_curve", cutting_curve)
-    monkeypatch.setattr(live, "apply", apply)
+    monkeypatch.setattr(reducer, "find_cutting_curve", find_cutting_curve)
+    monkeypatch.setattr(reducer, "add_cutting_curve", add_cutting_curve)
     monkeypatch.setattr(live, "trial", trial)
     monkeypatch.setattr(live, "_refine", refine)
     monkeypatch.setattr(live, "_still_rejected", still_rejected)
@@ -383,7 +392,7 @@ def test_mixed_reductions_build_the_complement_once(monkeypatch):
     def counted_trial(self, curve):
         cut = trial(self, curve)
         cmap = self.freeze()
-        new_map, _ = reducer.add_cutting_curve(cmap, self.g, curve)
+        new_map, _ = reference_commit(cmap, self.g, curve)
         one_vertex.append(one_vertex_displaced(cmap, curve, new_map))
         return cut
 
