@@ -369,13 +369,27 @@ class TestAddCuttingCurve:
         assert len(state.alpha) > cmap.dart_count, "the split rule should fire"
 
 
-def test_complement_checks_a_callers_subgraph():
+# A caller's subgraph reaches the public step functions only as the state
+# complement builds from it, so complement is where a bad one is refused.
+PUBLIC_WITH_SUBGRAPH = {
+    "complement_regions": lambda cmap, g, cut: complement_regions(complement(cmap, g)),
+    "find_cutting_curve": lambda cmap, g, cut: find_cutting_curve(complement(cmap, g)),
+    "is_essential": lambda cmap, g, cut: is_essential(complement(cmap, g), cut.curve),
+    "add_cutting_curve": lambda cmap, g, cut: add_cutting_curve(complement(cmap, g), cut),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_WITH_SUBGRAPH))
+def test_public_functions_check_a_callers_subgraph(name):
+    call = PUBLIC_WITH_SUBGRAPH[name]
     cmap, _ = load_fixture("canonical_g2")
-    subgraph = frozenset(after_first_curve(cmap).g)
+    state = after_first_curve(cmap)
+    subgraph = frozenset(state.g)
+    cut = find_cutting_curve(state)
     with pytest.raises(ValidationError, match="out of range"):
-        complement(cmap, subgraph | {999})
+        call(cmap, subgraph | {999}, cut)
     with pytest.raises(ValidationError, match="involution"):
-        complement(cmap, subgraph - {min(subgraph)})
+        call(cmap, subgraph - {min(subgraph)}, cut)
 
 
 class TestIsEssential:
