@@ -18,7 +18,7 @@ degrees and the outcome of every check; it never hides a failure.
 
 import json
 from bisect import bisect_left, insort
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -90,13 +90,15 @@ class Region:
 class _Cut(NamedTuple):
     """What committing one cutting curve changes in a complement.
 
-    added holds the curve's darts in both directions and touched how
-    many of them lie at each vertex; weight is the change of each
-    face's doubled Euler share and removed the number of curve edges
-    between each pair of distinct faces (lower face first).  The curve
-    lies in one region: closed lists the faces of each piece the cut
-    splits off it, and euler2 the doubled Euler characteristic of those
-    pieces followed by that of the rest, which keeps the region's index.
+    added holds the curve's darts in both directions.  Three dicts
+    count what they change: touched maps each vertex to the added darts
+    at it, weight each face of an added dart, and each face that loses
+    an interior vertex, to the change of its doubled Euler share, and
+    removed each pair of distinct faces (lower face first) to the curve
+    edges between them.  The curve lies in one region: closed lists the
+    faces of each piece the cut splits off it, and euler2 the doubled
+    Euler characteristic of those pieces followed by that of the rest,
+    which keeps the region's index.
     curve is the cutting curve, state the complement the cut was made
     in and step that complement's step then.  A curve judged as its
     direct attachment whose commit fires the split rule carries the end
@@ -104,9 +106,9 @@ class _Cut(NamedTuple):
     """
 
     added: frozenset
-    touched: Counter
-    weight: Counter
-    removed: Counter
+    touched: dict
+    weight: dict
+    removed: dict
     region: int
     closed: list
     euler2: list
@@ -340,26 +342,30 @@ class _Complement(_MutableMap):
 
     Most trials of a reduction reject a curve that an earlier iteration
     already rejected, so the state keeps a memo of rejections.  Each
-    commit counts as one step, and every face and vertex it touches is
-    stamped with it: add_cutting_curve stamps the faces of the curve's darts (the
-    only faces whose Euler shares and edge counts it changes) and the
-    vertices the curve reaches, and _retrace every face it retraces,
-    every new vertex and the vertex of every old dart whose alpha it
-    changed.  A rejection made on this
-    state (not on a refined copy) records the curve's kind and darts,
-    the faces of the disk piece P that rejected it, other than the
-    unwalked rest of the region, and the curve's vertices; the entry
-    stays true (_still_rejected) while none of those has been stamped
-    since.  That is sound: every edge between a face of P and a face
-    outside it is a subgraph edge or a curve edge, and a commit only
-    adds subgraph material, so while no face of P is retraced P stays a
-    piece of the cut, and its faces keep their Euler shares.  What the
-    curve adds to those shares, which end the split rule displaces, and
-    the material changes of P's boundary are read from the germs at the
-    curve's own vertices, which are unchanged too.  So P is still a disk
-    piece with at most two changes, and the curve is still inessential.
-    A copy keeps a memo of its own, so a state stays usable after a cut
-    judged on its copy was committed.
+    commit counts as one step, and every face it touches is stamped
+    with it: add_cutting_curve stamps the faces in the cut's weight (the
+    only faces whose Euler shares and edge counts it changes) and
+    _retrace every face it retraces.  A rejection by a disk piece P
+    split off the region (not its unwalked rest) records the step and
+    the faces of P under the curve's kind and darts; it stays true
+    (_still_rejected) while no face of P has been stamped since.  A
+    one-vertex arc (kind V with both ends at one vertex) is not
+    recorded: the split rule decides how it is judged (see trial), so
+    its verdict reads every germ at its vertex.  For any other curve the
+    record is sound.  Every edge between a face of P and a face outside
+    it is a subgraph edge or a curve edge, and a commit only adds
+    subgraph material, so while no face of P is stamped P stays a piece
+    of the cut, with its Euler shares.  Four facts keep P's boundary:
+    the memo key is the walk itself, so while the key still matches,
+    the curve's inner vertices have no subgraph germ and its end
+    vertices keep theirs; a germ added inside one of P's corner gaps
+    stamps a face of P, the face of the new dart, which holds the corner
+    just before it; a germ added in another gap leaves P's gap
+    transitions as they were; and a displaced end does not change the
+    verdict of any curve that is not a one-vertex arc (see trial).  So
+    P is still a disk piece with at most two changes, and the curve is
+    still inessential.  A copy keeps a memo of its own, so a state
+    stays usable after a cut judged on its copy was committed.
     """
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
@@ -394,7 +400,6 @@ class _Complement(_MutableMap):
         self.candidates = self._candidates(range(cmap.dart_count))
         self.step = 0
         self.face_touched = [0] * len(faces)
-        self.vertex_touched = [0] * len(self.cycles)
         self.rejected = {}
 
     def _candidates(self, darts) -> list:
@@ -470,7 +475,8 @@ class _Complement(_MutableMap):
         alpha, owner, kind, darts = self.alpha, self.owner, curve.kind, curve.darts
         ends = self._split_ends(kind, darts)
         region = self.region_of(darts[0])
-        if ends and kind == "V" and owner[darts[0]] == owner[alpha[darts[-1]]]:
+        one_vertex = kind == "V" and owner[darts[0]] == owner[alpha[darts[-1]]]
+        if ends and one_vertex:
             state = self.copy()
             cut = state._cut(state._refine(kind, darts, ends), region, curve)
         else:
@@ -479,42 +485,40 @@ class _Complement(_MutableMap):
         piece = cut.state._pushes_off(cut)
         if piece is None:
             return cut
-        if cut.state is self and piece < len(cut.closed):
-            self.rejected[kind, tuple(darts)] = (self.step, cut.closed[piece], tuple(cut.touched))
+        if not one_vertex and piece < len(cut.closed):
+            self.rejected[kind, tuple(darts)] = (self.step, cut.closed[piece])
         return None
 
     def _still_rejected(self, kind: str, darts: tuple) -> bool:
         """Whether a rejection of the curve is on record and no face of
-        its disk piece and none of its vertices was touched since."""
+        its disk piece was touched since."""
         entry = self.rejected.get((kind, darts))
         if entry is None:
             return False
-        step, faces, vertices = entry
-        face_touched, vertex_touched = self.face_touched, self.vertex_touched
-        return all(face_touched[f] <= step for f in faces) and all(
-            vertex_touched[v] <= step for v in vertices
-        )
+        step, faces = entry
+        return all(self.face_touched[f] <= step for f in faces)
 
     def _cut(self, added: frozenset, region: int, curve, ends=()) -> _Cut:
         """The cut of curve, which adds the edges of added inside region,
         attached directly at its ends or with ends still to displace."""
-        alpha, face_of, cycles = self.alpha, self.face_of, self.cycles
-        touched = Counter(self.owner[x] for x in added)
+        alpha, face_of, owner, cycles = self.alpha, self.face_of, self.owner, self.cycles
         # each added dart is a boundary side (-1) and opens a corner gap
         # in the face of its alpha (+2, counted at its own face here,
         # since added is closed under alpha)
-        weight = Counter(face_of[x] for x in added)
+        touched, weight, removed = {}, {}, {}
+        for x in added:
+            v, a, b = owner[x], face_of[x], face_of[alpha[x]]
+            touched[v] = touched.get(v, 0) + 1
+            weight[a] = weight.get(a, 0) + 1
+            if a < b:
+                removed[a, b] = removed.get((a, b), 0) + 1
         for v in touched:
             if not self.gcount[v]:
-                weight[face_of[cycles[v][0]]] -= 2
-        removed = Counter()
-        for x in added:
-            a, b = face_of[x], face_of[alpha[x]]
-            if a < b:
-                removed[a, b] += 1
+                f = face_of[cycles[v][0]]
+                weight[f] = weight.get(f, 0) - 2
         emptied = [(a, b) for (a, b), n in removed.items() if self.adjacent[a][b] == n]
         closed = self._split(emptied, removed) if emptied else []
-        euler2 = [sum(self.weight[f] + weight[f] for f in faces) for faces in closed]
+        euler2 = [sum(self.weight[f] + weight.get(f, 0) for f in faces) for faces in closed]
         euler2.append(self.euler2[region] + sum(weight.values()) - sum(euler2))
         return _Cut(added, touched, weight, removed, region, closed, euler2, curve, self,
                     self.step, ends)
@@ -539,16 +543,17 @@ class _Complement(_MutableMap):
         alpha, sigma, face_of, g, added = self.alpha, self.sigma, self.face_of, self.g, cut.added
         piece = {f: i for i, faces in enumerate(cut.closed) for f in faces}
         rest = len(cut.closed)
-        changes = Counter()
+        changes = {}
         for v in cut.touched:
             germs = [x for x in self.cycles[v] if x in g or x in added]
             for i, p in enumerate(germs):
                 if (alpha[p] in added) != (germs[(i + 1) % len(germs)] in added):
-                    changes[piece.get(face_of[sigma[p]], rest)] += 1
+                    k = piece.get(face_of[sigma[p]], rest)
+                    changes[k] = changes.get(k, 0) + 1
         pieces = sorted({piece.get(face_of[x], rest) for x in added})
-        return next((p for p in pieces if cut.euler2[p] == 2 and changes[p] <= 2), None)
+        return next((p for p in pieces if cut.euler2[p] == 2 and changes.get(p, 0) <= 2), None)
 
-    def _split(self, emptied: list, removed: Counter) -> list:
+    def _split(self, emptied: list, removed: dict) -> list:
         """The faces of every piece but one that a cut splits a region into.
 
         A region can only fall apart where the cut empties an adjacency
@@ -577,7 +582,7 @@ class _Complement(_MutableMap):
                     continue
                 f = queue.popleft()
                 for h, n in adjacent[f].items():
-                    if n == removed[(f, h) if f < h else (h, f)]:
+                    if n == removed.get((f, h) if f < h else (h, f), 0):
                         continue
                     j = search_of.get(h)
                     if j is None:
@@ -602,21 +607,17 @@ class _Complement(_MutableMap):
         index and region and the others take new indices; a face of new
         darts alone lies in the region of start.  Each is weighed and its
         adjacencies counted afresh.  A refinement leaves each region's
-        Euler characteristic as it was.  The retraced faces, the new
-        vertices and the vertices of the old darts whose alpha changed
-        are stamped with the step of the commit under way.
+        Euler characteristic as it was.  The retraced faces are stamped
+        with the step of the commit under way.
         """
         region = self.region_of(start)
         alpha, sigma, g = self.alpha, self.sigma, self.g
         face_of, adjacent = self.face_of, self.adjacent
-        now, face_touched, vertex_touched = self.step + 1, self.face_touched, self.vertex_touched
+        now, face_touched = self.step + 1, self.face_touched
         new = range(n, len(alpha))
         face_of += [None] * len(new)
         self.gcount += [sum(x in g for x in cycle) for cycle in self.cycles[len(self.gcount):]]
-        vertex_touched += [now] * (len(self.cycles) - len(vertex_touched))
         old = [alpha[y] for y in new if alpha[y] < n]
-        for x in old:
-            vertex_touched[self.owner[x]] = now
         changed = sorted({*new, *old})
         ids = {face_of[x] for x in changed if x < n}
         for f in ids:
@@ -771,12 +772,11 @@ def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
         cut = state._cut(state._refine(kind, darts, cut.ends), cut.region, cut.curve)
     g, gcount, cycles = state.g, state.gcount, state.cycles
     now = state.step = state.step + 1
-    face_touched, vertex_touched = state.face_touched, state.vertex_touched
+    face_touched = state.face_touched
     fresh = [v for v in cut.touched if not gcount[v]]
     g |= cut.added
     for v, n in cut.touched.items():
         gcount[v] += n
-        vertex_touched[v] = now
     for f, change in cut.weight.items():
         state.weight[f] += change
         face_touched[f] = now

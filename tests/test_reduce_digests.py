@@ -11,12 +11,16 @@ step log or a failure message shows here.  After an intended change
 of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_reduce_digests.py --write
+
+``scripts/reduce_census.py`` must print the pinned ``CENSUS`` line: the
+646 validated maps of its 3,000 draws reduce byte-identically too.
 """
 
 import hashlib
 import json
 import pathlib
 import random
+import subprocess
 import sys
 
 from conftest import random_map
@@ -25,6 +29,11 @@ from fillgeo.errors import DomainError, InternalInvariantError, ValidationError
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA_DIR / "reduce_digests.json"
+CENSUS_SCRIPT = DATA_DIR.parent.parent / "scripts" / "reduce_census.py"
+CENSUS = (
+    "validated 646 passed 646 failing 0 internal-error 0 "
+    "e7b79ddebb2a280f470800cc7ddcd3f5293b2d6b99648bd64742bd34269a7e1d"
+)
 FIXTURES = (
     "bigon",
     "canonical_g2",
@@ -116,6 +125,13 @@ def test_reduction_outcomes_match_golden_digests():
     assert current.keys() == golden.keys()
     changed = sorted(name for name in golden if current[name] != golden[name])
     assert not changed, f"reduction outcome changed for {changed}"
+
+
+def test_census_prints_the_pinned_line():
+    run = subprocess.run(
+        [sys.executable, str(CENSUS_SCRIPT)], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == CENSUS
 
 
 def test_reduce_checks_no_curve_of_its_own(monkeypatch):

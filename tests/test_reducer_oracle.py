@@ -24,11 +24,15 @@ every candidate tried must get the oracle's essential/inessential
 verdict, and every candidate the state's memo of rejections skips
 must be one the oracle rejects.  The memo's premise is checked too: a
 commit that changes a face of a recorded piece (its darts, their edges
-or its Euler share) or the germs at a recorded curve vertex must leave
-that record stale.  The inputs are the 4-valent 48-vertex maps and the {4,6,8}-
-valent maps of ``test_reduce_digests.py``, with four more mixed maps
-that try arcs with both ends at one vertex and an end displaced; the
-split rule fires on many of the mixed maps.  The fixture
+or its Euler share) must leave that record stale, and a record that
+stays fresh after a commit changed the germs at one of its curve's
+vertices must still hold: while its darts are the walk from a
+candidate germ, the oracle rejects that curve.  No record is a
+one-vertex arc (kind V with both ends at one vertex).  The inputs are
+the 4-valent 48-vertex maps and the {4,6,8}-valent maps of
+``test_reduce_digests.py``, with four more mixed maps that try arcs
+with both ends at one vertex and an end displaced; the split rule fires
+on many of the mixed maps.  The fixture
 ``second_region_face`` refines its map into a face of new darts alone
 while the complement has two non-disk regions, in the second one.
 """
@@ -213,13 +217,30 @@ def touchable(state):
 
 
 def check_stale(state, before, fresh):
-    """Every memo record whose faces or vertices a commit changed is stale."""
+    """Every memo record whose piece a commit changed is stale, and every
+    record that stays fresh although the commit changed the germs at one
+    of its curve's vertices still holds where it can be used: when its
+    darts are still the walk from a candidate germ, the oracle rejects
+    that curve.  Returns how many such records were checked."""
     faces, vertices = touchable(state)
     moved_faces = {f for f, view in before[0].items() if faces[f] != view}
     moved_vertices = {v for v, view in enumerate(before[1]) if vertices[v] != view}
-    for (kind, darts), (_, piece, curve_vertices) in state.rejected.items():
-        if moved_faces.intersection(piece) or moved_vertices.intersection(curve_vertices):
+    alpha_before = {x: a for view in before[1] for x, _, a in view}
+    owner, checked = state.owner, 0
+    for (kind, darts), (_, piece) in state.rejected.items():
+        if moved_faces.intersection(piece):
             assert not fresh(state, kind, darts), ("a changed record stayed fresh", darts)
+            continue
+        curve_vertices = {owner[x] for d in darts for x in (d, alpha_before[d])}
+        if not moved_vertices.intersection(curve_vertices) or not fresh(state, kind, darts):
+            continue
+        walk = reducer._walk_arc(state.alpha, state.opp, owner, state.gcount, darts[0])
+        if darts[0] in state.candidates and walk == (darts, kind):
+            curve = reducer.CuttingCurve(darts=darts, kind=kind)
+            essential, _ = oracle_essential(state.freeze(), state.g, curve)
+            assert not essential, ("a fresh record of a moved vertex is essential", curve)
+            checked += 1
+    return checked
 
 
 @pytest.fixture
@@ -227,7 +248,7 @@ def watched(monkeypatch):
     """Check every state, every refinement and every trial of the
     reductions run under it."""
     seen = {"states": 0, "trials": 0, "essential": 0, "split": 0, "one_vertex": 0,
-            "refined": 0, "skipped": 0, "new_face_later_region": 0}
+            "refined": 0, "skipped": 0, "new_face_later_region": 0, "moved_vertex_fresh": 0}
     live = reducer._Complement
     original = {
         name: getattr(live, name) for name in ("trial", "_refine", "_still_rejected")
@@ -242,7 +263,7 @@ def watched(monkeypatch):
     def add_cutting_curve(state, cut):
         before = touchable(state)
         state = commit(state, cut)
-        check_stale(state, before, original["_still_rejected"])
+        seen["moved_vertex_fresh"] += check_stale(state, before, original["_still_rejected"])
         check_state(state)
         seen["states"] += 1
         return state
@@ -293,6 +314,10 @@ def watched(monkeypatch):
 # certificate; with the halves of the subdivided landing edge counted as
 # curve material, the reduction of 50 raises InternalInvariantError.
 ONE_VERTEX_SEEDS = (50, 169, 342, 368)
+# Mixed maps whose reductions reject a one-vertex arc with no end
+# displaced on the live state, by a piece split off the region: a memo
+# that recorded such arcs would record these.
+LIVE_ONE_VERTEX_SEEDS = (88, 330)
 
 
 def one_vertex_displaced(cmap, curve, new_map):
@@ -303,6 +328,11 @@ def one_vertex_displaced(cmap, curve, new_map):
         and owner[curve.darts[0]] == owner[cmap.alpha[curve.darts[-1]]]
         and new_map.dart_count > cmap.dart_count
     )
+
+
+def is_one_vertex(state, kind, darts):
+    """Whether a curve is an arc with both ends at one vertex of the state."""
+    return kind == "V" and state.owner[darts[0]] == state.owner[state.alpha[darts[-1]]]
 
 
 def reduce_all(inputs):
@@ -328,6 +358,38 @@ def test_mixed_valence_reductions_match_oracle(watched):
     assert watched["refined"] > watched["one_vertex"]
     # the memo answers more of the repeated rejections than trials make
     assert watched["skipped"] > watched["trials"] - watched["essential"]
+    assert watched["moved_vertex_fresh"] > 0, "records should outlive a germ change"
+
+
+def test_one_vertex_arcs_are_never_recorded(monkeypatch):
+    """No key of the memo is a one-vertex arc, although such arcs with
+    no end displaced are rejected on the live state, and every record is
+    (step, faces)."""
+    counts = Counter()
+    trial, commit = reducer._Complement.trial, reducer.add_cutting_curve
+
+    def counted_trial(self, curve):
+        cut = trial(self, curve)
+        kind, darts = curve.kind, curve.darts
+        counts["live_rejected"] += (
+            cut is None and is_one_vertex(self, kind, darts) and not self._split_ends(kind, darts)
+        )
+        return cut
+
+    def checked_commit(state, cut):
+        for (kind, darts), record in state.rejected.items():
+            assert not is_one_vertex(state, kind, darts), ("a one-vertex arc is recorded", darts)
+            step, faces = record
+            assert 0 <= step <= state.step, record
+            assert faces and all(0 <= f < len(state.weight) for f in faces), record
+            counts["records"] += 1
+        return commit(state, cut)
+
+    monkeypatch.setattr(reducer._Complement, "trial", counted_trial)
+    monkeypatch.setattr(reducer, "add_cutting_curve", checked_commit)
+    reduce_all(mixed(seed) for seed in (*ONE_VERTEX_SEEDS, *LIVE_ONE_VERTEX_SEEDS))
+    assert counts["live_rejected"] > 0
+    assert counts["records"] > 0
 
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
