@@ -57,8 +57,9 @@ def sweep_section():
     reports += [isoperim.verify_lemma_3_4(n, 10000) for n in (7, 8, 9, 10, 30)]
     reports.append(isoperim.verify_prop_3_5())
     reports.append(isoperim.verify_prop_3_6())
-    reports.append(isoperim.verify_theorem_3_1(10000, seed=0))
-    reports.append(isoperim.verify_merge_properties(10000, seed=0))
+    draw = isoperim.draw_instances(10000, seed=0)
+    reports.append(isoperim.verify_theorem_3_1(draw))
+    reports.append(isoperim.verify_merge_properties(draw))
     reports.append(isoperim.verify_example_3_12())
     for rep in reports:
         print(" ", rep.summary())

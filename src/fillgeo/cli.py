@@ -142,9 +142,11 @@ def _verify_reports(which: str, args) -> list:
     if wanted("prop36"):
         reports.append(isoperim.verify_prop_3_6(grid))
     if wanted("thm31"):
-        reports.append(isoperim.verify_theorem_3_1(args.count, args.seed))
-    if which == "all":
-        reports.append(isoperim.verify_merge_properties(args.count, args.seed))
+        # one draw serves both random suites
+        draw = isoperim.draw_instances(args.count, args.seed)
+        reports.append(isoperim.verify_theorem_3_1(draw))
+        if which == "all":
+            reports.append(isoperim.verify_merge_properties(draw))
     if wanted("example312"):
         reports.append(isoperim.verify_example_3_12())
     return reports

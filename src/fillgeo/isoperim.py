@@ -501,6 +501,11 @@ def check_instance(inst: IsoperimetricInstance) -> dict:
     and rhs the family perimeter total.
     """
     validate_instance(inst)
+    return _check_instance(inst)
+
+
+def _check_instance(inst: IsoperimetricInstance) -> dict:
+    # validate_instance does not bound the target's area; this call does
     lhs = perimeter_from_area(inst.target.n, inst.target.area)
     rhs = sum(_perimeter_from_area(float(m), a) for m, a in inst.family.items)
     return {
@@ -547,9 +552,17 @@ def merge_sequence(inst: IsoperimetricInstance) -> tuple:
     area of the first j members.  Requires the family sorted by
     descending angle; the final step reproduces the target.
     """
+    _validate_merge_input(inst)
+    return _merge_sequence(inst)
+
+
+def _validate_merge_input(inst: IsoperimetricInstance) -> None:
     validate_instance(inst)
     if not inst.family.is_sorted_by_angle():
         raise ValidationError("family must be sorted by descending angle")
+
+
+def _merge_sequence(inst: IsoperimetricInstance) -> tuple:
     steps = []
     sides = 0
     area = 0.0
@@ -607,21 +620,46 @@ def _check_count(count: int) -> None:
         raise DomainError(f"instance count must be at least 1, got {count!r}")
 
 
-def verify_theorem_3_1(count: int = 10000, seed: int = 0) -> CheckReport:
-    """Randomized sweep of the inequality plus equality classification.
+@dataclass(frozen=True)
+class InstanceDraw:
+    """Random strict instances drawn from random.Random(seed), each
+    validated for both random suites."""
 
-    Raises DomainError for a count below 1, which would pass vacuously.
+    seed: int
+    instances: tuple
+
+    @property
+    def count(self) -> int:
+        return len(self.instances)
+
+
+def draw_instances(count: int, seed: int) -> InstanceDraw:
+    """Draw count instances with random_instance from random.Random(seed).
+
+    Each is validated once, as merge_sequence validates its input, so
+    verify_theorem_3_1 and verify_merge_properties run the kernels on
+    them directly.  Raises DomainError for a count below 1, which would
+    pass vacuously.
     """
     _check_count(count)
     rng = random.Random(seed)
+    instances = []
+    for _ in range(count):
+        inst = random_instance(rng)
+        _validate_merge_input(inst)
+        instances.append(inst)
+    return InstanceDraw(seed=seed, instances=tuple(instances))
+
+
+def verify_theorem_3_1(draw: InstanceDraw) -> CheckReport:
+    """Randomized sweep of the inequality plus equality classification."""
     min_margin = math.inf
     argmin = None
     equalities = 0
     classifier_failures = 0
     holds_failures = 0
-    for _ in range(count):
-        inst = random_instance(rng)
-        result = check_instance(inst)
+    for inst in draw.instances:
+        result = _check_instance(inst)
         margin = result["rhs"] - result["lhs"]
         if margin < min_margin:
             min_margin = margin
@@ -636,8 +674,8 @@ def verify_theorem_3_1(count: int = 10000, seed: int = 0) -> CheckReport:
     return CheckReport(
         check_id="theorem_3_1",
         passed=passed,
-        domain=f"{count} random instances, k<=5, sides in [4,12], seed={seed}",
-        grid_size=count,
+        domain=f"{draw.count} random instances, k<=5, sides in [4,12], seed={draw.seed}",
+        grid_size=draw.count,
         min_value=min_margin,
         argmin=argmin,
         tolerance=tol.INEQ_TOL,
@@ -649,25 +687,21 @@ def verify_theorem_3_1(count: int = 10000, seed: int = 0) -> CheckReport:
     )
 
 
-def verify_merge_properties(count: int = 10000, seed: int = 0) -> CheckReport:
+def verify_merge_properties(draw: InstanceDraw) -> CheckReport:
     """Angle bounds along the merge sequence on random instances.
 
     Checks, for each instance: every partial-merge angle is at least
     pi/2 (up to ANGLE_TOL), the final merge reproduces the target, the
     largest member angle is at least pi/2 and the smallest member
-    angle is at most the target angle.  Raises DomainError for a count
-    below 1.
+    angle is at most the target angle.
     """
-    _check_count(count)
-    rng = random.Random(seed)
     min_excess = math.inf
     argmin = None
     failures = 0
     final_mismatches = 0
     bound_failures = 0
-    for index in range(count):
-        inst = random_instance(rng)
-        steps = merge_sequence(inst)
+    for index, inst in enumerate(draw.instances):
+        steps = _merge_sequence(inst)
         for j, step in enumerate(steps, start=1):
             excess = step.theta - math.pi / 2.0
             if excess < min_excess:
@@ -688,8 +722,8 @@ def verify_merge_properties(count: int = 10000, seed: int = 0) -> CheckReport:
     return CheckReport(
         check_id="merge_sequence",
         passed=passed,
-        domain=f"{count} random instances, k<=5, sides in [4,12], seed={seed}",
-        grid_size=count,
+        domain=f"{draw.count} random instances, k<=5, sides in [4,12], seed={draw.seed}",
+        grid_size=draw.count,
         min_value=min_excess,
         argmin=argmin,
         tolerance=tol.ANGLE_TOL,

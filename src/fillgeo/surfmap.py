@@ -241,58 +241,49 @@ def build_map(word) -> CombinatorialMap:
             pair_ray[r] = s
             pair_ray[s] = r
 
-    # darts: the two ray classes of each identified side pair
+    # darts: the two ray classes of each identified side pair, so the
+    # e-th label's edge is darts 2e and 2e + 1
     dart_of_ray = [None] * (2 * n)
     dart_names = []
-    alpha = []
-    for label in labels_in_order:
+    for e, label in enumerate(labels_in_order):
         i = positions[label][0]
-        for end, suffix in ((0, "+"), (1, "-")):
-            d = len(dart_names)
-            ray = 2 * i + end
-            dart_of_ray[ray] = d
-            dart_of_ray[pair_ray[ray]] = d
-            dart_names.append(label + suffix)
-        alpha.extend([len(dart_names) - 1, len(dart_names) - 2])
+        for ray, d in ((2 * i, 2 * e), (2 * i + 1, 2 * e + 1)):
+            dart_of_ray[ray] = dart_of_ray[pair_ray[ray]] = d
+        dart_names += (label + "+", label + "-")
 
-    # corner k sits between side k-1 and side k
-    in_ray = [2 * ((k - 1) % n) + 1 for k in range(n)]
-    out_ray = [2 * k for k in range(n)]
-    corner_of_ray = {}
-    for k in range(n):
-        corner_of_ray[in_ray[k]] = (k, "in")
-        corner_of_ray[out_ray[k]] = (k, "out")
-
-    dart_count = n
-    sigma = [None] * dart_count
+    # corner k sits between side k-1 and side k: its in-ray 2k-1 ends
+    # side k-1, its out-ray 2k starts side k, so ray r is at corner
+    # ((r + 1) // 2) % n, as its in-ray when r is odd
+    sigma = [None] * n
     visited = [False] * n
     orientable = True
     for start in range(n):
         if visited[start]:
             continue
         cycle = []
-        corner, entry = start, "in"
+        corner, entered_in = start, True
         while True:
             if visited[corner]:
                 raise InternalInvariantError(
                     f"corner {corner} visited twice while walking a vertex fan"
                 )
             visited[corner] = True
-            if entry != "in":
+            if not entered_in:
                 orientable = False
-            exit_ray = out_ray[corner] if entry == "in" else in_ray[corner]
+            exit_ray = 2 * corner if entered_in else (2 * corner - 1) % (2 * n)
             cycle.append(dart_of_ray[exit_ray])
-            corner, entry = corner_of_ray[pair_ray[exit_ray]]
-            if (corner, entry) == (start, "in"):
+            ray = pair_ray[exit_ray]
+            corner, entered_in = ((ray + 1) // 2) % n, ray % 2 == 1
+            if corner == start and entered_in:
                 break
-        for t, d in enumerate(cycle):
+        for d, successor in zip(cycle, cycle[1:] + cycle[:1]):
             if sigma[d] is not None:
                 raise InternalInvariantError(f"dart {d} appears in two vertex fans")
-            sigma[d] = cycle[(t + 1) % len(cycle)]
+            sigma[d] = successor
 
     cmap = CombinatorialMap(
-        dart_count=dart_count,
-        alpha=tuple(alpha),
+        dart_count=n,
+        alpha=tuple(d ^ 1 for d in range(n)),
         sigma=tuple(sigma),
         straight_corners=frozenset(),
         orientable=orientable,
@@ -540,15 +531,31 @@ def polygon_vertices(n, theta: float) -> list:
     return points
 
 
+# the 25 sample fractions along a side, and the SVG lines drawn from
+# them; %-formatting gives the same text as the :.5f format spec
+_SAMPLES = tuple(t / 24 for t in range(25))
+_POLYLINE = (
+    '<polyline points="' + " ".join(["%.5f,%.5f"] * len(_SAMPLES))
+    + '" fill="none" stroke="#224488" stroke-width="0.006"/>'
+)
+_LABEL = (
+    '<text x="%.5f" y="%.5f" font-size="%.4f" text-anchor="middle" '
+    'dominant-baseline="middle" fill="#333333">%s</text>'
+)
+_CORNER = '<circle cx="%.5f" cy="%.5f" r="0.008" fill="#cc3333"/>'
+
+
 def _geodesic_points(z1: complex, z2: complex) -> list:
-    """Sample the hyperbolic segment between two disk points at 25 points."""
-    w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
-    points = []
-    for t in range(25):
-        u = w * (t / 24)
-        z = (u + z1) / (1.0 + z1.conjugate() * u)
-        points.append(z)
-    return points
+    """Sample the hyperbolic segment between two disk points at 25
+    points, as the flat SVG coordinates x0, y0, x1, y1, ... (y = -Im z)."""
+    c1 = z1.conjugate()
+    w = (z2 - z1) / (1.0 - c1 * z2)
+    coords = []
+    for t in _SAMPLES:
+        u = w * t
+        z = (u + z1) / (1.0 + c1 * u)
+        coords += (z.real, -z.imag)
+    return coords
 
 
 def gluing_svg(word) -> str:
@@ -573,27 +580,14 @@ def gluing_svg(word) -> str:
         parts.append('<circle cx="0" cy="0" r="0.01" fill="#cc3333"/>')
     else:
         for k in range(n):
-            z1, z2 = zs[k], zs[(k + 1) % n]
-            pts = _geodesic_points(z1, z2)
-            coords = " ".join(f"{z.real:.5f},{-z.imag:.5f}" for z in pts)
-            parts.append(
-                f'<polyline points="{coords}" fill="none" stroke="#224488" '
-                'stroke-width="0.006"/>'
-            )
+            parts.append(_POLYLINE % tuple(_geodesic_points(zs[k], zs[(k + 1) % n])))
         for k, (label, primed) in enumerate(sides):
             phi = 2.0 * math.pi * (k + 0.5) / n
-            lx = 1.09 * math.cos(phi)
-            ly = -1.09 * math.sin(phi)
             text = label + ("'" if primed else "")
             parts.append(
-                f'<text x="{lx:.5f}" y="{ly:.5f}" font-size="{font:.4f}" '
-                'text-anchor="middle" dominant-baseline="middle" '
-                f'fill="#333333">{text}</text>'
+                _LABEL % (1.09 * math.cos(phi), -1.09 * math.sin(phi), font, text)
             )
         for z in zs:
-            parts.append(
-                f'<circle cx="{z.real:.5f}" cy="{-z.imag:.5f}" r="0.008" '
-                'fill="#cc3333"/>'
-            )
+            parts.append(_CORNER % (z.real, -z.imag))
     parts.append("</svg>")
     return "\n".join(parts)

@@ -117,7 +117,7 @@ def test_criterion_05_perimeter_ratio_monotonicity():
 
 def test_criterion_06_randomized_inequality_suite():
     start = time.perf_counter()
-    report = isoperim.verify_theorem_3_1(10000, seed=0)
+    report = isoperim.verify_theorem_3_1(isoperim.draw_instances(10000, seed=0))
     elapsed = time.perf_counter() - start
     ok = report.passed and elapsed < 30.0
     line(6, ok,
@@ -130,7 +130,7 @@ def test_criterion_06_randomized_inequality_suite():
 
 def test_criterion_07_merge_sequence_properties():
     start = time.perf_counter()
-    report = isoperim.verify_merge_properties(10000, seed=0)
+    report = isoperim.verify_merge_properties(isoperim.draw_instances(10000, seed=0))
     elapsed = time.perf_counter() - start
     ok = report.passed and elapsed < 30.0
     line(7, ok, f"10^4 instances, worst angle slack {report.min_value:.6g}, "

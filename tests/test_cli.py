@@ -201,6 +201,26 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "instance count must be at least 1" in err
 
+    def test_all_draws_and_validates_each_instance_once(self, capsys, monkeypatch):
+        from fillgeo import isoperim
+
+        calls = {"random_instance": 0, "validate_instance": 0}
+        for name in calls:
+            original = getattr(isoperim, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(isoperim, name, counted)
+        code, _, _ = run_cli(
+            ["verify", "--all", "--count", "50", "--samples", "100", "--steps", "2"],
+            capsys,
+        )
+        assert code == 0
+        # both random suites share one draw; example 3.12 validates twice
+        assert calls == {"random_instance": 50, "validate_instance": 52}
+
 
 class TestGluing:
     def test_svg_and_map_emission(self, capsys, tmp_path):

@@ -19,6 +19,7 @@ from fillgeo.isoperim import (
     check_instance,
     classify_equality,
     df_dx,
+    draw_instances,
     example_3_12_instance,
     f,
     merge_sequence,
@@ -321,7 +322,7 @@ def test_random_merge_angles(seed):
 
 
 def test_theorem_3_1_reduced():
-    report = verify_theorem_3_1(count=500, seed=0)
+    report = verify_theorem_3_1(draw_instances(500, seed=0))
     assert report.passed, report.text()
     assert report.min_value >= -1e-9
     assert report.details["holds_failures"] == 0
@@ -329,7 +330,7 @@ def test_theorem_3_1_reduced():
 
 
 def test_merge_properties_reduced():
-    report = verify_merge_properties(count=500, seed=0)
+    report = verify_merge_properties(draw_instances(500, seed=0))
     assert report.passed, report.text()
     assert report.details["merge_angle_failures"] == 0
     assert report.details["final_step_mismatches"] == 0
@@ -339,8 +340,9 @@ def test_merge_properties_reduced():
 @pytest.mark.parametrize("verify", [verify_theorem_3_1, verify_merge_properties])
 @pytest.mark.parametrize("count", [0, -3])
 def test_instance_sweeps_reject_empty_counts(verify, count):
+    # the draw both sweeps take refuses the count before either runs
     with pytest.raises(DomainError, match="instance count"):
-        verify(count=count, seed=0)
+        verify(draw_instances(count, seed=0))
 
 
 def test_example_instance_strict_rejected():

@@ -1,5 +1,6 @@
 """Tests for polygon gluings and the canonical filling curve."""
 
+import hashlib
 import json
 import math
 import pathlib
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fillgeo.errors import DomainError, ValidationError
+from fillgeo.errors import DomainError, InternalInvariantError, ValidationError
 from fillgeo.polygeom import min_filling_length, side_length
 from fillgeo.surfmap import (
     CombinatorialMap,
@@ -343,3 +344,56 @@ def test_random_gluings_close_up(seed):
     else:
         assert report["genus"] >= 1
     assert sum(report["vertex_valences"]) == 2 * k
+
+
+def _pinned_words():
+    """400 seeded gluing words: primed and unprimed labels, orientable and
+    not, and every tenth one refused by the parser."""
+    rng = random.Random(2026)
+    words = []
+    for index in range(400):
+        k = rng.randint(1, 12)
+        orientable = rng.random() < 0.5
+        tokens = []
+        for i in range(k):
+            label = rng.choice(("a", "b", "x_", "s")) + str(i)
+            if orientable:
+                tokens += rng.sample((label, label + "'"), 2)
+            else:
+                tokens += [label + rng.choice(("", "'")) for _ in range(2)]
+        rng.shuffle(tokens)
+        if index % 10 == 9:
+            flaw = rng.choice(("drop", "repeat", "malformed", "empty"))
+            if flaw == "drop":
+                tokens.pop()
+            elif flaw == "repeat":
+                tokens.append(tokens[0])
+            elif flaw == "malformed":
+                tokens[rng.randrange(len(tokens))] = "q''"
+            else:
+                tokens = []
+        words.append(tokens)
+    return words
+
+
+# build_map over _pinned_words(): 40 refused, 219 orientable of 360
+PINNED_BUILD_MAP_DIGEST = "858afe4ef19ba8de0d173c0eaa9cbe4d7616fb6bff94bb01591d8def6b71299b"
+
+
+def test_build_map_tables_pinned():
+    """build_map's tables, or the exception refusing each word, are
+    byte-identical to the pinned digest over the seeded corpus."""
+    outcomes = []
+    orientable = 0
+    for tokens in _pinned_words():
+        try:
+            cmap = build_map(tokens)
+        except (ValidationError, InternalInvariantError) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+            continue
+        orientable += cmap.orientable
+        outcomes.append((cmap.alpha, cmap.sigma, cmap.orientable, cmap.dart_names))
+    refused = sum(len(o) == 2 for o in outcomes)
+    assert (refused, orientable) == (40, 219)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == PINNED_BUILD_MAP_DIGEST
