@@ -20,6 +20,7 @@ evidence on grids, they do not prove anything symbolically.
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import tolerances as tol
 from .errors import DomainError, ValidationError
@@ -449,17 +450,25 @@ class PolygonFamily:
 
 @dataclass(frozen=True)
 class IsoperimetricInstance:
-    """A polygon family plus the target polygon it competes against.
+    """A polygon family and the target polygon it competes against.
 
-    strict mode enforces the hypotheses of the inequality (all side
-    counts >= 4, target angle >= pi/2); permissive mode relaxes both,
-    admitting triangles and sharp targets, and exists to express the
-    documented counterexample outside the hypotheses.
+    The target is the regular polygon with the family's merged side
+    count sum(m_i) - 4k + 4 and its total area, so the side-count
+    balance and the area match hold by construction.  strict mode
+    enforces the hypotheses of the inequality (all side counts >= 4,
+    target angle >= pi/2); permissive mode relaxes both, admitting
+    triangles and sharp targets, and exists to express the documented
+    counterexample outside the hypotheses.
     """
 
     family: PolygonFamily
-    target: RegularPolygonSpec
     strict: bool = True
+
+    @cached_property
+    def target(self) -> RegularPolygonSpec:
+        return RegularPolygonSpec.from_area(
+            self.family.merged_sides(), self.family.total_area()
+        )
 
 
 def validate_instance(inst: IsoperimetricInstance) -> None:
@@ -476,21 +485,13 @@ def validate_instance(inst: IsoperimetricInstance) -> None:
             raise ValidationError(
                 f"member area {a!r} outside [0, {max_area(m)}) for {m} sides"
             )
-    m_target = inst.target.n
-    if m_target != int(m_target):
-        raise ValidationError(f"target side count {m_target!r} not an integer")
-    if int(m_target) != fam.merged_sides():
+    try:
+        target = inst.target
+    except DomainError as exc:
+        raise ValidationError(f"the family has no target polygon: {exc}") from exc
+    if inst.strict and target.theta < math.pi / 2.0 - tol.ANGLE_TOL:
         raise ValidationError(
-            "side-count balance violated: target-4 must equal sum(m_i)-4k"
-        )
-    total = fam.total_area()
-    if abs(total - inst.target.area) > max(tol.AREA_MATCH_ABS, tol.AREA_MATCH_REL * abs(total)):
-        raise ValidationError(
-            f"area mismatch: family total {total!r} vs target {inst.target.area!r}"
-        )
-    if inst.strict and inst.target.theta < math.pi / 2.0 - tol.ANGLE_TOL:
-        raise ValidationError(
-            f"target angle {inst.target.theta!r} below pi/2 in strict mode"
+            f"target angle {target.theta!r} below pi/2 in strict mode"
         )
 
 
@@ -505,8 +506,7 @@ def check_instance(inst: IsoperimetricInstance) -> dict:
 
 
 def _check_instance(inst: IsoperimetricInstance) -> dict:
-    # validate_instance does not bound the target's area; this call does
-    lhs = perimeter_from_area(inst.target.n, inst.target.area)
+    lhs = _perimeter_from_area(inst.target.n, inst.target.area)
     rhs = sum(_perimeter_from_area(float(m), a) for m, a in inst.family.items)
     return {
         "lhs": lhs,
@@ -611,8 +611,7 @@ def random_instance(rng: random.Random) -> IsoperimetricInstance:
             areas = [target_area * (mi - 2) / denom for mi in ms]
             areas[-1] = target_area - sum(areas[:-1])
     family = PolygonFamily(tuple(zip(ms, areas))).sorted_by_angle()
-    target = RegularPolygonSpec.from_area(m, target_area)
-    return IsoperimetricInstance(family=family, target=target, strict=True)
+    return IsoperimetricInstance(family=family, strict=True)
 
 
 def _check_count(count: int) -> None:
@@ -739,9 +738,7 @@ def example_3_12_instance(strict: bool = False) -> IsoperimetricInstance:
     """The documented instance outside the hypotheses: a hexagon of
     area 4.99 and a triangle of area 0.01 against a pentagon of
     area 5."""
-    family = PolygonFamily(((6, 4.99), (3, 0.01)))
-    target = RegularPolygonSpec.from_area(5, 5.0)
-    return IsoperimetricInstance(family=family, target=target, strict=strict)
+    return IsoperimetricInstance(PolygonFamily(((6, 4.99), (3, 0.01))), strict=strict)
 
 
 def verify_example_3_12() -> CheckReport:
@@ -752,9 +749,10 @@ def verify_example_3_12() -> CheckReport:
     P_6(4.99) + P_3(0.01) + 0.5 < P_5(5).  Strict mode must reject
     the instance; permissive mode must exhibit the failure.
     """
+    inst = example_3_12_instance(strict=False)
     p6 = perimeter_from_area(6, 4.99)
     p3 = perimeter_from_area(3, 0.01)
-    p5 = perimeter_from_area(5, 5.0)
+    p5 = inst.target.perimeter
     margin = p5 - (p6 + p3 + 0.5)
 
     strict_rejected = False
@@ -763,8 +761,8 @@ def verify_example_3_12() -> CheckReport:
     except ValidationError:
         strict_rejected = True
 
-    permissive = check_instance(example_3_12_instance(strict=False))
-    target_theta = angle_from_area(5, 5.0)
+    permissive = check_instance(inst)
+    target_theta = inst.target.theta
 
     passed = (
         margin > tol.INEQ_TOL

@@ -490,9 +490,9 @@ def from_interchange(data: dict) -> CombinatorialMap:
         dart_count = int(data["dart_count"])
         alpha = tuple(int(x) for x in data["alpha"])
         sigma = tuple(int(x) for x in data["sigma"])
+        straight = frozenset(int(x) for x in data.get("straight_corners", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed map data: {exc}") from exc
-    straight = frozenset(int(x) for x in data.get("straight_corners", ()))
     return CombinatorialMap(
         dart_count=dart_count,
         alpha=alpha,

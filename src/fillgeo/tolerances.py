@@ -21,9 +21,6 @@ DEGENERATE_TOL = 1e-9
 INEQ_TOL = 1e-9
 # isoperim: slack for angle lower bounds (right angles up to rounding)
 ANGLE_TOL = 1e-12
-# validate_instance: |total - target| <= max(ABS, REL * |total|)
-AREA_MATCH_ABS = 1e-12
-AREA_MATCH_REL = 1e-9
 # verify_lemma_3_3 compares a sample with the closed-form sign criterion
 # only when both are clear of zero by these; nearer, rounding decides
 SIGN_CRITERION_TOL = 1e-12
@@ -37,7 +34,7 @@ X_CAP_MARGIN = 1e-12
 # relative to max(1, target area)
 MERGE_AREA_TOL = 1e-12
 
-# surfmap.verify_canonical: relative error of the canonical strand length
+# surfmap.canonical_report: relative error of the canonical strand length
 LENGTH_REL_TOL = 1e-12
 # surfmap.gluing_svg: corners this close to the origin draw as one point
 SVG_POINT_TOL = 1e-12

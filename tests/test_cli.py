@@ -317,6 +317,19 @@ class TestReduce:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("straight", [["x"], 5])
+    def test_malformed_straight_corners(self, capsys, tmp_path, straight):
+        with open(os.path.join(DATA_DIR, "canonical_g2.json")) as handle:
+            data = json.load(handle)
+        data["straight_corners"] = straight
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["reduce", str(path), "--genus", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "malformed map data" in err
+        assert "Traceback" not in err
+
 
 def test_repeated_calls_leave_no_parser_garbage(capsys):
     # the parser is built once: a later call leaves no argparse objects

@@ -25,6 +25,7 @@ from fillgeo.isoperim import (
     merge_sequence,
     random_instance,
     second_derivative_all_negative,
+    validate_instance,
     verify_example_3_12,
     verify_lemma_3_2,
     verify_lemma_3_3,
@@ -199,10 +200,9 @@ def test_family_helpers():
 
 
 def test_check_instance_k1_equality():
-    target = RegularPolygonSpec.from_area(8, 3.0)
-    inst = IsoperimetricInstance(
-        family=PolygonFamily(((8, 3.0),)), target=target
-    )
+    inst = IsoperimetricInstance(family=PolygonFamily(((8, 3.0),)))
+    assert inst.target == RegularPolygonSpec.from_area(8, 3.0)
+    assert inst.target is inst.target, "the target is derived once per instance"
     result = check_instance(inst)
     assert set(result) == {"lhs", "rhs", "holds", "equality"}
     assert result["holds"]
@@ -215,10 +215,7 @@ def test_check_instance_k1_equality():
 
 def test_check_instance_k2_strict():
     area = area_from_angle(8, math.pi / 2.0)
-    inst = IsoperimetricInstance(
-        family=PolygonFamily(((6, 2.0), (6, area - 2.0))),
-        target=RegularPolygonSpec.from_area(8, area),
-    )
+    inst = IsoperimetricInstance(family=PolygonFamily(((6, 2.0), (6, area - 2.0))))
     result = check_instance(inst)
     assert result["holds"]
     assert not result["equality"]
@@ -226,46 +223,37 @@ def test_check_instance_k2_strict():
 
 
 def test_validate_rejects_bad_instances():
-    target = RegularPolygonSpec.from_area(8, 3.0)
-    # side-count balance broken
-    with pytest.raises(ValidationError):
+    # family total 5pi exceeds the supremum 4pi of hexagon areas:
+    # no target polygon exists
+    no_target = IsoperimetricInstance(
+        PolygonFamily(((5, 2.5 * math.pi), (5, 2.5 * math.pi)))
+    )
+    with pytest.raises(ValidationError, match="no target polygon"):
+        validate_instance(no_target)
+    with pytest.raises(ValidationError, match="no target polygon"):
+        check_instance(no_target)
+    # two triangles merge to a 2-gon, below every polygon even when permissive
+    with pytest.raises(ValidationError, match="no target polygon"):
         check_instance(
-            IsoperimetricInstance(PolygonFamily(((7, 3.0),)), target)
-        )
-    # area total broken
-    with pytest.raises(ValidationError):
-        check_instance(
-            IsoperimetricInstance(PolygonFamily(((8, 2.5),)), target)
+            IsoperimetricInstance(PolygonFamily(((3, 0.1), (3, 0.1))), strict=False)
         )
     # triangle member in strict mode
     tri_area = area_from_angle(7, math.pi / 2.0)
     with pytest.raises(ValidationError):
         check_instance(
-            IsoperimetricInstance(
-                PolygonFamily(((3, 0.5), (8, tri_area - 0.5))),
-                RegularPolygonSpec.from_area(7, tri_area),
-            )
+            IsoperimetricInstance(PolygonFamily(((3, 0.5), (8, tri_area - 0.5))))
         )
     # sharp target in strict mode
     with pytest.raises(ValidationError):
-        check_instance(
-            IsoperimetricInstance(
-                PolygonFamily(((5, 5.0),)), RegularPolygonSpec.from_area(5, 5.0)
-            )
-        )
+        check_instance(IsoperimetricInstance(PolygonFamily(((5, 5.0),))))
     # non-integer member side count
     with pytest.raises(ValidationError):
-        check_instance(
-            IsoperimetricInstance(PolygonFamily(((8.0, 3.0),)), target)
-        )
+        check_instance(IsoperimetricInstance(PolygonFamily(((8.0, 3.0),))))
 
 
 def test_merge_sequence_k2():
     area = area_from_angle(8, math.pi / 2.0)
-    inst = IsoperimetricInstance(
-        family=PolygonFamily(((6, 2.0), (6, area - 2.0))),
-        target=RegularPolygonSpec.from_area(8, area),
-    )
+    inst = IsoperimetricInstance(family=PolygonFamily(((6, 2.0), (6, area - 2.0))))
     steps = merge_sequence(inst)
     assert len(steps) == 2
     assert steps[0].n == 6
@@ -278,19 +266,14 @@ def test_merge_sequence_k2():
 
 def test_merge_sequence_requires_sorted():
     area = area_from_angle(8, math.pi / 2.0)
-    inst = IsoperimetricInstance(
-        family=PolygonFamily(((6, area - 2.0), (6, 2.0))),
-        target=RegularPolygonSpec.from_area(8, area),
-    )
+    inst = IsoperimetricInstance(family=PolygonFamily(((6, area - 2.0), (6, 2.0))))
     with pytest.raises(ValidationError):
         merge_sequence(inst)
 
 
 def test_classify_equality_fully_degenerate():
-    inst = IsoperimetricInstance(
-        family=PolygonFamily(((4, 0.0), (4, 0.0))),
-        target=RegularPolygonSpec.from_area(4, 0.0),
-    )
+    inst = IsoperimetricInstance(family=PolygonFamily(((4, 0.0), (4, 0.0))))
+    assert inst.target == RegularPolygonSpec.from_area(4, 0.0)
     result = check_instance(inst)
     assert result["equality"]
     cls = classify_equality(inst)

@@ -468,3 +468,26 @@ def test_mixed_reductions_build_the_complement_once(monkeypatch):
         assert len(builds) == 1, (seed, len(builds))
     assert sum(one_vertex) > 0
     assert len(copies) == sum(one_vertex)
+
+
+def test_commit_stamps_every_face_it_reweighs(monkeypatch):
+    """A commit with no end displaced stamps every face of cut.weight
+    with its step, a face whose Euler share it leaves as it was too:
+    such a face holds a dart of the curve, so a record naming it must go
+    stale.  check_stale never meets one in a recorded piece."""
+    counts = Counter()
+    commit = reducer.add_cutting_curve
+
+    def checked_commit(state, cut):
+        after = commit(state, cut)
+        if not cut.ends:
+            for f, change in cut.weight.items():
+                assert after.face_touched[f] == after.step, ("face left unstamped", f, change)
+                counts["faces"] += 1
+                counts["unchanged"] += change == 0
+        return after
+
+    monkeypatch.setattr(reducer, "add_cutting_curve", checked_commit)
+    reduce_all(mixed(seed) for seed in SEEDS)
+    assert counts["unchanged"] > 0, "some commit should leave a face's Euler share as it was"
+    assert counts["faces"] > counts["unchanged"]
