@@ -10,9 +10,9 @@ slope of log(seconds) against log(vertices): about 1 for a reducer
 linear in map size, 2 for a quadratic one.
 
 With ``--valences 4,6,8`` (any set other than the default 4) the ladder
-is 24, 48, 96 and 192 vertices, and each vertex valence is drawn from
-the set before the map, from the same generator; the maps of 24 and 48
-vertices are then the ``mixed_24``/``mixed_48`` maps of
+is 24, 48, 96, 192, 384 and 768 vertices, and each vertex valence is
+drawn from the set before the map, from the same generator; the maps of
+24 and 48 vertices are then the ``mixed_24``/``mixed_48`` maps of
 ``tests/test_reduce_digests.py`` for the same seed.
 
     python scripts/reduce_scaling.py [--seed 0] [--repeats 3] [--valences 4]
@@ -33,7 +33,7 @@ from fillgeo.errors import ValidationError
 from make_reducer_fixtures import random_map
 
 SIZES = (48, 96, 192, 384, 768)
-MIXED_SIZES = (24, 48, 96, 192)
+MIXED_SIZES = (24, 48, 96, 192, 384, 768)
 
 
 def draw_input(rng, vertices, valences):

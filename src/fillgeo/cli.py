@@ -18,8 +18,8 @@ import functools
 import json
 import sys
 
-# isoperim, reducer and surfmap are imported by the subcommands that
-# use them, so start-up and ``minlen`` do not load them
+# isoperim, reducer, report and surfmap are imported by the subcommands
+# that use them, so start-up and ``minlen`` do not load them
 from . import polygeom
 from .errors import DomainError, InternalInvariantError, ValidationError
 
@@ -178,20 +178,20 @@ def cmd_verify(args) -> int:
 
 def cmd_gluing(args) -> int:
     from . import surfmap
+    from .report import json_text
 
-    word = surfmap.canonical_word(args.genus)
-    cmap = surfmap.build_map(word)
+    sides = surfmap.parse_gluing_word(surfmap.canonical_word(args.genus))
+    cmap = surfmap.build_map(sides)
     report = surfmap.canonical_report(cmap, args.genus)
     lines = []
     if args.svg:
-        svg = surfmap.gluing_svg(word)
+        svg = surfmap.gluing_svg(sides)
         with open(args.svg, "w") as handle:
             handle.write(svg if svg.endswith("\n") else svg + "\n")
         lines.append(f"svg written to {args.svg}")
     if args.emit_map:
-        data = surfmap.to_interchange(cmap)
         with open(args.emit_map, "w") as handle:
-            handle.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+            handle.write(json_text(surfmap.to_interchange(cmap)) + "\n")
         lines.append(f"map written to {args.emit_map}")
     if args.json:
         text = report.to_json()

@@ -36,7 +36,6 @@ from .polygeom import (
     max_angle,
     max_area,
     perimeter_from_area,
-    perimeter_second_derivative,
 )
 from .report import CheckReport
 
@@ -64,16 +63,8 @@ def _f(n: float, a: float, x: float) -> float:
     )
 
 
-def df_dx(n, a: float, x: float) -> float:
-    """Partial derivative of f in x; defined for 0 < x < min(a, 2*pi)."""
-    if not 0.0 < x < a:
-        raise DomainError(f"need 0 < x < a, got x={x!r}, a={a!r}")
-    _check_area(4.0, x, positive=True)
-    n = _check_area(n, a - x, positive=True)
-    return _df_dx(n, a, x)
-
-
 def _df_dx(n: float, a: float, x: float) -> float:
+    """Partial derivative of f in x, for a checked n and 0 < x < a."""
     return _perimeter_derivative(4.0, x) - _perimeter_derivative(n, a - x)
 
 
@@ -90,7 +81,7 @@ class GridSpec:
 
 
 def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
-    """Positivity of df_dx on its large-n domain.
+    """Positivity of the partial derivative of f in x on its large-n domain.
 
     Sweeps n over 8..64, a over [3*pi/2, (n/2-2)*pi] and x over
     (0, min(a - pi, 2*pi)) on a steps x steps midpoint grid, recording
@@ -205,15 +196,6 @@ def verify_lemma_3_3(n: int, samples: int = GridSpec.samples) -> CheckReport:
             "criterion_mismatches": criterion_mismatches,
         },
     )
-
-
-def second_derivative_all_negative(n, upper: float, samples: int = 2000) -> bool:
-    """True if P'' stays negative over midpoints of (0, upper)."""
-    for i in range(samples):
-        x = upper * (i + 0.5) / samples
-        if perimeter_second_derivative(n, x) >= 0.0:
-            return False
-    return True
 
 
 # the documented monotonicity range, and where its failure is documented

@@ -16,7 +16,6 @@ The certificate returned by reduce records the subgraph, the face
 degrees and the outcome of every check; it never hides a failure.
 """
 
-import json
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, fields
@@ -24,6 +23,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InternalInvariantError, ValidationError
 from .polygeom import _check_genus
+from .report import json_text
 from .surfmap import CombinatorialMap, from_interchange, pair_strands, to_interchange
 
 
@@ -220,22 +220,17 @@ class _MutableMap:
             self._retrace(n, start)
         return frozenset(placed)
 
-    def _new_dart(self) -> int:
-        for table in (self.alpha, self.sigma, self.owner, self.opp):
-            table.append(None)
-        return len(self.alpha) - 1
-
-    def _subdivide(self, d: int, placed: set):
+    def _subdivide(self, d: int, placed: set, fresh):
         """Split the edge of d at a new point near v(d).
 
-        Returns (near, far), the new darts there: near faces v(d), far
-        faces the old far endpoint; _vertex makes them a vertex.  Both
-        halves inherit the membership of d in the subgraph or in placed.
+        Returns (near, far), the next two darts of fresh, the new darts
+        there: near faces v(d), far faces the old far endpoint; _vertex
+        makes them a vertex.  Both halves inherit the membership of d in
+        the subgraph or in placed.
         """
         alpha = self.alpha
         a = alpha[d]
-        near = self._new_dart()
-        far = self._new_dart()
+        near, far = next(fresh), next(fresh)
         alpha[d] = near
         alpha[near] = d
         alpha[far] = a
@@ -267,25 +262,28 @@ class _MutableMap:
             crossed.append(x)
             x = sigma[x]
         landing = x
+        # the new darts, numbered in the order they are made
+        fresh = iter(range(len(alpha), len(alpha) + 4 * len(crossed) + 6))
+        for table in (alpha, sigma, self.owner, self.opp):
+            table += [None] * (4 * len(crossed) + 6)
 
         # clip the terminal edge just short of the vertex; the gap
         # between the two old edge halves is straight
-        near0, far0 = self._subdivide(germ, placed)
-        prev = self._new_dart()
+        near0, far0 = self._subdivide(germ, placed, fresh)
+        prev = next(fresh)
         self._vertex((near0, far0, prev), near0)
 
         for gamma in crossed:
-            near, far = self._subdivide(gamma, placed)
-            fw = self._new_dart()
-            pw = self._new_dart()
+            near, far = self._subdivide(gamma, placed, fresh)
+            fw, pw = next(fresh), next(fresh)
             self._vertex((near, pw, far, fw))
             alpha[prev] = pw
             alpha[pw] = prev
             placed.update((prev, pw))
             prev = fw
 
-        near, far = self._subdivide(landing, placed)
-        q = self._new_dart()
+        near, far = self._subdivide(landing, placed, fresh)
+        q = next(fresh)
         # the far-side corner is straight
         self._vertex((near, q, far), far)
         alpha[prev] = q
@@ -306,9 +304,7 @@ class _MutableMap:
         pair_strands(rotation, self.sigma, self.straight, self.opp)
 
     def _retrace(self, n: int, start: int):
-        """Bring the face tables up to date after a refinement made darts
-        n and up for the curve that starts at the old dart start; the
-        bare map keeps none."""
+        """Update the face tables, which the bare map does not keep."""
 
 
 class _Complement(_MutableMap):
@@ -317,35 +313,32 @@ class _Complement(_MutableMap):
     The state owns the map as the mutable tables of _MutableMap and the
     face of each dart (face_of).  The surface cut along the subgraph
     falls into regions: unions of the map's faces glued across edges
-    outside the subgraph.  Per face
-    the state keeps its region and its doubled share of the region's
-    Euler characteristic: 2 for the face, -1 for each of its darts (a
-    dart outside the subgraph is half an interior edge) and another -1
-    for each subgraph dart (a boundary side), +2 for each corner gap
-    and each interior vertex assigned to it (at the first dart of its
-    rotation).  Per region it keeps the doubled Euler characteristic
-    (a disk has 2), per pair of distinct faces the number of edges
-    outside the subgraph between them, per vertex its number of
-    subgraph germs, and the candidate germs of the arc search, in dart
-    order: germs outside the subgraph at subgraph vertices of non-disk
-    regions.
+    outside the subgraph.  Per face the state keeps its region and its
+    doubled share of the region's Euler characteristic (see _tally), per
+    region the doubled Euler characteristic (a disk has 2), per pair of
+    distinct faces the number of edges outside the subgraph between
+    them, per vertex its number of subgraph germs, and the candidate
+    germs of the arc search, in dart order: germs outside the subgraph
+    at subgraph vertices of non-disk regions.
 
     reduce builds one per run and keeps it current through every
     commit (add_cutting_curve), refined maps included: the split rule
-    refines the tables in place (_refine) and retraces only the faces
-    it changed.  A trial judges a curve as its direct attachment, from
-    the faces and vertices it touches alone (see trial); a one-vertex
-    arc with an end displaced is judged on a refined copy.  freeze
-    gives the live map as a CombinatorialMap.  The subgraph is taken as
-    valid: complement checks a caller's (_checked_subgraph), and the
-    reducer's own subgraphs are.
+    refines the tables in place (_refine) and relabels only the smaller
+    pieces of the faces it splits (_retrace).  A trial judges a curve
+    as its direct attachment, from the faces and vertices it touches
+    alone (see trial); a one-vertex arc with an end displaced is judged
+    on a refined copy.  freeze gives the live map as a CombinatorialMap.
+    The subgraph is taken as valid: complement checks a caller's
+    (_checked_subgraph), and the reducer's own subgraphs are.
 
     Most trials of a reduction reject a curve that an earlier iteration
     already rejected, so the state keeps a memo of rejections.  Each
     commit counts as one step, and every face it touches is stamped
     with it: add_cutting_curve stamps the faces in the cut's weight (the
-    only faces whose Euler shares and edge counts it changes) and
-    _retrace every face it retraces.  A rejection by a disk piece P
+    only faces whose Euler shares and edge counts it changes), and
+    _retrace every face whose darts a refinement changes, on each side
+    of each split and in the faces of new darts alone; a face whose
+    darts stay keeps its Euler share.  A rejection by a disk piece P
     split off the region (not its unwalked rest) records the step and
     the faces of P under the curve's kind and darts; it stays true
     (_still_rejected) while no face of P has been stamped since.  A
@@ -370,69 +363,58 @@ class _Complement(_MutableMap):
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
         super().__init__(cmap, subgraph)
-        alpha, g = self.alpha, self.g
-        face_of = self.face_of = cmap.face_of_dart()
-        faces = cmap.faces()
-        parent = list(range(len(faces)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for d in range(cmap.dart_count):
-            if d not in g and d < alpha[d]:
-                a, b = find(face_of[d]), find(face_of[alpha[d]])
-                if a != b:
-                    parent[a] = b
-        face_root = [find(f) for f in range(len(faces))]
-        region_index = {r: i for i, r in enumerate(sorted(set(face_root)))}
-        self.face_region = [region_index[r] for r in face_root]
-
+        g, faces = self.g, len(cmap.faces())
+        self.face_of = cmap.face_of_dart()
         self.gcount = [sum(x in g for x in cycle) for cycle in self.cycles]
-        self.weight = [0] * len(faces)
-        self.adjacent = [{} for _ in faces]
-        self._tally(enumerate(faces), range(len(faces)))
-        self.euler2 = [0] * len(region_index)
+        self.weight, self.adjacent = [2] * faces, [{} for _ in range(faces)]
+        self._tally(range(cmap.dart_count), self.alpha, 1)
+        # a region is a component of the faces glued across edges outside
+        # the subgraph, numbered by its least face
+        self.face_region, self.euler2 = [None] * faces, []
+        for f in range(faces):
+            if self.face_region[f] is None:
+                self.face_region[f], stack = len(self.euler2), [f]
+                self.euler2.append(0)
+                while stack:
+                    for h in self.adjacent[stack.pop()]:
+                        if self.face_region[h] is None:
+                            self.face_region[h] = self.face_region[f]
+                            stack.append(h)
         for f, r in enumerate(self.face_region):
             self.euler2[r] += self.weight[f]
         self.candidates = self._candidates(range(cmap.dart_count))
         self.step = 0
-        self.face_touched = [0] * len(faces)
+        self.face_touched = [0] * faces
         self.rejected = {}
 
     def _candidates(self, darts) -> list:
         """The candidate germs among darts, in their order."""
-        g, gcount, owner = self.g, self.gcount, self.owner
+        g, gcount, owner, face_of = self.g, self.gcount, self.owner, self.face_of
+        euler2, face_region = self.euler2, self.face_region
         return [
             d for d in darts
-            if d not in g and gcount[owner[d]] and self.euler2[self.region_of(d)] != 2
+            if d not in g and gcount[owner[d]] and euler2[face_region[face_of[d]]] != 2
         ]
 
-    def _tally(self, faces, listed):
-        """Weigh each (face, darts) pair of faces and count its edges
-        outside the subgraph to other faces, on both sides of an edge
-        whose far face is not listed."""
-        g, alpha, face_of, owner = self.g, self.alpha, self.face_of, self.owner
-        cycles, gcount, adjacent = self.cycles, self.gcount, self.adjacent
-        for f, darts in faces:
-            share = 2 - len(darts)
-            for x in darts:
-                v = owner[x]
-                if not gcount[v] and cycles[v][0] == x:
-                    share += 2
-                if x in g:
-                    # a boundary side, and the corner gap after alpha(x),
-                    # which lies in the same face
-                    share += 1
-                    continue
-                b = face_of[alpha[x]]
-                if b != f:
-                    adjacent[f][b] = adjacent[f].get(b, 0) + 1
-                    if b not in listed:
-                        adjacent[b][f] = adjacent[b].get(f, 0) + 1
-            self.weight[f] = share
+    def _tally(self, darts, far, by: int):
+        """Add by times each dart's part to its face: to the face's doubled
+        Euler share (2 for the face itself), -1 for a dart outside the
+        subgraph (half an interior edge; a subgraph dart's -1 as a
+        boundary side is made up by the corner gap after its alpha, in the
+        same face) and +2 more at the first dart of an interior vertex's
+        rotation; and to the edges counted from its face to that of
+        far[x], if another."""
+        g, owner, gcount, cycles = self.g, self.owner, self.gcount, self.cycles
+        face_of, weight, adjacent = self.face_of, self.weight, self.adjacent
+        for x in darts:
+            if x in g:
+                continue
+            f, h, v = face_of[x], face_of[far[x]], owner[x]
+            weight[f] += by if not gcount[v] and cycles[v][0] == x else -by
+            if f != h:
+                adjacent[f][h] = adjacent[f].get(h, 0) + by
+                if not adjacent[f][h]:
+                    del adjacent[f][h]
 
     def copy(self) -> "_Complement":
         """A copy to refine and cut, leaving this complement as it is."""
@@ -463,7 +445,7 @@ class _Complement(_MutableMap):
         corner gap it attaches in, to a point on the next subgraph edge;
         that changes neither the pieces, nor their Euler characteristics,
         nor the boundary runs, so the curve is judged as its direct
-        attachment and apply refines the map for it.  Only an arc with
+        attachment and add_cutting_curve refines the map for it.  Only an arc with
         both ends at one vertex and an end displaced is not: its
         displaced end can land past the other end along the boundary,
         so it is refined and cut on a copy of this complement, which
@@ -599,51 +581,92 @@ class _Complement(_MutableMap):
         return closed
 
     def _retrace(self, n: int, start: int):
-        """Also retrace the faces a refinement changed.
+        """Also relabel the faces a refinement changed, by deltas.
 
-        They are the orbits through a dart whose alpha changed: the new
-        darts and the old darts of a subdivided edge.  Traced from their
-        least such dart, the first orbit through an old face keeps its
-        index and region and the others take new indices; a face of new
-        darts alone lies in the region of start.  Each is weighed and its
-        adjacencies counted afresh.  A refinement leaves each region's
-        Euler characteristic as it was.  The retraced faces are stamped
-        with the step of the commit under way.
+        The refinement made darts n and up and changed the alpha of the
+        old darts of each subdivided edge, its exits; each new face lies
+        inside an old one.  From each exit the orbit runs through new
+        darts, labelled with the exit's face, to an old dart; new darts
+        no exit reaches make faces of new darts alone, in the region of
+        start.  Walks from the exits then take turns of doubling length,
+        one that reaches another exit taking that walk over, while a face
+        may hold two open pieces (while more pieces are open than faces
+        with open walks, by Euler's formula) or its open piece may be the
+        shorter.  The largest piece keeps the index and region and the
+        others take new ones there, so only darts off the largest pieces
+        change face, and weights and edge counts change by those and the
+        new darts.  Region Euler characteristics stay.  The old faces
+        with exits and the new faces are stamped with the commit's step.
         """
-        region = self.region_of(start)
-        alpha, sigma, g = self.alpha, self.sigma, self.g
-        face_of, adjacent = self.face_of, self.adjacent
-        now, face_touched = self.step + 1, self.face_touched
+        alpha, sigma, opp, g = self.alpha, self.sigma, self.opp, self.g
+        face_of, vertices, now = self.face_of, len(self.gcount), self.step + 1
         new = range(n, len(alpha))
         face_of += [None] * len(new)
-        self.gcount += [sum(x in g for x in cycle) for cycle in self.cycles[len(self.gcount):]]
-        old = [alpha[y] for y in new if alpha[y] < n]
-        changed = sorted({*new, *old})
-        ids = {face_of[x] for x in changed if x < n}
-        for f in ids:
-            face_touched[f] = now
-            for h in adjacent[f]:
-                if h not in ids:
-                    del adjacent[h][f]
-            adjacent[f] = {}
-        traced, seen = {}, set()
-        for x in changed:
-            if x in seen:
-                continue
-            f = face_of[x]
-            if f is None or f in traced:
-                self.face_region.append(region if f is None else self.face_region[f])
-                f = len(self.weight)
-                self.weight.append(0)
-                adjacent.append({})
-                face_touched.append(now)
-            traced[f] = []
-            while x not in seen:
-                seen.add(x)
-                traced[f].append(x)
-                face_of[x] = f
-                x = sigma[alpha[x]]
-        self._tally(traced.items(), traced)
+        self.gcount += [len(g.intersection(cycle)) for cycle in self.cycles[vertices:]]
+        walks, far, faces = {}, {}, []
+        for y in new:
+            x = alpha[y]
+            if x < n:
+                # the old edge ran straight across the new vertices on it
+                while y >= n:
+                    y = alpha[opp[y]]
+                f, far[x], darts, y = face_of[x], y, [x], sigma[alpha[x]]
+                while y >= n:
+                    face_of[y] = f
+                    darts.append(y)
+                    y = sigma[alpha[y]]
+                walks[x] = [darts, y]
+                self.face_touched[f] = now
+        for x in new:
+            if face_of[x] is None:
+                f, darts = len(self.weight) + len(faces), []
+                while face_of[x] is None:
+                    face_of[x] = f
+                    darts.append(x)
+                    x = sigma[alpha[x]]
+                faces.append((self.face_region[face_of[start]], darts))
+        # a face per new edge, less one per new vertex
+        unclosed = len({face_of[x] for x in far}) + len(new) // 2 - len(self.cycles) + vertices
+        closed, turn, budget, unclosed = {}, list(walks), 0, unclosed - len(faces)
+        while turn:
+            for x in filter(walks.__contains__, turn):
+                darts, y = walk = walks[x]
+                steps = budget
+                while True:
+                    while steps and y not in far:
+                        darts.append(y)
+                        y = sigma[alpha[y]]
+                        steps -= 1
+                    if y == x or y not in far:
+                        break
+                    rest, y = walks.pop(y)
+                    darts += rest
+                if y == x:
+                    closed.setdefault(face_of[x], []).append(walks.pop(x)[0])
+                    unclosed -= 1
+                walk[1] = y
+            open_ = {}
+            for x in walks:
+                open_.setdefault(face_of[x], []).append(x)
+            racing = unclosed > len(open_)
+            turn = [x for f, xs in open_.items() if racing and len(xs) > 1 or f in closed and
+                    sum(len(walks[x][0]) for x in xs) <= max(map(len, closed[f])) for x in xs]
+            budget = 2 * budget or 1
+        for f, pieces in closed.items():
+            if f not in open_:
+                pieces.remove(max(pieces, key=len))
+            faces += [(self.face_region[f], darts) for darts in pieces]
+        moved = [x for _, darts in faces for x in darts if x < n and x not in far]
+        far.update((y, alpha[y]) for x in moved for y in (x, alpha[x]))
+        self._tally(far, far, -1)
+        for r, darts in faces:
+            for x in darts:
+                face_of[x] = len(self.weight)
+            self.face_region.append(r)
+            self.weight.append(2)
+            self.adjacent.append({})
+            self.face_touched.append(now)
+        self._tally((*far, *new), alpha, 1)
         self.candidates += self._candidates(new)
 
 
@@ -1024,7 +1047,7 @@ class ReductionCertificate:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        return json_text(self.as_dict())
 
 
 def reduce(filling: FillingMap) -> ReductionCertificate:

@@ -23,12 +23,18 @@ from .polygeom import _check_genus, circumradius, min_filling_length, side_lengt
 from .report import CheckReport
 
 
+class GluingSides(tuple):
+    """The (label, reversed) sides of a gluing word, as parse_gluing_word
+    checked them; build_map and gluing_svg take them as they are."""
+
+
 def parse_gluing_word(word):
     """Split a gluing word into (label, reversed) side descriptors.
 
     Accepts a whitespace-separated string or a sequence of tokens.
     A token is a label, optionally followed by a single trailing
-    apostrophe.  Each label must appear exactly twice.
+    apostrophe.  Each label must appear exactly twice.  Returns the
+    sides as GluingSides.
     """
     if isinstance(word, str):
         tokens = word.split()
@@ -53,7 +59,12 @@ def parse_gluing_word(word):
         raise ValidationError(
             f"each label must appear exactly twice, violated by: {', '.join(bad)}"
         )
-    return tuple(sides)
+    return GluingSides(sides)
+
+
+def _sides(word) -> GluingSides:
+    """A gluing word's sides, parsed unless they already are."""
+    return word if isinstance(word, GluingSides) else parse_gluing_word(word)
 
 
 @dataclass(frozen=True)
@@ -212,7 +223,7 @@ def pair_strands(cycle, sigma, straight, opp) -> None:
 
 
 def build_map(word) -> CombinatorialMap:
-    """Glue the polygon sides described by a gluing word.
+    """Glue the polygon sides described by a gluing word or its sides.
 
     Side k runs from corner k to corner k+1; each side has a ray at
     either end.  Identified sides match their rays in parallel when
@@ -220,7 +231,7 @@ def build_map(word) -> CombinatorialMap:
     otherwise.  Rays merge in pairs into darts, corners merge into
     vertices, and walking corner fans yields the vertex rotations.
     """
-    sides = parse_gluing_word(word)
+    sides = _sides(word)
     n = len(sides)
 
     positions = {}
@@ -501,18 +512,6 @@ def from_interchange(data: dict) -> CombinatorialMap:
     )
 
 
-def disk_distance(p, q) -> float:
-    """Hyperbolic distance between two points of the unit disk."""
-    px, py = p
-    qx, qy = q
-    dp = 1.0 - (px * px + py * py)
-    dq = 1.0 - (qx * qx + qy * qy)
-    if dp <= 0.0 or dq <= 0.0:
-        raise DomainError("points must lie inside the unit disk")
-    d2 = (px - qx) ** 2 + (py - qy) ** 2
-    return math.acosh(1.0 + 2.0 * d2 / (dp * dq))
-
-
 def polygon_vertices(n, theta: float) -> list:
     """Corners of the regular n-gon with angle theta, in the unit disk.
 
@@ -559,10 +558,10 @@ def _geodesic_points(z1: complex, z2: complex) -> list:
 
 
 def gluing_svg(word) -> str:
-    """Draw a gluing word's right-angled polygon: disk, geodesic sides,
-    side labels.  A four-sided word draws the degenerate square as a
-    point at the origin."""
-    sides = parse_gluing_word(word)
+    """Draw the right-angled polygon of a gluing word or its sides: disk,
+    geodesic sides, side labels.  A four-sided word draws the degenerate
+    square as a point at the origin."""
+    sides = _sides(word)
     n = len(sides)
     corners = polygon_vertices(n, math.pi / 2.0)
     zs = [complex(x, y) for x, y in corners]

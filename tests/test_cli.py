@@ -264,6 +264,24 @@ class TestGluing:
         assert calls == {"build_map": 1, "parse_gluing_word": 1}
         assert json.loads(map_path.read_text()) == expected
 
+    def test_svg_reads_the_word_parsed_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = surfmap.parse_gluing_word
+
+        def counted(word):
+            calls.append(word)
+            return original(word)
+
+        monkeypatch.setattr(surfmap, "parse_gluing_word", counted)
+        svg_path = tmp_path / "g3.svg"
+        code, _, _ = run_cli(
+            ["gluing", "--genus", "3", "--svg", str(svg_path), "--emit-map", str(tmp_path / "m")],
+            capsys,
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert svg_path.read_text() == surfmap.gluing_svg(surfmap.canonical_word(3)) + "\n"
+
     def test_genus_fifty_is_fast(self, capsys):
         start = time.perf_counter()
         code, out, _ = run_cli(["gluing", "--genus", "50"], capsys)

