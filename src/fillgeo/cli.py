@@ -8,7 +8,8 @@ or the map interchange file), and ``reduce`` runs the cutting-curve
 reduction on a map file and prints the certificate.
 
 Exit codes: 0 when every invoked check passes, 1 when a check ran and
-failed (or an internal invariant broke), 2 for usage and input errors.
+failed (or an internal invariant broke), 2 for usage and input errors,
+an output file that cannot be written among them.
 All numeric output is printed with repr so identical flags reproduce
 identical bytes.
 """
@@ -75,13 +76,17 @@ def _genus_range(text: str) -> tuple:
 
 
 def _emit(text: str, out_path) -> None:
+    """Write text, ending in a newline, to the file out_path or to stdout."""
     if not text.endswith("\n"):
         text = text + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise DomainError(f"cannot write output file: {err}")
 
 
 def cmd_minlen(args) -> int:
@@ -185,13 +190,10 @@ def cmd_gluing(args) -> int:
     report = surfmap.canonical_report(cmap, args.genus)
     lines = []
     if args.svg:
-        svg = surfmap.gluing_svg(sides)
-        with open(args.svg, "w") as handle:
-            handle.write(svg if svg.endswith("\n") else svg + "\n")
+        _emit(surfmap.gluing_svg(sides), args.svg)
         lines.append(f"svg written to {args.svg}")
     if args.emit_map:
-        with open(args.emit_map, "w") as handle:
-            handle.write(json_text(surfmap.to_interchange(cmap)) + "\n")
+        _emit(json_text(surfmap.to_interchange(cmap)), args.emit_map)
         lines.append(f"map written to {args.emit_map}")
     if args.json:
         text = report.to_json()
@@ -209,11 +211,12 @@ def cmd_reduce(args) -> int:
     from . import reducer
 
     try:
-        with open(args.mapfile) as handle:
+        with open(args.mapfile, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as err:
         raise DomainError(f"cannot read map file: {err}")
-    except json.JSONDecodeError as err:
+    except ValueError as err:
+        # a JSON syntax error, or bytes that are not UTF-8
         raise ValidationError(f"map file is not valid JSON: {err}")
     filling = reducer.validate_input(data, args.genus)
     cert = reducer.reduce(filling)

@@ -323,11 +323,12 @@ class _Complement(_MutableMap):
 
     reduce builds one per run and keeps it current through every
     commit (add_cutting_curve), refined maps included: the split rule
-    refines the tables in place (_refine) and relabels only the smaller
-    pieces of the faces it splits (_retrace).  A trial judges a curve
-    as its direct attachment, from the faces and vertices it touches
-    alone (see trial); a one-vertex arc with an end displaced is judged
-    on a refined copy.  freeze gives the live map as a CombinatorialMap.
+    refines the tables in place (_refine) and relabels only the corner
+    pieces it cuts off faces (_retrace), raising InternalInvariantError
+    on a refinement that splits a face otherwise.  A trial judges a
+    curve as its direct attachment, from the faces and vertices it
+    touches alone (see trial); a one-vertex arc with an end displaced is
+    judged on a refined copy.  freeze gives the live map as a CombinatorialMap.
     The subgraph is taken as valid: complement checks a caller's
     (_checked_subgraph), and the reducer's own subgraphs are.
 
@@ -588,15 +589,24 @@ class _Complement(_MutableMap):
         inside an old one.  From each exit the orbit runs through new
         darts, labelled with the exit's face, to an old dart; new darts
         no exit reaches make faces of new darts alone, in the region of
-        start.  Walks from the exits then take turns of doubling length,
-        one that reaches another exit taking that walk over, while a face
-        may hold two open pieces (while more pieces are open than faces
-        with open walks, by Euler's formula) or its open piece may be the
-        shorter.  The largest piece keeps the index and region and the
-        others take new ones there, so only darts off the largest pieces
-        change face, and weights and edge counts change by those and the
-        new darts.  Region Euler characteristics stay.  The old faces
+        start.  The split rule refines by a short arc near the vertex of
+        each displaced end, so it only cuts corners off the faces there.
+        Chaining each exit's run through the exits it reaches, a chain
+        back to its exit is a corner piece of exits and new darts alone,
+        which takes a new index in its face's region; a chain that
+        reaches another old dart lies in the face's rest, which keeps the
+        index, region and counts.  In a face whose old darts are all
+        exits (no rest) the largest piece keeps the index.  So only exits
+        and new darts change face, and weights and edge counts change by
+        those alone.  Region Euler characteristics stay.  The old faces
         with exits and the new faces are stamped with the commit's step.
+
+        Euler's formula guards the rule: a refinement makes a face per
+        new edge, less one per new vertex, so the faces of new darts
+        alone, the corner pieces and the faces with a rest must add up
+        to that.  Otherwise some face has two pieces holding untouched
+        old darts, which the split rule never makes, and
+        InternalInvariantError is raised.
         """
         alpha, sigma, opp, g = self.alpha, self.sigma, self.opp, self.g
         face_of, vertices, now = self.face_of, len(self.gcount), self.step + 1
@@ -615,7 +625,7 @@ class _Complement(_MutableMap):
                     face_of[y] = f
                     darts.append(y)
                     y = sigma[alpha[y]]
-                walks[x] = [darts, y]
+                walks[x] = darts, y
                 self.face_touched[f] = now
         for x in new:
             if face_of[x] is None:
@@ -626,38 +636,23 @@ class _Complement(_MutableMap):
                     x = sigma[alpha[x]]
                 faces.append((self.face_region[face_of[start]], darts))
         # a face per new edge, less one per new vertex
-        unclosed = len({face_of[x] for x in far}) + len(new) // 2 - len(self.cycles) + vertices
-        closed, turn, budget, unclosed = {}, list(walks), 0, unclosed - len(faces)
-        while turn:
-            for x in filter(walks.__contains__, turn):
-                darts, y = walk = walks[x]
-                steps = budget
-                while True:
-                    while steps and y not in far:
-                        darts.append(y)
-                        y = sigma[alpha[y]]
-                        steps -= 1
-                    if y == x or y not in far:
-                        break
-                    rest, y = walks.pop(y)
-                    darts += rest
-                if y == x:
-                    closed.setdefault(face_of[x], []).append(walks.pop(x)[0])
-                    unclosed -= 1
-                walk[1] = y
-            open_ = {}
-            for x in walks:
-                open_.setdefault(face_of[x], []).append(x)
-            racing = unclosed > len(open_)
-            turn = [x for f, xs in open_.items() if racing and len(xs) > 1 or f in closed and
-                    sum(len(walks[x][0]) for x in xs) <= max(map(len, closed[f])) for x in xs]
-            budget = 2 * budget or 1
-        for f, pieces in closed.items():
-            if f not in open_:
-                pieces.remove(max(pieces, key=len))
-            faces += [(self.face_region[f], darts) for darts in pieces]
-        moved = [x for _, darts in faces for x in darts if x < n and x not in far]
-        far.update((y, alpha[y]) for x in moved for y in (x, alpha[x]))
+        pieces = len({face_of[x] for x in far}) + len(new) // 2 - len(self.cycles) + vertices
+        closed, rest = {}, set()
+        while walks:
+            x, (darts, y) = walks.popitem()
+            while y in walks:
+                more, y = walks.pop(y)
+                darts += more
+            if y == x:
+                closed.setdefault(face_of[x], []).append(darts)
+            else:
+                rest.add(face_of[x])
+        if len(faces) + sum(map(len, closed.values())) + len(rest) != pieces:
+            raise InternalInvariantError("a refinement split a face other than at its corners")
+        for f, chains in closed.items():
+            if f not in rest:
+                chains.remove(max(chains, key=len))
+            faces += [(self.face_region[f], darts) for darts in chains]
         self._tally(far, far, -1)
         for r, darts in faces:
             for x in darts:

@@ -502,7 +502,7 @@ def from_interchange(data: dict) -> CombinatorialMap:
         alpha = tuple(int(x) for x in data["alpha"])
         sigma = tuple(int(x) for x in data["sigma"])
         straight = frozenset(int(x) for x in data.get("straight_corners", ()))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed map data: {exc}") from exc
     return CombinatorialMap(
         dart_count=dart_count,

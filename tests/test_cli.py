@@ -330,10 +330,12 @@ class TestReduce:
 
     def test_garbage_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        code, _, err = run_cli(["reduce", str(path), "--genus", "2"], capsys)
-        assert code == 2
-        assert "not valid JSON" in err
+        for garbage in (b"{not json", b"\xff\xfe{"):
+            path.write_bytes(garbage)
+            code, _, err = run_cli(["reduce", str(path), "--genus", "2"], capsys)
+            assert code == 2
+            assert "not valid JSON" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("straight", [["x"], 5])
     def test_malformed_straight_corners(self, capsys, tmp_path, straight):
@@ -347,6 +349,42 @@ class TestReduce:
         assert out == ""
         assert "malformed map data" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, index, literal", [
+        ("dart_count", None, "Infinity"),
+        ("sigma", 0, "1e400"),
+        ("alpha", 3, "-Infinity"),
+    ])
+    def test_malformed_non_finite_numbers(self, capsys, tmp_path, field, index, literal):
+        # JSON's Infinity and overflowing literals read as float infinity,
+        # which int() refuses with OverflowError
+        with open(os.path.join(DATA_DIR, "canonical_g2.json")) as handle:
+            data = json.load(handle)
+        if index is None:
+            data[field] = "@"
+        else:
+            data[field][index] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data).replace('"@"', literal))
+        code, out, err = run_cli(["reduce", str(path), "--genus", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "malformed map data" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["minlen", "--genus", "2", "--out"],
+    ["gluing", "--genus", "2", "--svg"],
+    ["gluing", "--genus", "2", "--emit-map"],
+], ids=["minlen-out", "gluing-svg", "gluing-emit-map"])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out"
+    code, out, err = run_cli(argv + [str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output file:")
+    assert len(err.splitlines()) == 1
 
 
 def test_repeated_calls_leave_no_parser_garbage(capsys):
