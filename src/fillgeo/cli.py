@@ -215,8 +215,9 @@ def cmd_reduce(args) -> int:
             data = json.load(handle)
     except OSError as err:
         raise DomainError(f"cannot read map file: {err}")
-    except ValueError as err:
-        # a JSON syntax error, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as err:
+        # a JSON syntax error, bytes that are not UTF-8, or nesting
+        # deeper than the decoder's recursion limit
         raise ValidationError(f"map file is not valid JSON: {err}")
     filling = reducer.validate_input(data, args.genus)
     cert = reducer.reduce(filling)

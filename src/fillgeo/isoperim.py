@@ -9,9 +9,9 @@ D itself plus degenerate members.
 
 This module provides the pieces: the split-cost function f and its
 x-derivative, sweep verifiers for the supporting monotonicity and
-concavity facts, a randomized instance checker, the merge sequence
-that proves the inequality by absorbing polygons one at a time, and
-the classifier for the equality case.
+concavity facts, instances checked when they are made, the merge
+sequence that proves the inequality by absorbing polygons one at a
+time, and the classifier for the equality case.
 
 All verifiers return CheckReport records; they gather floating-point
 evidence on grids, they do not prove anything symbolically.
@@ -68,16 +68,22 @@ def _df_dx(n: float, a: float, x: float) -> float:
     return _perimeter_derivative(4.0, x) - _perimeter_derivative(n, a - x)
 
 
+MIN_SAMPLES = 100
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Sweep densities: steps per axis of the 2d grids, samples of the 1d sweeps."""
+    """Sweep densities: steps per axis of the 2d grids (at least 2),
+    samples of the 1d sweeps (at least MIN_SAMPLES)."""
 
     steps: int = 40
     samples: int = 10000
 
     def __post_init__(self):
-        if self.steps < 2 or self.samples < 2:
+        if self.steps < 2:
             raise ValidationError("grid step counts must be at least 2")
+        if self.samples < MIN_SAMPLES:
+            raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {self.samples!r}")
 
 
 def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
@@ -145,8 +151,8 @@ def verify_lemma_3_3(n: int, samples: int = GridSpec.samples) -> CheckReport:
     """
     if n < 4:
         raise DomainError(f"need n >= 4, got {n!r}")
-    if samples < 100:
-        raise DomainError(f"need at least 100 samples, got {samples!r}")
+    if samples < MIN_SAMPLES:
+        raise DomainError(f"need at least {MIN_SAMPLES} samples, got {samples!r}")
     span = (n - 2.0) * math.pi
     # checked at the first sample; the others lie in (0, span) too
     side = _check_area(n, span * 0.5 / samples, positive=True)
@@ -216,8 +222,8 @@ def verify_lemma_3_4(n: int, samples: int = GridSpec.samples) -> CheckReport:
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 5:
         raise DomainError(f"need integer n >= 5, got {n!r}")
-    if samples < 100:
-        raise DomainError(f"need at least 100 samples, got {samples!r}")
+    if samples < MIN_SAMPLES:
+        raise DomainError(f"need at least {MIN_SAMPLES} samples, got {samples!r}")
     span = (n / 2.0 - 2.0) * math.pi
     min_drop = math.inf
     argmin = None
@@ -440,11 +446,15 @@ class IsoperimetricInstance:
     enforces the hypotheses of the inequality (all side counts >= 4,
     target angle >= pi/2); permissive mode relaxes both, admitting
     triangles and sharp targets, and exists to express the documented
-    counterexample outside the hypotheses.
+    counterexample outside the hypotheses.  The constructor runs
+    validate_instance, so every instance is a checked one.
     """
 
     family: PolygonFamily
     strict: bool = True
+
+    def __post_init__(self):
+        validate_instance(self)
 
     @cached_property
     def target(self) -> RegularPolygonSpec:
@@ -454,6 +464,8 @@ class IsoperimetricInstance:
 
 
 def validate_instance(inst: IsoperimetricInstance) -> None:
+    """Refuse an instance outside its mode's domain (ValidationError);
+    IsoperimetricInstance runs this when it is made."""
     fam = inst.family
     if fam.k < 1:
         raise ValidationError("family must contain at least one polygon")
@@ -483,11 +495,6 @@ def check_instance(inst: IsoperimetricInstance) -> dict:
     Returns {lhs, rhs, holds, equality} with lhs the target perimeter
     and rhs the family perimeter total.
     """
-    validate_instance(inst)
-    return _check_instance(inst)
-
-
-def _check_instance(inst: IsoperimetricInstance) -> dict:
     lhs = _perimeter_from_area(inst.target.n, inst.target.area)
     rhs = sum(_perimeter_from_area(float(m), a) for m, a in inst.family.items)
     return {
@@ -514,7 +521,7 @@ def classify_equality(inst: IsoperimetricInstance) -> EqualityClassification:
     nondeg = [
         (m, a)
         for m, a in inst.family.items
-        if a >= tol.DEGENERATE_TOL or perimeter_from_area(m, a) >= tol.DEGENERATE_TOL
+        if a >= tol.DEGENERATE_TOL or _perimeter_from_area(m, a) >= tol.DEGENERATE_TOL
     ]
     if len(nondeg) == 0:
         expected = inst.target.area < tol.DEGENERATE_TOL
@@ -534,26 +541,16 @@ def merge_sequence(inst: IsoperimetricInstance) -> tuple:
     area of the first j members.  Requires the family sorted by
     descending angle; the final step reproduces the target.
     """
-    _validate_merge_input(inst)
-    return _merge_sequence(inst)
-
-
-def _validate_merge_input(inst: IsoperimetricInstance) -> None:
-    validate_instance(inst)
     if not inst.family.is_sorted_by_angle():
         raise ValidationError("family must be sorted by descending angle")
-
-
-def _merge_sequence(inst: IsoperimetricInstance) -> tuple:
     steps = []
     sides = 0
     area = 0.0
     for j, (m, a) in enumerate(inst.family.items, start=1):
         sides += m
         area += a
-        merged_sides = sides - 4 * j + 4
         try:
-            steps.append(RegularPolygonSpec.from_area(merged_sides, area))
+            steps.append(RegularPolygonSpec.from_area(sides - 4 * j + 4, area))
         except DomainError as exc:
             raise ValidationError(
                 f"merge step {j} leaves the polygon domain: {exc}"
@@ -596,15 +593,9 @@ def random_instance(rng: random.Random) -> IsoperimetricInstance:
     return IsoperimetricInstance(family=family, strict=True)
 
 
-def _check_count(count: int) -> None:
-    if count < 1:
-        raise DomainError(f"instance count must be at least 1, got {count!r}")
-
-
 @dataclass(frozen=True)
 class InstanceDraw:
-    """Random strict instances drawn from random.Random(seed), each
-    validated for both random suites."""
+    """Random strict instances from random.Random(seed), shared by both random suites."""
 
     seed: int
     instances: tuple
@@ -617,19 +608,13 @@ class InstanceDraw:
 def draw_instances(count: int, seed: int) -> InstanceDraw:
     """Draw count instances with random_instance from random.Random(seed).
 
-    Each is validated once, as merge_sequence validates its input, so
-    verify_theorem_3_1 and verify_merge_properties run the kernels on
-    them directly.  Raises DomainError for a count below 1, which would
-    pass vacuously.
+    Raises DomainError for a count below 1, which would pass vacuously.
     """
-    _check_count(count)
+    if count < 1:
+        raise DomainError(f"instance count must be at least 1, got {count!r}")
     rng = random.Random(seed)
-    instances = []
-    for _ in range(count):
-        inst = random_instance(rng)
-        _validate_merge_input(inst)
-        instances.append(inst)
-    return InstanceDraw(seed=seed, instances=tuple(instances))
+    instances = tuple(random_instance(rng) for _ in range(count))
+    return InstanceDraw(seed=seed, instances=instances)
 
 
 def verify_theorem_3_1(draw: InstanceDraw) -> CheckReport:
@@ -640,7 +625,7 @@ def verify_theorem_3_1(draw: InstanceDraw) -> CheckReport:
     classifier_failures = 0
     holds_failures = 0
     for inst in draw.instances:
-        result = _check_instance(inst)
+        result = check_instance(inst)
         margin = result["rhs"] - result["lhs"]
         if margin < min_margin:
             min_margin = margin
@@ -682,7 +667,7 @@ def verify_merge_properties(draw: InstanceDraw) -> CheckReport:
     final_mismatches = 0
     bound_failures = 0
     for index, inst in enumerate(draw.instances):
-        steps = _merge_sequence(inst)
+        steps = merge_sequence(inst)
         for j, step in enumerate(steps, start=1):
             excess = step.theta - math.pi / 2.0
             if excess < min_excess:
@@ -737,9 +722,9 @@ def verify_example_3_12() -> CheckReport:
     p5 = inst.target.perimeter
     margin = p5 - (p6 + p3 + 0.5)
 
-    strict_rejected = False
     try:
-        check_instance(example_3_12_instance(strict=True))
+        example_3_12_instance(strict=True)
+        strict_rejected = False
     except ValidationError:
         strict_rejected = True
 

@@ -29,50 +29,54 @@ from .surfmap import CombinatorialMap, from_interchange, pair_strands, to_interc
 
 @dataclass(frozen=True)
 class FillingMap:
-    """A validated multi-curve map together with its surface genus."""
+    """A multi-curve map that fills the closed surface of its genus.
+
+    The constructor checks it: it rejects a genus that is no integer of
+    at least two, a cmap that is no CombinatorialMap, straight corners,
+    disconnected maps, odd or small valences, monogon and bigon faces,
+    and maps whose rotation-system genus differs from the stated genus
+    (the curve then fails to fill that surface).
+    """
 
     cmap: CombinatorialMap
     genus: int
 
+    def __post_init__(self):
+        _check_genus(self.genus)
+        cmap = self.cmap
+        if not isinstance(cmap, CombinatorialMap):
+            raise ValidationError(f"a FillingMap needs a CombinatorialMap, not {type(cmap).__name__}")
+        if cmap.straight_corners:
+            raise ValidationError("input multi-curve maps carry no straight corners")
+        if not cmap.is_connected():
+            raise ValidationError("map is disconnected")
+        for cycle in cmap.vertices():
+            val = len(cycle)
+            if val % 2 != 0:
+                raise ValidationError(f"vertex valence {val} is odd: not a multi-curve")
+            if val < 4:
+                raise ValidationError(f"vertex valence {val} below four")
+        v = len(cmap.vertices())
+        e = len(cmap.edges())
+        faces = cmap.faces()
+        for cycle in faces:
+            if len(cycle) <= 2:
+                raise ValidationError(
+                    f"face of degree {len(cycle)} (monogon or bigon) is not allowed"
+                )
+        map_genus = (2 - (v - e + len(faces))) // 2
+        if map_genus != self.genus:
+            raise ValidationError(
+                f"map fills a genus-{map_genus} surface, not genus {self.genus}: "
+                "the multi-curve does not fill the stated surface"
+            )
+
 
 def validate_input(map_or_data, genus: int) -> FillingMap:
-    """Check that a map is a filling multi-curve on the stated surface.
-
-    Rejects disconnected maps, odd or small valences, monogon and
-    bigon faces, and maps whose rotation-system genus differs from the
-    stated genus (the curve then fails to fill that surface).
-    """
-    _check_genus(genus)
-    if isinstance(map_or_data, CombinatorialMap):
-        cmap = map_or_data
-    else:
-        cmap = from_interchange(map_or_data)
-    if cmap.straight_corners:
-        raise ValidationError("input multi-curve maps carry no straight corners")
-    if not cmap.is_connected():
-        raise ValidationError("map is disconnected")
-    for cycle in cmap.vertices():
-        val = len(cycle)
-        if val % 2 != 0:
-            raise ValidationError(f"vertex valence {val} is odd: not a multi-curve")
-        if val < 4:
-            raise ValidationError(f"vertex valence {val} below four")
-    v = len(cmap.vertices())
-    e = len(cmap.edges())
-    faces = cmap.faces()
-    for cycle in faces:
-        if len(cycle) <= 2:
-            raise ValidationError(
-                f"face of degree {len(cycle)} (monogon or bigon) is not allowed"
-            )
-    euler = v - e + len(faces)
-    map_genus = (2 - euler) // 2
-    if map_genus != genus:
-        raise ValidationError(
-            f"map fills a genus-{map_genus} surface, not genus {genus}: "
-            "the multi-curve does not fill the stated surface"
-        )
-    return FillingMap(cmap=cmap, genus=genus)
+    """FillingMap(map, genus), reading interchange data into a map first."""
+    if not isinstance(map_or_data, CombinatorialMap):
+        map_or_data = from_interchange(map_or_data)
+    return FillingMap(map_or_data, genus)
 
 
 @dataclass(frozen=True)
@@ -544,8 +548,11 @@ class _Complement(_MutableMap):
         emptied adjacencies and they take one face each in turn;
         searches that meet merge, and a search that runs out has found
         a whole piece.  The last search left is in the rest of the
-        region, which is never walked, so the cost is bounded by the
-        pieces split off.
+        region, which is never walked whole.  The cost is still not
+        bounded by the pieces split off: each turn reads the whole
+        adjacency of the face it takes, and the searches in the rest of
+        the region take as many turns as those that close, so a long
+        face's hundreds of neighbours are read on most calls.
         """
         adjacent = self.adjacent
         sources = sorted({f for pair in emptied for f in pair})

@@ -495,20 +495,24 @@ def from_interchange(data: dict) -> CombinatorialMap:
     """Rebuild a map from its serialized form.
 
     The serialized form is a rotation system, so the result is always
-    treated as orientably embedded.
+    treated as orientably embedded.  Every number in it must be a JSON
+    integer: a float, a string or a boolean is refused, not converted.
     """
     try:
-        dart_count = int(data["dart_count"])
-        alpha = tuple(int(x) for x in data["alpha"])
-        sigma = tuple(int(x) for x in data["sigma"])
-        straight = frozenset(int(x) for x in data.get("straight_corners", ()))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        dart_count = data["dart_count"]
+        alpha = tuple(data["alpha"])
+        sigma = tuple(data["sigma"])
+        straight = tuple(data.get("straight_corners", ()))
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed map data: {exc}") from exc
+    for x in (dart_count, *alpha, *sigma, *straight):
+        if type(x) is not int:
+            raise ValidationError(f"malformed map data: {x!r} is not an integer")
     return CombinatorialMap(
         dart_count=dart_count,
         alpha=alpha,
         sigma=sigma,
-        straight_corners=straight,
+        straight_corners=frozenset(straight),
     )
 
 

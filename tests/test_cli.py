@@ -201,6 +201,19 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "instance count must be at least 1" in err
 
+    @pytest.mark.parametrize("which", ["--all", "prop35"])
+    def test_sample_count_is_refused_before_any_sweep(self, capsys, monkeypatch, which):
+        from fillgeo import isoperim
+
+        def sweep(*args):
+            raise AssertionError("a sweep ran before the sample count was refused")
+
+        for name in ("verify_lemma_3_2", "verify_prop_3_5"):
+            monkeypatch.setattr(isoperim, name, sweep)
+        code, out, err = run_cli(["verify", which, "--samples", "50"], capsys)
+        assert (code, out) == (2, "")
+        assert "need at least 100 samples, got 50" in err
+
     def test_all_draws_and_validates_each_instance_once(self, capsys, monkeypatch):
         from fillgeo import isoperim
 
@@ -330,7 +343,8 @@ class TestReduce:
 
     def test_garbage_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        for garbage in (b"{not json", b"\xff\xfe{"):
+        # the last nests deeper than the JSON decoder's recursion limit
+        for garbage in (b"{not json", b"\xff\xfe{", b"[" * 100_000):
             path.write_bytes(garbage)
             code, _, err = run_cli(["reduce", str(path), "--genus", "2"], capsys)
             assert code == 2
@@ -366,6 +380,25 @@ class TestReduce:
             data[field][index] = "@"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data).replace('"@"', literal))
+        code, out, err = run_cli(["reduce", str(path), "--genus", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "malformed map data" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", ["fractional-alpha", "string-dart-count", "true-in-sigma"])
+    def test_malformed_non_integer_numbers(self, capsys, tmp_path, edit):
+        # int() would truncate 0.7 and read "12" and true as integers
+        with open(os.path.join(DATA_DIR, "canonical_g2.json")) as handle:
+            data = json.load(handle)
+        if edit == "fractional-alpha":
+            data["alpha"] = [x + 0.7 for x in data["alpha"]]
+        elif edit == "string-dart-count":
+            data["dart_count"] = str(data["dart_count"])
+        else:
+            data["sigma"][data["sigma"].index(1)] = True
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
         code, out, err = run_cli(["reduce", str(path), "--genus", "2"], capsys)
         assert code == 2
         assert out == ""

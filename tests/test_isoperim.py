@@ -241,14 +241,12 @@ def test_check_instance_k2_strict():
 
 def test_validate_rejects_bad_instances():
     # family total 5pi exceeds the supremum 4pi of hexagon areas:
-    # no target polygon exists
-    no_target = IsoperimetricInstance(
-        PolygonFamily(((5, 2.5 * math.pi), (5, 2.5 * math.pi)))
-    )
+    # no target polygon exists, and the constructor refuses the instance
+    no_target = PolygonFamily(((5, 2.5 * math.pi), (5, 2.5 * math.pi)))
     with pytest.raises(ValidationError, match="no target polygon"):
-        validate_instance(no_target)
+        validate_instance(IsoperimetricInstance(no_target))
     with pytest.raises(ValidationError, match="no target polygon"):
-        check_instance(no_target)
+        check_instance(IsoperimetricInstance(no_target))
     # two triangles merge to a 2-gon, below every polygon even when permissive
     with pytest.raises(ValidationError, match="no target polygon"):
         check_instance(

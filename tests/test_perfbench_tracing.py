@@ -11,7 +11,7 @@ from the checkout and takes it off again.
 import importlib.util
 import pathlib
 
-from fillgeo import isoperim, polygeom, reducer, surfmap
+from fillgeo import cli, isoperim, polygeom, reducer, surfmap
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -43,3 +43,27 @@ def test_tracer_installs_on_every_traced_name_and_restores():
         restore()
     assert len(wrapped) == len(originals)
     assert all(getattr(*key) is fn for key, fn in originals.items())
+
+
+def test_random_suites_count_through_the_public_checks(capsys):
+    # instances are checked when made, so both random suites call
+    # check_instance and merge_sequence and the counters see each call
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        code = cli.main(
+            ["verify", "--all", "--count", "50", "--samples", "100", "--steps", "2"]
+        )
+    finally:
+        restore()
+    capsys.readouterr()
+    assert code == 0
+    counts = {name: tracer.counts[f"isoperim.calls.{name}"] for name in tracing.ISOPERIM_COUNTED}
+    # example 3.12 makes two instances and checks the permissive one
+    assert counts == {
+        "random_instance": 50,
+        "validate_instance": 52,
+        "check_instance": 51,
+        "merge_sequence": 50,
+    }

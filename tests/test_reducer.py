@@ -128,6 +128,23 @@ class TestValidateInput:
         with pytest.raises(ValidationError, match="straight"):
             validate_input(marked, 2)
 
+    @pytest.mark.parametrize("name, genus, match", [
+        ("bigon", 2, "bigon"),
+        ("canonical_g2", 3, "does not fill"),
+        ("torus_claim", 2, "does not fill"),
+    ])
+    def test_filling_map_checks_itself(self, name, genus, match):
+        # built directly, without validate_input, a bad map is refused
+        # before reduce can trust it
+        cmap, _ = load_fixture(name)
+        with pytest.raises(ValidationError, match=match):
+            reducer.FillingMap(cmap, genus)
+
+    def test_filling_map_needs_a_map(self):
+        data = json.loads((DATA_DIR / "canonical_g2.json").read_text())
+        with pytest.raises(ValidationError, match="CombinatorialMap"):
+            reducer.FillingMap(data, 2)
+
 
 def after_first_curve(cmap):
     """The complement of the map after its first cutting curve."""
