@@ -32,10 +32,10 @@ class FillingMap:
     """A multi-curve map that fills the closed surface of its genus.
 
     The constructor checks it: it rejects a genus that is no integer of
-    at least two, a cmap that is no CombinatorialMap, straight corners,
-    disconnected maps, odd or small valences, monogon and bigon faces,
-    and maps whose rotation-system genus differs from the stated genus
-    (the curve then fails to fill that surface).
+    at least two, a cmap that is no orientable CombinatorialMap, straight
+    corners, disconnected maps, odd or small valences, monogon and bigon
+    faces, and maps whose rotation-system genus differs from the stated
+    genus (the curve then fails to fill that surface).
     """
 
     cmap: CombinatorialMap
@@ -46,6 +46,8 @@ class FillingMap:
         cmap = self.cmap
         if not isinstance(cmap, CombinatorialMap):
             raise ValidationError(f"a FillingMap needs a CombinatorialMap, not {type(cmap).__name__}")
+        if not cmap.orientable:
+            raise ValidationError("the map is non-orientable: its faces cannot be traced")
         if cmap.straight_corners:
             raise ValidationError("input multi-curve maps carry no straight corners")
         if not cmap.is_connected():
@@ -125,22 +127,21 @@ class _Cut(NamedTuple):
 class _MutableMap:
     """A map and a subgraph as mutable tables, refined in place by the split rule.
 
-    The tables are alpha, sigma and the straight corners, the vertex
-    rotations (cycles), the vertex of each dart (owner) and the strand
-    opposites (opp).  _refine commits a curve's displaced ends, for
-    _Complement and, on the bare tables, as the oracle test's reference
-    commit; freeze gives the map as a CombinatorialMap.  Until the
-    first refinement the tables are the frozen map's own tuples, which
-    _refine turns into lists before it changes them.
+    The tables, copied from the map when made, are alpha, sigma and the
+    straight corners, the vertex rotations (cycles), the vertex of each
+    dart (owner) and the strand opposites (opp).  _refine commits a
+    curve's displaced ends, for _Complement and, on the bare tables, as
+    the oracle test's reference commit; freeze gives the map as a
+    CombinatorialMap.
     """
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
         self._frozen = cmap
-        self.alpha, self.sigma = cmap.alpha, cmap.sigma
+        self.alpha, self.sigma = list(cmap.alpha), list(cmap.sigma)
         self.straight = set(cmap.straight_corners)
-        self.cycles = cmap.vertices()
-        self.owner = cmap.vertex_of_dart()
-        self.opp = cmap.strand_opposites()
+        self.cycles = list(cmap.vertices())
+        self.owner = list(cmap.vertex_of_dart())
+        self.opp = list(cmap.strand_opposites())
         self.g = set(subgraph)
 
     def freeze(self) -> CombinatorialMap:
@@ -203,10 +204,6 @@ class _MutableMap:
         edges, so the regions stay as they were.
         """
         n, start = len(self.alpha), darts[0]
-        if ends:
-            for name, table in vars(self).items():
-                if isinstance(table, tuple):
-                    setattr(self, name, list(table))
         placed = set()
         darts = list(darts)
         if darts[0] in ends:
@@ -369,22 +366,17 @@ class _Complement(_MutableMap):
     def __init__(self, cmap: CombinatorialMap, subgraph):
         super().__init__(cmap, subgraph)
         g, faces = self.g, len(cmap.faces())
-        self.face_of = cmap.face_of_dart()
+        self.face_of = list(cmap.face_of_dart())
         self.gcount = [sum(x in g for x in cycle) for cycle in self.cycles]
         self.weight, self.adjacent = [2] * faces, [{} for _ in range(faces)]
         self._tally(range(cmap.dart_count), self.alpha, 1)
-        # a region is a component of the faces glued across edges outside
-        # the subgraph, numbered by its least face
-        self.face_region, self.euler2 = [None] * faces, []
-        for f in range(faces):
-            if self.face_region[f] is None:
-                self.face_region[f], stack = len(self.euler2), [f]
-                self.euler2.append(0)
-                while stack:
-                    for h in self.adjacent[stack.pop()]:
-                        if self.face_region[h] is None:
-                            self.face_region[h] = self.face_region[f]
-                            stack.append(h)
+        # the regions are the pieces a search from every face splits
+        # off, then the rest
+        closed = self._split(range(faces), {})
+        self.face_region, self.euler2 = [len(closed)] * faces, [0] * (len(closed) + 1)
+        for r, piece in enumerate(closed):
+            for f in piece:
+                self.face_region[f] = r
         for f, r in enumerate(self.face_region):
             self.euler2[r] += self.weight[f]
         self.candidates = self._candidates(range(cmap.dart_count))
@@ -450,11 +442,12 @@ class _Complement(_MutableMap):
         corner gap it attaches in, to a point on the next subgraph edge;
         that changes neither the pieces, nor their Euler characteristics,
         nor the boundary runs, so the curve is judged as its direct
-        attachment and add_cutting_curve refines the map for it.  Only an arc with
-        both ends at one vertex and an end displaced is not: its
-        displaced end can land past the other end along the boundary,
-        so it is refined and cut on a copy of this complement, which
-        add_cutting_curve then takes as the next state.
+        attachment and add_cutting_curve refines the map for it.  Only an
+        arc with both ends at one vertex and an end displaced is not: its
+        displaced arrival can sweep to the arc's own start germ and land
+        on it (or cross it, on a one-edge arc), and there the direct
+        attachment can misjudge it; so it is refined and cut on a copy of
+        this complement, which add_cutting_curve takes as the next state.
 
         The curve is taken as valid for this complement: the reducer's
         own candidates are, and is_essential checks an outside one.
@@ -503,7 +496,8 @@ class _Complement(_MutableMap):
             if not self.gcount[v]:
                 f = face_of[cycles[v][0]]
                 weight[f] = weight.get(f, 0) - 2
-        emptied = [(a, b) for (a, b), n in removed.items() if self.adjacent[a][b] == n]
+        # a region can only fall apart where the cut empties an adjacency
+        emptied = {f for (a, b), n in removed.items() if self.adjacent[a][b] == n for f in (a, b)}
         closed = self._split(emptied, removed) if emptied else []
         euler2 = [sum(self.weight[f] + weight.get(f, 0) for f in faces) for faces in closed]
         euler2.append(self.euler2[region] + sum(weight.values()) - sum(euler2))
@@ -540,22 +534,21 @@ class _Complement(_MutableMap):
         pieces = sorted({piece.get(face_of[x], rest) for x in added})
         return next((p for p in pieces if cut.euler2[p] == 2 and changes.get(p, 0) <= 2), None)
 
-    def _split(self, emptied: list, removed: dict) -> list:
-        """The faces of every piece but one that a cut splits a region into.
+    def _split(self, sources, removed: dict) -> list:
+        """The faces of every piece but one that the faces of sources
+        fall into once the edge counts in removed are taken away.
 
-        A region can only fall apart where the cut empties an adjacency
-        between two faces.  One search starts at each face of the
-        emptied adjacencies and they take one face each in turn;
-        searches that meet merge, and a search that runs out has found
-        a whole piece.  The last search left is in the rest of the
-        region, which is never walked whole.  The cost is still not
+        One search starts at each source face and they take one face
+        each in turn; searches that meet merge, and a search that runs
+        out has found a whole piece.  The last search left is in the
+        rest, which is never walked whole.  The cost is still not
         bounded by the pieces split off: each turn reads the whole
         adjacency of the face it takes, and the searches in the rest of
         the region take as many turns as those that close, so a long
         face's hundreds of neighbours are read on most calls.
         """
         adjacent = self.adjacent
-        sources = sorted({f for pair in emptied for f in pair})
+        sources = sorted(sources)
         search_of = {f: i for i, f in enumerate(sources)}
         parent = list(range(len(sources)))
         queues = {i: deque([f]) for i, f in enumerate(sources)}
@@ -676,7 +669,7 @@ def _checked_subgraph(cmap: CombinatorialMap, subgraph) -> set:
     """A caller's subgraph as a set, checked for range and edge closure."""
     g = set(subgraph)
     for d in g:
-        if not isinstance(d, int) or not 0 <= d < cmap.dart_count:
+        if type(d) is not int or not 0 <= d < cmap.dart_count:
             raise ValidationError(f"subgraph dart {d!r} out of range")
         if cmap.alpha[d] not in g:
             raise ValidationError(
@@ -686,9 +679,12 @@ def _checked_subgraph(cmap: CombinatorialMap, subgraph) -> set:
 
 
 def complement(cmap: CombinatorialMap, subgraph=frozenset()) -> _Complement:
-    """The complement of a caller's subgraph, checked here once: the
-    state that complement_regions, find_cutting_curve, is_essential and
-    add_cutting_curve take, as reduce's own unchecked state does."""
+    """The complement of a caller's subgraph in an orientable map, checked
+    here once: the state that complement_regions, find_cutting_curve,
+    is_essential and add_cutting_curve take, as reduce's own unchecked
+    state does."""
+    if not cmap.orientable:
+        raise ValidationError("the map is non-orientable: its faces cannot be traced")
     return _Complement(cmap, _checked_subgraph(cmap, subgraph))
 
 
@@ -744,7 +740,7 @@ def _checked_darts(state: _Complement, curve: CuttingCurve):
         raise ValidationError("empty cutting curve")
     alpha, opp, owner, gcount, g = state.alpha, state.opp, state.owner, state.gcount, state.g
     for d in darts:
-        if not isinstance(d, int) or not 0 <= d < len(alpha):
+        if type(d) is not int or not 0 <= d < len(alpha):
             raise ValidationError(f"cutting curve dart {d!r} out of range")
         if d in g or alpha[d] in g:
             raise ValidationError("cutting curve reuses subgraph material")
@@ -786,9 +782,11 @@ def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
     An arc or lasso end whose direct attachment would spoil the corner
     pattern at its vertex is displaced first (_refine: old darts keep
     their sigma, new ones are numbered from the old dart count up), and
-    the refined curve is then committed as a direct attachment.  A cut
-    made before the state's last commit is refused.
+    the refined curve is then committed as a direct attachment.  Only a
+    _Cut is taken, and one made before the state's last commit is refused.
     """
+    if not isinstance(cut, _Cut):
+        raise ValidationError(f"add_cutting_curve takes a cut, not {type(cut).__name__}")
     if cut.step != state.step or cut.state.step != cut.step:
         raise ValidationError("the cut was made before the state's last commit")
     state = cut.state

@@ -140,6 +140,14 @@ class TestValidateInput:
         with pytest.raises(ValidationError, match=match):
             reducer.FillingMap(cmap, genus)
 
+    def test_non_orientable_map_rejected(self):
+        # some side pairs glued without reversal: surface_report calls it
+        # a non-orientable surface of genus 5, and its faces have no trace
+        cmap = surfmap.build_map("a6 a3 a1 a4 a6' a3' a5 a1 a2 a5' a4' a2'".split())
+        assert not cmap.orientable
+        with pytest.raises(ValidationError, match="non-orientable"):
+            validate_input(cmap, 2)
+
     def test_filling_map_needs_a_map(self):
         data = json.loads((DATA_DIR / "canonical_g2.json").read_text())
         with pytest.raises(ValidationError, match="CombinatorialMap"):
@@ -184,6 +192,12 @@ class TestComplementRegions:
         cmap, _ = load_fixture("canonical_g2")
         with pytest.raises(ValidationError, match="out of range"):
             complement(cmap, frozenset({cmap.dart_count}))
+
+    def test_non_orientable_map_refused(self):
+        cmap = surfmap.build_map(["a", "b", "a", "b"])
+        assert not cmap.orientable
+        with pytest.raises(ValidationError, match="non-orientable"):
+            complement(cmap)
 
     def test_subgraph_must_be_edge_closed(self):
         cmap, _ = load_fixture("canonical_g2")
@@ -245,6 +259,17 @@ class TestAddCuttingCurve:
         cmap, _ = load_fixture("canonical_g2")
         with pytest.raises(ValidationError, match="empty"):
             is_essential(complement(cmap), CuttingCurve(darts=(), kind="I"))
+
+    def test_curve_darts_are_ints_not_bools(self):
+        # the spanning arc of test_spanning_arc_of_annulus, True for dart 1
+        state = complement(torus_two_curves(), frozenset({0, 2, 4, 6}))
+        with pytest.raises(ValidationError, match="True out of range"):
+            is_essential(state, CuttingCurve(darts=(True,), kind="V"))
+
+    def test_commits_only_a_cut(self):
+        state = complement(torus_two_curves(), frozenset({0, 2, 4, 6}))
+        with pytest.raises(ValidationError, match="takes a cut"):
+            add_cutting_curve(state, CuttingCurve(darts=(1,), kind="V"))
 
     def test_rejects_unknown_kind(self):
         cmap, _ = load_fixture("canonical_g2")
@@ -407,6 +432,10 @@ def test_public_functions_check_a_callers_subgraph(name):
         call(cmap, subgraph | {999}, cut)
     with pytest.raises(ValidationError, match="involution"):
         call(cmap, subgraph - {min(subgraph)}, cut)
+    # True equals dart 1, the alpha of dart 0, but is no dart
+    assert cmap.alpha[0] == 1
+    with pytest.raises(ValidationError, match="True out of range"):
+        call(cmap, {True, 0}, cut)
 
 
 class TestIsEssential:

@@ -28,7 +28,10 @@ or its Euler share) must leave that record stale, and a record that
 stays fresh after a commit changed the germs at one of its curve's
 vertices must still hold: while its darts are the walk from a
 candidate germ, the oracle rejects that curve.  No record is a
-one-vertex arc (kind V with both ends at one vertex).  The inputs are
+one-vertex arc (kind V with both ends at one vertex).  A complement
+built from a caller's subgraph must match the oracle too, and a commit
+with an end displaced must cut the region's old faces into the pieces
+its trial's cut did, which the memo argument assumes.  The inputs are
 the 4-valent 48-vertex maps and the {4,6,8}-valent maps of
 ``test_reduce_digests.py``, with four more mixed maps that try arcs
 with both ends at one vertex and an end displaced; the split rule fires
@@ -46,6 +49,7 @@ import pytest
 from fillgeo import reducer, surfmap
 from fillgeo.errors import InternalInvariantError, ValidationError
 from test_reduce_digests import SEEDS, four_valent, mixed
+from test_reducer import torus_two_curves
 
 
 def _orbit_index(n, step):
@@ -491,3 +495,63 @@ def test_commit_stamps_every_face_it_reweighs(monkeypatch):
     reduce_all(mixed(seed) for seed in SEEDS)
     assert counts["unchanged"] > 0, "some commit should leave a face's Euler share as it was"
     assert counts["faces"] > counts["unchanged"]
+
+
+def test_complement_builds_match_oracle():
+    """A complement built from a caller's subgraph, as complement builds
+    it, has the oracle's faces, regions, Euler characteristics and
+    candidates: an annulus on the torus, every face its own disk, and the
+    subgraph after every commit of a reduction, rebuilt from scratch; the
+    last is the certificate's subgraph in its ambient map."""
+    check_state(reducer.complement(torus_two_curves(), frozenset({0, 2, 4, 6})))
+    two_non_disks = 0
+    for path in sorted(DATA_DIR.glob("*.json")):
+        data = json.loads(path.read_text())
+        if "genus" not in data or path.stem in ("bigon", "torus_claim"):
+            continue
+        cmap = surfmap.from_interchange(data)
+        check_state(reducer.complement(cmap, frozenset(range(cmap.dart_count))))
+        state = reducer.complement(cmap)
+        while not state.fills:
+            state = reducer.add_cutting_curve(state, reducer.find_cutting_curve(state))
+            rebuilt = reducer.complement(state.freeze(), frozenset(state.g))
+            check_state(rebuilt)
+            two_non_disks += sum(e != 2 for e in rebuilt.euler2) > 1
+    assert two_non_disks > 0, "some rebuilt complement should have two non-disk regions"
+
+
+def test_a_displaced_end_changes_no_piece(monkeypatch):
+    """A curve judged as its direct attachment and committed with an end
+    displaced: the cut of the refinement splits the region's old faces
+    into the pieces the trial's cut did, with the same Euler
+    characteristics, though which piece keeps the region's index may
+    differ.  The memo argument in the _Complement docstring rests on
+    this."""
+    made, commits = [], []
+    cut_of, commit = reducer._Complement._cut, reducer.add_cutting_curve
+
+    def recorded_cut(self, *args):
+        made.append(cut_of(self, *args))
+        return made[-1]
+
+    def pieces(cut, faces, old):
+        closed = [{f for f in piece if f < faces} for piece in cut.closed]
+        rest = set(old).difference(*closed)
+        return Counter(zip(map(frozenset, [*closed, rest]), cut.euler2))
+
+    def checked_commit(state, cut):
+        if not cut.ends:
+            return commit(state, cut)
+        faces = len(state.weight)
+        old = [f for f, r in enumerate(state.face_region) if r == cut.region]
+        del made[:]
+        state = commit(state, cut)
+        (refined,) = made
+        assert pieces(refined, faces, old) == pieces(cut, faces, old), cut.curve
+        commits.append(cut.curve)
+        return state
+
+    monkeypatch.setattr(reducer._Complement, "_cut", recorded_cut)
+    monkeypatch.setattr(reducer, "add_cutting_curve", checked_commit)
+    reduce_all(mixed(seed) for seed in SEEDS)
+    assert len(commits) == 322
