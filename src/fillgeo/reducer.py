@@ -18,6 +18,7 @@ degrees and the outcome of every check; it never hides a failure.
 
 from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -538,47 +539,46 @@ class _Complement(_MutableMap):
         """The faces of every piece but one that the faces of sources
         fall into once the edge counts in removed are taken away.
 
-        One search starts at each source face and they take one face
-        each in turn; searches that meet merge, and a search that runs
-        out has found a whole piece.  The last search left is in the
-        rest, which is never walked whole.  The cost is still not
-        bounded by the pieces split off: each turn reads the whole
-        adjacency of the face it takes, and the searches in the rest of
-        the region take as many turns as those that close, so a long
-        face's hundreds of neighbours are read on most calls.
+        One search starts at each source face, in order, and the live
+        searches take one face each in turn.  Where a search reaches a
+        face of another live one, the one holding fewer faces (on a tie,
+        the one reaching) stops, and live searches take its faces over
+        as they reach them.  Every piece keeps a live search, because a
+        meeting stops only one of two searches in the same piece: so a
+        search that runs out has found its whole piece, and the last one
+        left is in the rest, which is never walked whole.  The cost is
+        still not bounded by the pieces split off: each turn reads the
+        whole adjacency of the face it takes, and the searches in the
+        rest of the region take as many turns as those that close, so a
+        long face's hundreds of neighbours are read on most calls.
         """
-        adjacent = self.adjacent
-        sources = sorted(sources)
-        search_of = {f: i for i, f in enumerate(sources)}
-        parent = list(range(len(sources)))
-        queues = {i: deque([f]) for i, f in enumerate(sources)}
-        members = {i: [f] for i, f in enumerate(sources)}
-        closed = []
-        while len(queues) > 1:
-            for i in list(queues):
-                queue = queues.get(i)
-                if queue is None or len(queues) == 1:
+        search_of = {f: i for i, f in enumerate(sorted(sources))}
+        faces_of, read = [[f] for f in search_of], [0] * len(search_of)
+        live, turns, closed = set(search_of.values()), deque(search_of.values()), []
+        while len(live) > 1:
+            i = turns.popleft()
+            faces = faces_of[i]
+            if i in live and read[i] == len(faces):
+                live.remove(i)
+                closed.append(faces)
+            if i not in live:
+                continue
+            f = faces[read[i]]
+            read[i] += 1
+            turns.append(i)
+            for h, n in self.adjacent[f].items():
+                if n == removed.get((f, h) if f < h else (h, f), 0):
                     continue
-                if not queue:
-                    del queues[i]
-                    closed.append(members.pop(i))
+                j = search_of.get(h)
+                if j == i:
                     continue
-                f = queue.popleft()
-                for h, n in adjacent[f].items():
-                    if n == removed.get((f, h) if f < h else (h, f), 0):
-                        continue
-                    j = search_of.get(h)
-                    if j is None:
-                        search_of[h] = i
-                        members[i].append(h)
-                        queue.append(h)
-                        continue
-                    while parent[j] != j:
-                        j = parent[j]
-                    if j != i:
-                        parent[j] = i
-                        queue.extend(queues.pop(j))
-                        members[i].extend(members.pop(j))
+                if j in live:
+                    if len(faces) <= len(faces_of[j]):
+                        live.remove(i)
+                        break
+                    live.remove(j)
+                search_of[h] = i
+                faces.append(h)
         return closed
 
     def _retrace(self, n: int, start: int):
@@ -667,7 +667,10 @@ class _Complement(_MutableMap):
 
 def _checked_subgraph(cmap: CombinatorialMap, subgraph) -> set:
     """A caller's subgraph as a set, checked for range and edge closure."""
-    g = set(subgraph)
+    try:
+        g = set(subgraph)
+    except TypeError:
+        raise ValidationError(f"a subgraph is a set of darts, not {subgraph!r}") from None
     for d in g:
         if type(d) is not int or not 0 <= d < cmap.dart_count:
             raise ValidationError(f"subgraph dart {d!r} out of range")
@@ -683,6 +686,8 @@ def complement(cmap: CombinatorialMap, subgraph=frozenset()) -> _Complement:
     here once: the state that complement_regions, find_cutting_curve,
     is_essential and add_cutting_curve take, as reduce's own unchecked
     state does."""
+    if not isinstance(cmap, CombinatorialMap):
+        raise ValidationError(f"complement needs a CombinatorialMap, not {type(cmap).__name__}")
     if not cmap.orientable:
         raise ValidationError("the map is non-orientable: its faces cannot be traced")
     return _Complement(cmap, _checked_subgraph(cmap, subgraph))
@@ -735,6 +740,10 @@ def _checked_darts(state: _Complement, curve: CuttingCurve):
     """Check a caller's cutting curve against the state: unused material
     and a strand walk, a loop (kinds I to IV) on no vertex twice back to
     its first vertex, an arc or lasso the walk _walk_arc makes."""
+    if not isinstance(curve, CuttingCurve):
+        raise ValidationError(f"is_essential judges a CuttingCurve, not {type(curve).__name__}")
+    if not isinstance(curve.darts, Sequence):
+        raise ValidationError(f"cutting curve darts are a sequence, not {curve.darts!r}")
     darts = tuple(curve.darts)
     if not darts:
         raise ValidationError("empty cutting curve")

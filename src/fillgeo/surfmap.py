@@ -523,7 +523,8 @@ def polygon_vertices(n, theta: float) -> list:
     realized on the Euclidean radius tanh(R/2); a degenerate polygon
     collapses every corner to the origin.
     """
-    if isinstance(n, bool) or n != int(n) or int(n) < 3:
+    number = isinstance(n, (int, float)) and not isinstance(n, bool)
+    if not number or not 3 <= n < math.inf or n != int(n):
         raise DomainError(f"side count must be an integer >= 3, got {n!r}")
     n = int(n)
     radius = math.tanh(circumradius(n, theta) / 2.0)

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -50,6 +51,26 @@ def torus_two_curves():
         alpha=(4, 5, 6, 7, 0, 1, 2, 3),
         sigma=(1, 2, 3, 0, 5, 6, 7, 4),
     )
+
+
+def torus_grid(n, rows=(), columns=()):
+    """The four-valent n x n grid on the torus, and the subgraph of the
+    given rows and columns.  The darts of vertex (r, c) point east,
+    north, west and south, in that rotation order; its faces are the
+    n * n squares."""
+    alpha, g = [0] * (4 * n * n), set()
+    for r in range(n):
+        for c in range(n):
+            v = 4 * (r * n + c)
+            east, north = 4 * (r * n + (c + 1) % n) + 2, 4 * ((r + 1) % n * n + c) + 3
+            alpha[v], alpha[east], alpha[v + 1], alpha[north] = east, v, north, v + 1
+            if r in rows:
+                g |= {v, east}
+            if c in columns:
+                g |= {v + 1, north}
+    sigma = tuple(d - d % 4 + (d + 1) % 4 for d in range(4 * n * n))
+    cmap = surfmap.CombinatorialMap(dart_count=4 * n * n, alpha=tuple(alpha), sigma=sigma)
+    return cmap, frozenset(g)
 
 
 def lasso_with_trivial_loop():
@@ -203,6 +224,25 @@ class TestComplementRegions:
         cmap, _ = load_fixture("canonical_g2")
         with pytest.raises(ValidationError, match="involution"):
             complement(cmap, frozenset({0}))
+
+    def test_complement_needs_a_map(self):
+        data = json.loads((DATA_DIR / "canonical_g2.json").read_text())
+        with pytest.raises(ValidationError, match="CombinatorialMap"):
+            complement(data)
+
+    def test_subgraph_must_be_a_set_of_darts(self):
+        cmap, _ = load_fixture("canonical_g2")
+        with pytest.raises(ValidationError, match="set of darts"):
+            complement(cmap, 5)
+
+    def test_torus_grid_builds_within_budget(self):
+        # 40,000 faces, every one a source of the region search
+        cmap, _ = torus_grid(200)
+        start = time.perf_counter()
+        state = complement(cmap)
+        elapsed = time.perf_counter() - start
+        assert [r.euler for r in complement_regions(state)] == [0]
+        assert elapsed < 1.5, f"{elapsed:.2f}s"
 
 
 class TestFindCuttingCurve:
@@ -453,6 +493,16 @@ class TestIsEssential:
         cmap = lasso_with_trivial_loop()
         lasso = CuttingCurve(darts=(1, 6), kind="VI")
         assert is_essential(complement(cmap, frozenset({0, 2})), lasso) is None
+
+    def test_judges_only_a_cutting_curve(self):
+        state = complement(torus_two_curves(), frozenset({0, 2, 4, 6}))
+        with pytest.raises(ValidationError, match="CuttingCurve"):
+            is_essential(state, (1,))
+
+    def test_curve_darts_are_a_sequence(self):
+        state = complement(torus_two_curves(), frozenset({0, 2, 4, 6}))
+        with pytest.raises(ValidationError, match="sequence"):
+            is_essential(state, CuttingCurve(darts=1, kind="V"))
 
 
 class TestReduce:

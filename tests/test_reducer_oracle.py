@@ -49,7 +49,7 @@ import pytest
 from fillgeo import reducer, surfmap
 from fillgeo.errors import InternalInvariantError, ValidationError
 from test_reduce_digests import SEEDS, four_valent, mixed
-from test_reducer import torus_two_curves
+from test_reducer import torus_grid, torus_two_curves
 
 
 def _orbit_index(n, step):
@@ -500,10 +500,17 @@ def test_commit_stamps_every_face_it_reweighs(monkeypatch):
 def test_complement_builds_match_oracle():
     """A complement built from a caller's subgraph, as complement builds
     it, has the oracle's faces, regions, Euler characteristics and
-    candidates: an annulus on the torus, every face its own disk, and the
-    subgraph after every commit of a reduction, rebuilt from scratch; the
-    last is the certificate's subgraph in its ambient map."""
+    candidates: an annulus on the torus, the 36 disks and the 6 annuli
+    of a 30 x 30 torus grid cut along every fifth row and column or row
+    alone, every face its own disk, and the subgraph after every commit
+    of a reduction, rebuilt from scratch; the last is the certificate's
+    subgraph in its ambient map."""
     check_state(reducer.complement(torus_two_curves(), frozenset({0, 2, 4, 6})))
+    fifths = range(0, 30, 5)
+    for columns, euler2 in ((fifths, [2] * 36), ((), [0] * 6)):
+        state = reducer.complement(*torus_grid(30, fifths, columns))
+        check_state(state)
+        assert state.euler2 == euler2
     two_non_disks = 0
     for path in sorted(DATA_DIR.glob("*.json")):
         data = json.loads(path.read_text())

@@ -305,6 +305,9 @@ def test_polygon_vertices_domain():
         polygon_vertices(4.5, 1.0)
     with pytest.raises(DomainError):
         polygon_vertices(12, 0.0)
+    for n in (math.nan, math.inf, None, "5"):
+        with pytest.raises(DomainError):
+            polygon_vertices(n, 1.0)
 
 
 def test_disk_distance():
