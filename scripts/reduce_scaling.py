@@ -5,9 +5,12 @@ random 4-valent rotation system (``random_map`` of
 ``scripts/make_reducer_fixtures.py``, redrawn from the same generator
 until ``validate_input`` accepts it at its own genus), reduces it
 ``--repeats`` times and prints the median wall time, the iteration
-count and the time per iteration.  The last line is the least-squares
-slope of log(seconds) against log(vertices): about 1 for a reducer
-linear in map size, 2 for a quadratic one.
+count and the time per iteration.  One more, untimed reduction counts
+the candidate curves judged (trials) and the arc walks of the scan,
+by wrapping ``_Complement.trial`` and ``_walk_arc`` from outside the
+reducer.  The last line is the least-squares slope of log(seconds)
+against log(vertices): about 1 for a reducer linear in map size, 2 for
+a quadratic one.
 
 With ``--valences 4,6,8`` (any set other than the default 4) the ladder
 is 24, 48, 96, 192, 384 and 768 vertices, and each vertex valence is
@@ -67,6 +70,27 @@ def valence_set(text):
     return valences
 
 
+def counted(filling):
+    """(trials, walks) of one reduction of filling."""
+    counts = {"trials": 0, "walks": 0}
+    trial, walk = reducer._Complement.trial, reducer._walk_arc
+
+    def counted_trial(state, curve):
+        counts["trials"] += 1
+        return trial(state, curve)
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        return walk(*args)
+
+    reducer._Complement.trial, reducer._walk_arc = counted_trial, counted_walk
+    try:
+        reducer.reduce(filling)
+    finally:
+        reducer._Complement.trial, reducer._walk_arc = trial, walk
+    return counts["trials"], counts["walks"]
+
+
 def slope(xs, ys):
     mx, my = statistics.fmean(xs), statistics.fmean(ys)
     num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
@@ -84,7 +108,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sizes = SIZES if args.valences == (4,) else MIXED_SIZES
 
-    print("# vertices  genus  iterations  seconds  ms/iteration")
+    print("# vertices  genus  iterations  seconds  ms/iteration  trials  walks")
     seconds = []
     for vertices in sizes:
         filling = draw_input(random.Random(args.seed), vertices, args.valences)
@@ -95,9 +119,10 @@ def main(argv=None):
             times.append(time.perf_counter() - start)
         median = statistics.median(times)
         seconds.append(median)
+        trials, walks = counted(filling)
         print(
             f"{vertices}  {filling.genus}  {cert.iterations}  {median:.3f}  "
-            f"{1000 * median / cert.iterations:.3f}"
+            f"{1000 * median / cert.iterations:.3f}  {trials}  {walks}"
         )
     exponent = slope([math.log(v) for v in sizes], [math.log(s) for s in seconds])
     print(f"log-log slope (seconds vs vertices): {exponent:.2f}")

@@ -6,8 +6,9 @@ theta exists for 0 < theta < (n-2)*pi/n, and its area is
 (pi - theta)*n - 2*pi.  The angle is determined by the area and vice
 versa, so perimeter can be parametrised either way.
 
-The side count n is accepted as any real number >= 3: several
-monotonicity and concavity checks sweep n continuously.  Constructors
+The side count n is accepted as any real number >= 3 whose area bound
+(n-2)*pi is a finite float: several monotonicity and concavity checks
+sweep n continuously.  Constructors
 that describe an actual geometric polygon insist on integers.
 
 Degenerate polygons (area 0, collapsed to a point) are inside the
@@ -20,6 +21,7 @@ check each side count once and call the kernels at every grid point.
 """
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 from . import tolerances as tol
@@ -40,11 +42,19 @@ def _max_area(n: float) -> float:
     return (n - 2.0) * math.pi
 
 
+# the largest side count whose area bound (n - 2)*pi is a finite float
+_MAX_SIDES = sys.float_info.max / math.pi
+
+
 def _check_sides(n) -> float:
     if isinstance(n, bool) or not isinstance(n, (int, float)):
         raise DomainError(f"side count must be a number, got {n!r}")
     if not n >= 3:
         raise DomainError(f"side count must be at least 3, got {n!r}")
+    if not n <= _MAX_SIDES:
+        # an int this large has too many digits to print whole
+        got = repr(n) if isinstance(n, float) else f"an integer of {n.bit_length()} bits"
+        raise DomainError(f"side count must be finite and at most {_MAX_SIDES:.6g}, got {got}")
     return float(n)
 
 

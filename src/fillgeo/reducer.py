@@ -107,9 +107,11 @@ class _Cut(NamedTuple):
     Euler characteristic of those pieces followed by that of the rest,
     which keeps the region's index.
     curve is the cutting curve, state the complement the cut was made
-    in and step that complement's step then.  A curve judged as its
-    direct attachment whose commit fires the split rule carries the end
-    germs to displace (ends); add_cutting_curve refines for them.
+    in and step that complement's step then.  refined marks a cut made
+    on a refined copy of the complement (a one-vertex arc with an end
+    displaced; see trial); add_cutting_curve displaces the ends of any
+    other cut that the split rule chooses (_split_ends) before it
+    commits.
     """
 
     added: frozenset
@@ -122,7 +124,7 @@ class _Cut(NamedTuple):
     curve: "CuttingCurve"
     state: "_Complement"
     step: int
-    ends: tuple = ()
+    refined: bool = False
 
 
 class _MutableMap:
@@ -360,8 +362,30 @@ class _Complement(_MutableMap):
     transitions as they were; and a displaced end does not change the
     verdict of any curve that is not a one-vertex arc (see trial).  So
     P is still a disk piece with at most two changes, and the curve is
-    still inessential.  A copy keeps a memo of its own, so a state
-    stays usable after a cut judged on its copy was committed.
+    still inessential.
+
+    So the arc search walks a candidate germ only when its verdict can
+    have changed.  A germ is clean when the record of the curve walked
+    from it is fresh: the state keeps the walk of each clean germ
+    (clean) and indexes the germ by the faces of its record's piece
+    (clean_by_face) and by the vertices its walk arrives at
+    (clean_by_vertex).  The invariant: a clean germ's walk equals
+    _walk_arc now, and its record is fresh.  A walk reads the alpha of
+    its darts and, at each vertex it arrives at, whether the vertex has
+    a subgraph germ and the strand opposite of the arrival (owners and
+    opposites of old darts never change); a record reads the stamps of
+    its piece's faces.  So a clean germ is voided when a face it is
+    indexed by is stamped (at a commit or by _retrace), when a vertex it
+    is indexed by gains its first subgraph germ, and when a refinement
+    changes the alpha of a dart at such a vertex (_retrace's exits: a
+    subdivided edge of the walk has an end at a vertex the walk arrives
+    at).  A trial that records a rejection makes the curve's germ clean
+    at once, indexed by the new record.  Index entries are dropped only
+    when their key voids: an entry that outlives its germ's clean spell
+    can only void the germ early, which costs a walk.  A one-vertex arc
+    is never recorded, so its germ is never clean.  A copy keeps a memo
+    and index of its own, so a state stays usable after a cut judged on
+    its copy was committed.
     """
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
@@ -384,6 +408,7 @@ class _Complement(_MutableMap):
         self.step = 0
         self.face_touched = [0] * faces
         self.rejected = {}
+        self.clean, self.clean_by_face, self.clean_by_vertex = {}, {}, {}
 
     def _candidates(self, darts) -> list:
         """The candidate germs among darts, in their order."""
@@ -422,6 +447,8 @@ class _Complement(_MutableMap):
             for name, value in vars(self).items()
         }
         twin.adjacent = [dict(counts) for counts in self.adjacent]
+        twin.clean_by_face = {f: list(germs) for f, germs in self.clean_by_face.items()}
+        twin.clean_by_vertex = {v: list(germs) for v, germs in self.clean_by_vertex.items()}
         return twin
 
     def region_of(self, d: int) -> int:
@@ -443,32 +470,68 @@ class _Complement(_MutableMap):
         corner gap it attaches in, to a point on the next subgraph edge;
         that changes neither the pieces, nor their Euler characteristics,
         nor the boundary runs, so the curve is judged as its direct
-        attachment and add_cutting_curve refines the map for it.  Only an
-        arc with both ends at one vertex and an end displaced is not: its
-        displaced arrival can sweep to the arc's own start germ and land
-        on it (or cross it, on a one-edge arc), and there the direct
-        attachment can misjudge it; so it is refined and cut on a copy of
-        this complement, which add_cutting_curve takes as the next state.
+        attachment, without asking which ends the split rule displaces:
+        add_cutting_curve chooses them (_split_ends) on the cut's state,
+        which its step check proves is the state judged here, and
+        refines the map for them.  Only an arc with both ends at one vertex and
+        an end displaced is not: its displaced arrival can sweep to the
+        arc's own start germ and land on it (or cross it, on a one-edge
+        arc), and there the direct attachment can misjudge it; so a
+        one-vertex arc's ends are chosen here, and one with an end
+        displaced is refined and cut on a copy of this complement, which
+        add_cutting_curve takes as the next state.
 
         The curve is taken as valid for this complement: the reducer's
         own candidates are, and is_essential checks an outside one.
         """
         alpha, owner, kind, darts = self.alpha, self.owner, curve.kind, curve.darts
-        ends = self._split_ends(kind, darts)
         region = self.region_of(darts[0])
         one_vertex = kind == "V" and owner[darts[0]] == owner[alpha[darts[-1]]]
-        if ends and one_vertex:
+        ends = self._split_ends(kind, darts) if one_vertex else ()
+        if ends:
             state = self.copy()
-            cut = state._cut(state._refine(kind, darts, ends), region, curve)
+            cut = state._cut(state._refine(kind, darts, ends), region, curve, refined=True)
         else:
             added = frozenset(darts) | frozenset(alpha[d] for d in darts)
-            cut = self._cut(added, region, curve, ends)
+            cut = self._cut(added, region, curve)
         piece = cut.state._pushes_off(cut)
         if piece is None:
             return cut
         if not one_vertex and piece < len(cut.closed):
-            self.rejected[kind, tuple(darts)] = (self.step, cut.closed[piece])
+            darts = tuple(darts)
+            self.rejected[kind, darts] = (self.step, cut.closed[piece])
+            self._clean(kind, darts)
         return None
+
+    def _skips(self, kind: str, darts: tuple) -> bool:
+        """Whether the scan passes over the curve it walked from the
+        germ darts[0] untried: the germ is clean, or a rejection of the
+        curve is on record and still holds, and the germ becomes clean."""
+        if darts[0] in self.clean:
+            return True
+        if not self._still_rejected(kind, darts):
+            return False
+        self._clean(kind, darts)
+        return True
+
+    def _clean(self, kind: str, darts: tuple):
+        """Make the germ of an arc or lasso, the walk from it, clean: its
+        rejection is on record and fresh.  A loop's germ never is."""
+        if kind not in ("V", "VI"):
+            return
+        x, alpha, owner = darts[0], self.alpha, self.owner
+        self.clean[x] = darts, kind
+        for f in self.rejected[kind, darts][1]:
+            self.clean_by_face.setdefault(f, []).append(x)
+        for d in darts:
+            self.clean_by_vertex.setdefault(owner[alpha[d]], []).append(x)
+
+    def _void(self, index: dict, keys):
+        """Void the clean germs that index holds under each of keys."""
+        clean = self.clean
+        for key in keys:
+            for x in index.pop(key, ()):
+                clean.pop(x, None)
 
     def _still_rejected(self, kind: str, darts: tuple) -> bool:
         """Whether a rejection of the curve is on record and no face of
@@ -477,11 +540,11 @@ class _Complement(_MutableMap):
         if entry is None:
             return False
         step, faces = entry
-        return all(self.face_touched[f] <= step for f in faces)
+        return max(map(self.face_touched.__getitem__, faces)) <= step
 
-    def _cut(self, added: frozenset, region: int, curve, ends=()) -> _Cut:
-        """The cut of curve, which adds the edges of added inside region,
-        attached directly at its ends or with ends still to displace."""
+    def _cut(self, added: frozenset, region: int, curve, refined=False) -> _Cut:
+        """The cut of curve, which adds the edges of added inside region:
+        the curve itself, or its refinement when refined."""
         alpha, face_of, owner, cycles = self.alpha, self.face_of, self.owner, self.cycles
         # each added dart is a boundary side (-1) and opens a corner gap
         # in the face of its alpha (+2, counted at its own face here,
@@ -503,7 +566,7 @@ class _Complement(_MutableMap):
         euler2 = [sum(self.weight[f] + weight.get(f, 0) for f in faces) for faces in closed]
         euler2.append(self.euler2[region] + sum(weight.values()) - sum(euler2))
         return _Cut(added, touched, weight, removed, region, closed, euler2, curve, self,
-                    self.step, ends)
+                    self.step, refined)
 
     def _pushes_off(self, cut: _Cut):
         """The disk piece of a cut that makes its curve inessential, or None.
@@ -522,6 +585,8 @@ class _Complement(_MutableMap):
         Pieces are numbered as in cut.euler2 and tried in that order, so
         a piece split off is found before the rest of the region.
         """
+        if 2 not in cut.euler2:
+            return None
         alpha, sigma, face_of, g, added = self.alpha, self.sigma, self.face_of, self.g, cut.added
         piece = {f: i for i, faces in enumerate(cut.closed) for f in faces}
         rest = len(cut.closed)
@@ -599,7 +664,9 @@ class _Complement(_MutableMap):
         exits (no rest) the largest piece keeps the index.  So only exits
         and new darts change face, and weights and edge counts change by
         those alone.  Region Euler characteristics stay.  The old faces
-        with exits and the new faces are stamped with the commit's step.
+        with exits and the new faces are stamped with the commit's step,
+        and the clean germs those old faces or the vertices of exits
+        index are voided.
 
         Euler's formula guards the rule: a refinement makes a face per
         new edge, less one per new vertex, so the faces of new darts
@@ -626,7 +693,6 @@ class _Complement(_MutableMap):
                     darts.append(y)
                     y = sigma[alpha[y]]
                 walks[x] = darts, y
-                self.face_touched[f] = now
         for x in new:
             if face_of[x] is None:
                 f, darts = len(self.weight) + len(faces), []
@@ -635,8 +701,13 @@ class _Complement(_MutableMap):
                     darts.append(x)
                     x = sigma[alpha[x]]
                 faces.append((self.face_region[face_of[start]], darts))
+        stamped = {face_of[x] for x in far}
+        for f in stamped:
+            self.face_touched[f] = now
+        self._void(self.clean_by_face, stamped)
+        self._void(self.clean_by_vertex, {self.owner[x] for x in far})
         # a face per new edge, less one per new vertex
-        pieces = len({face_of[x] for x in far}) + len(new) // 2 - len(self.cycles) + vertices
+        pieces = len(stamped) + len(new) // 2 - len(self.cycles) + vertices
         closed, rest = {}, set()
         while walks:
             x, (darts, y) = walks.popitem()
@@ -799,9 +870,11 @@ def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
     if cut.step != state.step or cut.state.step != cut.step:
         raise ValidationError("the cut was made before the state's last commit")
     state = cut.state
-    if cut.ends:
+    if not cut.refined:
         kind, darts = cut.curve.kind, cut.curve.darts
-        cut = state._cut(state._refine(kind, darts, cut.ends), cut.region, cut.curve)
+        ends = state._split_ends(kind, darts)
+        if ends:
+            cut = state._cut(state._refine(kind, darts, ends), cut.region, cut.curve)
     g, gcount, cycles = state.g, state.gcount, state.cycles
     now = state.step = state.step + 1
     face_touched = state.face_touched
@@ -812,6 +885,8 @@ def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
     for f, change in cut.weight.items():
         state.weight[f] += change
         face_touched[f] = now
+    state._void(state.clean_by_face, cut.weight)
+    state._void(state.clean_by_vertex, fresh)
     adjacent = state.adjacent
     for (a, b), n in cut.removed.items():
         left = adjacent[a][b] - n
@@ -917,7 +992,8 @@ def find_cutting_curve(state: _Complement) -> _Cut:
 
     Calling this on a state whose complement is already all disks is a
     precondition violation (DomainError).  Candidates are tried
-    deterministically, lowest dart first, skipping recorded rejections.
+    deterministically, lowest dart first, skipping clean germs unwalked
+    and curves whose rejection still holds (_skips).
     For an empty subgraph the candidates are simple loops extracted
     from the strands (kinds I to IV); afterwards they are arcs and
     lassos grown from boundary germs of non-disk regions (kinds V and
@@ -931,7 +1007,10 @@ def find_cutting_curve(state: _Complement) -> _Cut:
         )
     alpha, opp, owner = state.alpha, state.opp, state.owner
     if state.g:
-        walks = (_walk_arc(alpha, opp, owner, state.gcount, x) for x in state.candidates)
+        clean, gcount = state.clean, state.gcount
+        walks = (
+            clean.get(x) or _walk_arc(alpha, opp, owner, gcount, x) for x in state.candidates
+        )
     else:
         walks = (_extract_loop(alpha, opp, owner, d) for d in range(len(alpha)))
     tried = 0
@@ -939,7 +1018,7 @@ def find_cutting_curve(state: _Complement) -> _Cut:
         if darts is None:
             continue
         tried += 1
-        if state._still_rejected(kind, darts):
+        if state._skips(kind, darts):
             continue
         cut = state.trial(CuttingCurve(darts=darts, kind=kind))
         if cut is not None:

@@ -123,6 +123,11 @@ class TestPolygon:
         assert code == 2
         assert "error:" in err
 
+    def test_infinite_side_count_rejected_by_name(self, capsys):
+        code, _, err = run_cli(["polygon", "--n", "inf", "--area", "1"], capsys)
+        assert code == 2
+        assert "error: side count must be finite" in err
+
 
 class TestVerify:
     def test_example312_prints_both_sides(self, capsys):

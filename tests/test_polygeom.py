@@ -10,6 +10,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from fillgeo import polygeom
 from fillgeo.errors import DomainError
 from fillgeo.polygeom import (
     area_from_angle,
@@ -251,6 +252,32 @@ def test_kissing_lower_bound_values():
         kissing_lower_bound(2, 0.0)
     with pytest.raises(DomainError):
         kissing_lower_bound(2, -1.0)
+
+
+@pytest.mark.parametrize(
+    "kernel, n, args",
+    [
+        (max_area, math.inf, ()),
+        (max_angle, math.inf, ()),
+        (perimeter_from_area, math.inf, (1.0,)),
+        (max_area, 10**400, ()),
+        (circumradius, 10**400, (1.0,)),
+    ],
+    ids=["max_area-inf", "max_angle-inf", "perimeter_from_area-inf", "max_area-10**400",
+         "circumradius-10**400"],
+)
+def test_side_count_beyond_float_range_is_refused(kernel, n, args):
+    # refused by name, not returned as inf or nan nor raised as an
+    # OverflowError from float()
+    with pytest.raises(DomainError, match="side count must be finite"):
+        kernel(n, *args)
+
+
+def test_largest_side_count_keeps_a_finite_area_bound():
+    n = polygeom._MAX_SIDES
+    assert math.isfinite(max_area(n)) and math.isfinite(max_angle(n))
+    with pytest.raises(DomainError, match="side count must be finite"):
+        max_area(math.nextafter(n, math.inf))
 
 
 def test_domain_errors():

@@ -686,3 +686,35 @@ def test_mixed_valence_reproducer_passes(path):
     assert all(m >= 5 for m in cert.face_degrees), cert.face_degrees
     assert sum(m - 4 for m in cert.face_degrees) == 8 * cert.genus - 8
     assert cert.passed
+
+
+# Seed-1 {4,6,8} maps of scripts/reduce_scaling.py: vertices -> trials.
+# The scan walked 17,030, 64,551 and 246,094 germs for these when it
+# walked every candidate on every iteration.
+SCALING_TRIALS = {96: 683, 192: 1251, 384: 2461}
+
+
+@pytest.mark.parametrize("vertices", sorted(SCALING_TRIALS))
+def test_scan_walks_only_germs_whose_verdict_can_have_changed(monkeypatch, vertices):
+    """The scan walks a candidate germ only when it has no fresh record
+    of rejection, so walks grow with trials, not with trials times
+    candidates.  Counted from outside, so the bound holds on any host."""
+    from reduce_scaling import draw_input
+
+    filling = draw_input(random.Random(1), vertices, (4, 6, 8))
+    counts = Counter()
+    walk, trial = reducer._walk_arc, reducer._Complement.trial
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        return walk(*args)
+
+    def counted_trial(self, curve):
+        counts["trials"] += 1
+        return trial(self, curve)
+
+    monkeypatch.setattr(reducer, "_walk_arc", counted_walk)
+    monkeypatch.setattr(reducer._Complement, "trial", counted_trial)
+    assert reduce(filling).passed
+    assert counts["trials"] == SCALING_TRIALS[vertices]
+    assert counts["walks"] <= 1.2 * counts["trials"], counts

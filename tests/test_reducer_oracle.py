@@ -19,10 +19,12 @@ from the maps before and after the commit alone.
 At every step of a reduction, and right after each refinement of a
 state, the live state's face partition, its per-pair counts of edges
 outside the subgraph, its region partition, Euler characteristics,
-candidate germs and ``fills`` must match the oracle,
-every candidate tried must get the oracle's essential/inessential
-verdict, and every candidate the state's memo of rejections skips
-must be one the oracle rejects.  The memo's premise is checked too: a
+candidate germs and ``fills`` must match the oracle, and every clean
+candidate germ must keep its walk and a fresh record; every candidate
+tried must get the oracle's essential/inessential verdict, and every
+candidate the scan skips (``_skips``: a clean germ, or a fresh record
+of the memo of rejections) must have the walk the state holds for it
+and be one the oracle rejects.  The memo's premise is checked too: a
 commit that changes a face of a recorded piece (its darts, their edges
 or its Euler share) must leave that record stale, and a record that
 stays fresh after a commit changed the germs at one of its curve's
@@ -42,10 +44,12 @@ while the complement has two non-disk regions, in the second one.
 
 import json
 import pathlib
+import random
 from collections import Counter
 
 import pytest
 
+from conftest import random_map
 from fillgeo import reducer, surfmap
 from fillgeo.errors import InternalInvariantError, ValidationError
 from test_reduce_digests import SEEDS, four_valent, mixed
@@ -206,6 +210,21 @@ def check_state(state):
         d for d in range(cmap.dart_count)
         if d not in g and owner[d] in on_g and euler[region[d]] != 1
     ]
+    check_clean(state)
+
+
+def check_clean(state):
+    """Every clean candidate germ keeps its walk and a fresh record."""
+    for x in state.candidates:
+        if x in state.clean:
+            darts, kind = state.clean[x]
+            assert walk_from(state, x) == (darts, kind), ("a clean germ's walk changed", x)
+            assert state._still_rejected(kind, darts), ("a clean germ's record is stale", x)
+
+
+def walk_from(state, x):
+    """The arc or lasso the state walks from germ x now."""
+    return reducer._walk_arc(state.alpha, state.opp, state.owner, state.gcount, x)
 
 
 def touchable(state):
@@ -238,8 +257,7 @@ def check_stale(state, before, fresh):
         curve_vertices = {owner[x] for d in darts for x in (d, alpha_before[d])}
         if not moved_vertices.intersection(curve_vertices) or not fresh(state, kind, darts):
             continue
-        walk = reducer._walk_arc(state.alpha, state.opp, owner, state.gcount, darts[0])
-        if darts[0] in state.candidates and walk == (darts, kind):
+        if darts[0] in state.candidates and walk_from(state, darts[0]) == (darts, kind):
             curve = reducer.CuttingCurve(darts=darts, kind=kind)
             essential, _ = oracle_essential(state.freeze(), state.g, curve)
             assert not essential, ("a fresh record of a moved vertex is essential", curve)
@@ -252,10 +270,11 @@ def watched(monkeypatch):
     """Check every state, every refinement and every trial of the
     reductions run under it."""
     seen = {"states": 0, "trials": 0, "essential": 0, "split": 0, "one_vertex": 0,
-            "refined": 0, "skipped": 0, "new_face_later_region": 0, "moved_vertex_fresh": 0}
+            "refined": 0, "skipped": 0, "clean_skipped": 0, "new_face_later_region": 0,
+            "moved_vertex_fresh": 0}
     live = reducer._Complement
     original = {
-        name: getattr(live, name) for name in ("trial", "_refine", "_still_rejected")
+        name: getattr(live, name) for name in ("trial", "_refine", "_still_rejected", "_skips")
     }
     find, commit = reducer.find_cutting_curve, reducer.add_cutting_curve
 
@@ -295,20 +314,28 @@ def watched(monkeypatch):
         seen["one_vertex"] += one_vertex_displaced(cmap, curve, new_map)
         return cut
 
-    def still_rejected(self, kind, darts):
-        skip = original["_still_rejected"](self, kind, darts)
+    def skips(self, kind, darts):
+        was_clean = darts[0] in self.clean
+        skip = original["_skips"](self, kind, darts)
         if skip:
+            if self.g:
+                # a skipped arc or lasso is clean, and the walk the state
+                # holds for its germ is the walk from it now
+                assert self.clean[darts[0]] == walk_from(self, darts[0]) == (darts, kind), (
+                    "a skipped germ's walk changed", darts
+                )
             curve = reducer.CuttingCurve(darts=darts, kind=kind)
             essential, _ = oracle_essential(self.freeze(), self.g, curve)
-            assert not essential, ("memo skipped an essential curve", curve)
+            assert not essential, ("the scan skipped an essential curve", curve)
             seen["skipped"] += 1
+            seen["clean_skipped"] += was_clean
         return skip
 
     monkeypatch.setattr(reducer, "find_cutting_curve", find_cutting_curve)
     monkeypatch.setattr(reducer, "add_cutting_curve", add_cutting_curve)
     monkeypatch.setattr(live, "trial", trial)
     monkeypatch.setattr(live, "_refine", refine)
-    monkeypatch.setattr(live, "_still_rejected", still_rejected)
+    monkeypatch.setattr(live, "_skips", skips)
     return seen
 
 
@@ -352,6 +379,7 @@ def test_four_valent_reductions_match_oracle(watched):
     assert watched["states"] > 1000
     assert watched["essential"] < watched["trials"]
     assert watched["skipped"] > 0, "the memo of rejections should fire"
+    assert watched["clean_skipped"] > 0, "clean germs should be skipped unwalked"
 
 
 def test_mixed_valence_reductions_match_oracle(watched):
@@ -362,6 +390,7 @@ def test_mixed_valence_reductions_match_oracle(watched):
     assert watched["refined"] > watched["one_vertex"]
     # the memo answers more of the repeated rejections than trials make
     assert watched["skipped"] > watched["trials"] - watched["essential"]
+    assert watched["clean_skipped"] > 0, "clean germs should be skipped unwalked"
     assert watched["moved_vertex_fresh"] > 0, "records should outlive a germ change"
 
 
@@ -474,6 +503,13 @@ def test_mixed_reductions_build_the_complement_once(monkeypatch):
     assert len(copies) == sum(one_vertex)
 
 
+def displaced(cut):
+    """The ends the commit of cut displaces: chosen when it is committed,
+    on the state the cut was judged on, unless the cut was made on a
+    refined copy."""
+    return () if cut.refined else cut.state._split_ends(cut.curve.kind, cut.curve.darts)
+
+
 def test_commit_stamps_every_face_it_reweighs(monkeypatch):
     """A commit with no end displaced stamps every face of cut.weight
     with its step, a face whose Euler share it leaves as it was too:
@@ -483,8 +519,9 @@ def test_commit_stamps_every_face_it_reweighs(monkeypatch):
     commit = reducer.add_cutting_curve
 
     def checked_commit(state, cut):
+        ends = displaced(cut)
         after = commit(state, cut)
-        if not cut.ends:
+        if not ends:
             for f, change in cut.weight.items():
                 assert after.face_touched[f] == after.step, ("face left unstamped", f, change)
                 counts["faces"] += 1
@@ -495,6 +532,80 @@ def test_commit_stamps_every_face_it_reweighs(monkeypatch):
     reduce_all(mixed(seed) for seed in SEEDS)
     assert counts["unchanged"] > 0, "some commit should leave a face's Euler share as it was"
     assert counts["faces"] > counts["unchanged"]
+
+
+# the first commit that stamps the first face of its cut in a clean
+# germ's piece comes at seed 418
+UNVALIDATED_SEEDS = range(500)
+
+
+def unvalidated(seed):
+    """A connected map of 3 to 12 vertices of valence 4 or 6, drawn
+    without the reducer's input rules, or None."""
+    rng = random.Random(seed)
+    cmap = random_map(rng, [rng.choice((4, 6)) for _ in range(rng.randint(3, 12))])
+    return cmap if cmap.is_connected() else None
+
+
+def stepped_unvalidated():
+    """The state after each commit, stepping the public functions on
+    every unvalidated map until it fills or has no essential curve."""
+    for seed in UNVALIDATED_SEEDS:
+        cmap = unvalidated(seed)
+        if cmap is None:
+            continue
+        state = reducer.complement(cmap)
+        try:
+            while not state.fills:
+                state = reducer.add_cutting_curve(state, reducer.find_cutting_curve(state))
+                yield state
+        except InternalInvariantError:
+            continue
+
+
+def test_clean_germs_keep_walk_and_record_on_unvalidated_maps():
+    """Stepping the public functions on maps the input rules refuse,
+    every clean candidate germ keeps its walk and a fresh record after
+    each commit.  There strands bound monogons, and a lasso is rejected
+    by the disk inside its loop, which has no face along the tail: a
+    commit that crosses the tail, or a refinement that subdivides its
+    first edge, changes the walk and stamps no face of the record, so
+    only the vertex rules void the germ."""
+    lassos = 0
+    for state in stepped_unvalidated():
+        check_clean(state)
+        lassos += sum(kind == "VI" for _, kind in state.clean.values())
+    assert lassos > 0, "some lasso should be clean"
+
+
+def test_commits_release_the_index_where_they_change(monkeypatch):
+    """After each commit no face it stamped and no vertex that gained
+    its first subgraph germ or holds a dart whose alpha a refinement
+    changed still indexes a clean germ's walk.  On reducer input a
+    commit that stamps a face of a clean germ's piece crosses its walk,
+    at a vertex that gains its first germ, so either rule alone voids
+    the germ and the invariant cannot tell them apart; this checks each
+    rule as the _Complement docstring states it."""
+    counts = Counter()
+    commit = reducer.add_cutting_curve
+
+    def checked_commit(state, cut):
+        gcount, alpha = list(state.gcount), list(state.alpha)
+        after = commit(state, cut)
+        stamped = {f for f, step in enumerate(after.face_touched) if step == after.step}
+        first = {v for v, n in enumerate(gcount) if not n and after.gcount[v]}
+        moved = {after.owner[x] for x, a in enumerate(alpha) if after.alpha[x] != a}
+        assert not stamped & after.clean_by_face.keys(), "a stamped face still indexes"
+        assert not (first | moved) & after.clean_by_vertex.keys(), "a changed vertex still indexes"
+        counts["stamped"] += len(stamped)
+        counts["vertices"] += len(first | moved)
+        return after
+
+    monkeypatch.setattr(reducer, "add_cutting_curve", checked_commit)
+    reduce_all(mixed(seed) for seed in SEEDS)
+    for _ in stepped_unvalidated():
+        pass
+    assert counts["stamped"] and counts["vertices"]
 
 
 def test_complement_builds_match_oracle():
@@ -537,8 +648,8 @@ def test_a_displaced_end_changes_no_piece(monkeypatch):
     made, commits = [], []
     cut_of, commit = reducer._Complement._cut, reducer.add_cutting_curve
 
-    def recorded_cut(self, *args):
-        made.append(cut_of(self, *args))
+    def recorded_cut(self, *args, **kwargs):
+        made.append(cut_of(self, *args, **kwargs))
         return made[-1]
 
     def pieces(cut, faces, old):
@@ -547,7 +658,7 @@ def test_a_displaced_end_changes_no_piece(monkeypatch):
         return Counter(zip(map(frozenset, [*closed, rest]), cut.euler2))
 
     def checked_commit(state, cut):
-        if not cut.ends:
+        if not displaced(cut):
             return commit(state, cut)
         faces = len(state.weight)
         old = [f for f, r in enumerate(state.face_region) if r == cut.region]
