@@ -125,7 +125,12 @@ def perimeter_from_area(n, area: float) -> float:
 
     Computed as 2*n*acosh(cos(pi/n) / cos((2*pi + area) / (2*n))).  At
     area 0 the two cosine arguments coincide bitwise, so the result is
-    exactly 0.0.  Strictly increasing in area.
+    exactly 0.0.  Increasing in area only as far as the rounded sum
+    2*pi + area resolves it: its float spacing is about 8.9e-16 for area
+    below 2*pi, so a positive area under half that spacing gives exactly
+    0.0, and areas within a few hundred spacings of 0 are off by percents
+    either way (for n = 5, 2.107e-7 for 8.524e-8 at area 5e-16 and
+    3.650e-7 for 3.812e-7 at 1e-14).
     """
     return _perimeter_from_area(_check_area(n, area), area)
 

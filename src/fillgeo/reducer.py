@@ -337,55 +337,47 @@ class _Complement(_MutableMap):
     (_checked_subgraph), and the reducer's own subgraphs are.
 
     Most trials of a reduction reject a curve that an earlier iteration
-    already rejected, so the state keeps a memo of rejections.  Each
-    commit counts as one step, and every face it touches is stamped
-    with it: add_cutting_curve stamps the faces in the cut's weight (the
-    only faces whose Euler shares and edge counts it changes), and
-    _retrace every face whose darts a refinement changes, on each side
-    of each split and in the faces of new darts alone; a face whose
-    darts stay keeps its Euler share.  A rejection by a disk piece P
-    split off the region (not its unwalked rest) records the step and
-    the faces of P under the curve's kind and darts; it stays true
-    (_still_rejected) while no face of P has been stamped since.  A
-    one-vertex arc (kind V with both ends at one vertex) is not
-    recorded: the split rule decides how it is judged (see trial), so
-    its verdict reads every germ at its vertex.  For any other curve the
-    record is sound.  Every edge between a face of P and a face outside
-    it is a subgraph edge or a curve edge, and a commit only adds
-    subgraph material, so while no face of P is stamped P stays a piece
-    of the cut, with its Euler shares.  Four facts keep P's boundary:
-    the memo key is the walk itself, so while the key still matches,
-    the curve's inner vertices have no subgraph germ and its end
-    vertices keep theirs; a germ added inside one of P's corner gaps
-    stamps a face of P, the face of the new dart, which holds the corner
-    just before it; a germ added in another gap leaves P's gap
-    transitions as they were; and a displaced end does not change the
-    verdict of any curve that is not a one-vertex arc (see trial).  So
-    P is still a disk piece with at most two changes, and the curve is
-    still inessential.
+    already rejected, so the state keeps a memo of rejections, and the
+    arc search walks a candidate germ only when its verdict can have
+    changed.  When trial rejects an arc or lasso by a disk piece P split
+    off the region (not its unwalked rest), the curve's germ becomes
+    clean (_clean): the state keeps the walk from it (clean) and indexes
+    the germ by the faces of P (clean_by_face) and by the arrival alpha[d]
+    of each dart d of the walk (clean_by_arrival).  A commit changes a
+    face when the face is in its cut's weight (the only faces whose Euler
+    shares and edge counts it changes) or holds an exit of its
+    refinement (see _retrace).  The invariant: a
+    clean germ's walk equals _walk_arc now, and no face of the disk piece
+    that rejected it has changed since.
 
-    So the arc search walks a candidate germ only when its verdict can
-    have changed.  A germ is clean when the record of the curve walked
-    from it is fresh: the state keeps the walk of each clean germ
-    (clean) and indexes the germ by the faces of its record's piece
-    (clean_by_face) and by the vertices its walk arrives at
-    (clean_by_vertex).  The invariant: a clean germ's walk equals
-    _walk_arc now, and its record is fresh.  A walk reads the alpha of
-    its darts and, at each vertex it arrives at, whether the vertex has
-    a subgraph germ and the strand opposite of the arrival (owners and
-    opposites of old darts never change); a record reads the stamps of
-    its piece's faces.  So a clean germ is voided when a face it is
-    indexed by is stamped (at a commit or by _retrace), when a vertex it
-    is indexed by gains its first subgraph germ, and when a refinement
-    changes the alpha of a dart at such a vertex (_retrace's exits: a
-    subdivided edge of the walk has an end at a vertex the walk arrives
-    at).  A trial that records a rejection makes the curve's germ clean
-    at once, indexed by the new record.  Index entries are dropped only
-    when their key voids: an entry that outlives its germ's clean spell
-    can only void the germ early, which costs a walk.  A one-vertex arc
-    is never recorded, so its germ is never clean.  A copy keeps a memo
-    and index of its own, so a state stays usable after a cut judged on
-    its copy was committed.
+    So its curve is still inessential.  A one-vertex arc (kind V with
+    both ends at one vertex) is never made clean: the split rule decides
+    how it is judged (see trial), so its verdict reads every germ at its
+    vertex.  For any other curve, every edge between a face of P and a
+    face outside it is a subgraph edge or a curve edge, and a commit only
+    adds subgraph material, so while no face of P changes P stays a
+    piece of the cut, with its Euler shares.  Four facts keep P's
+    boundary: while the walk stays, the curve's inner vertices have no
+    subgraph germ and its end vertices keep theirs; a germ added inside
+    one of P's corner gaps changes a face of P, the face of the new dart,
+    which holds the corner just before it; a germ added in another gap
+    leaves P's gap transitions as they were; and a displaced end does not
+    change the verdict of any curve that is not a one-vertex arc (see
+    trial).  So P is still a disk piece with at most two changes.
+
+    Two rules void clean germs and keep the invariant.  Faces: a commit
+    voids the germs indexed by each face it changes.  Arrival darts: a
+    walk reads the alpha of its darts and, at each arrival, the strand
+    opposite and whether its vertex has a subgraph germ (owners and
+    opposites of old darts never change).  So a commit voids the germs
+    indexed by each dart of a vertex that gains its first subgraph germ,
+    and _retrace those indexed by its exits, the old darts whose alpha it
+    changed: both old ends of a subdivided edge are exits, and one of
+    them is the arrival of the walk dart on that edge.  Index entries are
+    dropped only when their key voids: an entry that outlives its germ's
+    clean spell can only void the germ early, which costs a walk and a
+    trial.  A copy keeps an index of its own, so a state stays usable
+    after a cut judged on its copy was committed.
     """
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
@@ -406,9 +398,7 @@ class _Complement(_MutableMap):
             self.euler2[r] += self.weight[f]
         self.candidates = self._candidates(range(cmap.dart_count))
         self.step = 0
-        self.face_touched = [0] * faces
-        self.rejected = {}
-        self.clean, self.clean_by_face, self.clean_by_vertex = {}, {}, {}
+        self.clean, self.clean_by_face, self.clean_by_arrival = {}, {}, {}
 
     def _candidates(self, darts) -> list:
         """The candidate germs among darts, in their order."""
@@ -448,7 +438,7 @@ class _Complement(_MutableMap):
         }
         twin.adjacent = [dict(counts) for counts in self.adjacent]
         twin.clean_by_face = {f: list(germs) for f, germs in self.clean_by_face.items()}
-        twin.clean_by_vertex = {v: list(germs) for v, germs in self.clean_by_vertex.items()}
+        twin.clean_by_arrival = {x: list(germs) for x, germs in self.clean_by_arrival.items()}
         return twin
 
     def region_of(self, d: int) -> int:
@@ -498,33 +488,21 @@ class _Complement(_MutableMap):
         if piece is None:
             return cut
         if not one_vertex and piece < len(cut.closed):
-            darts = tuple(darts)
-            self.rejected[kind, darts] = (self.step, cut.closed[piece])
-            self._clean(kind, darts)
+            self._clean(kind, tuple(darts), cut.closed[piece])
         return None
 
-    def _skips(self, kind: str, darts: tuple) -> bool:
-        """Whether the scan passes over the curve it walked from the
-        germ darts[0] untried: the germ is clean, or a rejection of the
-        curve is on record and still holds, and the germ becomes clean."""
-        if darts[0] in self.clean:
-            return True
-        if not self._still_rejected(kind, darts):
-            return False
-        self._clean(kind, darts)
-        return True
-
-    def _clean(self, kind: str, darts: tuple):
-        """Make the germ of an arc or lasso, the walk from it, clean: its
-        rejection is on record and fresh.  A loop's germ never is."""
+    def _clean(self, kind: str, darts: tuple, piece):
+        """Make the germ of an arc or lasso, the walk from it, clean: the
+        disk piece of the faces in piece rejected it.  A loop's germ never
+        is."""
         if kind not in ("V", "VI"):
             return
-        x, alpha, owner = darts[0], self.alpha, self.owner
+        x, alpha = darts[0], self.alpha
         self.clean[x] = darts, kind
-        for f in self.rejected[kind, darts][1]:
+        for f in piece:
             self.clean_by_face.setdefault(f, []).append(x)
         for d in darts:
-            self.clean_by_vertex.setdefault(owner[alpha[d]], []).append(x)
+            self.clean_by_arrival.setdefault(alpha[d], []).append(x)
 
     def _void(self, index: dict, keys):
         """Void the clean germs that index holds under each of keys."""
@@ -532,15 +510,6 @@ class _Complement(_MutableMap):
         for key in keys:
             for x in index.pop(key, ()):
                 clean.pop(x, None)
-
-    def _still_rejected(self, kind: str, darts: tuple) -> bool:
-        """Whether a rejection of the curve is on record and no face of
-        its disk piece was touched since."""
-        entry = self.rejected.get((kind, darts))
-        if entry is None:
-            return False
-        step, faces = entry
-        return max(map(self.face_touched.__getitem__, faces)) <= step
 
     def _cut(self, added: frozenset, region: int, curve, refined=False) -> _Cut:
         """The cut of curve, which adds the edges of added inside region:
@@ -663,10 +632,9 @@ class _Complement(_MutableMap):
         index, region and counts.  In a face whose old darts are all
         exits (no rest) the largest piece keeps the index.  So only exits
         and new darts change face, and weights and edge counts change by
-        those alone.  Region Euler characteristics stay.  The old faces
-        with exits and the new faces are stamped with the commit's step,
-        and the clean germs those old faces or the vertices of exits
-        index are voided.
+        those alone.  Region Euler characteristics stay.  The clean
+        germs that the old faces with exits or the exits themselves
+        index are voided; the new faces index none.
 
         Euler's formula guards the rule: a refinement makes a face per
         new edge, less one per new vertex, so the faces of new darts
@@ -676,7 +644,7 @@ class _Complement(_MutableMap):
         InternalInvariantError is raised.
         """
         alpha, sigma, opp, g = self.alpha, self.sigma, self.opp, self.g
-        face_of, vertices, now = self.face_of, len(self.gcount), self.step + 1
+        face_of, vertices = self.face_of, len(self.gcount)
         new = range(n, len(alpha))
         face_of += [None] * len(new)
         self.gcount += [len(g.intersection(cycle)) for cycle in self.cycles[vertices:]]
@@ -701,13 +669,11 @@ class _Complement(_MutableMap):
                     darts.append(x)
                     x = sigma[alpha[x]]
                 faces.append((self.face_region[face_of[start]], darts))
-        stamped = {face_of[x] for x in far}
-        for f in stamped:
-            self.face_touched[f] = now
-        self._void(self.clean_by_face, stamped)
-        self._void(self.clean_by_vertex, {self.owner[x] for x in far})
+        changed = {face_of[x] for x in far}
+        self._void(self.clean_by_face, changed)
+        self._void(self.clean_by_arrival, far)
         # a face per new edge, less one per new vertex
-        pieces = len(stamped) + len(new) // 2 - len(self.cycles) + vertices
+        pieces = len(changed) + len(new) // 2 - len(self.cycles) + vertices
         closed, rest = {}, set()
         while walks:
             x, (darts, y) = walks.popitem()
@@ -731,7 +697,6 @@ class _Complement(_MutableMap):
             self.face_region.append(r)
             self.weight.append(2)
             self.adjacent.append({})
-            self.face_touched.append(now)
         self._tally((*far, *new), alpha, 1)
         self.candidates += self._candidates(new)
 
@@ -876,17 +841,15 @@ def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
         if ends:
             cut = state._cut(state._refine(kind, darts, ends), cut.region, cut.curve)
     g, gcount, cycles = state.g, state.gcount, state.cycles
-    now = state.step = state.step + 1
-    face_touched = state.face_touched
+    state.step += 1
     fresh = [v for v in cut.touched if not gcount[v]]
     g |= cut.added
     for v, n in cut.touched.items():
         gcount[v] += n
     for f, change in cut.weight.items():
         state.weight[f] += change
-        face_touched[f] = now
     state._void(state.clean_by_face, cut.weight)
-    state._void(state.clean_by_vertex, fresh)
+    state._void(state.clean_by_arrival, (x for v in fresh for x in cycles[v]))
     adjacent = state.adjacent
     for (a, b), n in cut.removed.items():
         left = adjacent[a][b] - n
@@ -992,8 +955,7 @@ def find_cutting_curve(state: _Complement) -> _Cut:
 
     Calling this on a state whose complement is already all disks is a
     precondition violation (DomainError).  Candidates are tried
-    deterministically, lowest dart first, skipping clean germs unwalked
-    and curves whose rejection still holds (_skips).
+    deterministically, lowest dart first, skipping clean germs unwalked.
     For an empty subgraph the candidates are simple loops extracted
     from the strands (kinds I to IV); afterwards they are arcs and
     lassos grown from boundary germs of non-disk regions (kinds V and
@@ -1009,7 +971,7 @@ def find_cutting_curve(state: _Complement) -> _Cut:
     if state.g:
         clean, gcount = state.clean, state.gcount
         walks = (
-            clean.get(x) or _walk_arc(alpha, opp, owner, gcount, x) for x in state.candidates
+            _walk_arc(alpha, opp, owner, gcount, x) for x in state.candidates if x not in clean
         )
     else:
         walks = (_extract_loop(alpha, opp, owner, d) for d in range(len(alpha)))
@@ -1018,12 +980,11 @@ def find_cutting_curve(state: _Complement) -> _Cut:
         if darts is None:
             continue
         tried += 1
-        if state._skips(kind, darts):
-            continue
         cut = state.trial(CuttingCurve(darts=darts, kind=kind))
         if cut is not None:
             return cut
-    if tried:
+    # a clean candidate counts as tried: its curve was rejected
+    if tried or any(x in state.clean for x in state.candidates):
         raise InternalInvariantError(
             "every candidate cutting curve is inessential although a non-disk "
             "complementary region remains"

@@ -696,9 +696,10 @@ SCALING_TRIALS = {96: 683, 192: 1251, 384: 2461}
 
 @pytest.mark.parametrize("vertices", sorted(SCALING_TRIALS))
 def test_scan_walks_only_germs_whose_verdict_can_have_changed(monkeypatch, vertices):
-    """The scan walks a candidate germ only when it has no fresh record
-    of rejection, so walks grow with trials, not with trials times
-    candidates.  Counted from outside, so the bound holds on any host."""
+    """The scan walks a candidate germ only when it is not clean (see
+    the _Complement docstring), so walks grow with trials, not with
+    trials times candidates.  Counted from outside, so the bound holds
+    on any host."""
     from reduce_scaling import draw_input
 
     filling = draw_input(random.Random(1), vertices, (4, 6, 8))

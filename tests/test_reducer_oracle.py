@@ -20,20 +20,18 @@ At every step of a reduction, and right after each refinement of a
 state, the live state's face partition, its per-pair counts of edges
 outside the subgraph, its region partition, Euler characteristics,
 candidate germs and ``fills`` must match the oracle, and every clean
-candidate germ must keep its walk and a fresh record; every candidate
-tried must get the oracle's essential/inessential verdict, and every
-candidate the scan skips (``_skips``: a clean germ, or a fresh record
-of the memo of rejections) must have the walk the state holds for it
-and be one the oracle rejects.  The memo's premise is checked too: a
-commit that changes a face of a recorded piece (its darts, their edges
-or its Euler share) must leave that record stale, and a record that
-stays fresh after a commit changed the germs at one of its curve's
-vertices must still hold: while its darts are the walk from a
-candidate germ, the oracle rejects that curve.  No record is a
-one-vertex arc (kind V with both ends at one vertex).  A complement
+candidate germ (one the scan skips unwalked) must have the walk the
+state holds for it and be one the oracle rejects; every candidate
+tried must get the oracle's essential/inessential verdict.  The
+premise of the clean-germ index is checked too: a commit that changes
+a face of the disk piece that rejected a clean germ (its darts, their
+edges or its Euler share) must void that germ, and a germ that stays
+clean after a commit changed the germs at one of its curve's vertices
+must still hold: the oracle rejects its curve.  No clean germ's walk
+is a one-vertex arc (kind V with both ends at one vertex).  A complement
 built from a caller's subgraph must match the oracle too, and a commit
 with an end displaced must cut the region's old faces into the pieces
-its trial's cut did, which the memo argument assumes.  The inputs are
+its trial's cut did, which the index's argument assumes.  The inputs are
 the 4-valent 48-vertex maps and the {4,6,8}-valent maps of
 ``test_reduce_digests.py``, with four more mixed maps that try arcs
 with both ends at one vertex and an end displaced; the split rule fires
@@ -210,16 +208,27 @@ def check_state(state):
         d for d in range(cmap.dart_count)
         if d not in g and owner[d] in on_g and euler[region[d]] != 1
     ]
-    check_clean(state)
+    clean_candidates(state)
+
+
+def clean_candidates(state):
+    """The clean candidate germs, each checked to keep its walk."""
+    clean = [x for x in state.candidates if x in state.clean]
+    for x in clean:
+        assert walk_from(state, x) == state.clean[x], ("a clean germ's walk changed", x)
+    return clean
 
 
 def check_clean(state):
-    """Every clean candidate germ keeps its walk and a fresh record."""
-    for x in state.candidates:
-        if x in state.clean:
-            darts, kind = state.clean[x]
-            assert walk_from(state, x) == (darts, kind), ("a clean germ's walk changed", x)
-            assert state._still_rejected(kind, darts), ("a clean germ's record is stale", x)
+    """Every clean candidate germ keeps its walk, and the oracle rejects
+    its curve.  Returns the clean candidates."""
+    clean = clean_candidates(state)
+    for x in clean:
+        darts, kind = state.clean[x]
+        curve = reducer.CuttingCurve(darts=darts, kind=kind)
+        essential, _ = oracle_essential(state.freeze(), state.g, curve)
+        assert not essential, ("a clean germ's curve is essential", curve)
+    return clean
 
 
 def walk_from(state, x):
@@ -228,7 +237,7 @@ def walk_from(state, x):
 
 
 def touchable(state):
-    """What a commit may change that a memo record depends on: per face,
+    """What a commit may change that a clean germ depends on: per face,
     its Euler share and its darts, and per vertex its germs, each dart
     with its subgraph membership and alpha."""
     g, alpha = state.g, state.alpha
@@ -239,54 +248,82 @@ def touchable(state):
     return faces, vertices
 
 
-def check_stale(state, before, fresh):
-    """Every memo record whose piece a commit changed is stale, and every
-    record that stays fresh although the commit changed the germs at one
-    of its curve's vertices still holds where it can be used: when its
-    darts are still the walk from a candidate germ, the oracle rejects
-    that curve.  Returns how many such records were checked."""
+def check_stale(state, before, clean, pieces):
+    """Every germ of clean (the clean germs before a commit) whose piece
+    the commit changed is voided, and every one that stays clean although
+    the commit changed the germs at one of its curve's vertices still
+    holds where it can be used: when it is a candidate, the oracle
+    rejects its curve.  pieces maps each germ to the faces of the disk
+    piece that last made it clean.  Returns how many such germs were
+    checked."""
     faces, vertices = touchable(state)
     moved_faces = {f for f, view in before[0].items() if faces[f] != view}
     moved_vertices = {v for v, view in enumerate(before[1]) if vertices[v] != view}
     alpha_before = {x: a for view in before[1] for x, _, a in view}
     owner, checked = state.owner, 0
-    for (kind, darts), (_, piece) in state.rejected.items():
-        if moved_faces.intersection(piece):
-            assert not fresh(state, kind, darts), ("a changed record stayed fresh", darts)
+    for x, (darts, kind) in clean.items():
+        if moved_faces.intersection(pieces[x]):
+            assert x not in state.clean, ("a changed piece's germ stayed clean", darts)
             continue
-        curve_vertices = {owner[x] for d in darts for x in (d, alpha_before[d])}
-        if not moved_vertices.intersection(curve_vertices) or not fresh(state, kind, darts):
+        curve_vertices = {owner[y] for d in darts for y in (d, alpha_before[d])}
+        if not moved_vertices.intersection(curve_vertices) or x not in state.clean:
             continue
-        if darts[0] in state.candidates and walk_from(state, darts[0]) == (darts, kind):
+        if x in state.candidates:
             curve = reducer.CuttingCurve(darts=darts, kind=kind)
             essential, _ = oracle_essential(state.freeze(), state.g, curve)
-            assert not essential, ("a fresh record of a moved vertex is essential", curve)
+            assert not essential, ("a clean germ of a moved vertex is essential", curve)
             checked += 1
     return checked
+
+
+def recording_pieces(monkeypatch):
+    """Record, per germ, the faces of the disk piece that last made it
+    clean.  A state and its copies share the record: a copy is made in a
+    trial, and either it is dropped with its cut or it becomes the next
+    state and the one it was made from is scanned no more, so the last
+    piece recorded for a germ is the one the state in use holds."""
+    pieces = {}
+    clean = reducer._Complement._clean
+
+    def recorded(self, kind, darts, piece):
+        clean(self, kind, darts, piece)
+        if darts[0] in self.clean:
+            pieces[darts[0]] = frozenset(piece)
+
+    monkeypatch.setattr(reducer._Complement, "_clean", recorded)
+    return pieces
 
 
 @pytest.fixture
 def watched(monkeypatch):
     """Check every state, every refinement and every trial of the
-    reductions run under it."""
+    reductions run under it, and every clean germ before each scan."""
     seen = {"states": 0, "trials": 0, "essential": 0, "split": 0, "one_vertex": 0,
-            "refined": 0, "skipped": 0, "clean_skipped": 0, "new_face_later_region": 0,
+            "refined": 0, "skipped": 0, "new_face_later_region": 0,
             "moved_vertex_fresh": 0}
     live = reducer._Complement
-    original = {
-        name: getattr(live, name) for name in ("trial", "_refine", "_still_rejected", "_skips")
-    }
+    original = {name: getattr(live, name) for name in ("trial", "_refine")}
     find, commit = reducer.find_cutting_curve, reducer.add_cutting_curve
+    pieces = recording_pieces(monkeypatch)
 
     def find_cutting_curve(state):
+        # the scan skips the clean candidates below the germ it finds,
+        # each checked here with its walk and the oracle's verdict
         check_state(state)
         seen["states"] += 1
-        return find(state)
+        clean = check_clean(state)
+        try:
+            cut = find(state)
+        except InternalInvariantError:
+            seen["skipped"] += len(clean)
+            raise
+        seen["skipped"] += sum(x < cut.curve.darts[0] for x in clean)
+        return cut
 
     def add_cutting_curve(state, cut):
-        before = touchable(state)
+        before, clean = touchable(state), dict(state.clean)
         state = commit(state, cut)
-        seen["moved_vertex_fresh"] += check_stale(state, before, original["_still_rejected"])
+        seen["moved_vertex_fresh"] += check_stale(state, before, clean, pieces)
         check_state(state)
         seen["states"] += 1
         return state
@@ -314,28 +351,10 @@ def watched(monkeypatch):
         seen["one_vertex"] += one_vertex_displaced(cmap, curve, new_map)
         return cut
 
-    def skips(self, kind, darts):
-        was_clean = darts[0] in self.clean
-        skip = original["_skips"](self, kind, darts)
-        if skip:
-            if self.g:
-                # a skipped arc or lasso is clean, and the walk the state
-                # holds for its germ is the walk from it now
-                assert self.clean[darts[0]] == walk_from(self, darts[0]) == (darts, kind), (
-                    "a skipped germ's walk changed", darts
-                )
-            curve = reducer.CuttingCurve(darts=darts, kind=kind)
-            essential, _ = oracle_essential(self.freeze(), self.g, curve)
-            assert not essential, ("the scan skipped an essential curve", curve)
-            seen["skipped"] += 1
-            seen["clean_skipped"] += was_clean
-        return skip
-
     monkeypatch.setattr(reducer, "find_cutting_curve", find_cutting_curve)
     monkeypatch.setattr(reducer, "add_cutting_curve", add_cutting_curve)
     monkeypatch.setattr(live, "trial", trial)
     monkeypatch.setattr(live, "_refine", refine)
-    monkeypatch.setattr(live, "_skips", skips)
     return seen
 
 
@@ -346,8 +365,8 @@ def watched(monkeypatch):
 # curve material, the reduction of 50 raises InternalInvariantError.
 ONE_VERTEX_SEEDS = (50, 169, 342, 368)
 # Mixed maps whose reductions reject a one-vertex arc with no end
-# displaced on the live state, by a piece split off the region: a memo
-# that recorded such arcs would record these.
+# displaced on the live state, by a piece split off the region: an
+# index that made such arcs clean would hold these.
 LIVE_ONE_VERTEX_SEEDS = (88, 330)
 
 
@@ -378,8 +397,7 @@ def test_four_valent_reductions_match_oracle(watched):
     reduce_all(four_valent(seed) for seed in SEEDS)
     assert watched["states"] > 1000
     assert watched["essential"] < watched["trials"]
-    assert watched["skipped"] > 0, "the memo of rejections should fire"
-    assert watched["clean_skipped"] > 0, "clean germs should be skipped unwalked"
+    assert watched["skipped"] > 0, "clean germs should be skipped unwalked"
 
 
 def test_mixed_valence_reductions_match_oracle(watched):
@@ -388,18 +406,18 @@ def test_mixed_valence_reductions_match_oracle(watched):
     assert watched["split"] > 100, "the split rule should fire on these maps"
     assert watched["one_vertex"] > 0
     assert watched["refined"] > watched["one_vertex"]
-    # the memo answers more of the repeated rejections than trials make
+    # the index answers more of the repeated rejections than trials make
     assert watched["skipped"] > watched["trials"] - watched["essential"]
-    assert watched["clean_skipped"] > 0, "clean germs should be skipped unwalked"
-    assert watched["moved_vertex_fresh"] > 0, "records should outlive a germ change"
+    assert watched["moved_vertex_fresh"] > 0, "clean germs should outlive a germ change"
 
 
 def test_one_vertex_arcs_are_never_recorded(monkeypatch):
-    """No key of the memo is a one-vertex arc, although such arcs with
-    no end displaced are rejected on the live state, and every record is
-    (step, faces)."""
+    """No clean germ's walk is a one-vertex arc, although such arcs with
+    no end displaced are rejected on the live state, and every germ made
+    clean is indexed by the faces of a piece of the state."""
     counts = Counter()
-    trial, commit = reducer._Complement.trial, reducer.add_cutting_curve
+    trial, clean = reducer._Complement.trial, reducer._Complement._clean
+    commit = reducer.add_cutting_curve
 
     def counted_trial(self, curve):
         cut = trial(self, curve)
@@ -409,20 +427,22 @@ def test_one_vertex_arcs_are_never_recorded(monkeypatch):
         )
         return cut
 
+    def checked_clean(self, kind, darts, piece):
+        assert piece and all(0 <= f < len(self.weight) for f in piece), piece
+        clean(self, kind, darts, piece)
+
     def checked_commit(state, cut):
-        for (kind, darts), record in state.rejected.items():
-            assert not is_one_vertex(state, kind, darts), ("a one-vertex arc is recorded", darts)
-            step, faces = record
-            assert 0 <= step <= state.step, record
-            assert faces and all(0 <= f < len(state.weight) for f in faces), record
-            counts["records"] += 1
+        for darts, kind in state.clean.values():
+            assert not is_one_vertex(state, kind, darts), ("a one-vertex arc is clean", darts)
+            counts["clean"] += 1
         return commit(state, cut)
 
     monkeypatch.setattr(reducer._Complement, "trial", counted_trial)
+    monkeypatch.setattr(reducer._Complement, "_clean", checked_clean)
     monkeypatch.setattr(reducer, "add_cutting_curve", checked_commit)
     reduce_all(mixed(seed) for seed in (*ONE_VERTEX_SEEDS, *LIVE_ONE_VERTEX_SEEDS))
     assert counts["live_rejected"] > 0
-    assert counts["records"] > 0
+    assert counts["clean"] > 0
 
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -511,30 +531,37 @@ def displaced(cut):
 
 
 def test_commit_stamps_every_face_it_reweighs(monkeypatch):
-    """A commit with no end displaced stamps every face of cut.weight
-    with its step, a face whose Euler share it leaves as it was too:
-    such a face holds a dart of the curve, so a record naming it must go
-    stale.  check_stale never meets one in a recorded piece."""
+    """After a commit with no end displaced no face of cut.weight still
+    indexes a clean germ, a face whose Euler share it leaves as it was
+    too: such a face holds a dart of the curve, so a germ rejected by a
+    piece holding it must be voided.  check_stale never meets one in a
+    clean germ's piece.  On the mixed maps no such face indexes a germ
+    before its commit; on the unvalidated maps some do."""
     counts = Counter()
     commit = reducer.add_cutting_curve
 
     def checked_commit(state, cut):
         ends = displaced(cut)
+        indexed = {f for f in cut.weight if f in cut.state.clean_by_face}
         after = commit(state, cut)
         if not ends:
             for f, change in cut.weight.items():
-                assert after.face_touched[f] == after.step, ("face left unstamped", f, change)
+                assert f not in after.clean_by_face, ("face still indexes", f, change)
                 counts["faces"] += 1
                 counts["unchanged"] += change == 0
+            counts["indexed"] += len(indexed)
         return after
 
     monkeypatch.setattr(reducer, "add_cutting_curve", checked_commit)
     reduce_all(mixed(seed) for seed in SEEDS)
+    for _ in stepped_unvalidated():
+        pass
     assert counts["unchanged"] > 0, "some commit should leave a face's Euler share as it was"
     assert counts["faces"] > counts["unchanged"]
+    assert counts["indexed"] > 0, "some commit should reweigh a face that indexes a germ"
 
 
-# the first commit that stamps the first face of its cut in a clean
+# the first commit that changes the first face of its cut in a clean
 # germ's piece comes at seed 418
 UNVALIDATED_SEEDS = range(500)
 
@@ -565,12 +592,12 @@ def stepped_unvalidated():
 
 def test_clean_germs_keep_walk_and_record_on_unvalidated_maps():
     """Stepping the public functions on maps the input rules refuse,
-    every clean candidate germ keeps its walk and a fresh record after
-    each commit.  There strands bound monogons, and a lasso is rejected
-    by the disk inside its loop, which has no face along the tail: a
-    commit that crosses the tail, or a refinement that subdivides its
-    first edge, changes the walk and stamps no face of the record, so
-    only the vertex rules void the germ."""
+    every clean candidate germ keeps its walk after each commit, and the
+    oracle rejects its curve.  There strands bound monogons, and a lasso
+    is rejected by the disk inside its loop, which has no face along the
+    tail: a commit that crosses the tail, or a refinement that
+    subdivides its first edge, changes the walk and no face of the
+    piece, so only the arrival-dart rules void the germ."""
     lassos = 0
     for state in stepped_unvalidated():
         check_clean(state)
@@ -578,34 +605,57 @@ def test_clean_germs_keep_walk_and_record_on_unvalidated_maps():
     assert lassos > 0, "some lasso should be clean"
 
 
+def test_every_clean_candidate_still_counts_as_tried():
+    """A scan that meets only clean candidates has tried them all: on
+    this unvalidated map, after a scan that finds every candidate
+    inessential, every candidate is clean, and the next scan raises the
+    same error, not the one for a region with no cutting curve."""
+    state = reducer.complement(unvalidated(14))
+    with pytest.raises(InternalInvariantError, match="every candidate cutting curve"):
+        while not state.fills:
+            state = reducer.add_cutting_curve(state, reducer.find_cutting_curve(state))
+    assert state.candidates and all(x in state.clean for x in state.candidates)
+    with pytest.raises(InternalInvariantError, match="every candidate cutting curve"):
+        reducer.find_cutting_curve(state)
+
+
 def test_commits_release_the_index_where_they_change(monkeypatch):
-    """After each commit no face it stamped and no vertex that gained
-    its first subgraph germ or holds a dart whose alpha a refinement
-    changed still indexes a clean germ's walk.  On reducer input a
-    commit that stamps a face of a clean germ's piece crosses its walk,
-    at a vertex that gains its first germ, so either rule alone voids
-    the germ and the invariant cannot tell them apart; this checks each
-    rule as the _Complement docstring states it."""
+    """After each commit no face it changed and no arrival dart whose
+    walk it may have changed still indexes a clean germ.  A commit
+    changes the faces of the curve material it adds, the face of the
+    first dart of each vertex that gains its first subgraph germ, and
+    every face whose darts, their membership or alpha, or Euler share
+    differ; it changes the walks that arrive along a dart of such a
+    vertex or along a dart whose alpha a refinement changed.  On
+    reducer input a commit that changes a face of a clean germ's piece
+    crosses its walk, at a vertex that gains its first germ, so either
+    rule alone voids the germ and the invariant cannot tell them apart;
+    this checks each rule as the _Complement docstring states it."""
     counts = Counter()
     commit = reducer.add_cutting_curve
 
     def checked_commit(state, cut):
+        before, g = touchable(state), set(state.g)
         gcount, alpha = list(state.gcount), list(state.alpha)
         after = commit(state, cut)
-        stamped = {f for f, step in enumerate(after.face_touched) if step == after.step}
-        first = {v for v, n in enumerate(gcount) if not n and after.gcount[v]}
-        moved = {after.owner[x] for x, a in enumerate(alpha) if after.alpha[x] != a}
-        assert not stamped & after.clean_by_face.keys(), "a stamped face still indexes"
-        assert not (first | moved) & after.clean_by_vertex.keys(), "a changed vertex still indexes"
-        counts["stamped"] += len(stamped)
-        counts["vertices"] += len(first | moved)
+        faces, _ = touchable(after)
+        first = [v for v, n in enumerate(gcount) if not n and after.gcount[v]]
+        changed = {f for f, view in before[0].items() if faces[f] != view}
+        changed.update(after.face_of[x] for x in after.g - g)
+        changed.update(after.face_of[after.cycles[v][0]] for v in first)
+        moved = {x for v in first for x in after.cycles[v]}
+        moved.update(x for x, a in enumerate(alpha) if after.alpha[x] != a)
+        assert not changed & after.clean_by_face.keys(), "a changed face still indexes"
+        assert not moved & after.clean_by_arrival.keys(), "a changed arrival still indexes"
+        counts["faces"] += len(changed)
+        counts["arrivals"] += len(moved)
         return after
 
     monkeypatch.setattr(reducer, "add_cutting_curve", checked_commit)
     reduce_all(mixed(seed) for seed in SEEDS)
     for _ in stepped_unvalidated():
         pass
-    assert counts["stamped"] and counts["vertices"]
+    assert counts["faces"] and counts["arrivals"]
 
 
 def test_complement_builds_match_oracle():
@@ -643,8 +693,8 @@ def test_a_displaced_end_changes_no_piece(monkeypatch):
     displaced: the cut of the refinement splits the region's old faces
     into the pieces the trial's cut did, with the same Euler
     characteristics, though which piece keeps the region's index may
-    differ.  The memo argument in the _Complement docstring rests on
-    this."""
+    differ.  The clean-germ argument in the _Complement docstring rests
+    on this."""
     made, commits = [], []
     cut_of, commit = reducer._Complement._cut, reducer.add_cutting_curve
 

@@ -11,8 +11,7 @@ refinement of the oracle's mixed-valence reductions, of two mixed maps
 with such all-exit faces and of the ``second_region_face`` fixture,
 that the only old darts that change face are exits, that the old index
 sits on the rest or on a largest piece when there is no rest, and that
-every face whose darts changed is stamped with the step of the commit
-under way.  A refinement that cuts a face into two pieces holding
+no face whose darts changed and no exit still indexes a clean germ.  A refinement that cuts a face into two pieces holding
 untouched old darts is not one the split rule makes: the hand-made
 chords below do so, and _retrace must refuse them by its Euler count.
 """
@@ -39,7 +38,7 @@ def faces_of(state, darts):
 
 
 def check_refinement(state, n, before, counts):
-    """The corner and stamping rules for one refinement that made darts
+    """The corner and voiding rules for one refinement that made darts
     n and up; before maps each old face index to its old darts."""
     after = faces_of(state, range(len(state.alpha)))
     exits = {state.alpha[y] for y in range(n, len(state.alpha)) if state.alpha[y] < n}
@@ -55,7 +54,8 @@ def check_refinement(state, n, before, counts):
         counts["split"] += len({state.face_of[x] for x in darts & exits} - {f}) > 0
     for f, darts in after.items():
         if darts != before.get(f):
-            assert state.face_touched[f] == state.step + 1, ("face left unstamped", f)
+            assert f not in state.clean_by_face, ("a changed face still indexes", f)
+    assert not exits & state.clean_by_arrival.keys(), "an exit still indexes"
 
 
 @pytest.fixture
