@@ -60,8 +60,8 @@ def oracle_section():
 def sweep_section():
     print("# sweeps and randomized suites (full density)")
     reports = [isoperim.verify_lemma_3_2()]
-    reports += [isoperim.verify_lemma_3_3(n, 10000) for n in range(4, 21)]
-    reports += [isoperim.verify_lemma_3_4(n, 10000) for n in (7, 8, 9, 10, 30)]
+    reports += [isoperim.verify_lemma_3_3(n) for n in range(4, 21)]
+    reports += [isoperim.verify_lemma_3_4(n) for n in (7, 8, 9, 10, 30)]
     reports.append(isoperim.verify_prop_3_5())
     reports.append(isoperim.verify_prop_3_6())
     draw = isoperim.draw_instances(10000, seed=0)

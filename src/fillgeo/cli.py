@@ -137,11 +137,11 @@ def _verify_reports(which: str, args) -> list:
     if wanted("lemma33"):
         ns = (args.n,) if args.n is not None else range(4, 21)
         for n in ns:
-            reports.append(isoperim.verify_lemma_3_3(n, grid.samples))
+            reports.append(isoperim.verify_lemma_3_3(n, grid))
     if wanted("lemma34"):
         ns = (args.n,) if args.n is not None else range(7, 11)
         for n in ns:
-            reports.append(isoperim.verify_lemma_3_4(n, grid.samples))
+            reports.append(isoperim.verify_lemma_3_4(n, grid))
     if wanted("prop35"):
         reports.append(isoperim.verify_prop_3_5(grid))
     if wanted("prop36"):

@@ -73,13 +73,18 @@ MIN_SAMPLES = 100
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sweep densities: steps per axis of the 2d grids (at least 2),
-    samples of the 1d sweeps (at least MIN_SAMPLES)."""
+    """Sweep densities, integers: steps per axis of the 2d grids (at
+    least 2), samples of the 1d sweeps (at least MIN_SAMPLES).  Every
+    sweep takes its density from here, the one place it is checked."""
 
     steps: int = 40
     samples: int = 10000
 
     def __post_init__(self):
+        for name in ("steps", "samples"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValidationError(f"grid {name} must be an integer, got {value!r}")
         if self.steps < 2:
             raise ValidationError("grid step counts must be at least 2")
         if self.samples < MIN_SAMPLES:
@@ -142,7 +147,7 @@ def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
     )
 
 
-def verify_lemma_3_3(n: int, samples: int = GridSpec.samples) -> CheckReport:
+def verify_lemma_3_3(n: int, grid: GridSpec | None = None) -> CheckReport:
     """Sign pattern of the perimeter second derivative for one n.
 
     Samples P'' at midpoints of (0, (n-2)*pi) and requires exactly one
@@ -151,8 +156,7 @@ def verify_lemma_3_3(n: int, samples: int = GridSpec.samples) -> CheckReport:
     """
     if n < 4:
         raise DomainError(f"need n >= 4, got {n!r}")
-    if samples < MIN_SAMPLES:
-        raise DomainError(f"need at least {MIN_SAMPLES} samples, got {samples!r}")
+    samples = (grid or GridSpec()).samples
     span = (n - 2.0) * math.pi
     # checked at the first sample; the others lie in (0, span) too
     side = _check_area(n, span * 0.5 / samples, positive=True)
@@ -209,7 +213,7 @@ _RATIO_CLAIM_MAX = 10
 _RATIO_FAILURE_MIN = 21
 
 
-def verify_lemma_3_4(n: int, samples: int = GridSpec.samples) -> CheckReport:
+def verify_lemma_3_4(n: int, grid: GridSpec | None = None) -> CheckReport:
     """Monotonicity of perimeter_from_area(n, x)/x on (0, (n/2-2)*pi).
 
     The ratio is documented to be strictly decreasing for n = 7..10
@@ -222,8 +226,7 @@ def verify_lemma_3_4(n: int, samples: int = GridSpec.samples) -> CheckReport:
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 5:
         raise DomainError(f"need integer n >= 5, got {n!r}")
-    if samples < MIN_SAMPLES:
-        raise DomainError(f"need at least {MIN_SAMPLES} samples, got {samples!r}")
+    samples = (grid or GridSpec()).samples
     span = (n / 2.0 - 2.0) * math.pi
     min_drop = math.inf
     argmin = None
@@ -442,16 +445,12 @@ class IsoperimetricInstance:
 
     The target is the regular polygon with the family's merged side
     count sum(m_i) - 4k + 4 and its total area, so the side-count
-    balance and the area match hold by construction.  strict mode
-    enforces the hypotheses of the inequality (all side counts >= 4,
-    target angle >= pi/2); permissive mode relaxes both, admitting
-    triangles and sharp targets, and exists to express the documented
-    counterexample outside the hypotheses.  The constructor runs
-    validate_instance, so every instance is a checked one.
+    balance and the area match hold by construction.  The constructor
+    runs validate_instance, so every instance meets the hypotheses of
+    the inequality: side counts >= 4 and target angle >= pi/2.
     """
 
     family: PolygonFamily
-    strict: bool = True
 
     def __post_init__(self):
         validate_instance(self)
@@ -464,17 +463,14 @@ class IsoperimetricInstance:
 
 
 def validate_instance(inst: IsoperimetricInstance) -> None:
-    """Refuse an instance outside its mode's domain (ValidationError);
-    IsoperimetricInstance runs this when it is made."""
+    """Refuse an instance outside the hypotheses of the inequality
+    (ValidationError); IsoperimetricInstance runs this when it is made."""
     fam = inst.family
     if fam.k < 1:
         raise ValidationError("family must contain at least one polygon")
-    min_sides = 4 if inst.strict else 3
     for m, a in fam.items:
-        if isinstance(m, bool) or not isinstance(m, int) or m < min_sides:
-            raise ValidationError(
-                f"member side count {m!r} invalid (must be integer >= {min_sides})"
-            )
+        if isinstance(m, bool) or not isinstance(m, int) or m < 4:
+            raise ValidationError(f"member side count {m!r} invalid (must be integer >= 4)")
         if not 0.0 <= a < max_area(m):
             raise ValidationError(
                 f"member area {a!r} outside [0, {max_area(m)}) for {m} sides"
@@ -483,10 +479,8 @@ def validate_instance(inst: IsoperimetricInstance) -> None:
         target = inst.target
     except DomainError as exc:
         raise ValidationError(f"the family has no target polygon: {exc}") from exc
-    if inst.strict and target.theta < math.pi / 2.0 - tol.ANGLE_TOL:
-        raise ValidationError(
-            f"target angle {target.theta!r} below pi/2 in strict mode"
-        )
+    if target.theta < math.pi / 2.0 - tol.ANGLE_TOL:
+        raise ValidationError(f"target angle {target.theta!r} below pi/2")
 
 
 def check_instance(inst: IsoperimetricInstance) -> dict:
@@ -559,7 +553,7 @@ def merge_sequence(inst: IsoperimetricInstance) -> tuple:
 
 
 def random_instance(rng: random.Random) -> IsoperimetricInstance:
-    """Draw a random valid strict instance.
+    """Draw a random instance within the hypotheses.
 
     Up to 5 members with side counts uniform in [4, 12], a target
     angle uniform in [pi/2, euclidean limit), and the area split by a
@@ -569,7 +563,7 @@ def random_instance(rng: random.Random) -> IsoperimetricInstance:
     ms = [rng.randint(4, 12) for _ in range(k)]
     m = sum(ms) - 4 * k + 4
     if m == 4:
-        # all members are squares; the only strict target is degenerate
+        # all members are squares; the only target of angle >= pi/2 is degenerate
         target_area = 0.0
         areas = [0.0] * k
     else:
@@ -590,12 +584,12 @@ def random_instance(rng: random.Random) -> IsoperimetricInstance:
             areas = [target_area * (mi - 2) / denom for mi in ms]
             areas[-1] = target_area - sum(areas[:-1])
     family = PolygonFamily(tuple(zip(ms, areas))).sorted_by_angle()
-    return IsoperimetricInstance(family=family, strict=True)
+    return IsoperimetricInstance(family)
 
 
 @dataclass(frozen=True)
 class InstanceDraw:
-    """Random strict instances from random.Random(seed), shared by both random suites."""
+    """Random instances from random.Random(seed), shared by both random suites."""
 
     seed: int
     instances: tuple
@@ -608,9 +602,10 @@ class InstanceDraw:
 def draw_instances(count: int, seed: int) -> InstanceDraw:
     """Draw count instances with random_instance from random.Random(seed).
 
-    Raises DomainError for a count below 1, which would pass vacuously.
+    Raises DomainError for a count that is not an integer of at least 1;
+    a count of 0 would pass vacuously.
     """
-    if count < 1:
+    if type(count) is not int or count < 1:
         raise DomainError(f"instance count must be at least 1, got {count!r}")
     rng = random.Random(seed)
     instances = tuple(random_instance(rng) for _ in range(count))
@@ -701,41 +696,34 @@ def verify_merge_properties(draw: InstanceDraw) -> CheckReport:
     )
 
 
-def example_3_12_instance(strict: bool = False) -> IsoperimetricInstance:
-    """The documented instance outside the hypotheses: a hexagon of
-    area 4.99 and a triangle of area 0.01 against a pentagon of
-    area 5."""
-    return IsoperimetricInstance(PolygonFamily(((6, 4.99), (3, 0.01))), strict=strict)
-
-
 def verify_example_3_12() -> CheckReport:
     """The inequality genuinely needs its hypotheses.
 
-    With a triangle member (3 sides < 4) and a sharp target
-    (angle < pi/2) the conclusion fails by more than 0.5:
-    P_6(4.99) + P_3(0.01) + 0.5 < P_5(5).  Strict mode must reject
-    the instance; permissive mode must exhibit the failure.
+    The family (6, 4.99), (3, 0.01) has a triangle member (3 sides < 4)
+    and a sharp target, the pentagon of area 5 (angle < pi/2).  Its
+    conclusion fails by more than 0.5: P_6(4.99) + P_3(0.01) + 0.5 <
+    P_5(5).  IsoperimetricInstance must refuse the family, and the
+    inequality, compared as check_instance compares it, must fail.
     """
-    inst = example_3_12_instance(strict=False)
+    family = PolygonFamily(((6, 4.99), (3, 0.01)))
+    target = RegularPolygonSpec.from_area(family.merged_sides(), family.total_area())
     p6 = perimeter_from_area(6, 4.99)
     p3 = perimeter_from_area(3, 0.01)
-    p5 = inst.target.perimeter
+    p5 = target.perimeter
     margin = p5 - (p6 + p3 + 0.5)
 
     try:
-        example_3_12_instance(strict=True)
-        strict_rejected = False
+        IsoperimetricInstance(family)
+        rejected = False
     except ValidationError:
-        strict_rejected = True
+        rejected = True
 
-    permissive = check_instance(inst)
-    target_theta = inst.target.theta
-
+    holds = p5 <= p6 + p3 + tol.INEQ_TOL
     passed = (
         margin > tol.INEQ_TOL
-        and strict_rejected
-        and not permissive["holds"]
-        and target_theta < math.pi / 2.0
+        and rejected
+        and not holds
+        and target.theta < math.pi / 2.0
     )
     return CheckReport(
         check_id="example_3_12",
@@ -750,8 +738,8 @@ def verify_example_3_12() -> CheckReport:
             "p3_of_0.01": p3,
             "p5_of_5": p5,
             "sum_plus_half": p6 + p3 + 0.5,
-            "strict_rejected": strict_rejected,
-            "permissive_holds": permissive["holds"],
-            "target_theta": target_theta,
+            "strict_rejected": rejected,
+            "permissive_holds": holds,
+            "target_theta": target.theta,
         },
     )

@@ -90,7 +90,7 @@ def test_criterion_03_gradient_positive_sweep():
 
 def test_criterion_04_second_derivative_sign_pattern():
     start = time.perf_counter()
-    reports = [isoperim.verify_lemma_3_3(n, 10000) for n in range(4, 21)]
+    reports = [isoperim.verify_lemma_3_3(n) for n in range(4, 21)]
     elapsed = time.perf_counter() - start
     ok = all(r.passed for r in reports) and elapsed < 5.0
     bad = [r.check_id for r in reports if not r.passed]
@@ -101,8 +101,8 @@ def test_criterion_04_second_derivative_sign_pattern():
 
 def test_criterion_05_perimeter_ratio_monotonicity():
     start = time.perf_counter()
-    small = [isoperim.verify_lemma_3_4(n, 10000) for n in (7, 8, 9, 10)]
-    large = isoperim.verify_lemma_3_4(30, 10000)
+    small = [isoperim.verify_lemma_3_4(n) for n in (7, 8, 9, 10)]
+    large = isoperim.verify_lemma_3_4(30)
     elapsed = time.perf_counter() - start
     violation_found = not large.details["decreasing"]
     ok = all(r.passed for r in small) and violation_found and elapsed < 5.0

@@ -236,8 +236,9 @@ class TestVerify:
             capsys,
         )
         assert code == 0
-        # both random suites share one draw; example 3.12 validates twice
-        assert calls == {"random_instance": 50, "validate_instance": 52}
+        # both random suites share one draw; example 3.12 validates one
+        # instance, which the constructor refuses
+        assert calls == {"random_instance": 50, "validate_instance": 51}
 
 
 class TestGluing:
