@@ -154,8 +154,8 @@ def verify_lemma_3_3(n: int, grid: GridSpec | None = None) -> CheckReport:
     sign change, negative then positive.  Each sample is also checked
     against the closed-form sign criterion.
     """
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 4:
+        raise DomainError(f"need integer n >= 4, got {n!r}")
     samples = (grid or GridSpec()).samples
     span = (n - 2.0) * math.pi
     # checked at the first sample; the others lie in (0, span) too

@@ -107,11 +107,10 @@ class _Cut(NamedTuple):
     Euler characteristic of those pieces followed by that of the rest,
     which keeps the region's index.
     curve is the cutting curve, state the complement the cut was made
-    in and step that complement's step then.  refined marks a cut made
-    on a refined copy of the complement (a one-vertex arc with an end
-    displaced; see trial); add_cutting_curve displaces the ends of any
-    other cut that the split rule chooses (_split_ends) before it
-    commits.
+    in and step that complement's step then.  refined marks a cut whose
+    curve the split rule has already refined, on a copy of the
+    complement (a one-vertex arc; see trial); add_cutting_curve refines
+    the curve of any other cut (_refine) before it commits.
     """
 
     added: frozenset
@@ -132,8 +131,8 @@ class _MutableMap:
 
     The tables, copied from the map when made, are alpha, sigma and the
     straight corners, the vertex rotations (cycles), the vertex of each
-    dart (owner) and the strand opposites (opp).  _refine commits a
-    curve's displaced ends, for _Complement and, on the bare tables, as
+    dart (owner) and the strand opposites (opp).  _refine applies the
+    split rule to a curve, for _Complement and, on the bare tables, as
     the oracle test's reference commit; freeze gives the map as a
     CombinatorialMap.
     """
@@ -159,63 +158,36 @@ class _MutableMap:
             )
         return self._frozen
 
-    def _split_ends(self, kind: str, darts) -> tuple:
-        """The end germs of a curve that its commit displaces off their vertex.
+    def _refine(self, kind: str, darts) -> frozenset:
+        """Refine the map in place for a curve by the split rule; returns
+        the curve material.
 
-        This is the one split rule: an end attaches directly when the
-        subgraph germs at its vertex form a clean corner pattern with
-        it, and is displaced (see _deviate) otherwise.  The start is
-        attached first and an arc's arrival after its other edges.  A
-        displaced start leaves its germ off the subgraph, and an arrival
-        germ that the start's sweep crosses ends at that four-valent
-        crossing, where it always attaches directly.
-        """
-        if kind not in ("V", "VI"):
-            return ()
-        g, opp, sigma, alpha = self.g, self.opp, self.sigma, self.alpha
-        cycles, owner = self.cycles, self.owner
-        start = darts[0]
-        germs = [x for x in cycles[owner[start]] if x in g]
-        ends = () if _clean_corner_pattern(opp, germs + [start]) else (start,)
-        if kind == "V":
-            arrival = alpha[darts[-1]]
-            placed = {x for d in darts[:-1] for x in (d, alpha[d])}
-            if ends:
-                placed.discard(start)
-                swept = sigma[start]
-                while swept not in g and swept != arrival:
-                    swept = sigma[swept]
-                if swept == arrival:
-                    return ends
-            else:
-                placed.add(start)
-            germs = [x for x in cycles[owner[arrival]] if x in g or x in placed]
-            if not _clean_corner_pattern(opp, germs + [arrival]):
-                ends += (arrival,)
-        return ends
-
-    def _refine(self, kind: str, darts, ends: tuple) -> frozenset:
-        """Refine the map in place for a curve, displacing the end germs
-        that _split_ends chose for it; returns the curve material.
-
-        The start is displaced first; an arc's arrival is displaced
-        after the arc's other edges are placed, and a one-edge arc's
-        start is placed only with it.  New darts are numbered from the
-        old dart count up, in the order _deviate makes them, and form
-        new vertices, numbered by least dart; old darts keep their
-        sigma.  The subgraph gains only the halves of its subdivided
-        edges, so the regions stay as they were.
+        This is the one split rule.  Each end of an arc or lasso is
+        decided on the live tables as it is attached: it attaches
+        directly when the germs at its vertex in the subgraph or placed
+        form a clean corner pattern with it (_attaches), and is
+        displaced (see _deviate) otherwise.  The start goes first, with
+        nothing placed; a displaced start leaves its germ off the
+        subgraph.  An arc's arrival goes after the arc's other edges,
+        with its start counted as placed, though a one-edge arc's start
+        is placed only with it; an arrival that the start's sweep
+        crossed sits at that four-valent crossing and attaches
+        directly.  New darts are numbered from the old dart count up,
+        in the order _deviate makes them, and form new vertices,
+        numbered by least dart; old darts keep their sigma.  The
+        subgraph gains only the halves of its subdivided edges, so the
+        regions stay as they were.
         """
         n, start = len(self.alpha), darts[0]
         placed = set()
         darts = list(darts)
-        if darts[0] in ends:
-            darts[0] = self._deviate(darts[0], placed)
+        if kind in ("V", "VI") and not self._attaches(start, ()):
+            darts[0] = self._deviate(start, placed)
         if kind == "V":
             for d in darts[:-1]:
                 placed.update((d, self.alpha[d]))
             arrival = self.alpha[darts[-1]]
-            if arrival in ends:
+            if not self._attaches(arrival, placed | {darts[0]}):
                 arrival = self._deviate(arrival, placed)
             darts = [arrival, darts[0]]
         for d in darts:
@@ -223,6 +195,14 @@ class _MutableMap:
         if len(self.alpha) > n:
             self._retrace(n, start)
         return frozenset(placed)
+
+    def _attaches(self, end: int, placed) -> bool:
+        """Whether end attaches directly: the germs at its vertex in the
+        subgraph or placed form a clean corner pattern with it."""
+        g = self.g
+        germs = {x for x in self.cycles[self.owner[end]] if x in g or x in placed}
+        germs.add(end)
+        return _clean_corner_pattern(self.opp, germs)
 
     def _subdivide(self, d: int, placed: set, fresh):
         """Split the edge of d at a new point near v(d).
@@ -331,8 +311,8 @@ class _Complement(_MutableMap):
     pieces it cuts off faces (_retrace), raising InternalInvariantError
     on a refinement that splits a face otherwise.  A trial judges a
     curve as its direct attachment, from the faces and vertices it
-    touches alone (see trial); a one-vertex arc with an end displaced is
-    judged on a refined copy.  freeze gives the live map as a CombinatorialMap.
+    touches alone (see trial); a one-vertex arc is judged on a refined
+    copy.  freeze gives the live map as a CombinatorialMap.
     The subgraph is taken as valid: complement checks a caller's
     (_checked_subgraph), and the reducer's own subgraphs are.
 
@@ -351,8 +331,8 @@ class _Complement(_MutableMap):
     that rejected it has changed since.
 
     So its curve is still inessential.  A one-vertex arc (kind V with
-    both ends at one vertex) is never made clean: the split rule decides
-    how it is judged (see trial), so its verdict reads every germ at its
+    both ends at one vertex) is never made clean: it is judged on its
+    refinement (see trial), whose split decisions read every germ at its
     vertex.  For any other curve, every edge between a face of P and a
     face outside it is a subgraph edge or a curve edge, and a commit only
     adds subgraph material, so while no face of P changes P stays a
@@ -461,15 +441,13 @@ class _Complement(_MutableMap):
         that changes neither the pieces, nor their Euler characteristics,
         nor the boundary runs, so the curve is judged as its direct
         attachment, without asking which ends the split rule displaces:
-        add_cutting_curve chooses them (_split_ends) on the cut's state,
-        which its step check proves is the state judged here, and
-        refines the map for them.  Only an arc with both ends at one vertex and
-        an end displaced is not: its displaced arrival can sweep to the
-        arc's own start germ and land on it (or cross it, on a one-edge
-        arc), and there the direct attachment can misjudge it; so a
-        one-vertex arc's ends are chosen here, and one with an end
-        displaced is refined and cut on a copy of this complement, which
-        add_cutting_curve takes as the next state.
+        add_cutting_curve refines the map for it (_refine) on the cut's
+        state, which its step check proves is the state judged here.
+        Only an arc with both ends at one vertex is not: its displaced
+        arrival can sweep to the arc's own start germ and land on it (or
+        cross it, on a one-edge arc), and there the direct attachment can
+        misjudge it; so a one-vertex arc is refined and cut on a copy of
+        this complement, which add_cutting_curve takes as the next state.
 
         The curve is taken as valid for this complement: the reducer's
         own candidates are, and is_essential checks an outside one.
@@ -477,10 +455,9 @@ class _Complement(_MutableMap):
         alpha, owner, kind, darts = self.alpha, self.owner, curve.kind, curve.darts
         region = self.region_of(darts[0])
         one_vertex = kind == "V" and owner[darts[0]] == owner[alpha[darts[-1]]]
-        ends = self._split_ends(kind, darts) if one_vertex else ()
-        if ends:
+        if one_vertex:
             state = self.copy()
-            cut = state._cut(state._refine(kind, darts, ends), region, curve, refined=True)
+            cut = state._cut(state._refine(kind, darts), region, curve, refined=True)
         else:
             added = frozenset(darts) | frozenset(alpha[d] for d in darts)
             cut = self._cut(added, region, curve)
@@ -761,15 +738,12 @@ class CuttingCurve:
     kind: str
 
 
-def _clean_corner_pattern(opp, germs) -> bool:
+def _clean_corner_pattern(opp, germs: set) -> bool:
     """True for three germs containing a strand-opposite pair or four
-    germs forming two strand-opposite pairs."""
-    gset = set(germs)
-    if len(gset) == 3:
-        return any(opp[d] is not None and opp[d] in gset for d in gset)
-    if len(gset) == 4:
-        return all(opp[d] is not None and opp[d] in gset for d in gset)
-    return False
+    germs forming two strand-opposite pairs: two or four of them have
+    their strand opposite among them."""
+    paired = germs.intersection(map(opp.__getitem__, germs))
+    return len(germs) in (3, 4) and len(paired) == 2 * len(germs) - 4
 
 
 def _checked_darts(state: _Complement, curve: CuttingCurve):
@@ -824,11 +798,12 @@ def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
     """Commit a cut; returns the state after it: this one, updated in
     place, or the refined copy a one-vertex arc was judged on.
 
-    An arc or lasso end whose direct attachment would spoil the corner
-    pattern at its vertex is displaced first (_refine: old darts keep
-    their sigma, new ones are numbered from the old dart count up), and
-    the refined curve is then committed as a direct attachment.  Only a
-    _Cut is taken, and one made before the state's last commit is refused.
+    A cut not yet refined has its curve refined first (_refine: an arc
+    or lasso end whose direct attachment would spoil the corner pattern
+    at its vertex is displaced; old darts keep their sigma, new ones
+    are numbered from the old dart count up), and is cut again on the
+    refined map if the map gained darts.  Only a _Cut is taken, and one
+    made before the state's last commit is refused.
     """
     if not isinstance(cut, _Cut):
         raise ValidationError(f"add_cutting_curve takes a cut, not {type(cut).__name__}")
@@ -836,10 +811,10 @@ def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
         raise ValidationError("the cut was made before the state's last commit")
     state = cut.state
     if not cut.refined:
-        kind, darts = cut.curve.kind, cut.curve.darts
-        ends = state._split_ends(kind, darts)
-        if ends:
-            cut = state._cut(state._refine(kind, darts, ends), cut.region, cut.curve)
+        n = len(state.alpha)
+        added = state._refine(cut.curve.kind, cut.curve.darts)
+        if len(state.alpha) > n:
+            cut = state._cut(added, cut.region, cut.curve)
     g, gcount, cycles = state.g, state.gcount, state.cycles
     state.step += 1
     fresh = [v for v in cut.touched if not gcount[v]]

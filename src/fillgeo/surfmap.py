@@ -177,11 +177,6 @@ class CombinatorialMap:
                     stack.append(e)
         return all(seen)
 
-    def name(self, d: int) -> str:
-        if self.dart_names is not None:
-            return self.dart_names[d]
-        return str(d)
-
 
 def _orbit_index(cmap: CombinatorialMap, cycles: tuple) -> tuple:
     index_of = [0] * cmap.dart_count

@@ -142,8 +142,9 @@ def test_lemma_3_3_sign_change():
 
 
 def test_lemma_3_3_domain():
-    with pytest.raises(DomainError):
-        verify_lemma_3_3(3)
+    for bad in (3, 4.5, 4.0, True, "5"):
+        with pytest.raises(DomainError):
+            verify_lemma_3_3(bad)
 
 
 def test_restricted_concavity_small_n():

@@ -22,9 +22,10 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 from conftest import random_map
-from fillgeo import reducer
+from fillgeo import reducer, surfmap
 from fillgeo.errors import DomainError, InternalInvariantError, ValidationError
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -125,6 +126,36 @@ def test_reduction_outcomes_match_golden_digests():
     assert current.keys() == golden.keys()
     changed = sorted(name for name in golden if current[name] != golden[name])
     assert not changed, f"reduction outcome changed for {changed}"
+
+
+def pinned_certificates():
+    """The certificate of every corpus input and reproducer fixture that
+    reduces to one."""
+    inputs = [(map_or_data, genus) for _, map_or_data, genus in corpus()]
+    for path in sorted(DATA_DIR.glob("reproducer_*.json")):
+        data = json.loads(path.read_text())
+        inputs.append((data, data["genus"]))
+    for map_or_data, genus in inputs:
+        try:
+            yield reducer.reduce(reducer.validate_input(map_or_data, genus))
+        except (DomainError, InternalInvariantError, ValidationError):
+            continue
+
+
+def test_pinned_certificates_keep_clean_corners():
+    """The split rule's postcondition, read off each certificate alone:
+    every vertex of the refined map carries 0, 2, 3 or 4 subgraph germs,
+    three of them with exactly one strand-opposite pair and four forming
+    two pairs."""
+    shapes = Counter()
+    for cert in pinned_certificates():
+        cmap = surfmap.from_interchange(cert.ambient_map)
+        opp, g = cmap.strand_opposites(), set(cert.subgraph_darts)
+        for cycle in cmap.vertices():
+            germs = {d for d in cycle if d in g}
+            shapes[len(germs), sum(opp[d] in germs for d in germs) // 2] += 1
+    assert set(shapes) <= {(0, 0), (2, 0), (2, 1), (3, 1), (4, 2)}, shapes
+    assert shapes[3, 1] and shapes[4, 2], shapes
 
 
 def test_census_prints_the_pinned_line():

@@ -10,7 +10,11 @@ union-find, counts V - E + F per region (interior vertices and corner
 gaps, interior edges and boundary sides, faces) and walks the boundary
 of every disk.  A curve is committed by ``reference_commit``, which
 refines a bare ``reducer._MutableMap`` and builds no regions; judging
-the result is the oracle's own work.
+the result is the oracle's own work.  The refinement is the reducer's
+own split rule (``_refine``), so these tests cannot see a changed split
+decision: the pinned certificate digests of ``test_reduce_digests.py``
+and the corner postcondition checked there on every pinned certificate
+guard it.
 Curve material on a disk's boundary is what the commit adds to the
 subgraph, except the darts on the path that replaced a subdivided old
 subgraph edge, which stay old boundary; the oracle finds that path
@@ -34,8 +38,9 @@ with an end displaced must cut the region's old faces into the pieces
 its trial's cut did, which the index's argument assumes.  The inputs are
 the 4-valent 48-vertex maps and the {4,6,8}-valent maps of
 ``test_reduce_digests.py``, with four more mixed maps that try arcs
-with both ends at one vertex and an end displaced; the split rule fires
-on many of the mixed maps.  The fixture
+with both ends at one vertex and an end displaced (trial refines and
+cuts every one-vertex arc on a copy); the split rule fires on many of
+the mixed maps.  The fixture
 ``second_region_face`` refines its map into a face of new darts alone
 while the complement has two non-disk regions, in the second one.
 """
@@ -154,7 +159,7 @@ def reference_commit(cmap, g, curve):
     """The refined map and subgraph after committing curve: the split
     rule alone, on the bare map tables (_MutableMap)."""
     live = reducer._MutableMap(cmap, g)
-    added = live._refine(curve.kind, curve.darts, live._split_ends(curve.kind, curve.darts))
+    added = live._refine(curve.kind, curve.darts)
     return live.freeze(), frozenset(live.g | added)
 
 
@@ -328,10 +333,10 @@ def watched(monkeypatch):
         seen["states"] += 1
         return state
 
-    def refine(self, kind, darts, ends):
+    def refine(self, kind, darts):
         n = len(self.alpha)
-        added = original["_refine"](self, kind, darts, ends)
-        if ends:
+        added = original["_refine"](self, kind, darts)
+        if len(self.alpha) > n:
             check_state(self)
             seen["refined"] += 1
             old_faces = {self.face_of[x] for x in range(n)}
@@ -359,7 +364,8 @@ def watched(monkeypatch):
 
 
 # Mixed maps whose reductions try arcs with both ends at one vertex and
-# an end displaced, which trial judges on a refined copy.  Judged as their
+# an end displaced, which trial judges on a refined copy, as it judges
+# every one-vertex arc.  Judged as their
 # direct attachment, 169, 342 and 368 leave a face of degree 3 in the
 # certificate; with the halves of the subdivided landing edge counted as
 # curve material, the reduction of 50 raises InternalInvariantError.
@@ -383,6 +389,13 @@ def one_vertex_displaced(cmap, curve, new_map):
 def is_one_vertex(state, kind, darts):
     """Whether a curve is an arc with both ends at one vertex of the state."""
     return kind == "V" and state.owner[darts[0]] == state.owner[state.alpha[darts[-1]]]
+
+
+def displaces(state, curve):
+    """Whether the split rule displaces an end of curve on the state:
+    refining a bare copy of its map for the curve adds darts."""
+    new_map, _ = reference_commit(state.freeze(), state.g, curve)
+    return new_map.dart_count > len(state.alpha)
 
 
 def reduce_all(inputs):
@@ -421,9 +434,9 @@ def test_one_vertex_arcs_are_never_recorded(monkeypatch):
 
     def counted_trial(self, curve):
         cut = trial(self, curve)
-        kind, darts = curve.kind, curve.darts
         counts["live_rejected"] += (
-            cut is None and is_one_vertex(self, kind, darts) and not self._split_ends(kind, darts)
+            cut is None and is_one_vertex(self, curve.kind, curve.darts)
+            and not displaces(self, curve)
         )
         return cut
 
@@ -495,9 +508,10 @@ def test_reduction_builds_the_complement_once(monkeypatch):
 
 def test_mixed_reductions_build_the_complement_once(monkeypatch):
     """Every mixed reduction builds its complement once, and copies it
-    once per trial of a one-vertex arc with an end displaced."""
+    once per trial of a one-vertex arc, whether or not the split rule
+    displaces one of its ends."""
     builds = counting_builds(monkeypatch)
-    copies, one_vertex = [], []
+    copies, one_vertex, displaced_ends = [], [], []
     copy, trial = reducer._Complement.copy, reducer._Complement.trial
 
     def counted_copy(self):
@@ -508,7 +522,8 @@ def test_mixed_reductions_build_the_complement_once(monkeypatch):
         cut = trial(self, curve)
         cmap = self.freeze()
         new_map, _ = reference_commit(cmap, self.g, curve)
-        one_vertex.append(one_vertex_displaced(cmap, curve, new_map))
+        one_vertex.append(is_one_vertex(self, curve.kind, curve.darts))
+        displaced_ends.append(one_vertex_displaced(cmap, curve, new_map))
         return cut
 
     monkeypatch.setattr(reducer._Complement, "copy", counted_copy)
@@ -519,15 +534,15 @@ def test_mixed_reductions_build_the_complement_once(monkeypatch):
         cert = reducer.reduce(reducer.validate_input(cmap, genus))
         assert cert.passed, seed
         assert len(builds) == 1, (seed, len(builds))
-    assert sum(one_vertex) > 0
     assert len(copies) == sum(one_vertex)
+    assert 0 < sum(displaced_ends) < len(copies)
 
 
 def displaced(cut):
-    """The ends the commit of cut displaces: chosen when it is committed,
-    on the state the cut was judged on, unless the cut was made on a
-    refined copy."""
-    return () if cut.refined else cut.state._split_ends(cut.curve.kind, cut.curve.darts)
+    """Whether the commit of cut displaces an end: decided when it is
+    committed, on the state the cut was judged on, unless the cut was
+    made on a refined copy."""
+    return not cut.refined and displaces(cut.state, cut.curve)
 
 
 def test_commit_stamps_every_face_it_reweighs(monkeypatch):
@@ -541,10 +556,10 @@ def test_commit_stamps_every_face_it_reweighs(monkeypatch):
     commit = reducer.add_cutting_curve
 
     def checked_commit(state, cut):
-        ends = displaced(cut)
+        moved = displaced(cut)
         indexed = {f for f in cut.weight if f in cut.state.clean_by_face}
         after = commit(state, cut)
-        if not ends:
+        if not moved:
             for f, change in cut.weight.items():
                 assert f not in after.clean_by_face, ("face still indexes", f, change)
                 counts["faces"] += 1

@@ -116,7 +116,7 @@ def test_canonical_word_domain():
 
 def test_canonical_g2_vertex_fans():
     cmap = build_map(canonical_word(2))
-    fans = {frozenset(cmap.name(d) for d in cyc) for cyc in cmap.vertices()}
+    fans = {frozenset(cmap.dart_names[d] for d in cyc) for cyc in cmap.vertices()}
     assert fans == {
         frozenset({"a6+", "a3-", "a1+", "a2+"}),
         frozenset({"a6-", "a3+", "a5+", "a4-"}),
@@ -126,7 +126,7 @@ def test_canonical_g2_vertex_fans():
 
 def test_canonical_g2_curve_orbit():
     cmap = build_map(canonical_word(2))
-    index = {cmap.name(d): d for d in range(cmap.dart_count)}
+    index = {cmap.dart_names[d]: d for d in range(cmap.dart_count)}
     owner = cmap.vertex_of_dart()
     valence = [len(c) for c in cmap.vertices()]
 
@@ -141,7 +141,7 @@ def test_canonical_g2_curve_orbit():
     while d != orbit[0]:
         orbit.append(d)
         d = succ(d)
-    assert [cmap.name(d) for d in orbit] == [
+    assert [cmap.dart_names[d] for d in orbit] == [
         "a6+", "a5+", "a4+", "a3+", "a2+", "a1-",
     ]
 
