@@ -57,20 +57,29 @@ def oracle_section():
     return ok
 
 
+def timed_check(check, *args):
+    """Run one check, print its summary and wall time; whether it passed."""
+    start = time.perf_counter()
+    report = check(*args)
+    print(f"  {report.summary()}  {time.perf_counter() - start:.3f}s")
+    return report.passed
+
+
 def sweep_section():
     print("# sweeps and randomized suites (full density)")
-    reports = [isoperim.verify_lemma_3_2()]
-    reports += [isoperim.verify_lemma_3_3(n) for n in range(4, 21)]
-    reports += [isoperim.verify_lemma_3_4(n) for n in (7, 8, 9, 10, 30)]
-    reports.append(isoperim.verify_prop_3_5())
-    reports.append(isoperim.verify_prop_3_6())
+    checks = [(isoperim.verify_lemma_3_2,)]
+    checks += [(isoperim.verify_lemma_3_3, n) for n in range(4, 21)]
+    checks += [(isoperim.verify_lemma_3_4, n) for n in (7, 8, 9, 10, 30)]
+    checks += [(isoperim.verify_prop_3_5,), (isoperim.verify_prop_3_6,)]
+    passed = [timed_check(*check) for check in checks]
+    start = time.perf_counter()
     draw = isoperim.draw_instances(10000, seed=0)
-    reports.append(isoperim.verify_theorem_3_1(draw))
-    reports.append(isoperim.verify_merge_properties(draw))
-    reports.append(isoperim.verify_example_3_12())
-    for rep in reports:
-        print(" ", rep.summary())
-    return all(r.passed for r in reports)
+    print(f"  draw_instances(10000, seed=0), shared by the next two: "
+          f"{time.perf_counter() - start:.3f}s")
+    passed.append(timed_check(isoperim.verify_theorem_3_1, draw))
+    passed.append(timed_check(isoperim.verify_merge_properties, draw))
+    passed.append(timed_check(isoperim.verify_example_3_12))
+    return all(passed)
 
 
 def gluing_section():

@@ -26,15 +26,16 @@ from . import tolerances as tol
 from .errors import DomainError, ValidationError
 from .polygeom import (
     RegularPolygonSpec,
+    _angle_from_area,
+    _area_from_angle,
     _check_area,
-    _perimeter_derivative,
+    _max_angle,
+    _max_area,
+    _perimeter_derivatives,
     _perimeter_from_angle,
     _perimeter_from_area,
-    _perimeter_second_derivative,
-    angle_from_area,
-    area_from_angle,
-    max_angle,
-    max_area,
+    _perimeter_second_derivatives,
+    _perimeters_from_area,
     perimeter_from_area,
 )
 from .report import CheckReport
@@ -52,20 +53,23 @@ def f(n, a: float, x: float) -> float:
     _check_area(4.0, x)
     n = _check_area(n, a - x)
     _check_area(n, a)
-    return _f(n, a, x)
+    return _f(n, a, (x,))[0]
 
 
-def _f(n: float, a: float, x: float) -> float:
-    return (
-        _perimeter_from_area(4.0, x)
-        + _perimeter_from_area(n, a - x)
-        - _perimeter_from_area(n, a)
-    )
+def _f(n: float, a: float, xs) -> list:
+    """f(n, a, x) for each x of a row, for a checked n and 0 <= x <= a."""
+    base = _perimeter_from_area(n, a)
+    squares = _perimeters_from_area(4.0, xs)
+    rests = _perimeters_from_area(n, [a - x for x in xs])
+    return [square + rest - base for square, rest in zip(squares, rests)]
 
 
-def _df_dx(n: float, a: float, x: float) -> float:
-    """Partial derivative of f in x, for a checked n and 0 < x < a."""
-    return _perimeter_derivative(4.0, x) - _perimeter_derivative(n, a - x)
+def _df_dx(n: float, a: float, xs) -> list:
+    """Partial derivative of f in x at each x of a row, for a checked n
+    and 0 < x < a."""
+    squares = _perimeter_derivatives(4.0, xs)
+    rests = _perimeter_derivatives(n, [a - x for x in xs])
+    return [square - rest for square, rest in zip(squares, rests)]
 
 
 MIN_SAMPLES = 100
@@ -117,13 +121,13 @@ def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
         for i in range(steps):
             a = a_lo + (a_hi - a_lo) * (i + 0.5) / steps
             x_hi = min(a - math.pi, 2.0 * math.pi)
-            for j in range(steps):
-                x = x_hi * (j + 0.5) / steps
-                value = _df_dx(side, a, x)
-                count += 1
-                if value < min_value:
-                    min_value = value
-                    argmin = (n, a, x)
+            xs = [x_hi * (j + 0.5) / steps for j in range(steps)]
+            values = _df_dx(side, a, xs)
+            count += steps
+            row_min = min(values)
+            if row_min < min_value:
+                min_value = row_min
+                argmin = (n, a, xs[values.index(row_min)])
 
     constant = (3.0 + 2.0 * math.sqrt(2.0)) * (4.0 / 9.0) * 0.5
     constant_ok = abs(constant - 1.29521) <= tol.LEMMA_3_2_CONSTANT_TOL and constant > 1.0
@@ -152,7 +156,22 @@ def verify_lemma_3_3(n: int, grid: GridSpec | None = None) -> CheckReport:
 
     Samples P'' at midpoints of (0, (n-2)*pi) and requires exactly one
     sign change, negative then positive.  Each sample is also checked
-    against the closed-form sign criterion.
+    against the closed-form sign criterion, derived as follows.  With
+    c = cos(pi/n) and w = ((n-2)*pi - x)/(2n) = pi/2 - (2*pi + x)/(2n),
+    the perimeter is P(x) = 2n*acosh(c/sin(w)) and dw/dx = -1/(2n), so
+
+        P'(x)  = c*cos(w) / (sin(w) * sqrt(d)),   d = c**2 - sin(w)**2,
+        P''(x) = (c/(2n)) * (d - sin(w)**2 * cos(w)**2) / (sin(w)**2 * d**1.5).
+
+    On (0, (n-2)*pi) the angle w lies in (0, pi/2 - pi/n), so sin(w) > 0
+    and d > 0, and c > 0 for n >= 3.  Hence
+
+        sign P'' = sign(c**2 - sin(w)**2 * (1 + cos(w)**2)).
+
+    The kernel evaluates P'' in the split form
+    (c/(2n)) * (1/(sin(w)**2*sqrt(d)) - cos(w)**2/d**1.5), and the
+    criterion is computed apart from it, with one sin(w) and one cos(w)
+    per sample; their agreement on every sample cross-checks the algebra.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 4:
         raise DomainError(f"need integer n >= 4, got {n!r}")
@@ -160,30 +179,26 @@ def verify_lemma_3_3(n: int, grid: GridSpec | None = None) -> CheckReport:
     span = (n - 2.0) * math.pi
     # checked at the first sample; the others lie in (0, span) too
     side = _check_area(n, span * 0.5 / samples, positive=True)
-    signs = []
-    criterion_mismatches = 0
-    change_x = None
+    xs = [span * (i + 0.5) / samples for i in range(samples)]
+    values = _perimeter_second_derivatives(side, xs)
+    signs = [value > 0.0 for value in values]
     c2 = math.cos(math.pi / n) ** 2
-    prev_sign = None
-    changes = 0
-    for i in range(samples):
-        x = span * (i + 0.5) / samples
-        value = _perimeter_second_derivative(side, x)
-        sign = value > 0.0
-        w = (span - x) / (2.0 * n)
-        crit = c2 - math.sin(w) ** 2 * (1.0 + math.cos(w) ** 2)
-        if (
-            abs(crit) > tol.SIGN_CRITERION_TOL
-            and abs(value) > tol.SECOND_DERIVATIVE_TOL
-            and (crit > 0) != sign
-        ):
-            criterion_mismatches += 1
-        if prev_sign is not None and sign != prev_sign:
-            changes += 1
-            if change_x is None:
-                change_x = x
-        prev_sign = sign
-        signs.append(sign)
+    two_n = 2.0 * n
+    crits = [
+        c2 - math.sin(w) ** 2 * (1.0 + math.cos(w) ** 2)
+        for w in [(span - x) / two_n for x in xs]
+    ]
+    # a disagreement counts unless either side is within its tolerance of 0
+    criterion_mismatches = sum(
+        1
+        for crit, value, sign in zip(crits, values, signs)
+        if (crit > 0) != sign
+        and abs(crit) > tol.SIGN_CRITERION_TOL
+        and abs(value) > tol.SECOND_DERIVATIVE_TOL
+    )
+    # the samples at which the sign differs from the one before
+    change_xs = [x for x, sign, prev in zip(xs[1:], signs[1:], signs) if sign != prev]
+    changes = len(change_xs)
     passed = (
         changes == 1
         and not signs[0]
@@ -202,7 +217,7 @@ def verify_lemma_3_3(n: int, grid: GridSpec | None = None) -> CheckReport:
             "sign_changes": changes,
             "first_negative": not signs[0],
             "last_positive": signs[-1],
-            "change_near_x": change_x,
+            "change_near_x": change_xs[0] if change_xs else None,
             "criterion_mismatches": criterion_mismatches,
         },
     )
@@ -228,23 +243,13 @@ def verify_lemma_3_4(n: int, grid: GridSpec | None = None) -> CheckReport:
         raise DomainError(f"need integer n >= 5, got {n!r}")
     samples = (grid or GridSpec()).samples
     span = (n / 2.0 - 2.0) * math.pi
-    min_drop = math.inf
-    argmin = None
-    violation_x = None
-    prev = None
-    prev_x = None
-    for i in range(samples):
-        x = span * (i + 0.5) / samples
-        ratio = _perimeter_from_area(n, x) / x
-        if prev is not None:
-            drop = prev - ratio
-            if drop < min_drop:
-                min_drop = drop
-                argmin = (n, prev_x)
-            if drop <= 0.0 and violation_x is None:
-                violation_x = prev_x
-        prev = ratio
-        prev_x = x
+    xs = [span * (i + 0.5) / samples for i in range(samples)]
+    ratios = [p / x for p, x in zip(_perimeters_from_area(n, xs), xs)]
+    # drops[i] is the fall of the ratio from xs[i] to xs[i + 1]
+    drops = [prev - ratio for prev, ratio in zip(ratios, ratios[1:])]
+    min_drop = min(drops)
+    argmin = (n, xs[drops.index(min_drop)])
+    violation_x = next((x for x, drop in zip(xs, drops) if drop <= 0.0), None)
     decreasing = violation_x is None
 
     details = {"decreasing": decreasing, "violation_near_x": violation_x}
@@ -322,17 +327,14 @@ def verify_prop_3_5(grid: GridSpec | None = None) -> CheckReport:
     passed = passed and worst_drop > 0.0
 
     # 3: P_6 - P_7 positive and increasing on (0, 4*pi)
-    prev = None
-    min_gap = math.inf
-    min_rise = math.inf
-    for i in range(samples):
-        x = 4.0 * math.pi * (i + 0.5) / samples
-        gap = _perimeter_from_area(6.0, x) - _perimeter_from_area(7.0, x)
-        count += 2
-        min_gap = min(min_gap, gap)
-        if prev is not None:
-            min_rise = min(min_rise, gap - prev)
-        prev = gap
+    xs = [4.0 * math.pi * (i + 0.5) / samples for i in range(samples)]
+    gaps = [
+        p6 - p7
+        for p6, p7 in zip(_perimeters_from_area(6.0, xs), _perimeters_from_area(7.0, xs))
+    ]
+    count += 2 * samples
+    min_gap = min(gaps)
+    min_rise = min(gap - prev for prev, gap in zip(gaps, gaps[1:]))
     details["gap_min"] = min_gap
     details["gap_min_rise"] = min_rise
     passed = passed and min_gap > 0.0 and min_rise > 0.0
@@ -373,10 +375,10 @@ def verify_prop_3_6(grid: GridSpec | None = None) -> CheckReport:
             a = a_hi * i / steps
             x_cap = min(a, 2.0 * math.pi * (1.0 - tol.X_CAP_MARGIN))
             step = x_cap / steps if x_cap > 0.0 else 1.0
-            for j in range(steps + 1):
-                x = x_cap * j / steps
-                value = _f(side, a, x)
-                count += 1
+            # at a = 0 the row is the one point x = 0
+            xs = [x_cap * j / steps for j in range(steps + 1 if x_cap > 0.0 else 1)]
+            count += len(xs)
+            for x, value in zip(xs, _f(side, a, xs)):
                 if x == 0.0 and value != 0.0:
                     exact_zero_line = False
                 if value < min_value:
@@ -384,8 +386,6 @@ def verify_prop_3_6(grid: GridSpec | None = None) -> CheckReport:
                     argmin = (n, a, x)
                 if abs(value) < tol.INEQ_TOL and x >= step:
                     near_zero_off_line += 1
-                if x_cap == 0.0:
-                    break
     passed = (
         min_value >= -tol.INEQ_TOL and near_zero_off_line == 0 and exact_zero_line
     )
@@ -421,7 +421,9 @@ class PolygonFamily:
         return len(self.items)
 
     def angles(self) -> tuple:
-        return tuple(angle_from_area(m, a) for m, a in self.items)
+        """Member interior angles.  The members are not checked here:
+        IsoperimetricInstance checks them once, when it is made."""
+        return tuple(_angle_from_area(m, a) for m, a in self.items)
 
     def total_area(self) -> float:
         return sum(a for _, a in self.items)
@@ -471,9 +473,9 @@ def validate_instance(inst: IsoperimetricInstance) -> None:
     for m, a in fam.items:
         if isinstance(m, bool) or not isinstance(m, int) or m < 4:
             raise ValidationError(f"member side count {m!r} invalid (must be integer >= 4)")
-        if not 0.0 <= a < max_area(m):
+        if not 0.0 <= a < _max_area(m):
             raise ValidationError(
-                f"member area {a!r} outside [0, {max_area(m)}) for {m} sides"
+                f"member area {a!r} outside [0, {_max_area(m)}) for {m} sides"
             )
     try:
         target = inst.target
@@ -567,15 +569,15 @@ def random_instance(rng: random.Random) -> IsoperimetricInstance:
         target_area = 0.0
         areas = [0.0] * k
     else:
-        theta = rng.uniform(math.pi / 2.0, max_angle(m))
-        target_area = max(0.0, area_from_angle(m, theta))
+        theta = rng.uniform(math.pi / 2.0, _max_angle(m))
+        target_area = max(0.0, _area_from_angle(m, theta))
         areas = None
         for _ in range(200):
             weights = [rng.gammavariate(1.0, 1.0) for _ in range(k)]
             total = sum(weights)
             trial = [target_area * w / total for w in weights]
             trial[-1] = target_area - sum(trial[:-1])
-            if all(0.0 <= a < max_area(mi) for a, mi in zip(trial, ms)):
+            if all(0.0 <= a < _max_area(mi) for a, mi in zip(trial, ms)):
                 areas = trial
                 break
         if areas is None:

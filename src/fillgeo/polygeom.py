@@ -16,8 +16,12 @@ domain: perimeter_from_area(n, 0.0) returns exactly 0.0, and the
 formulas are arranged so this holds bitwise, not just approximately.
 
 Public functions validate their arguments, then call a private kernel
-that holds the formula and assumes validated input; the isoperim sweeps
-check each side count once and call the kernels at every grid point.
+that holds the formula and assumes validated input.  The perimeter and
+its two area derivatives are line kernels: one side count and a sequence
+of areas in, one value per area out, with the constants of that side
+count computed once per call.  A single value is a one-element line.
+The isoperim sweeps check each side count once and evaluate one line
+per side count or per grid row.
 """
 
 import math
@@ -90,13 +94,20 @@ def max_area(n) -> float:
     return _max_area(_check_sides(n))
 
 
+def _max_angle(n: float) -> float:
+    return _max_area(n) / n
+
+
 def max_angle(n) -> float:
     """Supremum of interior angles, the Euclidean value (n-2)*pi/n.
 
     Attained only by the degenerate (area 0) polygon.
     """
-    n = _check_sides(n)
-    return _max_area(n) / n
+    return _max_angle(_check_sides(n))
+
+
+def _area_from_angle(n: float, theta: float) -> float:
+    return (math.pi - theta) * n - 2.0 * math.pi
 
 
 def area_from_angle(n, theta: float) -> float:
@@ -105,19 +116,31 @@ def area_from_angle(n, theta: float) -> float:
     May be negative or zero; callers needing a geometric polygon must
     check positivity themselves.  Zero means the degenerate polygon.
     """
-    n = _check_angle(n, theta)
-    return (math.pi - theta) * n - 2.0 * math.pi
+    return _area_from_angle(_check_angle(n, theta), theta)
+
+
+def _angle_from_area(n: float, area: float) -> float:
+    return math.pi - (area + 2.0 * math.pi) / n
 
 
 def angle_from_area(n, area: float) -> float:
     """Interior angle of the regular n-gon with the given area."""
-    n = _check_area(n, area)
-    return math.pi - (area + 2.0 * math.pi) / n
+    return _angle_from_area(_check_area(n, area), area)
+
+
+def _perimeters_from_area(n: float, areas) -> list:
+    """perimeter_from_area(n, area) for each area, n and areas checked."""
+    c = math.cos(math.pi / n)
+    two_n = 2.0 * n
+    two_pi = 2.0 * math.pi
+    perimeters = []
+    for area in areas:
+        perimeters.append(two_n * _acosh_clamped(c / math.cos((two_pi + area) / two_n)))
+    return perimeters
 
 
 def _perimeter_from_area(n: float, area: float) -> float:
-    ratio = math.cos(math.pi / n) / math.cos((2.0 * math.pi + area) / (2.0 * n))
-    return 2.0 * n * _acosh_clamped(ratio)
+    return _perimeters_from_area(n, (area,))[0]
 
 
 def perimeter_from_area(n, area: float) -> float:
@@ -161,13 +184,20 @@ def perimeter_from_angle(n, theta: float) -> float:
     return _perimeter_from_angle(_check_angle(n, theta), theta)
 
 
-def _perimeter_derivative(n: float, area: float) -> float:
-    u = (2.0 * math.pi + area) / (2.0 * n)
+def _perimeter_derivatives(n: float, areas) -> list:
+    """perimeter_derivative(n, area) for each area, n and areas checked."""
     c = math.cos(math.pi / n)
-    under = c * c - math.cos(u) ** 2
-    if under <= 0.0:
-        raise DomainError(f"derivative undefined at area {area!r} for n = {n}")
-    return c * math.tan(u) / math.sqrt(under)
+    c2 = c * c
+    two_n = 2.0 * n
+    two_pi = 2.0 * math.pi
+    slopes = []
+    for area in areas:
+        u = (two_pi + area) / two_n
+        under = c2 - math.cos(u) ** 2
+        if under <= 0.0:
+            raise DomainError(f"derivative undefined at area {area!r} for n = {n}")
+        slopes.append(c * math.tan(u) / math.sqrt(under))
+    return slopes
 
 
 def perimeter_derivative(n, area: float) -> float:
@@ -176,20 +206,29 @@ def perimeter_derivative(n, area: float) -> float:
     Defined on the open range (0, (n-2)*pi); blows up like
     area**-0.5 at the degenerate end and diverges at the supremum too.
     """
-    return _perimeter_derivative(_check_area(n, area, positive=True), area)
+    return _perimeter_derivatives(_check_area(n, area, positive=True), (area,))[0]
 
 
-def _perimeter_second_derivative(n: float, area: float) -> float:
-    w = (_max_area(n) - area) / (2.0 * n)
+def _perimeter_second_derivatives(n: float, areas) -> list:
+    """perimeter_second_derivative(n, area) for each area, n and areas checked."""
+    top = _max_area(n)
+    two_n = 2.0 * n
     c = math.cos(math.pi / n)
-    sw = math.sin(w)
-    cw = math.cos(w)
-    d = c * c - sw * sw
-    if d <= 0.0:
-        raise DomainError(
-            f"second derivative undefined at area {area!r} for n = {n}"
-        )
-    return (c / (2.0 * n)) * (1.0 / (sw * sw * math.sqrt(d)) - cw * cw / d**1.5)
+    c2 = c * c
+    scale = c / two_n
+    curvatures = []
+    for area in areas:
+        w = (top - area) / two_n
+        sw = math.sin(w)
+        cw = math.cos(w)
+        s2 = sw * sw
+        d = c2 - s2
+        if d <= 0.0:
+            raise DomainError(
+                f"second derivative undefined at area {area!r} for n = {n}"
+            )
+        curvatures.append(scale * (1.0 / (s2 * math.sqrt(d)) - cw * cw / d**1.5))
+    return curvatures
 
 
 def perimeter_second_derivative(n, area: float) -> float:
@@ -204,7 +243,7 @@ def perimeter_second_derivative(n, area: float) -> float:
     cos(pi/n)**2 >= sin(w)**2 * (1 + cos(w)**2); negative for small
     area, positive near the supremum, one sign change in between.
     """
-    return _perimeter_second_derivative(_check_area(n, area, positive=True), area)
+    return _perimeter_second_derivatives(_check_area(n, area, positive=True), (area,))[0]
 
 
 def circumradius(n, theta: float) -> float:
@@ -246,7 +285,8 @@ class RegularPolygonSpec:
 
     @classmethod
     def from_area(cls, n, area: float) -> "RegularPolygonSpec":
-        return cls(n=float(n), theta=angle_from_area(n, area), area=area)
+        n = _check_area(n, area)
+        return cls(n=n, theta=_angle_from_area(n, area), area=area)
 
     @property
     def side(self) -> float:

@@ -5,10 +5,10 @@ stdout and stderr and its exit code; the ``gluing`` commands that write
 an SVG picture or a map interchange file also pin the sha256 of each
 file.  The commands cover the extremal-length table, single polygons
 (including the degenerate right-angled square and a non-integer side
-count), the verification suite at two seeds, the documented lemma 3.4
-violation, the canonical gluings up to genus 40, the reduction certificate of
-a canonical map and of a map on which the split rule fires, and the
-messages of domain errors.
+count), the verification suite at two seeds and at its default density,
+the documented lemma 3.4 violation, the canonical gluings up to genus 40,
+the reduction certificate of a canonical map and of a map on which the
+split rule fires, and the messages of domain errors.
 After an intended change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_digests.py --write
@@ -48,6 +48,10 @@ def _commands():
             ))
         for seed in ("0", "7"):
             commands.append((f"verify all seed={seed}{suffix}", (*VERIFY, "--seed", seed, *fmt)))
+    # the sweeps at their default density, which the benchmark runs
+    commands.append((
+        "verify all seed=0 --json default density", ("verify", "--all", "--seed", "0", "--json")
+    ))
     commands.append(("verify lemma34 n=30", ("verify", "lemma34", "--n", "30")))
     for g in range(2, 7):
         commands.append((f"gluing g={g} --json", ("gluing", "--genus", str(g), "--json")))

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fillgeo import polygeom
 from fillgeo.errors import DomainError, ValidationError
 from fillgeo.isoperim import (
     GridSpec,
     IsoperimetricInstance,
     PolygonFamily,
     _df_dx,
+    _f,
     check_instance,
     classify_equality,
     draw_instances,
@@ -72,11 +74,11 @@ def test_f_domain():
 
 
 def df_dx(n, a, x):
-    """The partial derivative of f in x through the kernel the Lemma 3.2
-    sweep evaluates, after the checks of both areas that the sweep makes
-    once per n: 0 < x and 0 < a - x."""
+    """The partial derivative of f in x through the row kernel the Lemma
+    3.2 sweep evaluates, as a one-point row, after the checks of both
+    areas that the sweep makes once per n: 0 < x and 0 < a - x."""
     _check_area(4.0, x, positive=True)
-    return _df_dx(_check_area(n, a - x, positive=True), a, x)
+    return _df_dx(_check_area(n, a - x, positive=True), a, [x])[0]
 
 
 def second_derivative_all_negative(n, upper, samples):
@@ -105,6 +107,15 @@ def test_df_dx_matches_finite_differences():
         fd = (f(n, a, x + h) - f(n, a, x - h)) / (2.0 * h)
         exact = df_dx(n, a, x)
         assert fd == pytest.approx(exact, rel=1e-5, abs=1e-7)
+
+
+def test_rows_match_their_points():
+    # a sweep row gives, bit for bit, what its points give one at a time
+    n, a = 12.0, 3.0 * math.pi
+    xs = [2.0 * math.pi * j / 16 for j in range(1, 16)]
+    assert _f(n, a, xs) == [f(12, a, x) for x in xs]
+    assert _df_dx(n, a, xs) == [df_dx(12, a, x) for x in xs]
+    assert _f(n, a, [0.0]) == [0.0]
 
 
 def test_df_dx_domain():
@@ -339,6 +350,26 @@ def test_instance_sweeps_reject_empty_counts(verify, count):
     # True would otherwise draw one instance, 2.5 fail in range()
     with pytest.raises(DomainError, match="instance count"):
         verify(draw_instances(count, seed=0))
+
+
+def test_each_drawn_instance_is_validated_once(monkeypatch):
+    # the constructor checks the target's side count once per instance,
+    # each merge step checks its own polygon, and the draw, the member
+    # checks, the angles and the perimeters go through unchecked kernels
+    calls = 0
+    check_sides = polygeom._check_sides
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return check_sides(n)
+
+    monkeypatch.setattr(polygeom, "_check_sides", counted)
+    draw = draw_instances(300, 3)
+    verify_theorem_3_1(draw)
+    verify_merge_properties(draw)
+    members = sum(inst.family.k for inst in draw.instances)
+    assert calls <= draw.count + members
 
 
 def test_example_instance_strict_rejected():

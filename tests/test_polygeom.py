@@ -5,6 +5,7 @@ digits (see scripts/run_all_verifications.py for the recipe) and are
 frozen here as double literals.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -306,3 +307,46 @@ def test_domain_errors():
         min_filling_length(2.5)
     with pytest.raises(DomainError):
         RegularPolygonSpec.from_angle(4, 2.0)
+
+
+# The grid on which the perimeter line kernels are pinned bit for bit:
+# side counts, and areas as fractions of the supremum (n-2)*pi.
+PIN_SIDES = (3, 4, 5, 7.5, 8, 64, 1000)
+PIN_FRACTIONS = (0.0, 1e-12, 1e-6, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 0.999999)
+# sha256 of repr(records) over that grid, as the scalar kernels
+# _perimeter_from_area, _perimeter_derivative and
+# _perimeter_second_derivative gave it while they held the formulas
+PINNED_RECORDS = {
+    "_perimeters_from_area": "88d8b36b71da6ab57ba6d6ffa3713f72d89e603b3a78e2d6031d6ecd312d5fed",
+    "_perimeter_derivatives": "1aca81ad9bc503a64af03acda3a99774057bfe538ad8cb299c4bcb6d657603f2",
+    "_perimeter_second_derivatives":
+        "16865f3f2c338a3405b36142957b9810584fc0c47f82296fdea653da1b6e5141",
+}
+
+
+def record(call):
+    """repr of the value, or '!' with the type and message of the raise."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return f"!{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
+def test_line_kernels_reproduce_the_pinned_scalar_kernels(name):
+    line = getattr(polygeom, name)
+    records = []
+    for n in PIN_SIDES:
+        n = float(n)
+        areas = [t * polygeom._max_area(n) for t in PIN_FRACTIONS]
+        points = [record(lambda: line(n, [area])[0]) for area in areas]
+        values = [point for point in points if not point.startswith("!")]
+        raised = [point for point in points if point.startswith("!")]
+        # the whole line gives the values of its points ...
+        kept = [area for area, point in zip(areas, points) if not point.startswith("!")]
+        assert [repr(value) for value in line(n, kept)] == values
+        # ... and raises as its first raising point does
+        if raised:
+            assert record(lambda: line(n, areas)) == raised[0]
+        records += points
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == PINNED_RECORDS[name]
