@@ -16,11 +16,10 @@ identical bytes.
 
 import argparse
 import functools
-import json
 import sys
 
-# isoperim, reducer, report and surfmap are imported by the subcommands
-# that use them, so start-up and ``minlen`` do not load them
+# isoperim, reducer, report, surfmap and json are imported where they
+# are used, so start-up and ``minlen`` without --json load none of them
 from . import polygeom
 from .errors import DomainError, InternalInvariantError, ValidationError
 
@@ -77,14 +76,17 @@ def _genus_range(text: str) -> tuple:
 
 def _emit(text: str, out_path) -> None:
     """Write text, ending in a newline, to the file out_path or to stdout."""
-    if not text.endswith("\n"):
-        text = text + "\n"
+    # the newline is written on its own: text + "\n" would copy the whole
+    # text, 11 MB for the genus-2000 SVG
+    tail = "" if text.endswith("\n") else "\n"
     if not out_path:
         sys.stdout.write(text)
+        sys.stdout.write(tail)
         return
     try:
         with open(out_path, "w") as handle:
             handle.write(text)
+            handle.write(tail)
     except OSError as err:
         raise DomainError(f"cannot write output file: {err}")
 
@@ -93,6 +95,8 @@ def cmd_minlen(args) -> int:
     """One row per genus: g, side count, side, perimeter, half-perimeter."""
     rows = [polygeom.extremal_report(g) for g in args.genus]
     if args.json:
+        import json
+
         text = json.dumps([r.as_dict() for r in rows], indent=2, sort_keys=True)
     else:
         lines = ["# genus  sides  side  perimeter  min_length"]
@@ -113,6 +117,8 @@ def cmd_polygon(args) -> int:
         spec = polygeom.RegularPolygonSpec.from_area(args.n, args.area)
     data = spec.as_dict()
     if args.json:
+        import json
+
         text = json.dumps(data, indent=2, sort_keys=True)
     else:
         text = "\n".join(f"{key}={data[key]!r}" for key in
@@ -161,6 +167,8 @@ def cmd_verify(args) -> int:
     which = "all" if args.all else args.which
     reports = _verify_reports(which, args)
     if args.json:
+        import json
+
         text = json.dumps(
             [r.as_dict() for r in reports], indent=2, sort_keys=True, default=repr
         )
@@ -208,6 +216,8 @@ def cmd_gluing(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    import json
+
     from . import reducer
 
     try:

@@ -64,10 +64,10 @@ def _f(n: float, a: float, xs) -> list:
     return [square + rest - base for square, rest in zip(squares, rests)]
 
 
-def _df_dx(n: float, a: float, xs) -> list:
+def _df_dx(n: float, a: float, xs, squares) -> list:
     """Partial derivative of f in x at each x of a row, for a checked n
-    and 0 < x < a."""
-    squares = _perimeter_derivatives(4.0, xs)
+    and 0 < x < a; squares is the row's P'_4, _perimeter_derivatives(4.0,
+    xs), which rows with the same x-values share."""
     rests = _perimeter_derivatives(n, [a - x for x in xs])
     return [square - rest for square, rest in zip(squares, rests)]
 
@@ -108,6 +108,12 @@ def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
     steps = (grid or GridSpec()).steps
     n_values = range(8, 65)
 
+    # every row with a >= 3*pi has x_hi = 2*pi: those rows share one
+    # x-row and so one P'_4 row
+    x_full = 2.0 * math.pi
+    full_xs = [x_full * (j + 0.5) / steps for j in range(steps)]
+    full_squares = _perimeter_derivatives(4.0, full_xs)
+
     min_value = math.inf
     argmin = None
     count = 0
@@ -120,9 +126,13 @@ def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
         side = _check_area(n, a_hi, positive=True)
         for i in range(steps):
             a = a_lo + (a_hi - a_lo) * (i + 0.5) / steps
-            x_hi = min(a - math.pi, 2.0 * math.pi)
-            xs = [x_hi * (j + 0.5) / steps for j in range(steps)]
-            values = _df_dx(side, a, xs)
+            x_hi = min(a - math.pi, x_full)
+            if x_hi == x_full:
+                xs, squares = full_xs, full_squares
+            else:
+                xs = [x_hi * (j + 0.5) / steps for j in range(steps)]
+                squares = _perimeter_derivatives(4.0, xs)
+            values = _df_dx(side, a, xs, squares)
             count += steps
             row_min = min(values)
             if row_min < min_value:
@@ -420,10 +430,22 @@ class PolygonFamily:
     def k(self) -> int:
         return len(self.items)
 
+    @cached_property
     def angles(self) -> tuple:
-        """Member interior angles.  The members are not checked here:
-        IsoperimetricInstance checks them once, when it is made."""
+        """Member interior angles, computed once per family.  The members
+        are not checked here: IsoperimetricInstance checks them once,
+        when it is made."""
         return tuple(_angle_from_area(m, a) for m, a in self.items)
+
+    @classmethod
+    def by_angle(cls, items) -> "PolygonFamily":
+        """The family of items in descending angle order, equal angles in
+        their given order; it keeps the angles the sort computed."""
+        angles = [_angle_from_area(m, a) for m, a in items]
+        order = sorted(range(len(items)), key=lambda i: -angles[i])
+        family = cls(tuple(items[i] for i in order))
+        object.__setattr__(family, "angles", tuple(angles[i] for i in order))
+        return family
 
     def total_area(self) -> float:
         return sum(a for _, a in self.items)
@@ -431,13 +453,8 @@ class PolygonFamily:
     def merged_sides(self) -> int:
         return sum(m for m, _ in self.items) - 4 * self.k + 4
 
-    def sorted_by_angle(self) -> "PolygonFamily":
-        angles = self.angles()
-        order = sorted(range(self.k), key=lambda i: -angles[i])
-        return PolygonFamily(tuple(self.items[i] for i in order))
-
     def is_sorted_by_angle(self) -> bool:
-        ang = self.angles()
+        ang = self.angles
         return all(ang[i] >= ang[i + 1] - tol.ANGLE_TOL for i in range(self.k - 1))
 
 
@@ -585,8 +602,7 @@ def random_instance(rng: random.Random) -> IsoperimetricInstance:
             denom = sum(mi - 2 for mi in ms)
             areas = [target_area * (mi - 2) / denom for mi in ms]
             areas[-1] = target_area - sum(areas[:-1])
-    family = PolygonFamily(tuple(zip(ms, areas))).sorted_by_angle()
-    return IsoperimetricInstance(family)
+    return IsoperimetricInstance(PolygonFamily.by_angle(tuple(zip(ms, areas))))
 
 
 @dataclass(frozen=True)
@@ -676,7 +692,7 @@ def verify_merge_properties(draw: InstanceDraw) -> CheckReport:
         area_slack = tol.MERGE_AREA_TOL * max(1.0, inst.target.area)
         if int(last.n) != int(inst.target.n) or abs(last.area - inst.target.area) > area_slack:
             final_mismatches += 1
-        angles = inst.family.angles()
+        angles = inst.family.angles
         if max(angles) < math.pi / 2.0 - tol.ANGLE_TOL:
             bound_failures += 1
         if min(angles) > inst.target.theta + tol.ANGLE_TOL:

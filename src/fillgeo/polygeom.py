@@ -22,11 +22,18 @@ of areas in, one value per area out, with the constants of that side
 count computed once per call.  A single value is a one-element line.
 The isoperim sweeps check each side count once and evaluate one line
 per side count or per grid row.
+
+RegularPolygonSpec and ExtremalReport are named tuples rather than
+dataclasses: ``fillgeo minlen`` and ``polygon`` load this module in a
+fresh interpreter, and ``dataclasses`` would add ``inspect`` and the
+modules it imports (ast, dis, tokenize) to every start.  ``collections``
+is already loaded by then.  Each record compares, hashes and prints by
+its fields, and assigning a field raises AttributeError.
 """
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from . import tolerances as tol
 from .errors import DomainError
@@ -262,17 +269,14 @@ def circumradius(n, theta: float) -> float:
     return _acosh_clamped(value)
 
 
-@dataclass(frozen=True)
-class RegularPolygonSpec:
+class RegularPolygonSpec(namedtuple("RegularPolygonSpec", "n theta area")):
     """A regular hyperbolic polygon: side count plus angle and area.
 
     Store n and one of {theta, area}; the classmethods derive the
     other so the Gauss-Bonnet relation holds by construction.
     """
 
-    n: float
-    theta: float
-    area: float
+    __slots__ = ()
 
     @classmethod
     def from_angle(cls, n, theta: float) -> "RegularPolygonSpec":
@@ -334,17 +338,15 @@ def kissing_lower_bound(g: int, sys: float) -> float:
     return min_filling_length(g) / sys
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(namedtuple(
+    "ExtremalReport", "genus min_filling_length polygon_side polygon_perimeter"
+)):
     """Data about the genus-g length minimiser."""
 
-    genus: int
-    min_filling_length: float
-    polygon_side: float
-    polygon_perimeter: float
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def extremal_report(g: int) -> ExtremalReport:

@@ -233,11 +233,10 @@ def build_map(word) -> CombinatorialMap:
     for index, (label, _) in enumerate(sides):
         positions.setdefault(label, []).append(index)
 
-    # rays: ray 2k is the start of side k, ray 2k+1 its end
+    # rays: ray 2k is the start of side k, ray 2k+1 its end; positions
+    # holds the labels in order of first occurrence, as they were filled
     pair_ray = [None] * (2 * n)
-    labels_in_order = []
-    for label, (i, j) in sorted(positions.items(), key=lambda kv: kv[1][0]):
-        labels_in_order.append(label)
+    for i, j in positions.values():
         parallel = sides[i][1] == sides[j][1]
         if parallel:
             links = ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1))
@@ -251,8 +250,7 @@ def build_map(word) -> CombinatorialMap:
     # e-th label's edge is darts 2e and 2e + 1
     dart_of_ray = [None] * (2 * n)
     dart_names = []
-    for e, label in enumerate(labels_in_order):
-        i = positions[label][0]
+    for e, (label, (i, _)) in enumerate(positions.items()):
         for ray, d in ((2 * i, 2 * e), (2 * i + 1, 2 * e + 1)):
             dart_of_ray[ray] = dart_of_ray[pair_ray[ray]] = d
         dart_names += (label + "+", label + "-")

@@ -453,15 +453,22 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_import_loads_only_polygeom():
     # minlen needs only polygeom; isoperim, reducer and surfmap load with
-    # the subcommands that use them, so start-up does not compile them
+    # the subcommands that use them, so start-up does not compile them;
+    # nor does it load the stdlib modules that minlen does not need
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, fillgeo.cli; print(' '.join(sorted(sys.modules)))"
-    loaded = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
-    ).stdout.split()
+
+    def modules(code):
+        return set(subprocess.run(
+            [sys.executable, "-c", code + "print(' '.join(sys.modules))"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split())
+
+    loaded = modules("import sys, fillgeo.cli; ")
+    added = loaded - modules("import sys; ")
     assert "fillgeo.polygeom" in loaded
     for name in ("fillgeo.isoperim", "fillgeo.reducer", "fillgeo.surfmap"):
         assert name not in loaded
+    for name in ("dataclasses", "inspect", "json", "typing"):
+        assert name not in added

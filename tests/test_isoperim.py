@@ -38,6 +38,7 @@ from fillgeo.isoperim import (
 from fillgeo.polygeom import (
     RegularPolygonSpec,
     _check_area,
+    _perimeter_derivatives,
     area_from_angle,
     perimeter_from_area,
     perimeter_second_derivative,
@@ -78,7 +79,8 @@ def df_dx(n, a, x):
     3.2 sweep evaluates, as a one-point row, after the checks of both
     areas that the sweep makes once per n: 0 < x and 0 < a - x."""
     _check_area(4.0, x, positive=True)
-    return _df_dx(_check_area(n, a - x, positive=True), a, [x])[0]
+    return _df_dx(_check_area(n, a - x, positive=True), a, [x],
+                  _perimeter_derivatives(4.0, [x]))[0]
 
 
 def second_derivative_all_negative(n, upper, samples):
@@ -114,7 +116,9 @@ def test_rows_match_their_points():
     n, a = 12.0, 3.0 * math.pi
     xs = [2.0 * math.pi * j / 16 for j in range(1, 16)]
     assert _f(n, a, xs) == [f(12, a, x) for x in xs]
-    assert _df_dx(n, a, xs) == [df_dx(12, a, x) for x in xs]
+    assert _df_dx(n, a, xs, _perimeter_derivatives(4.0, xs)) == [
+        df_dx(12, a, x) for x in xs
+    ]
     assert _f(n, a, [0.0]) == [0.0]
 
 
@@ -226,7 +230,8 @@ def test_family_helpers():
     assert fam.is_sorted_by_angle()
     rev = PolygonFamily(tuple(reversed(fam.items)))
     assert not rev.is_sorted_by_angle()
-    assert rev.sorted_by_angle().items == fam.items
+    assert PolygonFamily.by_angle(rev.items).items == fam.items
+    assert PolygonFamily.by_angle(rev.items).angles == fam.angles
 
 
 def test_check_instance_k1_equality():

@@ -227,6 +227,22 @@ def test_regular_polygon_spec():
     assert degenerate.perimeter == 0.0
 
 
+def test_regular_polygon_spec_record():
+    # a spec prints, compares and hashes by its fields and is immutable
+    spec = RegularPolygonSpec.from_area(12, 6.0)
+    assert repr(spec) == "RegularPolygonSpec(n=12.0, theta=2.117993877991494, area=6.0)"
+    assert spec == RegularPolygonSpec.from_area(12, 6.0)
+    assert hash(spec) == hash(RegularPolygonSpec.from_area(12, 6.0))
+    assert spec != RegularPolygonSpec.from_area(12, 6.5)
+    for name in ("n", "theta", "area"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 1.0)
+    rep = extremal_report(2)
+    assert rep == extremal_report(2)
+    with pytest.raises(AttributeError):
+        rep.genus = 3
+
+
 def test_extremal_report_consistency():
     for g in (2, 3, 7):
         rep = extremal_report(g)
