@@ -74,21 +74,25 @@ def _genus_range(text: str) -> tuple:
     return tuple(range(first, last + 1))
 
 
+def _write(out_path, write) -> None:
+    """Pass the file out_path, opened for text, to write; a file that
+    cannot be written is a usage error."""
+    try:
+        with open(out_path, "w") as handle:
+            write(handle)
+    except OSError as err:
+        raise DomainError(f"cannot write output file: {err}")
+
+
 def _emit(text: str, out_path) -> None:
     """Write text, ending in a newline, to the file out_path or to stdout."""
     # the newline is written on its own: text + "\n" would copy the whole
-    # text, 11 MB for the genus-2000 SVG
-    tail = "" if text.endswith("\n") else "\n"
-    if not out_path:
-        sys.stdout.write(text)
-        sys.stdout.write(tail)
-        return
-    try:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-            handle.write(tail)
-    except OSError as err:
-        raise DomainError(f"cannot write output file: {err}")
+    # text, 1.4 MB for the genus-8000 --emit-map file
+    lines = (text, "" if text.endswith("\n") else "\n")
+    if out_path:
+        _write(out_path, lambda handle: handle.writelines(lines))
+    else:
+        sys.stdout.writelines(lines)
 
 
 def cmd_minlen(args) -> int:
@@ -198,7 +202,7 @@ def cmd_gluing(args) -> int:
     report = surfmap.canonical_report(cmap, args.genus)
     lines = []
     if args.svg:
-        _emit(surfmap.gluing_svg(sides), args.svg)
+        _write(args.svg, lambda handle: surfmap.gluing_svg(sides, handle))
         lines.append(f"svg written to {args.svg}")
     if args.emit_map:
         _emit(json_text(surfmap.to_interchange(cmap)), args.emit_map)

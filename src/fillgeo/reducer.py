@@ -60,7 +60,7 @@ class FillingMap:
             if val < 4:
                 raise ValidationError(f"vertex valence {val} below four")
         v = len(cmap.vertices())
-        e = len(cmap.edges())
+        e = cmap.dart_count // 2  # alpha pairs the darts
         faces = cmap.faces()
         for cycle in faces:
             if len(cycle) <= 2:
@@ -1091,7 +1091,7 @@ def reduce(filling: FillingMap) -> ReductionCertificate:
     input_dart_count = filling.cmap.dart_count
     state = _Complement(filling.cmap, frozenset())
     steps = []
-    budget = len(filling.cmap.edges())
+    budget = filling.cmap.dart_count // 2  # the edge count
     iterations = 0
 
     def abort(message):

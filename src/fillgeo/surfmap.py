@@ -16,6 +16,7 @@ Faces are traced with the convention next(d) = sigma(alpha(d)).
 
 import math
 from dataclasses import dataclass
+from operator import ne
 
 from . import tolerances as tol
 from .errors import DomainError, InternalInvariantError, ValidationError
@@ -91,14 +92,13 @@ class CombinatorialMap:
     sigma: tuple
     straight_corners: frozenset = frozenset()
     orientable: bool = True
-    dart_names: tuple | None = None
 
     def __post_init__(self):
         n = self.dart_count
         if n < 2:
             raise ValidationError("a map needs at least two darts")
         for name, perm in (("alpha", self.alpha), ("sigma", self.sigma)):
-            if len(perm) != n or sorted(perm) != list(range(n)):
+            if len(perm) != n or any(map(ne, sorted(perm), range(n))):
                 raise ValidationError(f"{name} is not a permutation of 0..{n - 1}")
         for d in range(n):
             if self.alpha[d] == d:
@@ -108,8 +108,6 @@ class CombinatorialMap:
         for d in self.straight_corners:
             if not 0 <= d < n:
                 raise ValidationError(f"straight corner dart {d} out of range")
-        if self.dart_names is not None and len(self.dart_names) != n:
-            raise ValidationError("dart_names length mismatch")
 
     def orbits(self, perm) -> tuple:
         seen = [False] * self.dart_count
@@ -220,44 +218,35 @@ def pair_strands(cycle, sigma, straight, opp) -> None:
 def build_map(word) -> CombinatorialMap:
     """Glue the polygon sides described by a gluing word or its sides.
 
-    Side k runs from corner k to corner k+1; each side has a ray at
-    either end.  Identified sides match their rays in parallel when
-    both occurrences are unreversed or both reversed, antiparallel
-    otherwise.  Rays merge in pairs into darts, corners merge into
-    vertices, and walking corner fans yields the vertex rotations.
+    Side k runs from corner k to corner k+1.  Identified sides are
+    glued end to end in parallel when both occurrences are unreversed
+    or both reversed, antiparallel otherwise.  The e-th label in order
+    of first occurrence is edge e, with darts 2e and 2e + 1; corners
+    merge into vertices, and walking corner fans yields the vertex
+    rotations.
     """
     sides = _sides(word)
     n = len(sides)
 
-    positions = {}
-    for index, (label, _) in enumerate(sides):
-        positions.setdefault(label, []).append(index)
-
-    # rays: ray 2k is the start of side k, ray 2k+1 its end; positions
-    # holds the labels in order of first occurrence, as they were filled
-    pair_ray = [None] * (2 * n)
-    for i, j in positions.values():
-        parallel = sides[i][1] == sides[j][1]
-        if parallel:
-            links = ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1))
+    # per side: its partner and the dart at its start.  A side starts
+    # on dart 2e at its label's first occurrence, and at the second
+    # too unless the pair is antiparallel.  End b of side k (0 its
+    # start, 1 its end) lies on dart start_dart[k] ^ b, and so does the
+    # partner's end glued to it.
+    partner = [0] * n
+    start_dart = [0] * n
+    first = {}
+    for k, (label, primed) in enumerate(sides):
+        i = first.setdefault(label, k)
+        if i == k:
+            start_dart[k] = 2 * (len(first) - 1)
         else:
-            links = ((2 * i, 2 * j + 1), (2 * i + 1, 2 * j))
-        for r, s in links:
-            pair_ray[r] = s
-            pair_ray[s] = r
+            partner[i], partner[k] = k, i
+            start_dart[k] = start_dart[i] ^ (primed != sides[i][1])
 
-    # darts: the two ray classes of each identified side pair, so the
-    # e-th label's edge is darts 2e and 2e + 1
-    dart_of_ray = [None] * (2 * n)
-    dart_names = []
-    for e, (label, (i, _)) in enumerate(positions.items()):
-        for ray, d in ((2 * i, 2 * e), (2 * i + 1, 2 * e + 1)):
-            dart_of_ray[ray] = dart_of_ray[pair_ray[ray]] = d
-        dart_names += (label + "+", label + "-")
-
-    # corner k sits between side k-1 and side k: its in-ray 2k-1 ends
-    # side k-1, its out-ray 2k starts side k, so ray r is at corner
-    # ((r + 1) // 2) % n, as its in-ray when r is odd
+    # corner k sits between the end of side k-1 and the start of side
+    # k; a fan enters a corner through one of them ("in" when through
+    # the end) and leaves it through the other
     sigma = [None] * n
     visited = [False] * n
     orientable = True
@@ -272,12 +261,19 @@ def build_map(word) -> CombinatorialMap:
                     f"corner {corner} visited twice while walking a vertex fan"
                 )
             visited[corner] = True
-            if not entered_in:
+            if entered_in:
+                side, d = corner, start_dart[corner]
+            else:
                 orientable = False
-            exit_ray = 2 * corner if entered_in else (2 * corner - 1) % (2 * n)
-            cycle.append(dart_of_ray[exit_ray])
-            ray = pair_ray[exit_ray]
-            corner, entered_in = ((ray + 1) // 2) % n, ray % 2 == 1
+                side = corner - 1  # -1 indexes side n - 1
+                d = start_dart[side] ^ 1
+            cycle.append(d)
+            j = partner[side]
+            if d ^ start_dart[j]:
+                # glued to the end of side j, which enters corner j + 1
+                corner, entered_in = (j + 1) % n, True
+            else:
+                corner, entered_in = j, False
             if corner == start and entered_in:
                 break
         for d, successor in zip(cycle, cycle[1:] + cycle[:1]):
@@ -291,7 +287,6 @@ def build_map(word) -> CombinatorialMap:
         sigma=tuple(sigma),
         straight_corners=frozenset(),
         orientable=orientable,
-        dart_names=tuple(dart_names),
     )
     if orientable and len(cmap.faces()) != 1:
         raise InternalInvariantError(
@@ -378,7 +373,8 @@ def surface_report(cmap: CombinatorialMap) -> dict:
     if not cmap.is_connected():
         raise ValidationError("map is disconnected: not a single closed surface")
     v = len(cmap.vertices())
-    e = len(cmap.edges())
+    # alpha is a fixed-point-free involution: one edge per two darts
+    e = cmap.dart_count // 2
     if not cmap.orientable:
         # the single polygon face runs through every dart once
         f = 1
@@ -529,17 +525,18 @@ def polygon_vertices(n, theta: float) -> list:
 
 
 # the 25 sample fractions along a side, and the SVG lines drawn from
-# them; %-formatting gives the same text as the :.5f format spec
+# them, each ending in its newline; %-formatting gives the same text as
+# the :.5f format spec
 _SAMPLES = tuple(t / 24 for t in range(25))
 _POLYLINE = (
     '<polyline points="' + " ".join(["%.5f,%.5f"] * len(_SAMPLES))
-    + '" fill="none" stroke="#224488" stroke-width="0.006"/>'
+    + '" fill="none" stroke="#224488" stroke-width="0.006"/>\n'
 )
 _LABEL = (
     '<text x="%.5f" y="%.5f" font-size="%.4f" text-anchor="middle" '
-    'dominant-baseline="middle" fill="#333333">%s</text>'
+    'dominant-baseline="middle" fill="#333333">%s</text>\n'
 )
-_CORNER = '<circle cx="%.5f" cy="%.5f" r="0.008" fill="#cc3333"/>'
+_CORNER = '<circle cx="%.5f" cy="%.5f" r="0.008" fill="#cc3333"/>\n'
 
 
 def _geodesic_points(z1: complex, z2: complex) -> list:
@@ -555,10 +552,12 @@ def _geodesic_points(z1: complex, z2: complex) -> list:
     return coords
 
 
-def gluing_svg(word) -> str:
+def gluing_svg(word, out) -> None:
     """Draw the right-angled polygon of a gluing word or its sides: disk,
-    geodesic sides, side labels.  A four-sided word draws the degenerate
-    square as a point at the origin."""
+    geodesic sides, side labels.  Writes the SVG to the text stream out
+    one line at a time, each line ending in a newline, so the picture is
+    never held whole.  A four-sided word draws the degenerate square as
+    a point at the origin."""
     sides = _sides(word)
     n = len(sides)
     corners = polygon_vertices(n, math.pi / 2.0)
@@ -566,25 +565,22 @@ def gluing_svg(word) -> str:
     degenerate = all(abs(z) < tol.SVG_POINT_TOL for z in zs)
 
     font = max(0.018, min(0.06, 2.5 / n))
-    parts = [
+    out.write(
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5" '
-        'width="720" height="720">',
-        '<rect x="-1.25" y="-1.25" width="2.5" height="2.5" fill="white"/>',
+        'width="720" height="720">\n'
+        '<rect x="-1.25" y="-1.25" width="2.5" height="2.5" fill="white"/>\n'
         '<circle cx="0" cy="0" r="1" fill="none" stroke="#bbbbbb" '
-        'stroke-width="0.004"/>',
-    ]
+        'stroke-width="0.004"/>\n'
+    )
     if degenerate:
-        parts.append('<circle cx="0" cy="0" r="0.01" fill="#cc3333"/>')
+        out.write('<circle cx="0" cy="0" r="0.01" fill="#cc3333"/>\n')
     else:
         for k in range(n):
-            parts.append(_POLYLINE % tuple(_geodesic_points(zs[k], zs[(k + 1) % n])))
+            out.write(_POLYLINE % tuple(_geodesic_points(zs[k], zs[(k + 1) % n])))
         for k, (label, primed) in enumerate(sides):
             phi = 2.0 * math.pi * (k + 0.5) / n
             text = label + ("'" if primed else "")
-            parts.append(
-                _LABEL % (1.09 * math.cos(phi), -1.09 * math.sin(phi), font, text)
-            )
+            out.write(_LABEL % (1.09 * math.cos(phi), -1.09 * math.sin(phi), font, text))
         for z in zs:
-            parts.append(_CORNER % (z.real, -z.imag))
-    parts.append("</svg>")
-    return "\n".join(parts)
+            out.write(_CORNER % (z.real, -z.imag))
+    out.write("</svg>\n")

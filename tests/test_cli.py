@@ -1,12 +1,14 @@
 """Command line behaviour: subcommands, exit codes, output formats."""
 
 import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -299,7 +301,25 @@ class TestGluing:
         )
         assert code == 0
         assert len(calls) == 1
-        assert svg_path.read_text() == surfmap.gluing_svg(surfmap.canonical_word(3)) + "\n"
+        expected = io.StringIO()
+        surfmap.gluing_svg(surfmap.canonical_word(3), expected)
+        assert svg_path.read_text() == expected.getvalue()
+
+    def test_svg_is_never_held_whole(self, capsys, tmp_path):
+        """The picture streams to its file: after a warm-up call, the
+        traced peak of gluing --svg stays below the size of the file."""
+        svg_path = tmp_path / "g500.svg"
+        argv = ["gluing", "--genus", "500", "--svg", str(svg_path)]
+        assert run_cli(argv, capsys)[0] == 0
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < svg_path.stat().st_size, (peak, svg_path.stat().st_size)
 
     def test_genus_fifty_is_fast(self, capsys):
         start = time.perf_counter()

@@ -1,6 +1,7 @@
 """Tests for polygon gluings and the canonical filling curve."""
 
 import hashlib
+import io
 import json
 import math
 import pathlib
@@ -114,9 +115,18 @@ def test_canonical_word_domain():
             canonical_word(bad)
 
 
+def dart_names(word):
+    """build_map's dart names: the e-th label L in order of first
+    occurrence is edge e, with darts 2e named L+ and 2e + 1 named L-;
+    L+ lies at the start of L's first occurrence."""
+    labels = dict.fromkeys(label for label, _ in parse_gluing_word(word))
+    return tuple(name for label in labels for name in (label + "+", label + "-"))
+
+
 def test_canonical_g2_vertex_fans():
     cmap = build_map(canonical_word(2))
-    fans = {frozenset(cmap.dart_names[d] for d in cyc) for cyc in cmap.vertices()}
+    names = dart_names(canonical_word(2))
+    fans = {frozenset(names[d] for d in cyc) for cyc in cmap.vertices()}
     assert fans == {
         frozenset({"a6+", "a3-", "a1+", "a2+"}),
         frozenset({"a6-", "a3+", "a5+", "a4-"}),
@@ -126,7 +136,8 @@ def test_canonical_g2_vertex_fans():
 
 def test_canonical_g2_curve_orbit():
     cmap = build_map(canonical_word(2))
-    index = {cmap.dart_names[d]: d for d in range(cmap.dart_count)}
+    names = dart_names(canonical_word(2))
+    index = {name: d for d, name in enumerate(names)}
     owner = cmap.vertex_of_dart()
     valence = [len(c) for c in cmap.vertices()]
 
@@ -141,7 +152,7 @@ def test_canonical_g2_curve_orbit():
     while d != orbit[0]:
         orbit.append(d)
         d = succ(d)
-    assert [cmap.dart_names[d] for d in orbit] == [
+    assert [names[d] for d in orbit] == [
         "a6+", "a5+", "a4+", "a3+", "a2+", "a1-",
     ]
 
@@ -264,6 +275,17 @@ def test_map_validation():
         CombinatorialMap(dart_count=1, alpha=(0,), sigma=(0,))
 
 
+@pytest.mark.parametrize("alpha, sigma, name", [
+    ((1, 0, 3, 3), (0, 1, 2, 3), "alpha"),
+    ((1, 0, 3, 2), (0, 1, 2, 4), "sigma"),
+    ((1, 0, 3), (0, 1, 2, 3), "alpha"),
+    ((1, 0, 3, 2), (1, 2, 3, 0, 4), "sigma"),
+])
+def test_permutation_check_names_the_table(alpha, sigma, name):
+    with pytest.raises(ValidationError, match=rf"^{name} is not a permutation of 0\.\.3$"):
+        CombinatorialMap(dart_count=4, alpha=alpha, sigma=sigma)
+
+
 def test_disconnected_map_rejected():
     cmap = from_interchange(
         {"dart_count": 4, "alpha": [1, 0, 3, 2], "sigma": [1, 0, 3, 2]}
@@ -319,13 +341,20 @@ def test_disk_distance():
         disk_distance((1.0, 0.0), (0.0, 0.0))
 
 
+def svg_text(word):
+    out = io.StringIO()
+    assert gluing_svg(word, out) is None
+    return out.getvalue()
+
+
 def test_gluing_svg():
-    svg = gluing_svg(canonical_word(2))
+    svg = svg_text(canonical_word(2))
     assert svg.startswith("<svg")
+    assert svg.endswith("</svg>\n")
     assert svg.count("<polyline") == 12
     assert "a6'" in svg
     # a right-angled square is degenerate: single marker, no sides
-    degenerate = gluing_svg("a b a' b'")
+    degenerate = svg_text("a b a' b'")
     assert "<polyline" not in degenerate
     assert "<circle" in degenerate
 
@@ -404,8 +433,122 @@ def test_build_map_tables_pinned():
             outcomes.append((type(exc).__name__, str(exc)))
             continue
         orientable += cmap.orientable
-        outcomes.append((cmap.alpha, cmap.sigma, cmap.orientable, cmap.dart_names))
+        outcomes.append((cmap.alpha, cmap.sigma, cmap.orientable, dart_names(tokens)))
     refused = sum(len(o) == 2 for o in outcomes)
     assert (refused, orientable) == (40, 219)
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == PINNED_BUILD_MAP_DIGEST
+
+
+def _reference_build_map(word):
+    """build_map as it was written per ray, kept as the oracle for the
+    per-side walk: returns (alpha, sigma, orientable, dart names)."""
+    sides = parse_gluing_word(word)
+    n = len(sides)
+    positions = {}
+    for index, (label, _) in enumerate(sides):
+        positions.setdefault(label, []).append(index)
+
+    # ray 2k is the start of side k, ray 2k+1 its end
+    pair_ray = [None] * (2 * n)
+    for i, j in positions.values():
+        if sides[i][1] == sides[j][1]:
+            links = ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1))
+        else:
+            links = ((2 * i, 2 * j + 1), (2 * i + 1, 2 * j))
+        for r, s in links:
+            pair_ray[r] = s
+            pair_ray[s] = r
+
+    dart_of_ray = [None] * (2 * n)
+    names = []
+    for e, (label, (i, _)) in enumerate(positions.items()):
+        for ray, d in ((2 * i, 2 * e), (2 * i + 1, 2 * e + 1)):
+            dart_of_ray[ray] = dart_of_ray[pair_ray[ray]] = d
+        names += (label + "+", label + "-")
+
+    # ray r is at corner ((r + 1) // 2) % n, as its in-ray when r is odd
+    sigma = [None] * n
+    visited = [False] * n
+    orientable = True
+    for start in range(n):
+        if visited[start]:
+            continue
+        cycle = []
+        corner, entered_in = start, True
+        while True:
+            if visited[corner]:
+                raise InternalInvariantError(
+                    f"corner {corner} visited twice while walking a vertex fan"
+                )
+            visited[corner] = True
+            if not entered_in:
+                orientable = False
+            exit_ray = 2 * corner if entered_in else (2 * corner - 1) % (2 * n)
+            cycle.append(dart_of_ray[exit_ray])
+            ray = pair_ray[exit_ray]
+            corner, entered_in = ((ray + 1) // 2) % n, ray % 2 == 1
+            if corner == start and entered_in:
+                break
+        for d, successor in zip(cycle, cycle[1:] + cycle[:1]):
+            if sigma[d] is not None:
+                raise InternalInvariantError(f"dart {d} appears in two vertex fans")
+            sigma[d] = successor
+
+    alpha = tuple(d ^ 1 for d in range(n))
+    cmap = CombinatorialMap(dart_count=n, alpha=alpha, sigma=tuple(sigma), orientable=orientable)
+    if orientable and len(cmap.faces()) != 1:
+        raise InternalInvariantError(
+            "orientable polygon gluing must trace back to a single face"
+        )
+    return alpha, tuple(sigma), orientable, tuple(names)
+
+
+def _random_words(count, seed):
+    """count seeded words of 1..40 labels, each pair unreversed, reversed
+    or mixed at random, so most words with several pairs are not
+    orientable, and a quarter of them orientable by construction."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        k = rng.randint(1, 40)
+        orientable = rng.random() < 0.25
+        tokens = []
+        for i in range(k):
+            if orientable:
+                tokens += rng.sample((f"c{i}", f"c{i}'"), 2)
+            else:
+                tokens += [f"c{i}" + rng.choice(("", "'")) for _ in range(2)]
+        rng.shuffle(tokens)
+        words.append(tokens)
+    return words
+
+
+def _outcome(build, word):
+    try:
+        return build(word)
+    except (ValidationError, InternalInvariantError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_build_map_matches_the_per_ray_reference():
+    """The per-side walk gives the per-ray construction's alpha, sigma,
+    orientability and refusals, and its darts carry the names
+    dart_names derives."""
+    words = _pinned_words()
+    words += [canonical_word(g) for g in range(2, 41)]
+    words += _random_words(3000, 29)
+    kinds = {"refused": 0, "orientable": 0, "non-orientable": 0}
+    for word in words:
+        expected = _outcome(_reference_build_map, word)
+
+        def built(word):
+            cmap = build_map(word)
+            return cmap.alpha, cmap.sigma, cmap.orientable, dart_names(word)
+
+        assert _outcome(built, word) == expected, word
+        if len(expected) == 2:
+            kinds["refused"] += 1
+        else:
+            kinds["orientable" if expected[2] else "non-orientable"] += 1
+    assert min(kinds.values()) >= 40, kinds
