@@ -17,7 +17,6 @@ filtered: connected, no face of degree <= 2, right genus, and a full
 reduction run that passes its certificate checks.
 """
 
-import json
 import pathlib
 import random
 import sys
@@ -26,6 +25,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from fillgeo import reducer, surfmap
 from fillgeo.errors import InternalInvariantError, ValidationError
+from fillgeo.report import json_text
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -84,17 +84,22 @@ def random_map(rng, valences):
     )
 
 
+def map_genus(cmap):
+    """The genus of the surface a connected map cmap fills, from its
+    Euler characteristic; each edge is a pair of darts."""
+    euler = len(cmap.vertices()) - cmap.dart_count // 2 + len(cmap.faces())
+    return (2 - euler) // 2
+
+
 def passes_reduction(cmap, genus, want_triangle):
     if not cmap.is_connected():
         return None
-    faces = cmap.faces()
-    degrees = sorted(len(f) for f in faces)
+    degrees = sorted(len(f) for f in cmap.faces())
     if degrees and degrees[0] <= 2:
         return None
     if want_triangle and 3 not in degrees:
         return None
-    euler = len(cmap.vertices()) - len(cmap.edges()) + len(faces)
-    if euler != 2 - 2 * genus:
+    if map_genus(cmap) != genus:
         return None
     try:
         cert = reducer.reduce(reducer.validate_input(cmap, genus))
@@ -129,7 +134,7 @@ def write_fixture(name, cmap, genus, description):
     data["genus"] = genus
     data["description"] = description
     path = DATA_DIR / f"{name}.json"
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    path.write_text(json_text(data) + "\n")
     print(f"wrote {path}")
 
 
@@ -186,10 +191,9 @@ def main():
 
     for valences, seed in REPRODUCERS:
         cmap = random_map(random.Random(seed), valences)
-        euler = len(cmap.vertices()) - len(cmap.edges()) + len(cmap.faces())
         name = "-".join(map(str, valences))
         write_fixture(
-            f"reproducer_{name}@{seed}", cmap, (2 - euler) // 2,
+            f"reproducer_{name}@{seed}", cmap, map_genus(cmap),
             f"random map with vertex valences {name} (seed {seed}) on which the "
             "reducer once raised InternalInvariantError or certified a degree-4 face",
         )
@@ -198,10 +202,9 @@ def main():
     rng = random.Random(seed)
     valences = [rng.choice(choices) for _ in range(rng.randint(4, 10))]
     cmap = random_map(rng, valences)
-    euler = len(cmap.vertices()) - len(cmap.edges()) + len(cmap.faces())
     name = "-".join(map(str, valences))
     write_fixture(
-        "second_region_face", cmap, (2 - euler) // 2,
+        "second_region_face", cmap, map_genus(cmap),
         f"random map with vertex valences {name} (valences drawn from "
         f"{list(choices)}, seed {seed}) whose reduction makes a face of new "
         "darts alone in the second of two non-disk regions",

@@ -27,7 +27,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from fillgeo import reducer
 from fillgeo.errors import InternalInvariantError, ValidationError
-from make_reducer_fixtures import random_map
+from make_reducer_fixtures import map_genus, random_map
 
 SEED = 12345
 DRAWS = 3000
@@ -44,8 +44,7 @@ def census_maps():
         cmap = random_map(rng, valences)
         if not cmap.is_connected() or min(len(f) for f in cmap.faces()) < 3:
             continue
-        euler = len(cmap.vertices()) - len(cmap.edges()) + len(cmap.faces())
-        genus = (2 - euler) // 2
+        genus = map_genus(cmap)
         if genus >= 2:
             yield cmap, genus
 

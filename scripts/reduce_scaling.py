@@ -33,7 +33,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from fillgeo import reducer
 from fillgeo.errors import ValidationError
-from make_reducer_fixtures import random_map
+from make_reducer_fixtures import map_genus, random_map
 
 SIZES = (48, 96, 192, 384, 768)
 MIXED_SIZES = (24, 48, 96, 192, 384, 768)
@@ -51,10 +51,8 @@ def draw_input(rng, vertices, valences):
         degrees = [rng.choice(valences) for _ in range(vertices)]
     while True:
         cmap = random_map(rng, degrees)
-        euler = len(cmap.vertices()) - len(cmap.edges()) + len(cmap.faces())
-        genus = (2 - euler) // 2
         try:
-            return reducer.validate_input(cmap, genus)
+            return reducer.validate_input(cmap, map_genus(cmap))
         except ValidationError:
             continue
 

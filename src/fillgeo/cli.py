@@ -18,8 +18,8 @@ import argparse
 import functools
 import sys
 
-# isoperim, reducer, report, surfmap and json are imported where they
-# are used, so start-up and ``minlen`` without --json load none of them
+# isoperim, reducer, surfmap and report, whose json_text writes all JSON,
+# are imported where used: start-up and ``minlen`` without --json load none
 from . import polygeom
 from .errors import DomainError, InternalInvariantError, ValidationError
 
@@ -99,9 +99,9 @@ def cmd_minlen(args) -> int:
     """One row per genus: g, side count, side, perimeter, half-perimeter."""
     rows = [polygeom.extremal_report(g) for g in args.genus]
     if args.json:
-        import json
+        from .report import json_text
 
-        text = json.dumps([r.as_dict() for r in rows], indent=2, sort_keys=True)
+        text = json_text([r.as_dict() for r in rows])
     else:
         lines = ["# genus  sides  side  perimeter  min_length"]
         for rep in rows:
@@ -121,9 +121,9 @@ def cmd_polygon(args) -> int:
         spec = polygeom.RegularPolygonSpec.from_area(args.n, args.area)
     data = spec.as_dict()
     if args.json:
-        import json
+        from .report import json_text
 
-        text = json.dumps(data, indent=2, sort_keys=True)
+        text = json_text(data)
     else:
         text = "\n".join(f"{key}={data[key]!r}" for key in
                          ("n", "theta", "area", "side", "perimeter", "circumradius"))
@@ -171,11 +171,9 @@ def cmd_verify(args) -> int:
     which = "all" if args.all else args.which
     reports = _verify_reports(which, args)
     if args.json:
-        import json
+        from .report import json_text
 
-        text = json.dumps(
-            [r.as_dict() for r in reports], indent=2, sort_keys=True, default=repr
-        )
+        text = json_text([r.as_dict() for r in reports])
     else:
         lines = []
         for rep in reports:
@@ -208,7 +206,7 @@ def cmd_gluing(args) -> int:
         _emit(json_text(surfmap.to_interchange(cmap)), args.emit_map)
         lines.append(f"map written to {args.emit_map}")
     if args.json:
-        text = report.to_json()
+        text = json_text(report.as_dict())
     else:
         lines.append(report.summary())
         if not report.passed:

@@ -1,27 +1,36 @@
-"""Verification report records.
+"""Verification report records and the package's one JSON writer.
 
 Every sweep verifier returns one CheckReport: what was swept, how
 densely, the worst value found and where, and whether the check
 passed.  Reports serialize to key=value text lines and to JSON.
-json_text writes the JSON of certificates and map files.
+json_text writes every JSON text fillgeo prints or writes.  CheckReport
+is a named tuple, as polygeom's records are, so that the ``--json`` of
+``minlen`` and ``polygon`` loads no ``dataclasses``.
 """
 
-import json
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
+
+# the json module's spellings of the floats whose repr is nan, inf and -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def json_text(value, indent: str = "") -> str:
-    """The text json.dumps(value, indent=2, sort_keys=True) gives, for
-    the bool, int, str, list, tuple and str-keyed dict values that
-    certificates and map files hold; indent is that of the line the
-    value starts on.  A list of ints is joined as one string instead of
-    encoded item by item.  Any other type raises TypeError."""
+    """What the json module's dumps writes with indent=2, sort_keys=True
+    for None, bool, int, float, str, list, tuple and str-keyed dict
+    values; indent is that of the line the value starts on.  A list of
+    ints is joined as one string, not encoded item by item.  Any other
+    type, a subclass of one of these too, raises TypeError."""
     kind, inner = type(value), indent + "  "
+    if value is None:
+        return "null"
     if kind is bool:
         return "true" if value else "false"
     if kind is int:
         return str(value)
+    if kind is float:
+        text = repr(value)
+        return _NON_FINITE.get(text, text)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is list or kind is tuple:
@@ -45,16 +54,12 @@ def json_text(value, indent: str = "") -> str:
     raise TypeError(f"{kind.__name__} is not written as JSON")
 
 
-@dataclass
-class CheckReport:
-    check_id: str
-    passed: bool
-    domain: str
-    grid_size: int
-    min_value: float | None
-    argmin: tuple | None
-    tolerance: float
-    details: dict = field(default_factory=dict)
+class CheckReport(namedtuple(
+    "CheckReport", "check_id passed domain grid_size min_value argmin tolerance details"
+)):
+    """One check; min_value and argmin are None where it has no worst value."""
+
+    __slots__ = ()
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -78,7 +83,4 @@ class CheckReport:
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True, default=repr)
+        return self._asdict()

@@ -471,24 +471,43 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
+def fresh_modules(code):
+    """The names in sys.modules after code runs in a fresh interpreter;
+    code prints nothing, or its output is read as module names too."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return set(subprocess.run(
+        [sys.executable, "-c", code + "print(' '.join(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split())
+
+
 def test_import_loads_only_polygeom():
     # minlen needs only polygeom; isoperim, reducer and surfmap load with
     # the subcommands that use them, so start-up does not compile them;
     # nor does it load the stdlib modules that minlen does not need
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
-    def modules(code):
-        return set(subprocess.run(
-            [sys.executable, "-c", code + "print(' '.join(sys.modules))"],
-            env=env, capture_output=True, text=True, check=True, timeout=60,
-        ).stdout.split())
-
-    loaded = modules("import sys, fillgeo.cli; ")
-    added = loaded - modules("import sys; ")
+    loaded = fresh_modules("import sys, fillgeo.cli; ")
+    added = loaded - fresh_modules("import sys; ")
     assert "fillgeo.polygeom" in loaded
     for name in ("fillgeo.isoperim", "fillgeo.reducer", "fillgeo.surfmap"):
         assert name not in loaded
     for name in ("dataclasses", "inspect", "json", "typing"):
         assert name not in added
+
+
+@pytest.mark.parametrize("argv", [
+    ["minlen", "--genus", "2", "--json"],
+    ["polygon", "--n", "5", "--area", "5", "--json"],
+], ids=" ".join)
+def test_json_output_loads_no_dataclasses(argv):
+    # json_text writes the JSON, and report.CheckReport is a named tuple;
+    # the JSON is captured so that stdout holds module names only
+    code = (
+        "import contextlib, io, sys\nfrom fillgeo import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+    )
+    loaded = fresh_modules(code)
+    assert "fillgeo.report" in loaded
+    assert "dataclasses" not in loaded

@@ -43,6 +43,7 @@ from fillgeo.polygeom import (
     perimeter_from_area,
     perimeter_second_derivative,
 )
+from fillgeo.report import json_text
 
 # mpmath 50-digit oracle values for the counterexample instance
 P6_OF_4_99 = 11.190174475172462452
@@ -406,4 +407,4 @@ def test_report_text_round_trip():
     assert "passed=true" in text
     data = report.as_dict()
     assert data["check_id"] == "lemma_3_3_n6"
-    report.to_json()
+    assert '"check_id": "lemma_3_3_n6"' in json_text(data)

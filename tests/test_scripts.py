@@ -14,9 +14,6 @@ import pytest
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 CLOSING = {
     ("run_all_verifications.py",): lambda line: line.endswith(": all checks passed"),
-    ("orientation_search.py", "--genus", "2"): lambda line: (
-        line == "the all-reversed pattern is the unique orientable choice"
-    ),
     ("kissing_threshold.py",): lambda line: line.startswith("i.e. g ~ 10^3730.07"),
 }
 

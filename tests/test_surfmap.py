@@ -220,6 +220,25 @@ def test_verify_canonical_negative_control():
     assert not report["orientable"]
 
 
+@pytest.mark.parametrize("g", [2, 3])
+def test_all_reversed_is_the_only_orientable_pattern(g):
+    # every choice of the labels whose second occurrence in the canonical
+    # word is reversed: 2^(4g-2) words, 64 at g = 2 and 1,024 at g = 3
+    tokens = [t.rstrip("'") for t in canonical_word(g)]
+    labels = sorted(set(tokens))
+    assert len(labels) == 4 * g - 2
+    orientable = []
+    for mask in range(1 << len(labels)):
+        marked = {label for bit, label in enumerate(labels) if mask >> bit & 1}
+        seen, word = set(), []
+        for token in tokens:
+            word.append(token + "'" if token in seen and token in marked else token)
+            seen.add(token)
+        if build_map(word).orientable:
+            orientable.append(word)
+    assert orientable == [canonical_word(g)]
+
+
 def test_canonical_report_matches_verify_canonical():
     for g in range(2, 7):
         rep = canonical_report(build_map(canonical_word(g)), g)
