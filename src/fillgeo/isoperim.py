@@ -15,12 +15,16 @@ time, and the classifier for the equality case.
 
 All verifiers return CheckReport records; they gather floating-point
 evidence on grids, they do not prove anything symbolically.
+
+The records are named tuples or slotted classes, not dataclasses: a
+draw makes tens of thousands, and ``fillgeo verify`` loads no
+``dataclasses``.  An instance is checked once, when it is made.
 """
 
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
+from operator import itemgetter
 
 from . import tolerances as tol
 from .errors import DomainError, ValidationError
@@ -75,24 +79,22 @@ def _df_dx(n: float, a: float, xs, squares) -> list:
 MIN_SAMPLES = 100
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "steps samples")):
     """Sweep densities, integers: steps per axis of the 2d grids (at
     least 2), samples of the 1d sweeps (at least MIN_SAMPLES).  Every
     sweep takes its density from here, the one place it is checked."""
 
-    steps: int = 40
-    samples: int = 10000
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("steps", "samples"):
-            value = getattr(self, name)
+    def __new__(cls, steps: int = 40, samples: int = 10000):
+        for name, value in (("steps", steps), ("samples", samples)):
             if type(value) is not int:
                 raise ValidationError(f"grid {name} must be an integer, got {value!r}")
-        if self.steps < 2:
+        if steps < 2:
             raise ValidationError("grid step counts must be at least 2")
-        if self.samples < MIN_SAMPLES:
-            raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {self.samples!r}")
+        if samples < MIN_SAMPLES:
+            raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {samples!r}")
+        return super().__new__(cls, steps, samples)
 
 
 def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
@@ -417,73 +419,70 @@ def verify_prop_3_6(grid: GridSpec | None = None) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
 class PolygonFamily:
     """Ordered list of (side count, area) pairs."""
 
-    items: tuple
+    __slots__ = ("items", "_angles")
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(tuple(p) for p in self.items))
+    def __init__(self, items):
+        self.items = tuple(map(tuple, items))
+        self._angles = None
 
     @property
     def k(self) -> int:
         return len(self.items)
 
-    @cached_property
+    @property
     def angles(self) -> tuple:
         """Member interior angles, computed once per family.  The members
         are not checked here: IsoperimetricInstance checks them once,
         when it is made."""
-        return tuple(_angle_from_area(m, a) for m, a in self.items)
+        if self._angles is None:
+            self._angles = tuple(_angle_from_area(m, a) for m, a in self.items)
+        return self._angles
 
     @classmethod
     def by_angle(cls, items) -> "PolygonFamily":
         """The family of items in descending angle order, equal angles in
         their given order; it keeps the angles the sort computed."""
         angles = [_angle_from_area(m, a) for m, a in items]
-        order = sorted(range(len(items)), key=lambda i: -angles[i])
-        family = cls(tuple(items[i] for i in order))
-        object.__setattr__(family, "angles", tuple(angles[i] for i in order))
+        order = sorted(range(len(items)), key=angles.__getitem__, reverse=True)
+        family = cls([items[i] for i in order])
+        family._angles = tuple([angles[i] for i in order])
         return family
 
     def total_area(self) -> float:
-        return sum(a for _, a in self.items)
+        return sum(map(itemgetter(1), self.items))
 
     def merged_sides(self) -> int:
-        return sum(m for m, _ in self.items) - 4 * self.k + 4
+        return sum(map(itemgetter(0), self.items)) - 4 * len(self.items) + 4
 
     def is_sorted_by_angle(self) -> bool:
         ang = self.angles
-        return all(ang[i] >= ang[i + 1] - tol.ANGLE_TOL for i in range(self.k - 1))
+        return all(a >= b - tol.ANGLE_TOL for a, b in zip(ang, ang[1:]))
 
 
-@dataclass(frozen=True)
 class IsoperimetricInstance:
     """A polygon family and the target polygon it competes against.
 
     The target is the regular polygon with the family's merged side
     count sum(m_i) - 4k + 4 and its total area, so the side-count
     balance and the area match hold by construction.  The constructor
-    runs validate_instance, so every instance meets the hypotheses of
-    the inequality: side counts >= 4 and target angle >= pi/2.
+    runs validate_instance and keeps the target it returns, so every
+    instance meets the hypotheses of the inequality: side counts >= 4
+    and target angle >= pi/2.
     """
 
-    family: PolygonFamily
+    __slots__ = ("family", "target")
 
-    def __post_init__(self):
-        validate_instance(self)
-
-    @cached_property
-    def target(self) -> RegularPolygonSpec:
-        return RegularPolygonSpec.from_area(
-            self.family.merged_sides(), self.family.total_area()
-        )
+    def __init__(self, family: PolygonFamily):
+        self.family = family
+        self.target = validate_instance(self)
 
 
-def validate_instance(inst: IsoperimetricInstance) -> None:
+def validate_instance(inst: IsoperimetricInstance) -> RegularPolygonSpec:
     """Refuse an instance outside the hypotheses of the inequality
-    (ValidationError); IsoperimetricInstance runs this when it is made."""
+    (ValidationError), else return its target; the constructor runs this."""
     fam = inst.family
     if fam.k < 1:
         raise ValidationError("family must contain at least one polygon")
@@ -495,11 +494,12 @@ def validate_instance(inst: IsoperimetricInstance) -> None:
                 f"member area {a!r} outside [0, {_max_area(m)}) for {m} sides"
             )
     try:
-        target = inst.target
+        target = RegularPolygonSpec.from_area(fam.merged_sides(), fam.total_area())
     except DomainError as exc:
         raise ValidationError(f"the family has no target polygon: {exc}") from exc
     if target.theta < math.pi / 2.0 - tol.ANGLE_TOL:
         raise ValidationError(f"target angle {target.theta!r} below pi/2")
+    return target
 
 
 def check_instance(inst: IsoperimetricInstance) -> dict:
@@ -518,10 +518,7 @@ def check_instance(inst: IsoperimetricInstance) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class EqualityClassification:
-    expected_shape: bool
-    nondegenerate_count: int
+EqualityClassification = namedtuple("EqualityClassification", "expected_shape nondegenerate_count")
 
 
 def classify_equality(inst: IsoperimetricInstance) -> EqualityClassification:
@@ -589,12 +586,13 @@ def random_instance(rng: random.Random) -> IsoperimetricInstance:
         theta = rng.uniform(math.pi / 2.0, _max_angle(m))
         target_area = max(0.0, _area_from_angle(m, theta))
         areas = None
+        tops = [_max_area(mi) for mi in ms]
         for _ in range(200):
             weights = [rng.gammavariate(1.0, 1.0) for _ in range(k)]
             total = sum(weights)
             trial = [target_area * w / total for w in weights]
             trial[-1] = target_area - sum(trial[:-1])
-            if all(0.0 <= a < _max_area(mi) for a, mi in zip(trial, ms)):
+            if all(0.0 <= a < top for a, top in zip(trial, tops)):
                 areas = trial
                 break
         if areas is None:
@@ -605,12 +603,10 @@ def random_instance(rng: random.Random) -> IsoperimetricInstance:
     return IsoperimetricInstance(PolygonFamily.by_angle(tuple(zip(ms, areas))))
 
 
-@dataclass(frozen=True)
-class InstanceDraw:
+class InstanceDraw(namedtuple("InstanceDraw", "seed instances")):
     """Random instances from random.Random(seed), shared by both random suites."""
 
-    seed: int
-    instances: tuple
+    __slots__ = ()
 
     @property
     def count(self) -> int:

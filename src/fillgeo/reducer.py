@@ -150,7 +150,7 @@ class _MutableMap:
         """The live map as a CombinatorialMap: the map this one was built
         from, that same object, until a refinement adds darts."""
         if self._frozen.dart_count < len(self.alpha):
-            self._frozen = CombinatorialMap(
+            self._frozen = CombinatorialMap._trusted(
                 dart_count=len(self.alpha),
                 alpha=tuple(self.alpha),
                 sigma=tuple(self.sigma),
@@ -1028,7 +1028,7 @@ def _smoothed_subgraph_map(state: _Complement):
         else:
             degrees[state.region_of(sigma[d])] += 1
 
-    return CombinatorialMap(
+    return CombinatorialMap._trusted(
         dart_count=len(real),
         alpha=tuple(alpha_out),
         sigma=tuple(sigma_out),

@@ -15,6 +15,7 @@ Faces are traced with the convention next(d) = sigma(alpha(d)).
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import ne
 
@@ -43,18 +44,12 @@ def parse_gluing_word(word):
         tokens = [str(t) for t in word]
     if not tokens:
         raise ValidationError("gluing word is empty")
-    sides = []
-    for token in tokens:
-        if token.endswith("'"):
-            label, primed = token[:-1], True
-        else:
-            label, primed = token, False
+    sides = [(t[:-1], True) if t.endswith("'") else (t, False) for t in tokens]
+    labels = [label for label, _ in sides]
+    for token, label in zip(tokens, labels):
         if not label or "'" in label:
             raise ValidationError(f"malformed side token {token!r}")
-        sides.append((label, primed))
-    counts = {}
-    for label, _ in sides:
-        counts[label] = counts.get(label, 0) + 1
+    counts = Counter(labels)
     bad = sorted(label for label, c in counts.items() if c != 2)
     if bad:
         raise ValidationError(
@@ -85,6 +80,10 @@ class CombinatorialMap:
     is computed here once, on first use, and kept in the instance
     __dict__ as an immutable tuple, outside equality and hashing.
     Every caller gets that same object: copy it before mutating.
+
+    The constructor checks the tables, for maps from outside such as
+    from_interchange's; _trusted skips the checks, for the makers that
+    build their tables valid (build_map and the reducer's maps).
     """
 
     dart_count: int
@@ -108,6 +107,14 @@ class CombinatorialMap:
         for d in self.straight_corners:
             if not 0 <= d < n:
                 raise ValidationError(f"straight corner dart {d} out of range")
+
+    @classmethod
+    def _trusted(cls, dart_count, alpha, sigma, straight_corners=frozenset(), orientable=True):
+        """The map of valid tables, made without the constructor's checks."""
+        cmap = object.__new__(cls)
+        cmap.__dict__.update(dart_count=dart_count, alpha=alpha, sigma=sigma,
+                             straight_corners=straight_corners, orientable=orientable)
+        return cmap
 
     def orbits(self, perm) -> tuple:
         seen = [False] * self.dart_count
@@ -140,7 +147,7 @@ class CombinatorialMap:
     def faces(self) -> tuple:
         return self._derived(
             "_faces",
-            lambda m: m.orbits([m.sigma[m.alpha[d]] for d in range(m.dart_count)]),
+            lambda m: m.orbits(list(map(m.sigma.__getitem__, m.alpha))),
         )
 
     def vertex_of_dart(self) -> tuple:
@@ -281,11 +288,11 @@ def build_map(word) -> CombinatorialMap:
                 raise InternalInvariantError(f"dart {d} appears in two vertex fans")
             sigma[d] = successor
 
-    cmap = CombinatorialMap(
+    # the fans cover every dart once, so sigma is a permutation
+    cmap = CombinatorialMap._trusted(
         dart_count=n,
-        alpha=tuple(d ^ 1 for d in range(n)),
+        alpha=tuple([d ^ 1 for d in range(n)]),
         sigma=tuple(sigma),
-        straight_corners=frozenset(),
         orientable=orientable,
     )
     if orientable and len(cmap.faces()) != 1:
@@ -306,25 +313,15 @@ def canonical_word(g: int) -> list:
     the unique orientable choice.
     """
     _check_genus(g)
-    tokens = ["a6", "a3", "a1", "a4", "a6"]
+    tokens = ["a6", "a3", "a1", "a4", "a6'"]
     for j in range(1, g - 1):
         p = f"b{j}_"
-        tokens += [p + "3", p + "1", p + "2", p + "3", p + "1", p + "4"]
-    tokens += ["a3", "a5", "a1", "a2", "a5", "a4", "a2"]
+        tokens += [p + "3", p + "1", p + "2", p + "3'", p + "1'", p + "4"]
+    tokens += ["a3'", "a5", "a1'", "a2", "a5'", "a4'", "a2'"]
     for j in range(g - 2, 0, -1):
         p = f"b{j}_"
-        tokens += [p + "4", p + "2"]
-    seen = set()
-    out = []
-    for token in tokens:
-        if token in seen:
-            out.append(token + "'")
-        else:
-            seen.add(token)
-            out.append(token)
-    if len(out) != 8 * g - 4:
-        raise InternalInvariantError("canonical word has the wrong length")
-    return out
+        tokens += [p + "4'", p + "2'"]
+    return tokens
 
 
 def trace_curve(cmap: CombinatorialMap) -> dict:
@@ -342,7 +339,7 @@ def trace_curve(cmap: CombinatorialMap) -> dict:
                 f"vertex {v} has odd valence {val}: strands cannot pass through"
             )
     alpha, opp = cmap.alpha, cmap.strand_opposites()
-    orbits = cmap.orbits([opp[alpha[d]] for d in range(cmap.dart_count)])
+    orbits = cmap.orbits(list(map(opp.__getitem__, alpha)))
     orbit_id = _orbit_index(cmap, orbits)
 
     # a strand traversed backwards visits the alpha images, so orbits
@@ -368,9 +365,11 @@ def surface_report(cmap: CombinatorialMap) -> dict:
 
     Euler characteristic, genus (crosscap count when non-orientable),
     face degrees with straight corners discounted, and the strand
-    census from trace_curve.  Disconnected maps are rejected.
+    census from trace_curve.  Disconnected maps are rejected; each
+    component has faces of its own, so one face means one component.
     """
-    if not cmap.is_connected():
+    one_face = cmap.orientable and len(cmap.faces()) == 1
+    if not one_face and not cmap.is_connected():
         raise ValidationError("map is disconnected: not a single closed surface")
     v = len(cmap.vertices())
     # alpha is a fixed-point-free involution: one edge per two darts
@@ -382,11 +381,9 @@ def surface_report(cmap: CombinatorialMap) -> dict:
     else:
         faces = cmap.faces()
         f = len(faces)
+        alpha, straight = cmap.alpha, cmap.straight_corners
         effective = sorted(
-            (
-                sum(1 for d in cycle if cmap.alpha[d] not in cmap.straight_corners)
-                for cycle in faces
-            ),
+            (sum(1 for d in cycle if alpha[d] not in straight) for cycle in faces),
             reverse=True,
         )
     euler = v - e + f
@@ -409,7 +406,7 @@ def surface_report(cmap: CombinatorialMap) -> dict:
         "euler": euler,
         "genus": genus,
         "orientable": cmap.orientable,
-        "vertex_valences": sorted((len(c) for c in cmap.vertices()), reverse=True),
+        "vertex_valences": sorted(map(len, cmap.vertices()), reverse=True),
         "face_effective_degrees": effective,
         "curve_components": curve["components"],
         "self_intersections": curve["self_intersections"],

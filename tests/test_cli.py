@@ -499,10 +499,12 @@ def test_import_loads_only_polygeom():
 @pytest.mark.parametrize("argv", [
     ["minlen", "--genus", "2", "--json"],
     ["polygon", "--n", "5", "--area", "5", "--json"],
+    ["verify", "example312"],
 ], ids=" ".join)
 def test_json_output_loads_no_dataclasses(argv):
-    # json_text writes the JSON, and report.CheckReport is a named tuple;
-    # the JSON is captured so that stdout holds module names only
+    # json_text writes the JSON, report.CheckReport is a named tuple, and
+    # isoperim's records are named tuples and slotted classes; the output
+    # is captured so that stdout holds module names only
     code = (
         "import contextlib, io, sys\nfrom fillgeo import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"

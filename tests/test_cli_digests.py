@@ -7,8 +7,9 @@ file.  The commands cover the extremal-length table, single polygons
 (including the degenerate right-angled square and a non-integer side
 count), the verification suite at two seeds and at its default density,
 the documented lemma 3.4 violation, the canonical gluings up to genus 40,
-the reduction certificate of a canonical map and of a map on which the
-split rule fires, and the messages of domain errors.
+the three commands of the benchmark's verify-suite workload as it runs
+them, the reduction certificate of a canonical map and of a map on which
+the split rule fires, and the messages of domain errors.
 After an intended change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_digests.py --write
@@ -66,6 +67,15 @@ def _commands():
         ("gluing", "--genus", "40", "--json", "--emit-map", "{dir}/g40.json"),
     ))
     commands.append(("gluing g=40 svg", ("gluing", "--genus", "40", "--svg", "{dir}/g40.svg")))
+    # the benchmark's verify-suite commands, as it runs them
+    commands.append(("verify all seed=7 default density", ("verify", "--all", "--seed", "7")))
+    commands.append((
+        "gluing g=8000 --json map",
+        ("gluing", "--genus", "8000", "--emit-map", "{dir}/m.json", "--json"),
+    ))
+    commands.append((
+        "gluing g=2000 svg", ("gluing", "--genus", "2000", "--svg", "{dir}/g.svg")
+    ))
     # the reproducer is one on which the split rule fires
     for fixture in ("canonical_g3", "reproducer_6-6-4-4@690"):
         for fmt in ((), ("--json",)):

@@ -158,6 +158,29 @@ def test_pinned_certificates_keep_clean_corners():
     assert shapes[3, 1] and shapes[4, 2], shapes
 
 
+def test_reducer_maps_pass_the_public_checks(monkeypatch):
+    """The reducer makes its maps without the constructor's checks: each
+    map it makes while reducing the corpus and the reproducers passes
+    them, and so do the ambient and reduced map of each certificate."""
+    made = []
+    trusted = surfmap.CombinatorialMap._trusted.__func__
+
+    def recording(cls, *args, **kwargs):
+        made.append(trusted(cls, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(surfmap.CombinatorialMap, "_trusted", classmethod(recording))
+    certificates = list(pinned_certificates())
+    assert len(made) > len(certificates) > 0
+    for cmap in made:
+        fields = {name: getattr(cmap, name) for name in
+                  ("dart_count", "alpha", "sigma", "straight_corners", "orientable")}
+        assert surfmap.CombinatorialMap(**fields) == cmap
+    for cert in certificates:
+        for data in (cert.ambient_map, cert.reduced_map):
+            assert surfmap.to_interchange(surfmap.from_interchange(data)) == data
+
+
 def test_census_prints_the_pinned_line():
     run = subprocess.run(
         [sys.executable, str(CENSUS_SCRIPT)], capture_output=True, text=True, check=True

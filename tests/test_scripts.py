@@ -2,9 +2,12 @@
 
 Each script runs in its own interpreter, as from the command line; a
 changed signature inside the package shows here as a traceback or a
-missing closing line.
+missing closing line.  ``bench_pairs.py`` runs the benchmark, which is
+too slow here, so only its summary arithmetic is checked, on fixed
+numbers.
 """
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -27,3 +30,48 @@ def test_script_runs_to_its_closing_line(command):
     assert run.returncode == 0, run.stderr
     closing = run.stdout.strip().splitlines()[-1].strip()
     assert CLOSING[command](closing), closing
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_arithmetic():
+    bench = load_script("bench_pairs")
+    ref = [2.0, 2.2, 1.9, 2.1, 2.0, 2.3, 1.8, 2.0, 2.1, 2.2]
+    change = [1.8, 1.9, 1.7, 1.8, 1.9, 2.4, 1.6, 1.7, 1.8, 1.9]
+    s = bench.summarize(ref, change, higher_is_better=False)
+    # inclusive quartiles of ten values sit at sorted positions 2.25, 4.5, 6.75
+    assert s["ref"] == pytest.approx((2.0, 2.05, 2.175))
+    assert s["change"] == pytest.approx((1.725, 1.8, 1.9))
+    # the sixth pair goes to the ref; the gap 0.25 exceeds the ref's IQR 0.175
+    assert (s["wins"], s["losses"], s["pairs"], s["verdict"]) == (9, 1, 10, "gain")
+    assert bench.summarize(change, ref, higher_is_better=False)["verdict"] == "worse"
+    assert bench.summarize(change, ref, higher_is_better=True)["verdict"] == "gain"
+    # ties count for neither side
+    flat = bench.summarize([1.0] * 4, [1.0] * 4, higher_is_better=True)
+    assert (flat["wins"], flat["losses"], flat["verdict"]) == (0, 0, "")
+    # nine wins of ten, but a median gap inside the ref's IQR
+    close = bench.summarize(ref, [r - 0.01 for r in ref], higher_is_better=False)
+    assert (close["wins"], close["verdict"]) == (10, "")
+    assert bench.quartiles([3.5]) == (3.5, 3.5, 3.5)
+
+
+def test_bench_pairs_reads_the_metric_lines():
+    bench = load_script("bench_pairs")
+    report = (
+        "# verify-suite seed=1 seconds=2 trace=0 passes=3 attempted=3 failed=0 rejected=0\n"
+        "cal_wall_s 1.82 s\n"
+        "ok_ratio 1.0 ratio\n"
+        "op_tail_s 0.5 s  (p90.0 of 40 ops)\n"
+        "failed: svg: bad output\n"
+        '{"correct": true, "attempted": 3}\n'
+    )
+    assert bench.parse_report(report) == {
+        "cal_wall_s": (1.82, "s"),
+        "ok_ratio": (1.0, "ratio"),
+        "op_tail_s": (0.5, "s"),
+    }

@@ -550,6 +550,51 @@ def _outcome(build, word):
         return type(exc).__name__, str(exc)
 
 
+def _rebuilt(cmap):
+    """cmap made again by the public constructor, which checks its tables."""
+    return CombinatorialMap(
+        dart_count=cmap.dart_count,
+        alpha=cmap.alpha,
+        sigma=cmap.sigma,
+        straight_corners=cmap.straight_corners,
+        orientable=cmap.orientable,
+    )
+
+
+def test_built_maps_pass_the_public_checks():
+    """build_map makes its maps without the constructor's checks: each one
+    passes them, and on each orientable one surface_report's one-face
+    rule agrees with the walk of is_connected."""
+    orientable = 0
+    for word in _pinned_words() + [canonical_word(g) for g in range(2, 41)]:
+        try:
+            cmap = build_map(word)
+        except ValidationError:
+            continue
+        assert _rebuilt(cmap) == cmap
+        if cmap.orientable:
+            orientable += 1
+            assert len(cmap.faces()) == 1
+            assert cmap.is_connected()
+            assert surface_report(cmap)["faces"] == 1
+    assert orientable == 219 + 39
+
+
+def test_two_tori_on_disjoint_darts_are_disconnected():
+    # two faces: surface_report walks the map, as for every map of more
+    # than one face
+    torus = build_map("a b a' b'")
+    n = torus.dart_count
+    two = CombinatorialMap(
+        dart_count=2 * n,
+        alpha=torus.alpha + tuple(d + n for d in torus.alpha),
+        sigma=torus.sigma + tuple(d + n for d in torus.sigma),
+    )
+    assert len(two.faces()) == 2
+    with pytest.raises(ValidationError, match="map is disconnected"):
+        surface_report(two)
+
+
 def test_build_map_matches_the_per_ray_reference():
     """The per-side walk gives the per-ray construction's alpha, sigma,
     orientability and refusals, and its darts carry the names
