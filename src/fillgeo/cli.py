@@ -195,12 +195,12 @@ def cmd_gluing(args) -> int:
     from . import surfmap
     from .report import json_text
 
-    sides = surfmap.parse_gluing_word(surfmap.canonical_word(args.genus))
-    cmap = surfmap.build_map(sides)
+    word = surfmap.canonical_word(args.genus)
+    cmap = surfmap.build_map(word)
     report = surfmap.canonical_report(cmap, args.genus)
     lines = []
     if args.svg:
-        _write(args.svg, lambda handle: surfmap.gluing_svg(sides, handle))
+        _write(args.svg, lambda handle: surfmap.gluing_svg(word, handle))
         lines.append(f"svg written to {args.svg}")
     if args.emit_map:
         _emit(json_text(surfmap.to_interchange(cmap)), args.emit_map)

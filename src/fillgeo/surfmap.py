@@ -15,7 +15,6 @@ Faces are traced with the convention next(d) = sigma(alpha(d)).
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from operator import ne
 
@@ -25,42 +24,9 @@ from .polygeom import _check_genus, circumradius, min_filling_length, side_lengt
 from .report import CheckReport
 
 
-class GluingSides(tuple):
-    """The (label, reversed) sides of a gluing word, as parse_gluing_word
-    checked them; build_map and gluing_svg take them as they are."""
-
-
-def parse_gluing_word(word):
-    """Split a gluing word into (label, reversed) side descriptors.
-
-    Accepts a whitespace-separated string or a sequence of tokens.
-    A token is a label, optionally followed by a single trailing
-    apostrophe.  Each label must appear exactly twice.  Returns the
-    sides as GluingSides.
-    """
-    if isinstance(word, str):
-        tokens = word.split()
-    else:
-        tokens = [str(t) for t in word]
-    if not tokens:
-        raise ValidationError("gluing word is empty")
-    sides = [(t[:-1], True) if t.endswith("'") else (t, False) for t in tokens]
-    labels = [label for label, _ in sides]
-    for token, label in zip(tokens, labels):
-        if not label or "'" in label:
-            raise ValidationError(f"malformed side token {token!r}")
-    counts = Counter(labels)
-    bad = sorted(label for label, c in counts.items() if c != 2)
-    if bad:
-        raise ValidationError(
-            f"each label must appear exactly twice, violated by: {', '.join(bad)}"
-        )
-    return GluingSides(sides)
-
-
-def _sides(word) -> GluingSides:
-    """A gluing word's sides, parsed unless they already are."""
-    return word if isinstance(word, GluingSides) else parse_gluing_word(word)
+def _tokens(word) -> list:
+    """A gluing word's tokens: a string split at whitespace, else each item's str."""
+    return word.split() if isinstance(word, str) else [str(t) for t in word]
 
 
 @dataclass(frozen=True)
@@ -141,9 +107,6 @@ class CombinatorialMap:
     def vertices(self) -> tuple:
         return self._derived("_vertices", lambda m: m.orbits(m.sigma))
 
-    def edges(self) -> tuple:
-        return self._derived("_edges", lambda m: m.orbits(m.alpha))
-
     def faces(self) -> tuple:
         return self._derived(
             "_faces",
@@ -223,7 +186,12 @@ def pair_strands(cycle, sigma, straight, opp) -> None:
 
 
 def build_map(word) -> CombinatorialMap:
-    """Glue the polygon sides described by a gluing word or its sides.
+    """Glue the polygon sides described by a gluing word.
+
+    The word is a whitespace-separated string or a sequence of tokens.
+    A token is a label, with one trailing apostrophe if the side is
+    reversed; each label must appear exactly twice.  The tokens are
+    checked in the per-side pass below, the only reading of the word.
 
     Side k runs from corner k to corner k+1.  Identified sides are
     glued end to end in parallel when both occurrences are unreversed
@@ -232,24 +200,35 @@ def build_map(word) -> CombinatorialMap:
     merge into vertices, and walking corner fans yields the vertex
     rotations.
     """
-    sides = _sides(word)
-    n = len(sides)
+    tokens = _tokens(word)
+    n = len(tokens)
+    if not n:
+        raise ValidationError("gluing word is empty")
 
     # per side: its partner and the dart at its start.  A side starts
     # on dart 2e at its label's first occurrence, and at the second
     # too unless the pair is antiparallel.  End b of side k (0 its
     # start, 1 its end) lies on dart start_dart[k] ^ b, and so does the
-    # partner's end glued to it.
-    partner = [0] * n
+    # partner's end glued to it.  A miscounted label leaves a side unpaired.
+    partner = [None] * n
     start_dart = [0] * n
     first = {}
-    for k, (label, primed) in enumerate(sides):
+    for k, token in enumerate(tokens):
+        label = token[:-1] if token.endswith("'") else token
+        if not label or "'" in label:
+            raise ValidationError(f"malformed side token {token!r}")
         i = first.setdefault(label, k)
         if i == k:
             start_dart[k] = 2 * (len(first) - 1)
-        else:
+        elif partner[i] is None:
             partner[i], partner[k] = k, i
-            start_dart[k] = start_dart[i] ^ (primed != sides[i][1])
+            # one label: the tokens differ only when one side is reversed
+            start_dart[k] = start_dart[i] ^ (token != tokens[i])
+    if None in partner:
+        bad = sorted({tokens[k].rstrip("'") for k in range(n) if partner[k] is None})
+        raise ValidationError(
+            f"each label must appear exactly twice, violated by: {', '.join(bad)}"
+        )
 
     # corner k sits between the end of side k-1 and the start of side
     # k; a fan enters a corner through one of them ("in" when through
@@ -343,16 +322,11 @@ def trace_curve(cmap: CombinatorialMap) -> dict:
     orbit_id = _orbit_index(cmap, orbits)
 
     # a strand traversed backwards visits the alpha images, so orbits
-    # pair off under alpha; a self-paired orbit is a single strand
-    components = 0
-    seen = set()
-    for index, members in enumerate(orbits):
-        if index in seen:
-            continue
-        partner = orbit_id[alpha[members[0]]]
-        seen.add(index)
-        seen.add(partner)
-        components += 1
+    # pair off under alpha: count each pair at its lower index, and a
+    # self-paired orbit once
+    components = sum(
+        orbit_id[alpha[members[0]]] >= index for index, members in enumerate(orbits)
+    )
 
     self_intersections = sum(
         (val // 2) * (val // 2 - 1) // 2 for val in valence
@@ -550,13 +524,14 @@ def _geodesic_points(z1: complex, z2: complex) -> list:
 
 
 def gluing_svg(word, out) -> None:
-    """Draw the right-angled polygon of a gluing word or its sides: disk,
-    geodesic sides, side labels.  Writes the SVG to the text stream out
-    one line at a time, each line ending in a newline, so the picture is
-    never held whole.  A four-sided word draws the degenerate square as
-    a point at the origin."""
-    sides = _sides(word)
-    n = len(sides)
+    """Draw the right-angled polygon of a gluing word: disk, geodesic
+    sides, and each token as its side's label.  The tokens are drawn as
+    given, not checked: build_map checks a word.  Writes the SVG to the
+    text stream out one line at a time, each line ending in a newline,
+    so the picture is never held whole.  A four-sided word draws the
+    degenerate square as a point at the origin."""
+    tokens = _tokens(word)
+    n = len(tokens)
     corners = polygon_vertices(n, math.pi / 2.0)
     zs = [complex(x, y) for x, y in corners]
     degenerate = all(abs(z) < tol.SVG_POINT_TOL for z in zs)
@@ -574,10 +549,9 @@ def gluing_svg(word, out) -> None:
     else:
         for k in range(n):
             out.write(_POLYLINE % tuple(_geodesic_points(zs[k], zs[(k + 1) % n])))
-        for k, (label, primed) in enumerate(sides):
+        for k, token in enumerate(tokens):
             phi = 2.0 * math.pi * (k + 0.5) / n
-            text = label + ("'" if primed else "")
-            out.write(_LABEL % (1.09 * math.cos(phi), -1.09 * math.sin(phi), font, text))
+            out.write(_LABEL % (1.09 * math.cos(phi), -1.09 * math.sin(phi), font, token))
         for z in zs:
             out.write(_CORNER % (z.real, -z.imag))
     out.write("</svg>\n")

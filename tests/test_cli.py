@@ -267,7 +267,7 @@ class TestGluing:
 
     def test_emitted_map_is_the_one_checked(self, capsys, tmp_path, monkeypatch):
         expected = surfmap.to_interchange(surfmap.build_map(surfmap.canonical_word(5)))
-        calls = {"build_map": 0, "parse_gluing_word": 0}
+        calls = {"build_map": 0, "canonical_word": 0}
         for name in calls:
             original = getattr(surfmap, name)
 
@@ -282,27 +282,27 @@ class TestGluing:
         )
         assert code == 0
         assert json.loads(out)["passed"]
-        assert calls == {"build_map": 1, "parse_gluing_word": 1}
+        assert calls == {"build_map": 1, "canonical_word": 1}
         assert json.loads(map_path.read_text()) == expected
 
     def test_svg_reads_the_word_parsed_once(self, capsys, tmp_path, monkeypatch):
         calls = []
-        original = surfmap.parse_gluing_word
+        original = surfmap.canonical_word
 
-        def counted(word):
-            calls.append(word)
-            return original(word)
+        def counted(g):
+            calls.append(g)
+            return original(g)
 
-        monkeypatch.setattr(surfmap, "parse_gluing_word", counted)
+        monkeypatch.setattr(surfmap, "canonical_word", counted)
         svg_path = tmp_path / "g3.svg"
         code, _, _ = run_cli(
             ["gluing", "--genus", "3", "--svg", str(svg_path), "--emit-map", str(tmp_path / "m")],
             capsys,
         )
         assert code == 0
-        assert len(calls) == 1
+        assert calls == [3]
         expected = io.StringIO()
-        surfmap.gluing_svg(surfmap.canonical_word(3), expected)
+        surfmap.gluing_svg(original(3), expected)
         assert svg_path.read_text() == expected.getvalue()
 
     def test_svg_is_never_held_whole(self, capsys, tmp_path):

@@ -65,7 +65,7 @@ def surface_genus(cmap):
     faces = cmap.faces()
     if not cmap.is_connected() or min(len(f) for f in faces) < 3:
         return None
-    euler = len(cmap.vertices()) - len(cmap.edges()) + len(faces)
+    euler = len(cmap.vertices()) - len(cmap.orbits(cmap.alpha)) + len(faces)
     genus = (2 - euler) // 2
     return genus if genus >= 2 else None
 

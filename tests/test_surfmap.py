@@ -6,6 +6,8 @@ import json
 import math
 import pathlib
 import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from fillgeo.surfmap import (
     canonical_word,
     from_interchange,
     gluing_svg,
-    parse_gluing_word,
     polygon_vertices,
     surface_report,
     to_interchange,
@@ -29,29 +30,32 @@ from fillgeo.surfmap import (
 )
 
 
-def test_parse_string_and_sequence():
-    assert parse_gluing_word("a b a' b'") == (
-        ("a", False),
-        ("b", False),
-        ("a", True),
-        ("b", True),
-    )
-    assert parse_gluing_word(["x1", "x1'"]) == (("x1", False), ("x1", True))
+def test_build_map_reads_string_and_sequence():
+    torus = build_map("a b a' b'")
+    assert build_map(["a", "b", "a'", "b'"]) == torus
+    assert build_map(("a", "b", "a'", "b'")) == torus
+    # a sequence's items are read as their str
+    assert build_map([1, 2, "1'", "2'"]) == torus
+    assert build_map(" x1\tx1'\n") == build_map(["x1", "x1'"])
 
 
-def test_parse_rejects_bad_words():
-    with pytest.raises(ValidationError):
-        parse_gluing_word("")
-    with pytest.raises(ValidationError):
-        parse_gluing_word("a b a")  # b once, a twice
-    with pytest.raises(ValidationError):
-        parse_gluing_word("a a a a")  # four times
-    with pytest.raises(ValidationError):
-        parse_gluing_word("a a' b b' a''")
-    with pytest.raises(ValidationError):
-        parse_gluing_word("a'b a'b")  # apostrophe inside the label
-    with pytest.raises(ValidationError):
-        parse_gluing_word("' '")
+def test_build_map_refuses_bad_words():
+    for word, message in [
+        ("", "gluing word is empty"),
+        ([], "gluing word is empty"),
+        ("a b a", "each label must appear exactly twice, violated by: b"),
+        ("a a a a", "each label must appear exactly twice, violated by: a"),
+        ("a a' b b' a''", "malformed side token \"a''\""),
+        ("a'b a'b", "malformed side token \"a'b\""),  # apostrophe inside the label
+        ("' '", "malformed side token \"'\""),
+        # the first malformed token is refused before any count
+        ("a b b a a q''", "malformed side token \"q''\""),
+        # a label seen three times, next to one seen once
+        ("x y' x x", "each label must appear exactly twice, violated by: x, y"),
+    ]:
+        with pytest.raises(ValidationError) as excinfo:
+            build_map(word)
+        assert str(excinfo.value) == message, word
 
 
 def test_torus_word():
@@ -115,11 +119,15 @@ def test_canonical_word_domain():
             canonical_word(bad)
 
 
+def _word_tokens(word):
+    return word.split() if isinstance(word, str) else [str(t) for t in word]
+
+
 def dart_names(word):
-    """build_map's dart names: the e-th label L in order of first
-    occurrence is edge e, with darts 2e named L+ and 2e + 1 named L-;
-    L+ lies at the start of L's first occurrence."""
-    labels = dict.fromkeys(label for label, _ in parse_gluing_word(word))
+    """build_map's dart names for a word it accepts: the e-th label L in
+    order of first occurrence is edge e, with darts 2e named L+ and
+    2e + 1 named L-; L+ lies at the start of L's first occurrence."""
+    labels = dict.fromkeys(t.rstrip("'") for t in _word_tokens(word))
     return tuple(name for label in labels for name in (label + "+", label + "-"))
 
 
@@ -371,7 +379,7 @@ def test_gluing_svg():
     assert svg.startswith("<svg")
     assert svg.endswith("</svg>\n")
     assert svg.count("<polyline") == 12
-    assert "a6'" in svg
+    assert re.findall(r">([^<]*)</text>", svg) == canonical_word(2)
     # a right-angled square is degenerate: single marker, no sides
     degenerate = svg_text("a b a' b'")
     assert "<polyline" not in degenerate
@@ -459,10 +467,31 @@ def test_build_map_tables_pinned():
     assert digest == PINNED_BUILD_MAP_DIGEST
 
 
+def _reference_parse(word):
+    """A gluing word as (label, reversed) sides, checked as a whole: the
+    separate parse build_map once had, kept for the oracle below."""
+    tokens = _word_tokens(word)
+    if not tokens:
+        raise ValidationError("gluing word is empty")
+    sides = [(t[:-1], True) if t.endswith("'") else (t, False) for t in tokens]
+    labels = [label for label, _ in sides]
+    for token, label in zip(tokens, labels):
+        if not label or "'" in label:
+            raise ValidationError(f"malformed side token {token!r}")
+    counts = Counter(labels)
+    bad = sorted(label for label, c in counts.items() if c != 2)
+    if bad:
+        raise ValidationError(
+            f"each label must appear exactly twice, violated by: {', '.join(bad)}"
+        )
+    return sides
+
+
 def _reference_build_map(word):
-    """build_map as it was written per ray, kept as the oracle for the
-    per-side walk: returns (alpha, sigma, orientable, dart names)."""
-    sides = parse_gluing_word(word)
+    """build_map as it was written per ray, after a separate parse, kept
+    as the oracle for the per-side walk: returns (alpha, sigma,
+    orientable, dart names)."""
+    sides = _reference_parse(word)
     n = len(sides)
     positions = {}
     for index, (label, _) in enumerate(sides):
