@@ -142,10 +142,14 @@ def _verify_reports(which: str, args) -> list:
     def wanted(name):
         return which in ("all", name)
 
+    # each selected per-n sweep refuses a bad --n before any sweep runs
+    least = {"lemma33": isoperim._LEMMA_3_3_MIN_N, "lemma34": isoperim._LEMMA_3_4_MIN_N}
+    for name in filter(wanted, least if args.n is not None else ()):
+        isoperim._check_n(args.n, least[name])
     if wanted("lemma32"):
         reports.append(isoperim.verify_lemma_3_2(grid))
     if wanted("lemma33"):
-        ns = (args.n,) if args.n is not None else range(4, 21)
+        ns = (args.n,) if args.n is not None else range(least["lemma33"], 21)
         for n in ns:
             reports.append(isoperim.verify_lemma_3_3(n, grid))
     if wanted("lemma34"):

@@ -33,6 +33,7 @@ from .polygeom import (
     _angle_from_area,
     _area_from_angle,
     _check_area,
+    _check_sides,
     _max_angle,
     _max_area,
     _perimeter_derivatives,
@@ -57,13 +58,12 @@ def f(n, a: float, x: float) -> float:
     _check_area(4.0, x)
     n = _check_area(n, a - x)
     _check_area(n, a)
-    return _f(n, a, (x,))[0]
+    return _f(n, a, (x,), _perimeters_from_area(4.0, (x,)))[0]
 
 
-def _f(n: float, a: float, xs) -> list:
-    """f(n, a, x) for each x of a row, for a checked n and 0 <= x <= a."""
+def _f(n: float, a: float, xs, squares) -> list:
+    """f(n, a, x) at each x of a row with P_4 line squares, for a checked n and 0 <= x <= a."""
     base = _perimeter_from_area(n, a)
-    squares = _perimeters_from_area(4.0, xs)
     rests = _perimeters_from_area(n, [a - x for x in xs])
     return [square + rest - base for square, rest in zip(squares, rests)]
 
@@ -77,6 +77,14 @@ def _df_dx(n: float, a: float, xs, squares) -> list:
 
 
 MIN_SAMPLES = 100
+# the least side count of each per-n sweep, checked before any sweep arithmetic
+_LEMMA_3_3_MIN_N, _LEMMA_3_4_MIN_N = 4, 5
+
+
+def _check_n(n, least: int) -> float:
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        raise DomainError(f"need integer n >= {least}, got {n!r}")
+    return _check_sides(n)
 
 
 class GridSpec(namedtuple("GridSpec", "steps samples")):
@@ -181,25 +189,17 @@ def verify_lemma_3_3(n: int, grid: GridSpec | None = None) -> CheckReport:
         sign P'' = sign(c**2 - sin(w)**2 * (1 + cos(w)**2)).
 
     The kernel evaluates P'' in the split form
-    (c/(2n)) * (1/(sin(w)**2*sqrt(d)) - cos(w)**2/d**1.5), and the
-    criterion is computed apart from it, with one sin(w) and one cos(w)
-    per sample; their agreement on every sample cross-checks the algebra.
+    (c/(2n)) * (1/(sin(w)**2*sqrt(d)) - cos(w)**2/d**1.5) and the
+    criterion in the same pass from the same sin(w) and cos(w); sharing
+    only those, their agreement on every sample cross-checks the algebra.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 4:
-        raise DomainError(f"need integer n >= 4, got {n!r}")
+    side = _check_n(n, _LEMMA_3_3_MIN_N)
     samples = (grid or GridSpec()).samples
-    span = (n - 2.0) * math.pi
-    # checked at the first sample; the others lie in (0, span) too
-    side = _check_area(n, span * 0.5 / samples, positive=True)
+    span = _max_area(side)
     xs = [span * (i + 0.5) / samples for i in range(samples)]
-    values = _perimeter_second_derivatives(side, xs)
+    crits = []
+    values = _perimeter_second_derivatives(side, xs, crits)
     signs = [value > 0.0 for value in values]
-    c2 = math.cos(math.pi / n) ** 2
-    two_n = 2.0 * n
-    crits = [
-        c2 - math.sin(w) ** 2 * (1.0 + math.cos(w) ** 2)
-        for w in [(span - x) / two_n for x in xs]
-    ]
     # a disagreement counts unless either side is within its tolerance of 0
     criterion_mismatches = sum(
         1
@@ -251,8 +251,7 @@ def verify_lemma_3_4(n: int, grid: GridSpec | None = None) -> CheckReport:
     documented claim, so those reports pass vacuously and simply
     record what was observed.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 5:
-        raise DomainError(f"need integer n >= 5, got {n!r}")
+    _check_n(n, _LEMMA_3_4_MIN_N)
     samples = (grid or GridSpec()).samples
     span = (n / 2.0 - 2.0) * math.pi
     xs = [span * (i + 0.5) / samples for i in range(samples)]
@@ -374,6 +373,10 @@ def verify_prop_3_6(grid: GridSpec | None = None) -> CheckReport:
     steps = (grid or GridSpec()).steps
     n_values = range(5, 41)
 
+    # every row capped at x_full shares one x-row and so one P_4 row
+    x_full = 2.0 * math.pi * (1.0 - tol.X_CAP_MARGIN)
+    full_xs = [x_full * j / steps for j in range(steps + 1)]
+    full_squares = _perimeters_from_area(4.0, full_xs)
     min_value = math.inf
     argmin = None
     count = 0
@@ -385,12 +388,15 @@ def verify_prop_3_6(grid: GridSpec | None = None) -> CheckReport:
         side = _check_area(n, a_hi)
         for i in range(steps + 1):
             a = a_hi * i / steps
-            x_cap = min(a, 2.0 * math.pi * (1.0 - tol.X_CAP_MARGIN))
+            x_cap = min(a, x_full)
             step = x_cap / steps if x_cap > 0.0 else 1.0
-            # at a = 0 the row is the one point x = 0
-            xs = [x_cap * j / steps for j in range(steps + 1 if x_cap > 0.0 else 1)]
+            xs, squares = full_xs, full_squares
+            if x_cap < x_full:
+                # at a = 0 the row is the one point x = 0
+                xs = [x_cap * j / steps for j in range(steps + 1 if x_cap > 0.0 else 1)]
+                squares = _perimeters_from_area(4.0, xs)
             count += len(xs)
-            for x, value in zip(xs, _f(side, a, xs)):
+            for x, value in zip(xs, _f(side, a, xs, squares)):
                 if x == 0.0 and value != 0.0:
                     exact_zero_line = False
                 if value < min_value:

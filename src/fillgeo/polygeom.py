@@ -18,10 +18,10 @@ formulas are arranged so this holds bitwise, not just approximately.
 Public functions validate their arguments, then call a private kernel
 that holds the formula and assumes validated input.  The perimeter and
 its two area derivatives are line kernels: one side count and a sequence
-of areas in, one value per area out, with the constants of that side
-count computed once per call.  A single value is a one-element line.
-The isoperim sweeps check each side count once and evaluate one line
-per side count or per grid row.
+of areas in, one value per area out (a single value is a one-element
+line), the side count's constants computed once per call; the second
+derivative's line can also give Lemma 3.3's sign criterion from its sin
+and cos.  The isoperim sweeps evaluate one line per n or distinct row.
 
 RegularPolygonSpec and ExtremalReport are named tuples rather than
 dataclasses: ``fillgeo minlen`` and ``polygon`` load this module in a
@@ -216,12 +216,14 @@ def perimeter_derivative(n, area: float) -> float:
     return _perimeter_derivatives(_check_area(n, area, positive=True), (area,))[0]
 
 
-def _perimeter_second_derivatives(n: float, areas) -> list:
-    """perimeter_second_derivative(n, area) for each area, n and areas checked."""
+def _perimeter_second_derivatives(n: float, areas, criteria=None) -> list:
+    """perimeter_second_derivative(n, area) for each area, n and areas checked;
+    given a list criteria, also appends each area's sign criterion to it."""
     top = _max_area(n)
     two_n = 2.0 * n
     c = math.cos(math.pi / n)
     c2 = c * c
+    crit_c2 = c**2  # the criterion keeps the ** of its derivation, bit for bit
     scale = c / two_n
     curvatures = []
     for area in areas:
@@ -235,6 +237,8 @@ def _perimeter_second_derivatives(n: float, areas) -> list:
                 f"second derivative undefined at area {area!r} for n = {n}"
             )
         curvatures.append(scale * (1.0 / (s2 * math.sqrt(d)) - cw * cw / d**1.5))
+        if criteria is not None:
+            criteria.append(crit_c2 - sw**2 * (1.0 + cw**2))
     return curvatures
 
 

@@ -19,7 +19,7 @@ def json_text(value, indent: str = "") -> str:
     """What the json module's dumps writes with indent=2, sort_keys=True
     for None, bool, int, float, str, list, tuple and str-keyed dict
     values; indent is that of the line the value starts on.  A list of
-    ints is joined as one string, not encoded item by item.  Any other
+    ints is written from its repr, with no str made per item.  Any other
     type, a subclass of one of these too, raises TypeError."""
     kind, inner = type(value), indent + "  "
     if value is None:
@@ -37,10 +37,11 @@ def json_text(value, indent: str = "") -> str:
         if not value:
             return "[]"
         if set(map(type, value)) == {int}:
-            items = map(str, value)
+            # a list's repr, since a one-item tuple's ends in ",)"
+            body = repr(value if kind is list else list(value))[1:-1].replace(", ", ",\n" + inner)
         else:
-            items = (json_text(item, inner) for item in value)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+            body = (",\n" + inner).join(json_text(item, inner) for item in value)
+        return f"[\n{inner}{body}\n{indent}]"  # one copy, where + makes one per +
     if kind is dict:
         if not value:
             return "{}"

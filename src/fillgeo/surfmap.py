@@ -197,8 +197,9 @@ def build_map(word) -> CombinatorialMap:
     glued end to end in parallel when both occurrences are unreversed
     or both reversed, antiparallel otherwise.  The e-th label in order
     of first occurrence is edge e, with darts 2e and 2e + 1; corners
-    merge into vertices, and walking corner fans yields the vertex
-    rotations.
+    merge into vertices.  An orientable word (every pair antiparallel) has
+    sigma(start dart of side k) = start dart of side partner(k) + 1; other
+    words' fans pass corners both ways and are walked, each corner once.
     """
     tokens = _tokens(word)
     n = len(tokens)
@@ -212,7 +213,7 @@ def build_map(word) -> CombinatorialMap:
     # partner's end glued to it.  A miscounted label leaves a side unpaired.
     partner = [None] * n
     start_dart = [0] * n
-    first = {}
+    first, orientable = {}, True
     for k, token in enumerate(tokens):
         label = token[:-1] if token.endswith("'") else token
         if not label or "'" in label:
@@ -224,6 +225,7 @@ def build_map(word) -> CombinatorialMap:
             partner[i], partner[k] = k, i
             # one label: the tokens differ only when one side is reversed
             start_dart[k] = start_dart[i] ^ (token != tokens[i])
+            orientable &= token != tokens[i]
     if None in partner:
         bad = sorted({tokens[k].rstrip("'") for k in range(n) if partner[k] is None})
         raise ValidationError(
@@ -232,42 +234,45 @@ def build_map(word) -> CombinatorialMap:
 
     # corner k sits between the end of side k-1 and the start of side
     # k; a fan enters a corner through one of them ("in" when through
-    # the end) and leaves it through the other
+    # the end) and leaves it through the other; all "in" when orientable
     sigma = [None] * n
-    visited = [False] * n
-    orientable = True
-    for start in range(n):
-        if visited[start]:
-            continue
-        cycle = []
-        corner, entered_in = start, True
-        while True:
-            if visited[corner]:
-                raise InternalInvariantError(
-                    f"corner {corner} visited twice while walking a vertex fan"
-                )
-            visited[corner] = True
-            if entered_in:
-                side, d = corner, start_dart[corner]
-            else:
-                orientable = False
-                side = corner - 1  # -1 indexes side n - 1
-                d = start_dart[side] ^ 1
-            cycle.append(d)
-            j = partner[side]
-            if d ^ start_dart[j]:
-                # glued to the end of side j, which enters corner j + 1
-                corner, entered_in = (j + 1) % n, True
-            else:
-                corner, entered_in = j, False
-            if corner == start and entered_in:
-                break
-        for d, successor in zip(cycle, cycle[1:] + cycle[:1]):
-            if sigma[d] is not None:
-                raise InternalInvariantError(f"dart {d} appears in two vertex fans")
-            sigma[d] = successor
+    if orientable:
+        after = start_dart[1:] + start_dart[:1]
+        for d, j in zip(start_dart, partner):
+            sigma[d] = after[j]
+    else:
+        visited = [False] * n
+        for start in range(n):
+            if visited[start]:
+                continue
+            cycle = []
+            corner, entered_in = start, True
+            while True:
+                if visited[corner]:
+                    raise InternalInvariantError(
+                        f"corner {corner} visited twice while walking a vertex fan"
+                    )
+                visited[corner] = True
+                if entered_in:
+                    side, d = corner, start_dart[corner]
+                else:
+                    side = corner - 1  # -1 indexes side n - 1
+                    d = start_dart[side] ^ 1
+                cycle.append(d)
+                j = partner[side]
+                if d ^ start_dart[j]:
+                    # glued to the end of side j, which enters corner j + 1
+                    corner, entered_in = (j + 1) % n, True
+                else:
+                    corner, entered_in = j, False
+                if corner == start and entered_in:
+                    break
+            for d, successor in zip(cycle, cycle[1:] + cycle[:1]):
+                if sigma[d] is not None:
+                    raise InternalInvariantError(f"dart {d} appears in two vertex fans")
+                sigma[d] = successor
 
-    # the fans cover every dart once, so sigma is a permutation
+    # the start darts, or the fans, cover every dart once: sigma is a permutation
     cmap = CombinatorialMap._trusted(
         dart_count=n,
         alpha=tuple([d ^ 1 for d in range(n)]),

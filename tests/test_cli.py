@@ -221,6 +221,25 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "need at least 100 samples, got 50" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--all", "--n", "4"], "need integer n >= 5, got 4"),
+        (["--all", "--n", "3"], "need integer n >= 4, got 3"),
+        (["lemma33", "--n", "3"], "need integer n >= 4, got 3"),
+        (["lemma34", "--n", "4"], "need integer n >= 5, got 4"),
+        (["lemma33", "--n", str(10**400)], "side count must be finite"),
+        (["lemma34", "--n", str(10**400)], "side count must be finite"),
+    ])
+    def test_side_count_is_refused_before_any_sweep(self, capsys, monkeypatch, argv, message):
+        from fillgeo import isoperim
+
+        calls = []
+        for name in dir(isoperim):
+            if name.startswith("verify_"):
+                monkeypatch.setattr(isoperim, name, lambda *args: calls.append(args))
+        code, out, err = run_cli(["verify", *argv], capsys)
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: ") and message in err
+
     def test_all_draws_and_validates_each_instance_once(self, capsys, monkeypatch):
         from fillgeo import isoperim
 

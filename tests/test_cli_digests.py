@@ -5,8 +5,9 @@ stdout and stderr and its exit code; the ``gluing`` commands that write
 an SVG picture or a map interchange file also pin the sha256 of each
 file.  The commands cover the extremal-length table, single polygons
 (including the degenerate right-angled square and a non-integer side
-count), the verification suite at two seeds and at its default density,
-the documented lemma 3.4 violation, the canonical gluings up to genus 40,
+count), the verification suite at two seeds, at an odd density and at
+its default density, lemma 3.3 at n = 64, the documented lemma 3.4
+violation, the canonical gluings up to genus 40,
 the three commands of the benchmark's verify-suite workload as it runs
 them, the reduction certificate of a canonical map and of a map on which
 the split rule fires, and the messages of domain errors.
@@ -52,6 +53,15 @@ def _commands():
     # the sweeps at their default density, which the benchmark runs
     commands.append((
         "verify all seed=0 --json default density", ("verify", "--all", "--seed", "0", "--json")
+    ))
+    # an odd density, so the prop 3.6 grid has rows at and below the x-cap
+    commands.append((
+        "verify all seed=1 steps=13 samples=777 --json",
+        ("verify", "--all", "--seed", "1", "--steps", "13", "--samples", "777", "--json"),
+    ))
+    commands.append((
+        "verify lemma33 n=64 samples=3001 --json",
+        ("verify", "lemma33", "--n", "64", "--samples", "3001", "--json"),
     ))
     commands.append(("verify lemma34 n=30", ("verify", "lemma34", "--n", "30")))
     for g in range(2, 7):

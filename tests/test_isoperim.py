@@ -7,11 +7,13 @@ scripts/run_all_verifications.py for the recipe) and pasted here.
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fillgeo import polygeom
+from fillgeo import tolerances as tol
 from fillgeo.errors import DomainError, ValidationError
 from fillgeo.isoperim import (
     GridSpec,
@@ -39,11 +41,13 @@ from fillgeo.polygeom import (
     RegularPolygonSpec,
     _check_area,
     _perimeter_derivatives,
+    _perimeter_second_derivatives,
+    _perimeters_from_area,
     area_from_angle,
     perimeter_from_area,
     perimeter_second_derivative,
 )
-from fillgeo.report import json_text
+from fillgeo.report import CheckReport, json_text
 
 # mpmath 50-digit oracle values for the counterexample instance
 P6_OF_4_99 = 11.190174475172462452
@@ -116,11 +120,11 @@ def test_rows_match_their_points():
     # a sweep row gives, bit for bit, what its points give one at a time
     n, a = 12.0, 3.0 * math.pi
     xs = [2.0 * math.pi * j / 16 for j in range(1, 16)]
-    assert _f(n, a, xs) == [f(12, a, x) for x in xs]
+    assert _f(n, a, xs, _perimeters_from_area(4.0, xs)) == [f(12, a, x) for x in xs]
     assert _df_dx(n, a, xs, _perimeter_derivatives(4.0, xs)) == [
         df_dx(12, a, x) for x in xs
     ]
-    assert _f(n, a, [0.0]) == [0.0]
+    assert _f(n, a, [0.0], [0.0]) == [0.0]
 
 
 def test_df_dx_domain():
@@ -158,7 +162,8 @@ def test_lemma_3_3_sign_change():
 
 
 def test_lemma_3_3_domain():
-    for bad in (3, 4.5, 4.0, True, "5"):
+    # an integer past the float range is refused before any arithmetic on it
+    for bad in (3, 4.5, 4.0, True, "5", 10**400):
         with pytest.raises(DomainError):
             verify_lemma_3_3(bad)
 
@@ -202,8 +207,9 @@ def test_lemma_3_4_undocumented_band():
 
 
 def test_lemma_3_4_domain():
-    with pytest.raises(DomainError):
-        verify_lemma_3_4(4)
+    for bad in (4, 10**400):
+        with pytest.raises(DomainError):
+            verify_lemma_3_4(bad)
 
 
 def test_prop_3_5_reduced():
@@ -221,6 +227,140 @@ def test_prop_3_6_reduced():
     assert report.min_value >= -1e-9
     assert report.details["near_zero_off_line"] == 0
     assert report.details["exact_zero_at_x0"]
+
+
+def reference_lemma_3_3(n: int, grid: GridSpec) -> CheckReport:
+    """verify_lemma_3_3 as it was while it computed the sign criterion in
+    a pass of its own, with its own sin(w) and cos(w)."""
+    samples = grid.samples
+    span = (n - 2.0) * math.pi
+    side = _check_area(n, span * 0.5 / samples, positive=True)
+    xs = [span * (i + 0.5) / samples for i in range(samples)]
+    values = _perimeter_second_derivatives(side, xs)
+    signs = [value > 0.0 for value in values]
+    c2 = math.cos(math.pi / n) ** 2
+    two_n = 2.0 * n
+    crits = [
+        c2 - math.sin(w) ** 2 * (1.0 + math.cos(w) ** 2)
+        for w in [(span - x) / two_n for x in xs]
+    ]
+    criterion_mismatches = sum(
+        1
+        for crit, value, sign in zip(crits, values, signs)
+        if (crit > 0) != sign
+        and abs(crit) > tol.SIGN_CRITERION_TOL
+        and abs(value) > tol.SECOND_DERIVATIVE_TOL
+    )
+    change_xs = [x for x, sign, prev in zip(xs[1:], signs[1:], signs) if sign != prev]
+    changes = len(change_xs)
+    passed = changes == 1 and not signs[0] and signs[-1] and criterion_mismatches == 0
+    return CheckReport(
+        check_id=f"lemma_3_3_n{n}",
+        passed=passed,
+        domain=f"x in (0, {span:.6g}), n={n}",
+        grid_size=samples,
+        min_value=None,
+        argmin=None,
+        tolerance=0.0,
+        details={
+            "sign_changes": changes,
+            "first_negative": not signs[0],
+            "last_positive": signs[-1],
+            "change_near_x": change_xs[0] if change_xs else None,
+            "criterion_mismatches": criterion_mismatches,
+        },
+    )
+
+
+def reference_prop_3_6(grid: GridSpec) -> CheckReport:
+    """verify_prop_3_6 as it was while every grid row evaluated its own
+    P_4 line."""
+    steps = grid.steps
+    min_value = math.inf
+    argmin = None
+    count = 0
+    near_zero_off_line = 0
+    exact_zero_line = True
+    for n in range(5, 41):
+        a_hi = (n / 2.0 - 2.0) * math.pi
+        side = _check_area(n, a_hi)
+        for i in range(steps + 1):
+            a = a_hi * i / steps
+            x_cap = min(a, 2.0 * math.pi * (1.0 - tol.X_CAP_MARGIN))
+            step = x_cap / steps if x_cap > 0.0 else 1.0
+            xs = [x_cap * j / steps for j in range(steps + 1 if x_cap > 0.0 else 1)]
+            count += len(xs)
+            for x, value in zip(xs, _f(side, a, xs, _perimeters_from_area(4.0, xs))):
+                if x == 0.0 and value != 0.0:
+                    exact_zero_line = False
+                if value < min_value:
+                    min_value = value
+                    argmin = (n, a, x)
+                if abs(value) < tol.INEQ_TOL and x >= step:
+                    near_zero_off_line += 1
+    return CheckReport(
+        check_id="prop_3_6",
+        passed=min_value >= -tol.INEQ_TOL and near_zero_off_line == 0 and exact_zero_line,
+        domain="n in {5..40}, a in [0, (n/2-2)pi], x in [0, min(a, 2pi)]",
+        grid_size=count,
+        min_value=min_value,
+        argmin=argmin,
+        tolerance=tol.INEQ_TOL,
+        details={
+            "near_zero_off_line": near_zero_off_line,
+            "exact_zero_at_x0": exact_zero_line,
+        },
+    )
+
+
+def test_lemma_3_3_matches_its_separate_criterion_pass():
+    for n in range(4, 21):
+        assert verify_lemma_3_3(n) == reference_lemma_3_3(n, GridSpec()), n
+
+
+def test_criterion_line_is_the_separate_pass_bit_for_bit():
+    for n in range(4, 21):
+        span = (n - 2.0) * math.pi
+        xs = [span * (i + 0.5) / 1000 for i in range(1000)]
+        crits = []
+        _perimeter_second_derivatives(float(n), xs, crits)
+        c2 = math.cos(math.pi / n) ** 2
+        assert crits == [
+            c2 - math.sin(w) ** 2 * (1.0 + math.cos(w) ** 2)
+            for w in [(span - x) / (2.0 * n) for x in xs]
+        ], n
+
+
+@pytest.mark.parametrize("steps", [13, 40])
+def test_prop_3_6_matches_a_p4_line_per_row(steps):
+    grid = GridSpec(steps=steps)
+    assert verify_prop_3_6(grid) == reference_prop_3_6(grid)
+
+
+def test_sign_criterion_matches_mpmath_second_derivative():
+    """The criterion the kernel computes from its own sin(w) and cos(w)
+    has the sign of P'' as mpmath differentiates the perimeter at 40
+    digits, at samples whose criterion is clear of the root."""
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    checked = {False: 0, True: 0}
+    for n in range(4, 21, 4):
+        span = (n - 2.0) * math.pi
+        xs = [span * (i + 0.5) / 48 for i in range(48)]
+        crits = []
+        _perimeter_second_derivatives(float(n), xs, crits)
+        c = mp.cos(mp.pi / n)
+
+        def perimeter(x):
+            return 2 * n * mp.acosh(c / mp.cos((2 * mp.pi + x) / (2 * n)))
+
+        for x, crit in zip(xs, crits):
+            if abs(crit) < 1e-6:
+                continue
+            second = mp.diff(perimeter, mp.mpf(x), 2)
+            assert (second > 0) == (crit > 0), (n, x, crit, second)
+            checked[crit > 0] += 1
+    assert min(checked.values()) >= 50, checked
 
 
 def test_family_helpers():

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 
 import pytest
 
@@ -53,6 +54,9 @@ class FloatSubclass(float):
         None,
         [None, 1],
         {"a": None, "b": {"c": [None, 0.5]}},
+        (5,),
+        [-7],
+        [(4,), [10**20, -3]],
     ],
 )
 def test_text_matches_json_dumps(value):
@@ -87,6 +91,19 @@ def test_cli_tables_and_reports_match_json_dumps():
     values += [surfmap.verify_canonical(g).as_dict() for g in range(2, 7)]
     for value in values:
         assert json_text(value) == dumps(value)
+
+
+def test_int_list_peak_stays_near_its_text():
+    # the text is about 0.71 MB; one str per item traced about 4.7 MB
+    values = list(range(-32000, 32000))
+    tracemalloc.start()
+    try:
+        text = json_text({"sigma": values})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == dumps({"sigma": values})
+    assert peak < 2.5 * len(text), (peak, len(text))
 
 
 @pytest.mark.parametrize(
