@@ -5,8 +5,10 @@ Covers, in order: the arbitrary-precision length oracle (g = 2..10 at
 50 digits, the source of the frozen constants in the tests), the full
 sweep and randomized suites, the canonical gluings for g = 2..50, the
 reduction of every map fixture in tests/data at its own genus (and the
-rejection of the two invalid ones), and the large-genus kissing ratio
-(which is below 1 at the sampled genera; see kissing_threshold.py).
+rejection of the two invalid ones), build_map's refusal of a gluing word
+with a parallel side pair, which would make a non-orientable surface,
+and the large-genus kissing ratio (which is below 1 at the sampled
+genera; see kissing_threshold.py).
 
 Exit code 0 when every check that is supposed to pass passes.
 
@@ -32,8 +34,8 @@ DATA_DIR = ROOT / "tests" / "data"
 # map fixtures that validate_input must refuse; every other map fixture
 # is reduced at its own genus field
 REJECTED = ("bigon.json", "torus_claim.json")
-# a gluing that keeps some side pairs unreversed: a non-orientable map,
-# which no map file can hold, refused like the REJECTED fixtures
+# a gluing that keeps some side pairs unreversed: build_map refuses it,
+# as validate_input refuses the REJECTED fixtures
 NON_ORIENTABLE = "a6 a3 a1 a4 a6' a3' a5 a1 a2 a5' a4' a2'"
 
 
@@ -92,10 +94,10 @@ def gluing_section():
     return not bad
 
 
-def refused(name, map_or_data, genus):
-    """Whether validate_input refuses the map, saying so."""
+def refused(name, check, *args):
+    """Whether check(*args) refuses its input, saying so."""
     try:
-        reducer.validate_input(map_or_data, genus)
+        check(*args)
     except ValidationError as err:
         print(f"  {name}: rejected ({err})")
         return True
@@ -111,13 +113,13 @@ def reducer_section():
         if "genus" not in data:
             continue
         if path.name in REJECTED:
-            ok = refused(path.name, data, data["genus"]) and ok
+            ok = refused(path.name, reducer.validate_input, data, data["genus"]) and ok
             continue
         cert = reducer.reduce(reducer.validate_input(data, data["genus"]))
         print(f"  {path.name}: {cert.summary()}")
         ok = ok and cert.passed
-    cmap = surfmap.build_map(NON_ORIENTABLE.split())
-    return refused(f"non-orientable {NON_ORIENTABLE}", cmap, 2) and ok
+    word = NON_ORIENTABLE.split()
+    return refused(f"non-orientable {NON_ORIENTABLE}", surfmap.build_map, word) and ok
 
 
 def kissing_section():

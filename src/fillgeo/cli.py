@@ -9,13 +9,15 @@ reduction on a map file and prints the certificate.
 
 Exit codes: 0 when every invoked check passes, 1 when a check ran and
 failed (or an internal invariant broke), 2 for usage and input errors,
-an output file that cannot be written among them.
+an output file that cannot be written among them, and 141 (a shell's
+code for SIGPIPE), printing nothing, when stdout closes early (``| head``).
 All numeric output is printed with repr so identical flags reproduce
 identical bytes.
 """
 
 import argparse
 import functools
+import os
 import sys
 
 # isoperim, reducer, surfmap and report, whose json_text writes all JSON,
@@ -331,7 +333,13 @@ def main(argv=None) -> int:
         # a usage error or --help, which argparse has already printed
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DomainError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

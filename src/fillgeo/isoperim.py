@@ -192,6 +192,9 @@ def verify_lemma_3_3(n: int, grid: GridSpec | None = None) -> CheckReport:
     (c/(2n)) * (1/(sin(w)**2*sqrt(d)) - cos(w)**2/d**1.5) and the
     criterion in the same pass from the same sin(w) and cos(w); sharing
     only those, their agreement on every sample cross-checks the algebra.
+    At the default density the first sample lies past the sign change
+    from about n = 2.99e8 on (n = 298,691,406 passes, 298,886,230 fails
+    with no sign change): a sampling limit that ROADMAP item 10 removes.
     """
     side = _check_n(n, _LEMMA_3_3_MIN_N)
     samples = (grid or GridSpec()).samples

@@ -33,7 +33,7 @@ class FillingMap:
     """A multi-curve map that fills the closed surface of its genus.
 
     The constructor checks it: it rejects a genus that is no integer of
-    at least two, a cmap that is no orientable CombinatorialMap, straight
+    at least two, a cmap that is no CombinatorialMap, straight
     corners, disconnected maps, odd or small valences, monogon and bigon
     faces, and maps whose rotation-system genus differs from the stated
     genus (the curve then fails to fill that surface).
@@ -47,8 +47,6 @@ class FillingMap:
         cmap = self.cmap
         if not isinstance(cmap, CombinatorialMap):
             raise ValidationError(f"a FillingMap needs a CombinatorialMap, not {type(cmap).__name__}")
-        if not cmap.orientable:
-            raise ValidationError("the map is non-orientable: its faces cannot be traced")
         if cmap.straight_corners:
             raise ValidationError("input multi-curve maps carry no straight corners")
         if not cmap.is_connected():
@@ -695,14 +693,12 @@ def _checked_subgraph(cmap: CombinatorialMap, subgraph) -> set:
 
 
 def complement(cmap: CombinatorialMap, subgraph=frozenset()) -> _Complement:
-    """The complement of a caller's subgraph in an orientable map, checked
+    """The complement of a caller's subgraph in a map, checked
     here once: the state that complement_regions, find_cutting_curve,
     is_essential and add_cutting_curve take, as reduce's own unchecked
     state does."""
     if not isinstance(cmap, CombinatorialMap):
         raise ValidationError(f"complement needs a CombinatorialMap, not {type(cmap).__name__}")
-    if not cmap.orientable:
-        raise ValidationError("the map is non-orientable: its faces cannot be traced")
     return _Complement(cmap, _checked_subgraph(cmap, subgraph))
 
 

@@ -31,15 +31,12 @@ def _tokens(word) -> list:
 
 @dataclass(frozen=True)
 class CombinatorialMap:
-    """Graph embedded in a surface, encoded by darts.
+    """Graph embedded in a closed surface, encoded by darts: a rotation system.
 
     alpha swaps the two darts of each edge; sigma sends a dart to the
     next dart around its vertex.  straight_corners lists darts d for
     which the corner between d and sigma(d) is straight (the two edge
     germs continue each other instead of meeting transversally).
-    orientable is False when the gluing identified some side pair
-    without reversal; face tracing then does not apply, and the map
-    has the one face of its polygon.
 
     The map is frozen, so every per-dart table derived from it (the
     orbits, the vertex and face of each dart, the strand continuation)
@@ -56,7 +53,6 @@ class CombinatorialMap:
     alpha: tuple
     sigma: tuple
     straight_corners: frozenset = frozenset()
-    orientable: bool = True
 
     def __post_init__(self):
         n = self.dart_count
@@ -75,11 +71,11 @@ class CombinatorialMap:
                 raise ValidationError(f"straight corner dart {d} out of range")
 
     @classmethod
-    def _trusted(cls, dart_count, alpha, sigma, straight_corners=frozenset(), orientable=True):
+    def _trusted(cls, dart_count, alpha, sigma, straight_corners=frozenset()):
         """The map of valid tables, made without the constructor's checks."""
         cmap = object.__new__(cls)
         cmap.__dict__.update(dart_count=dart_count, alpha=alpha, sigma=sigma,
-                             straight_corners=straight_corners, orientable=orientable)
+                             straight_corners=straight_corners)
         return cmap
 
     def orbits(self, perm) -> tuple:
@@ -190,16 +186,17 @@ def build_map(word) -> CombinatorialMap:
 
     The word is a whitespace-separated string or a sequence of tokens.
     A token is a label, with one trailing apostrophe if the side is
-    reversed; each label must appear exactly twice.  The tokens are
-    checked in the per-side pass below, the only reading of the word.
+    reversed; each label must appear exactly twice, once reversed and
+    once not.  The tokens are checked in the per-side pass below, the
+    only reading of the word.  A pair whose sides are both unreversed
+    or both reversed would be glued in parallel, which makes the
+    surface non-orientable: such a word is refused, after the refusals
+    of an empty word, a malformed token and a miscounted label.
 
-    Side k runs from corner k to corner k+1.  Identified sides are
-    glued end to end in parallel when both occurrences are unreversed
-    or both reversed, antiparallel otherwise.  The e-th label in order
-    of first occurrence is edge e, with darts 2e and 2e + 1; corners
-    merge into vertices.  An orientable word (every pair antiparallel) has
-    sigma(start dart of side k) = start dart of side partner(k) + 1; other
-    words' fans pass corners both ways and are walked, each corner once.
+    Side k runs from corner k to corner k+1, and identified sides are
+    glued antiparallel.  The e-th label in order of first occurrence is
+    edge e, with darts 2e and 2e + 1; corners merge into vertices, and
+    sigma(start dart of side k) = start dart of side partner(k) + 1.
     """
     tokens = _tokens(word)
     n = len(tokens)
@@ -207,13 +204,12 @@ def build_map(word) -> CombinatorialMap:
         raise ValidationError("gluing word is empty")
 
     # per side: its partner and the dart at its start.  A side starts
-    # on dart 2e at its label's first occurrence, and at the second
-    # too unless the pair is antiparallel.  End b of side k (0 its
-    # start, 1 its end) lies on dart start_dart[k] ^ b, and so does the
-    # partner's end glued to it.  A miscounted label leaves a side unpaired.
+    # on dart 2e at its label's first occurrence and on 2e + 1 at the
+    # second, where the partner's end is glued to it.  A miscounted
+    # label leaves a side unpaired.
     partner = [None] * n
     start_dart = [0] * n
-    first, orientable = {}, True
+    first, parallel = {}, []
     for k, token in enumerate(tokens):
         label = token[:-1] if token.endswith("'") else token
         if not label or "'" in label:
@@ -223,66 +219,36 @@ def build_map(word) -> CombinatorialMap:
             start_dart[k] = 2 * (len(first) - 1)
         elif partner[i] is None:
             partner[i], partner[k] = k, i
-            # one label: the tokens differ only when one side is reversed
-            start_dart[k] = start_dart[i] ^ (token != tokens[i])
-            orientable &= token != tokens[i]
+            start_dart[k] = start_dart[i] ^ 1
+            # one label: the tokens are equal when the pair is parallel
+            if token == tokens[i]:
+                parallel.append(label)
     if None in partner:
         bad = sorted({tokens[k].rstrip("'") for k in range(n) if partner[k] is None})
         raise ValidationError(
             f"each label must appear exactly twice, violated by: {', '.join(bad)}"
         )
+    if parallel:
+        raise ValidationError(
+            "a parallel side pair makes the surface non-orientable: each label "
+            f"must appear once reversed, violated by: {', '.join(sorted(parallel))}"
+        )
 
     # corner k sits between the end of side k-1 and the start of side
-    # k; a fan enters a corner through one of them ("in" when through
-    # the end) and leaves it through the other; all "in" when orientable
+    # k; the start of side k is glued to the end of its partner j, so
+    # its vertex turns on to the start of side j + 1.  The start darts
+    # cover every dart once: sigma is a permutation
+    after = start_dart[1:] + start_dart[:1]
     sigma = [None] * n
-    if orientable:
-        after = start_dart[1:] + start_dart[:1]
-        for d, j in zip(start_dart, partner):
-            sigma[d] = after[j]
-    else:
-        visited = [False] * n
-        for start in range(n):
-            if visited[start]:
-                continue
-            cycle = []
-            corner, entered_in = start, True
-            while True:
-                if visited[corner]:
-                    raise InternalInvariantError(
-                        f"corner {corner} visited twice while walking a vertex fan"
-                    )
-                visited[corner] = True
-                if entered_in:
-                    side, d = corner, start_dart[corner]
-                else:
-                    side = corner - 1  # -1 indexes side n - 1
-                    d = start_dart[side] ^ 1
-                cycle.append(d)
-                j = partner[side]
-                if d ^ start_dart[j]:
-                    # glued to the end of side j, which enters corner j + 1
-                    corner, entered_in = (j + 1) % n, True
-                else:
-                    corner, entered_in = j, False
-                if corner == start and entered_in:
-                    break
-            for d, successor in zip(cycle, cycle[1:] + cycle[:1]):
-                if sigma[d] is not None:
-                    raise InternalInvariantError(f"dart {d} appears in two vertex fans")
-                sigma[d] = successor
-
-    # the start darts, or the fans, cover every dart once: sigma is a permutation
+    for d, j in zip(start_dart, partner):
+        sigma[d] = after[j]
     cmap = CombinatorialMap._trusted(
         dart_count=n,
         alpha=tuple([d ^ 1 for d in range(n)]),
         sigma=tuple(sigma),
-        orientable=orientable,
     )
-    if orientable and len(cmap.faces()) != 1:
-        raise InternalInvariantError(
-            "orientable polygon gluing must trace back to a single face"
-        )
+    if len(cmap.faces()) != 1:
+        raise InternalInvariantError("polygon gluing must trace back to a single face")
     return cmap
 
 
@@ -293,8 +259,8 @@ def canonical_word(g: int) -> list:
     word, is a closed genus-g surface in which the glued boundary
     becomes a single closed geodesic with 2g-1 double points.  Labels
     a1..a6 form the core block; each extra genus adds a four-label
-    block.  The second occurrence of every label is reversed, which is
-    the unique orientable choice.
+    block.  The second occurrence of every label is reversed, so every
+    pair is glued antiparallel, as build_map requires.
     """
     _check_genus(g)
     tokens = ["a6", "a3", "a1", "a4", "a6'"]
@@ -342,36 +308,27 @@ def trace_curve(cmap: CombinatorialMap) -> dict:
 def surface_report(cmap: CombinatorialMap) -> dict:
     """Invariants of the closed surface carrying the map.
 
-    Euler characteristic, genus (crosscap count when non-orientable),
-    face degrees with straight corners discounted, and the strand
-    census from trace_curve.  Disconnected maps are rejected; each
-    component has faces of its own, so one face means one component.
+    Euler characteristic, genus, face degrees with straight corners
+    discounted, and the strand census from trace_curve.  Disconnected
+    maps are rejected; each component has faces of its own, so one
+    face means one component.
     """
-    one_face = cmap.orientable and len(cmap.faces()) == 1
-    if not one_face and not cmap.is_connected():
+    faces = cmap.faces()
+    if len(faces) != 1 and not cmap.is_connected():
         raise ValidationError("map is disconnected: not a single closed surface")
     v = len(cmap.vertices())
     # alpha is a fixed-point-free involution: one edge per two darts
     e = cmap.dart_count // 2
-    if not cmap.orientable:
-        # the single polygon face runs through every dart once
-        f = 1
-        effective = [cmap.dart_count]
-    else:
-        faces = cmap.faces()
-        f = len(faces)
-        alpha, straight = cmap.alpha, cmap.straight_corners
-        effective = sorted(
-            (sum(1 for d in cycle if alpha[d] not in straight) for cycle in faces),
-            reverse=True,
-        )
+    f = len(faces)
+    alpha, straight = cmap.alpha, cmap.straight_corners
+    effective = sorted(
+        (sum(1 for d in cycle if alpha[d] not in straight) for cycle in faces),
+        reverse=True,
+    )
     euler = v - e + f
-    if cmap.orientable:
-        if (2 - euler) % 2 != 0:
-            raise InternalInvariantError("orientable surface with odd characteristic")
-        genus = (2 - euler) // 2
-    else:
-        genus = 2 - euler
+    if (2 - euler) % 2 != 0:
+        raise InternalInvariantError("rotation system with odd characteristic")
+    genus = (2 - euler) // 2
     try:
         curve = trace_curve(cmap)
     except ValidationError:
@@ -384,7 +341,9 @@ def surface_report(cmap: CombinatorialMap) -> dict:
         "faces": f,
         "euler": euler,
         "genus": genus,
-        "orientable": cmap.orientable,
+        # every map is a rotation system; the key stays because
+        # gluing --json prints it in the canonical_g* details
+        "orientable": True,
         "vertex_valences": sorted(map(len, cmap.vertices()), reverse=True),
         "face_effective_degrees": effective,
         "curve_components": curve["components"],
@@ -395,10 +354,10 @@ def surface_report(cmap: CombinatorialMap) -> dict:
 def canonical_report(cmap: CombinatorialMap, g: int) -> CheckReport:
     """Check a map against everything the canonical genus-g gluing is.
 
-    Checks: 2g-1 vertices all of valence four, orientable genus-g
-    surface with a single face of effective degree 8g-4, a single
-    strand component with 2g-1 crossings, and total strand length of
-    the (8g-4)-gon's sides equal to the genus-g minimum.
+    Checks: 2g-1 vertices all of valence four, a genus-g surface with
+    a single face of effective degree 8g-4, a single strand component
+    with 2g-1 crossings, and total strand length of the (8g-4)-gon's
+    sides equal to the genus-g minimum.
     """
     report = surface_report(cmap)
 
@@ -411,7 +370,6 @@ def canonical_report(cmap: CombinatorialMap, g: int) -> CheckReport:
         "vertex_count": report["vertices"] == 2 * g - 1,
         "all_four_valent": report["vertex_valences"] == [4] * (2 * g - 1),
         "edge_count": report["edges"] == 4 * g - 2,
-        "orientable": report["orientable"],
         "genus": report["genus"] == g,
         "single_face": report["faces"] == 1,
         "face_effective_degree": report["face_effective_degrees"] == [n_sides],
@@ -459,9 +417,8 @@ def to_interchange(cmap: CombinatorialMap) -> dict:
 def from_interchange(data: dict) -> CombinatorialMap:
     """Rebuild a map from its serialized form.
 
-    The serialized form is a rotation system, so the result is always
-    treated as orientably embedded.  Every number in it must be a JSON
-    integer: a float, a string or a boolean is refused, not converted.
+    Every number in the serialized form must be a JSON integer: a
+    float, a string or a boolean is refused, not converted.
     """
     try:
         dart_count = data["dart_count"]

@@ -490,16 +490,36 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this fillgeo."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def fresh_modules(code):
     """The names in sys.modules after code runs in a fresh interpreter;
     code prints nothing, or its output is read as module names too."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return set(subprocess.run(
         [sys.executable, "-c", code + "print(' '.join(sys.modules))"],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+        env=fresh_env(), capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split())
+
+
+def test_closed_stdout_exits_quietly():
+    # about 1.4 MB of rows, far more than a pipe holds: the reader takes
+    # one line and closes the pipe while minlen is still writing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fillgeo", "minlen", "--genus", "2..20000"],
+        env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"# genus")
+    assert b"Traceback" not in err
+    assert b"Exception ignored" not in err
 
 
 def test_import_loads_only_polygeom():

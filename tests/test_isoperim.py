@@ -161,6 +161,13 @@ def test_lemma_3_3_sign_change():
         assert report.details["criterion_mismatches"] == 0
 
 
+@pytest.mark.xfail(strict=True, reason="the first default-density sample lies past "
+                   "the sign change from n of about 2.99e8 on")
+def test_lemma_3_3_holds_at_a_billion_sides():
+    report = verify_lemma_3_3(10**9)
+    assert report.passed, report.text()
+
+
 def test_lemma_3_3_domain():
     # an integer past the float range is refused before any arithmetic on it
     for bad in (3, 4.5, 4.0, True, "5", 10**400):

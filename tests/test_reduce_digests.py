@@ -174,7 +174,7 @@ def test_reducer_maps_pass_the_public_checks(monkeypatch):
     assert len(made) > len(certificates) > 0
     for cmap in made:
         fields = {name: getattr(cmap, name) for name in
-                  ("dart_count", "alpha", "sigma", "straight_corners", "orientable")}
+                  ("dart_count", "alpha", "sigma", "straight_corners")}
         assert surfmap.CombinatorialMap(**fields) == cmap
     for cert in certificates:
         for data in (cert.ambient_map, cert.reduced_map):

@@ -162,12 +162,10 @@ class TestValidateInput:
             reducer.FillingMap(cmap, genus)
 
     def test_non_orientable_map_rejected(self):
-        # some side pairs glued without reversal: surface_report calls it
-        # a non-orientable surface of genus 5, and its faces have no trace
-        cmap = surfmap.build_map("a6 a3 a1 a4 a6' a3' a5 a1 a2 a5' a4' a2'".split())
-        assert not cmap.orientable
+        # some side pairs glued without reversal: no map is built, so
+        # none reaches validate_input
         with pytest.raises(ValidationError, match="non-orientable"):
-            validate_input(cmap, 2)
+            surfmap.build_map("a6 a3 a1 a4 a6' a3' a5 a1 a2 a5' a4' a2'".split())
 
     def test_filling_map_needs_a_map(self):
         data = json.loads((DATA_DIR / "canonical_g2.json").read_text())
@@ -215,10 +213,9 @@ class TestComplementRegions:
             complement(cmap, frozenset({cmap.dart_count}))
 
     def test_non_orientable_map_refused(self):
-        cmap = surfmap.build_map(["a", "b", "a", "b"])
-        assert not cmap.orientable
+        # no map is built, so none reaches complement
         with pytest.raises(ValidationError, match="non-orientable"):
-            complement(cmap)
+            surfmap.build_map(["a", "b", "a", "b"])
 
     def test_subgraph_must_be_edge_closed(self):
         cmap, _ = load_fixture("canonical_g2")

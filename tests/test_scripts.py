@@ -4,10 +4,12 @@ Each script runs in its own interpreter, as from the command line; a
 changed signature inside the package shows here as a traceback or a
 missing closing line.  ``bench_pairs.py`` runs the benchmark, which is
 too slow here, so only its summary arithmetic is checked, on fixed
-numbers.
+numbers.  ``make_reducer_fixtures.py`` writes into a temporary
+directory, and what it writes must be the committed map fixtures.
 """
 
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
@@ -18,6 +20,7 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 CLOSING = {
     ("run_all_verifications.py",): lambda line: line.endswith(": all checks passed"),
     ("kissing_threshold.py",): lambda line: line.startswith("i.e. g ~ 10^3730.07"),
+    ("reduce_scaling.py", "--repeats", "1"): lambda line: line.startswith("log-log slope"),
 }
 
 
@@ -37,6 +40,19 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_fixture_script_writes_the_committed_fixtures(tmp_path):
+    fixtures = load_script("make_reducer_fixtures")
+    fixtures.DATA_DIR = tmp_path
+    fixtures.main()
+    written = {path.name for path in tmp_path.iterdir()}
+    committed = SCRIPTS.parent / "tests" / "data"
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
+    maps = {path.name for path in committed.glob("*.json")
+            if "dart_count" in json.loads(path.read_text())}
+    assert written == maps
 
 
 def test_bench_pairs_summary_arithmetic():

@@ -52,6 +52,9 @@ def test_build_map_refuses_bad_words():
         ("a b b a a q''", "malformed side token \"q''\""),
         # a label seen three times, next to one seen once
         ("x y' x x", "each label must appear exactly twice, violated by: x, y"),
+        # a miscounted label is refused before a parallel pair
+        ("a a b", "each label must appear exactly twice, violated by: b"),
+        ("b' b' a c a c'", parallel_refusal(["a", "b"])),
     ]:
         with pytest.raises(ValidationError) as excinfo:
             build_map(word)
@@ -72,15 +75,10 @@ def test_torus_word():
 
 
 def test_projective_plane_word():
-    report = surface_report(build_map("a a"))
-    assert report["vertices"] == 1
-    assert report["edges"] == 1
-    assert report["faces"] == 1
-    assert report["euler"] == 1
-    assert not report["orientable"]
-    assert report["genus"] == 1  # one crosscap
-    assert report["curve_components"] == 1
-    assert report["self_intersections"] == 0
+    # both sides unreversed: a parallel pair, glued into a projective plane
+    with pytest.raises(ValidationError) as excinfo:
+        build_map("a a")
+    assert str(excinfo.value) == parallel_refusal(["a"])
 
 
 def test_sphere_word():
@@ -121,6 +119,19 @@ def test_canonical_word_domain():
 
 def _word_tokens(word):
     return word.split() if isinstance(word, str) else [str(t) for t in word]
+
+
+def parallel_refusal(labels):
+    """build_map's refusal of a word whose parallel pairs have these labels."""
+    return ("a parallel side pair makes the surface non-orientable: each label "
+            f"must appear once reversed, violated by: {', '.join(sorted(labels))}")
+
+
+def parallel_labels(word):
+    """The labels of a word whose two tokens are equal: both sides
+    unreversed, or both reversed."""
+    tokens = Counter(_word_tokens(word))
+    return [token.rstrip("'") for token, count in tokens.items() if count == 2]
 
 
 def dart_names(word):
@@ -219,13 +230,23 @@ def test_verify_canonical_small_genera():
 
 
 def test_verify_canonical_negative_control():
-    # unpriming one token makes that pair orientation-reversing
+    # unpriming one token glues that pair in parallel: refused
     word = canonical_word(2)
     word[4] = "a6"
-    cmap = build_map(word)
-    assert not cmap.orientable
-    report = surface_report(cmap)
-    assert not report["orientable"]
+    with pytest.raises(ValidationError) as excinfo:
+        build_map(word)
+    assert str(excinfo.value) == parallel_refusal(["a6"])
+    # swapping the first two sides keeps the polygon, its side lengths
+    # and the genus, but the glued boundary is two curves
+    word = canonical_word(2)
+    word[0], word[1] = word[1], word[0]
+    rep = canonical_report(build_map(word), 2)
+    assert not rep.passed
+    assert rep.details["genus"] == 2
+    assert rep.details["curve_components"] == 2
+    assert rep.details["failed_checks"] == [
+        "all_four_valent", "self_intersections", "single_component",
+    ]
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -235,16 +256,20 @@ def test_all_reversed_is_the_only_orientable_pattern(g):
     tokens = [t.rstrip("'") for t in canonical_word(g)]
     labels = sorted(set(tokens))
     assert len(labels) == 4 * g - 2
-    orientable = []
+    built = []
     for mask in range(1 << len(labels)):
         marked = {label for bit, label in enumerate(labels) if mask >> bit & 1}
         seen, word = set(), []
         for token in tokens:
             word.append(token + "'" if token in seen and token in marked else token)
             seen.add(token)
-        if build_map(word).orientable:
-            orientable.append(word)
-    assert orientable == [canonical_word(g)]
+        try:
+            build_map(word)
+        except ValidationError as exc:
+            assert str(exc) == parallel_refusal(set(labels) - marked), word
+        else:
+            built.append(word)
+    assert built == [canonical_word(g)]
 
 
 def test_canonical_report_matches_verify_canonical():
@@ -401,16 +426,18 @@ def test_random_gluings_close_up(seed):
         else:
             tokens += [f"e{i}", f"e{i}'"]
     rng.shuffle(tokens)
-    cmap = build_map(tokens)
-    report = surface_report(cmap)
+    parallel = parallel_labels(tokens)
+    if parallel:
+        with pytest.raises(ValidationError) as excinfo:
+            build_map(tokens)
+        assert str(excinfo.value) == parallel_refusal(parallel)
+        return
+    report = surface_report(build_map(tokens))
     assert report["faces"] == 1
     assert report["euler"] == report["vertices"] - report["edges"] + 1
     assert report["edges"] == k
-    if report["orientable"]:
-        assert report["euler"] % 2 == 0
-        assert report["genus"] >= 0
-    else:
-        assert report["genus"] >= 1
+    assert report["euler"] % 2 == 0
+    assert report["genus"] >= 0
     assert sum(report["vertex_valences"]) == 2 * k
 
 
@@ -444,25 +471,30 @@ def _pinned_words():
     return words
 
 
-# build_map over _pinned_words(): 40 refused, 219 orientable of 360
-PINNED_BUILD_MAP_DIGEST = "858afe4ef19ba8de0d173c0eaa9cbe4d7616fb6bff94bb01591d8def6b71299b"
+# build_map over _pinned_words() without the 141 words that have a
+# parallel pair: 40 refused, 219 built
+PINNED_BUILD_MAP_DIGEST = "f300b2d757189dcc916f9c87378a2639df1fc912e05661e538dc2d36169e4af7"
 
 
 def test_build_map_tables_pinned():
-    """build_map's tables, or the exception refusing each word, are
-    byte-identical to the pinned digest over the seeded corpus."""
+    """build_map's tables (alpha, sigma, dart names), or the exception
+    refusing each word, are byte-identical to the pinned digest over
+    the seeded corpus; a word with a parallel pair is refused and named."""
     outcomes = []
-    orientable = 0
+    parallel = 0
     for tokens in _pinned_words():
         try:
             cmap = build_map(tokens)
         except (ValidationError, InternalInvariantError) as exc:
-            outcomes.append((type(exc).__name__, str(exc)))
+            if "non-orientable" in str(exc):
+                assert str(exc) == parallel_refusal(parallel_labels(tokens)), tokens
+                parallel += 1
+            else:
+                outcomes.append((type(exc).__name__, str(exc)))
             continue
-        orientable += cmap.orientable
-        outcomes.append((cmap.alpha, cmap.sigma, cmap.orientable, dart_names(tokens)))
+        outcomes.append((cmap.alpha, cmap.sigma, dart_names(tokens)))
     refused = sum(len(o) == 2 for o in outcomes)
-    assert (refused, orientable) == (40, 219)
+    assert (refused, parallel, len(outcomes) - refused) == (40, 141, 219)
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == PINNED_BUILD_MAP_DIGEST
 
@@ -544,7 +576,7 @@ def _reference_build_map(word):
             sigma[d] = successor
 
     alpha = tuple(d ^ 1 for d in range(n))
-    cmap = CombinatorialMap(dart_count=n, alpha=alpha, sigma=tuple(sigma), orientable=orientable)
+    cmap = CombinatorialMap(dart_count=n, alpha=alpha, sigma=tuple(sigma))
     if orientable and len(cmap.faces()) != 1:
         raise InternalInvariantError(
             "orientable polygon gluing must trace back to a single face"
@@ -586,27 +618,26 @@ def _rebuilt(cmap):
         alpha=cmap.alpha,
         sigma=cmap.sigma,
         straight_corners=cmap.straight_corners,
-        orientable=cmap.orientable,
     )
 
 
 def test_built_maps_pass_the_public_checks():
     """build_map makes its maps without the constructor's checks: each one
-    passes them, and on each orientable one surface_report's one-face
-    rule agrees with the walk of is_connected."""
-    orientable = 0
+    passes them, comes back unchanged from its interchange form, and
+    surface_report's one-face rule agrees with the walk of is_connected."""
+    built = 0
     for word in _pinned_words() + [canonical_word(g) for g in range(2, 41)]:
         try:
             cmap = build_map(word)
         except ValidationError:
             continue
+        built += 1
         assert _rebuilt(cmap) == cmap
-        if cmap.orientable:
-            orientable += 1
-            assert len(cmap.faces()) == 1
-            assert cmap.is_connected()
-            assert surface_report(cmap)["faces"] == 1
-    assert orientable == 219 + 39
+        assert from_interchange(to_interchange(cmap)) == cmap
+        assert len(cmap.faces()) == 1
+        assert cmap.is_connected()
+        assert surface_report(cmap)["faces"] == 1
+    assert built == 219 + 39
 
 
 def test_two_tori_on_disjoint_darts_are_disconnected():
@@ -625,9 +656,11 @@ def test_two_tori_on_disjoint_darts_are_disconnected():
 
 
 def test_build_map_matches_the_per_ray_reference():
-    """The per-side walk gives the per-ray construction's alpha, sigma,
-    orientability and refusals, and its darts carry the names
-    dart_names derives."""
+    """The per-side walk gives the per-ray construction's refusals, and
+    its alpha and sigma where that construction finds the surface
+    orientable, with darts that carry the names dart_names derives;
+    where it finds a non-orientable surface, build_map refuses the
+    word's parallel pairs."""
     words = _pinned_words()
     words += [canonical_word(g) for g in range(2, 41)]
     words += _random_words(3000, 29)
@@ -637,11 +670,15 @@ def test_build_map_matches_the_per_ray_reference():
 
         def built(word):
             cmap = build_map(word)
-            return cmap.alpha, cmap.sigma, cmap.orientable, dart_names(word)
+            return cmap.alpha, cmap.sigma, dart_names(word)
 
-        assert _outcome(built, word) == expected, word
         if len(expected) == 2:
             kinds["refused"] += 1
+        elif expected[2]:
+            kinds["orientable"] += 1
+            expected = expected[:2] + expected[3:]
         else:
-            kinds["orientable" if expected[2] else "non-orientable"] += 1
+            kinds["non-orientable"] += 1
+            expected = ("ValidationError", parallel_refusal(parallel_labels(word)))
+        assert _outcome(built, word) == expected, word
     assert min(kinds.values()) >= 40, kinds
