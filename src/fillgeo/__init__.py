@@ -11,6 +11,14 @@ The package has four working parts:
   for each genus.
 * ``reducer``: reduction of a filling multi-curve map to a triangle-free
   filling graph by repeatedly adding essential cutting curves.
+
+Every record is a named tuple or a slotted class, not a dataclass:
+``dataclasses`` imports ``inspect`` and with it ``ast``, ``dis`` and
+``tokenize``, which would add to the start of every ``fillgeo``
+command, while ``collections`` is loaded by then.  A record compares,
+hashes and prints by its fields, assigning a field raises
+AttributeError, and a record that checks its fields does so once, when
+it is made.
 """
 
 from .errors import DomainError, ValidationError, InternalInvariantError

@@ -14,11 +14,9 @@ sequence that proves the inequality by absorbing polygons one at a
 time, and the classifier for the equality case.
 
 All verifiers return CheckReport records; they gather floating-point
-evidence on grids, they do not prove anything symbolically.
-
-The records are named tuples or slotted classes, not dataclasses: a
-draw makes tens of thousands, and ``fillgeo verify`` loads no
-``dataclasses``.  An instance is checked once, when it is made.
+evidence on grids, they do not prove anything symbolically.  A draw
+makes tens of thousands of instances, each checked once, when it is
+made.
 """
 
 import math

@@ -22,13 +22,6 @@ of areas in, one value per area out (a single value is a one-element
 line), the side count's constants computed once per call; the second
 derivative's line can also give Lemma 3.3's sign criterion from its sin
 and cos.  The isoperim sweeps evaluate one line per n or distinct row.
-
-RegularPolygonSpec and ExtremalReport are named tuples rather than
-dataclasses: ``fillgeo minlen`` and ``polygon`` load this module in a
-fresh interpreter, and ``dataclasses`` would add ``inspect`` and the
-modules it imports (ast, dis, tokenize) to every start.  ``collections``
-is already loaded by then.  Each record compares, hashes and prints by
-its fields, and assigning a field raises AttributeError.
 """
 
 import math

@@ -17,10 +17,8 @@ degrees and the outcome of every check; it never hides a failure.
 """
 
 from bisect import bisect_left, insort
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 from .errors import DomainError, InternalInvariantError, ValidationError
 from .polygeom import _check_genus
@@ -28,8 +26,7 @@ from .report import json_text
 from .surfmap import CombinatorialMap, from_interchange, pair_strands, to_interchange
 
 
-@dataclass(frozen=True)
-class FillingMap:
+class FillingMap(namedtuple("FillingMap", "cmap genus")):
     """A multi-curve map that fills the closed surface of its genus.
 
     The constructor checks it: it rejects a genus that is no integer of
@@ -39,12 +36,10 @@ class FillingMap:
     genus (the curve then fails to fill that surface).
     """
 
-    cmap: CombinatorialMap
-    genus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_genus(self.genus)
-        cmap = self.cmap
+    def __new__(cls, cmap, genus):
+        _check_genus(genus)
         if not isinstance(cmap, CombinatorialMap):
             raise ValidationError(f"a FillingMap needs a CombinatorialMap, not {type(cmap).__name__}")
         if cmap.straight_corners:
@@ -66,11 +61,12 @@ class FillingMap:
                     f"face of degree {len(cycle)} (monogon or bigon) is not allowed"
                 )
         map_genus = (2 - (v - e + len(faces))) // 2
-        if map_genus != self.genus:
+        if map_genus != genus:
             raise ValidationError(
-                f"map fills a genus-{map_genus} surface, not genus {self.genus}: "
+                f"map fills a genus-{map_genus} surface, not genus {genus}: "
                 "the multi-curve does not fill the stated surface"
             )
+        return super().__new__(cls, cmap, genus)
 
 
 def validate_input(map_or_data, genus: int) -> FillingMap:
@@ -80,19 +76,20 @@ def validate_input(map_or_data, genus: int) -> FillingMap:
     return FillingMap(map_or_data, genus)
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(namedtuple("Region", "faces euler")):
     """One complementary piece of a subgraph: its faces and Euler characteristic."""
 
-    faces: tuple
-    euler: int
+    __slots__ = ()
 
     @property
     def is_disk(self) -> bool:
         return self.euler == 1
 
 
-class _Cut(NamedTuple):
+class _Cut(namedtuple(
+    "_Cut", "added touched weight removed region closed euler2 curve state step refined",
+    defaults=(False,),
+)):
     """What committing one cutting curve changes in a complement.
 
     added holds the curve's darts in both directions.  Three dicts
@@ -111,17 +108,7 @@ class _Cut(NamedTuple):
     the curve of any other cut (_refine) before it commits.
     """
 
-    added: frozenset
-    touched: dict
-    weight: dict
-    removed: dict
-    region: int
-    closed: list
-    euler2: list
-    curve: "CuttingCurve"
-    state: "_Complement"
-    step: int
-    refined: bool = False
+    __slots__ = ()
 
 
 class _MutableMap:
@@ -718,8 +705,7 @@ def complement_regions(state: _Complement) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class CuttingCurve:
+class CuttingCurve(namedtuple("CuttingCurve", "darts kind")):
     """A piece of unused strand material to add to the subgraph.
 
     darts lists the strand walk in order.  Kinds I to IV are closed
@@ -730,8 +716,7 @@ class CuttingCurve:
     VI a lasso: a tail from the subgraph to an interior loop.
     """
 
-    darts: tuple
-    kind: str
+    __slots__ = ()
 
 
 def _clean_corner_pattern(opp, germs: set) -> bool:
@@ -1032,27 +1017,18 @@ def _smoothed_subgraph_map(state: _Complement):
     ), degrees
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(namedtuple(
+    "ReductionCertificate",
+    "genus passed filling min_degree_ok degree_sum_ok face_degrees k subgraph_darts "
+    "input_dart_count ambient_map reduced_map steps iterations",
+)):
     """Full record of one reduction run and its checks.
 
     Subgraph darts below input_dart_count are material of the input
     map; higher ones were introduced by the attachment split rule.
     """
 
-    genus: int
-    passed: bool
-    filling: bool
-    min_degree_ok: bool
-    degree_sum_ok: bool
-    face_degrees: tuple
-    k: int
-    subgraph_darts: tuple
-    input_dart_count: int
-    ambient_map: dict
-    reduced_map: dict
-    steps: tuple
-    iterations: int
+    __slots__ = ()
 
     def summary(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -1063,8 +1039,7 @@ class ReductionCertificate:
         )
 
     def as_dict(self) -> dict:
-        # a shallow dict: asdict would deep-copy both maps' lists
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
     def to_json(self) -> str:
         return json_text(self.as_dict())

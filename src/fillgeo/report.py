@@ -3,9 +3,7 @@
 Every sweep verifier returns one CheckReport: what was swept, how
 densely, the worst value found and where, and whether the check
 passed.  Reports serialize to key=value text lines and to JSON.
-json_text writes every JSON text fillgeo prints or writes.  CheckReport
-is a named tuple, as polygeom's records are, so that the ``--json`` of
-``minlen`` and ``polygon`` loads no ``dataclasses``.
+json_text writes every JSON text fillgeo prints or writes.
 """
 
 from collections import namedtuple

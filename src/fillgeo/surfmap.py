@@ -15,7 +15,7 @@ Faces are traced with the convention next(d) = sigma(alpha(d)).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import ne
 
 from . import tolerances as tol
@@ -29,8 +29,9 @@ def _tokens(word) -> list:
     return word.split() if isinstance(word, str) else [str(t) for t in word]
 
 
-@dataclass(frozen=True)
-class CombinatorialMap:
+class CombinatorialMap(namedtuple(
+    "CombinatorialMap", "dart_count alpha sigma straight_corners", defaults=(frozenset(),)
+)):
     """Graph embedded in a closed surface, encoded by darts: a rotation system.
 
     alpha swaps the two darts of each edge; sigma sends a dart to the
@@ -38,45 +39,50 @@ class CombinatorialMap:
     which the corner between d and sigma(d) is straight (the two edge
     germs continue each other instead of meeting transversally).
 
-    The map is frozen, so every per-dart table derived from it (the
-    orbits, the vertex and face of each dart, the strand continuation)
-    is computed here once, on first use, and kept in the instance
-    __dict__ as an immutable tuple, outside equality and hashing.
-    Every caller gets that same object: copy it before mutating.
+    The map is a named tuple, so it compares and hashes by its four
+    fields and assigning one raises AttributeError.  Every per-dart
+    table derived from it (the orbits, the vertex and face of each
+    dart, the strand continuation) is computed once, on first use, and
+    kept in the instance __dict__ as an immutable tuple, outside
+    equality and hashing.  Every caller gets that same object: copy it
+    before mutating.
 
-    The constructor checks the tables, for maps from outside such as
-    from_interchange's; _trusted skips the checks, for the makers that
-    build their tables valid (build_map and the reducer's maps).
+    __init__ checks the tables, for maps from outside such as
+    from_interchange's: alpha and sigma are tuples and the straight
+    corners a frozenset, every entry is an int, alpha and sigma permute
+    the darts, alpha fixes none and is an involution, and the straight
+    corners are darts.  _trusted and _make skip the checks, for the
+    makers that build their tables valid (build_map and the reducer's
+    maps).
     """
 
-    dart_count: int
-    alpha: tuple
-    sigma: tuple
-    straight_corners: frozenset = frozenset()
-
-    def __post_init__(self):
-        n = self.dart_count
+    def __init__(self, *fields, **named):
+        # __new__ has set the fields from the same arguments
+        n, alpha, sigma, straight = self
+        if not (isinstance(alpha, tuple) and isinstance(sigma, tuple)
+                and isinstance(straight, frozenset)):
+            raise ValidationError("alpha and sigma must be tuples, straight_corners a frozenset")
+        for x in (n, *alpha, *sigma, *straight):
+            if type(x) is not int:
+                raise ValidationError(f"malformed map data: {x!r} is not an integer")
         if n < 2:
             raise ValidationError("a map needs at least two darts")
-        for name, perm in (("alpha", self.alpha), ("sigma", self.sigma)):
+        for name, perm in (("alpha", alpha), ("sigma", sigma)):
             if len(perm) != n or any(map(ne, sorted(perm), range(n))):
                 raise ValidationError(f"{name} is not a permutation of 0..{n - 1}")
         for d in range(n):
-            if self.alpha[d] == d:
+            if alpha[d] == d:
                 raise ValidationError(f"alpha fixes dart {d}: edges need two darts")
-            if self.alpha[self.alpha[d]] != d:
+            if alpha[alpha[d]] != d:
                 raise ValidationError("alpha is not an involution")
-        for d in self.straight_corners:
+        for d in straight:
             if not 0 <= d < n:
                 raise ValidationError(f"straight corner dart {d} out of range")
 
     @classmethod
     def _trusted(cls, dart_count, alpha, sigma, straight_corners=frozenset()):
         """The map of valid tables, made without the constructor's checks."""
-        cmap = object.__new__(cls)
-        cmap.__dict__.update(dart_count=dart_count, alpha=alpha, sigma=sigma,
-                             straight_corners=straight_corners)
-        return cmap
+        return tuple.__new__(cls, (dart_count, alpha, sigma, straight_corners))
 
     def orbits(self, perm) -> tuple:
         seen = [False] * self.dart_count
@@ -415,27 +421,21 @@ def to_interchange(cmap: CombinatorialMap) -> dict:
 
 
 def from_interchange(data: dict) -> CombinatorialMap:
-    """Rebuild a map from its serialized form.
+    """Rebuild a map from its serialized form, checked by the constructor.
 
     Every number in the serialized form must be a JSON integer: a
-    float, a string or a boolean is refused, not converted.
+    float, a string or a boolean is refused, not converted, except in
+    the straight corners, read as a set, where one equal to an integer
+    before it (true after 1) merges into that integer.
     """
     try:
         dart_count = data["dart_count"]
         alpha = tuple(data["alpha"])
         sigma = tuple(data["sigma"])
-        straight = tuple(data.get("straight_corners", ()))
+        straight = frozenset(data.get("straight_corners", ()))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed map data: {exc}") from exc
-    for x in (dart_count, *alpha, *sigma, *straight):
-        if type(x) is not int:
-            raise ValidationError(f"malformed map data: {x!r} is not an integer")
-    return CombinatorialMap(
-        dart_count=dart_count,
-        alpha=alpha,
-        sigma=sigma,
-        straight_corners=frozenset(straight),
-    )
+    return CombinatorialMap(dart_count, alpha, sigma, straight)
 
 
 def polygon_vertices(n, theta: float) -> list:

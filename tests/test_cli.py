@@ -539,11 +539,15 @@ def test_import_loads_only_polygeom():
     ["minlen", "--genus", "2", "--json"],
     ["polygon", "--n", "5", "--area", "5", "--json"],
     ["verify", "example312"],
+    ["gluing", "--genus", "2", "--json"],
+    ["reduce", "canonical_g2.json", "--genus", "2", "--json"],
 ], ids=" ".join)
 def test_json_output_loads_no_dataclasses(argv):
-    # json_text writes the JSON, report.CheckReport is a named tuple, and
-    # isoperim's records are named tuples and slotted classes; the output
-    # is captured so that stdout holds module names only
+    # json_text writes the JSON, and every record is a named tuple or a
+    # slotted class; the output is captured so that stdout holds module
+    # names only.  A map file is read from tests/data
+    argv = [os.path.abspath(os.path.join(DATA_DIR, a)) if a.endswith(".json") else a
+            for a in argv]
     code = (
         "import contextlib, io, sys\nfrom fillgeo import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"

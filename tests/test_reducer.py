@@ -595,6 +595,23 @@ class TestReduce:
         rebuilt = surfmap.from_interchange(data["reduced_map"])
         assert surfmap.surface_report(rebuilt)["genus"] == 2
 
+    def test_records_are_frozen_values(self):
+        # the records are named tuples: no field can be assigned, records
+        # of equal fields are equal, and a certificate's dict holds its
+        # field values themselves, not copies
+        cmap, genus = load_fixture("canonical_g2")
+        filling = validate_input(cmap, genus)
+        cert = reduce(filling)
+        curve = find_cutting_curve(complement(cmap)).curve
+        for record in (filling, curve, cert):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+        assert cert.as_dict()["ambient_map"] is cert.ambient_map
+        assert CuttingCurve(darts=tuple(list(curve.darts)), kind=curve.kind) == curve
+        regions = complement_regions(after_first_curve(cmap))
+        assert complement_regions(after_first_curve(cmap)) == regions
+
     def test_requires_validated_input(self):
         with pytest.raises(ValidationError, match="FillingMap"):
             reduce({"dart_count": 0, "alpha": [], "sigma": []})

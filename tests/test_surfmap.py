@@ -321,10 +321,33 @@ def test_interchange_rejects_malformed():
 
 
 def test_map_validation():
-    with pytest.raises(ValidationError):
-        CombinatorialMap(dart_count=2, alpha=(1, 0), sigma=(1, 0), straight_corners=frozenset({5}))
-    with pytest.raises(ValidationError):
-        CombinatorialMap(dart_count=1, alpha=(0,), sigma=(0,))
+    for fields in [
+        dict(dart_count=2, alpha=(1, 0), sigma=(1, 0), straight_corners=frozenset({5})),
+        dict(dart_count=1, alpha=(0,), sigma=(0,)),
+        # entries that are no int, and tables that are no tuple or
+        # frozenset: a list would leave the map unhashable and mutable
+        dict(dart_count=2, alpha=(1, None), sigma=(0, 1)),
+        dict(dart_count="2", alpha=(1, 0), sigma=(0, 1)),
+        dict(dart_count=2, alpha=(True, False), sigma=(0, 1)),
+        dict(dart_count=2, alpha=[1, 0], sigma=(0, 1)),
+        dict(dart_count=2, alpha=(1, 0), sigma=[0, 1]),
+        dict(dart_count=2, alpha=(1, 0), sigma=(0, 1), straight_corners={0}),
+    ]:
+        with pytest.raises(ValidationError):
+            CombinatorialMap(**fields)
+    # every map fixture comes back hashable, and no field can be assigned
+    maps = []
+    for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.json")):
+        try:
+            maps.append(from_interchange(json.loads(path.read_text())))
+        except ValidationError:
+            continue
+    assert len(maps) == 24
+    for cmap in maps:
+        hash(cmap)
+    for name in ("dart_count", "alpha", "sigma", "straight_corners"):
+        with pytest.raises(AttributeError):
+            setattr(maps[0], name, getattr(maps[0], name))
 
 
 @pytest.mark.parametrize("alpha, sigma, name", [
