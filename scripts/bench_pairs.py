@@ -18,6 +18,11 @@ did so, and nothing otherwise.
 Which way is better comes from BENCHMARK.json's end-to-end metrics;
 of the other metrics, a rate (a unit per second) is better higher and
 anything else is better lower.
+
+A pair in which either run's closing JSON line reads ``"correct":
+false``, or in which the change fails more ops than the ref, stops the
+script with a non-zero exit that names the side, the pair and the seed:
+the timings of a wrong answer compare nothing.
 """
 
 import argparse
@@ -82,6 +87,25 @@ def parse_report(stdout):
     return metrics
 
 
+def parse_verdict(stdout):
+    """(correct, failed) from the JSON line that closes a run."""
+    closing = json.loads(stdout.splitlines()[-1])
+    return closing["correct"], closing["failed"]
+
+
+def pair_faults(pair, seed, verdicts):
+    """Why pair number pair cannot be compared, given each side's
+    (correct, failed): a wrong answer on either side, or more failed
+    ops on the change's."""
+    faults = [f'{side} run of pair {pair} at seed {seed} printed "correct": false'
+              for side, (correct, _) in verdicts.items() if not correct]
+    ref_failed, change_failed = verdicts["ref"][1], verdicts["change"][1]
+    if change_failed > ref_failed:
+        faults.append(f"change run of pair {pair} at seed {seed} failed {change_failed} "
+                      f"ops, the ref run {ref_failed}")
+    return faults
+
+
 def export(ref, target):
     archive = subprocess.run(
         ["git", "archive", "--format=tar", ref, "--", *EXPORTED],
@@ -99,7 +123,7 @@ def run_side(root, args):
     )
     if done.returncode != 0:
         sys.exit(f"error: benchmark in {root} exited {done.returncode}:\n{done.stderr}")
-    return parse_report(done.stdout)
+    return parse_report(done.stdout), parse_verdict(done.stdout)
 
 
 def main():
@@ -118,10 +142,15 @@ def main():
         export(args.ref, refdir)
         for i in range(args.pairs):
             order = (("ref", refdir), ("change", ROOT))
+            verdicts = {}
             for side, root in order if i % 2 == 0 else order[::-1]:
-                runs[side].append(run_side(root, args))
+                metrics, verdicts[side] = run_side(root, args)
+                runs[side].append(metrics)
             cal = [runs[side][-1].get("cal_wall_s", (float("nan"),))[0] for side in runs]
             print(f"pair {i + 1}: cal_wall_s ref {cal[0]:.4f} change {cal[1]:.4f}", flush=True)
+            faults = pair_faults(i + 1, args.seed, verdicts)
+            if faults:
+                sys.exit("error: " + "; ".join(faults))
 
     print(f"# {args.workload} seed={args.seed} seconds={args.seconds:g} "
           f"pairs={args.pairs} ref={args.ref}: median [q1, q3]")

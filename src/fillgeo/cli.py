@@ -133,13 +133,64 @@ def cmd_polygon(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_child(run):
+    """Start run() in a forked child and return the function that waits
+    for it: that function returns run()'s result or raises the exception
+    run() raised, with its type and message.
+
+    The child pickles its outcome through a pipe and leaves through
+    os._exit, so the stdio buffers it inherited are never flushed twice.
+    The waiting function always reaps the child, and a child that exits
+    without a result raises InternalInvariantError.
+    """
+    import pickle
+
+    readable, writable = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(readable)
+            try:
+                outcome = (True, run())
+            except BaseException as err:
+                outcome = (False, err)
+            with open(writable, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+        finally:
+            os._exit(0)
+    os.close(writable)
+
+    def wait():
+        try:
+            # closing the pipe first frees a child blocked on writing to it
+            with open(readable, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            os.waitpid(pid, 0)
+        try:
+            done, value = pickle.loads(data)
+        except Exception:
+            raise InternalInvariantError("the verification child exited without a result") from None
+        if not done:
+            raise value
+        return value
+
+    return wait
+
+
 def _verify_reports(which: str, args) -> list:
     from . import isoperim
 
     # flags left unset keep GridSpec's defaults
     density = {"steps": args.steps, "samples": args.samples}
     grid = isoperim.GridSpec(**{k: v for k, v in density.items() if v is not None})
-    reports = []
 
     def wanted(name):
         return which in ("all", name)
@@ -148,29 +199,48 @@ def _verify_reports(which: str, args) -> list:
     least = {"lemma33": isoperim._LEMMA_3_3_MIN_N, "lemma34": isoperim._LEMMA_3_4_MIN_N}
     for name in filter(wanted, least if args.n is not None else ()):
         isoperim._check_n(args.n, least[name])
-    if wanted("lemma32"):
-        reports.append(isoperim.verify_lemma_3_2(grid))
-    if wanted("lemma33"):
-        ns = (args.n,) if args.n is not None else range(least["lemma33"], 21)
-        for n in ns:
-            reports.append(isoperim.verify_lemma_3_3(n, grid))
-    if wanted("lemma34"):
-        ns = (args.n,) if args.n is not None else range(7, 11)
-        for n in ns:
-            reports.append(isoperim.verify_lemma_3_4(n, grid))
-    if wanted("prop35"):
-        reports.append(isoperim.verify_prop_3_5(grid))
-    if wanted("prop36"):
-        reports.append(isoperim.verify_prop_3_6(grid))
-    if wanted("thm31"):
-        # one draw serves both random suites
-        draw = isoperim.draw_instances(args.count, args.seed)
-        reports.append(isoperim.verify_theorem_3_1(draw))
-        if which == "all":
-            reports.append(isoperim.verify_merge_properties(draw))
-    if wanted("example312"):
-        reports.append(isoperim.verify_example_3_12())
-    return reports
+
+    def sweeps():
+        reports = []
+        if wanted("lemma32"):
+            reports.append(isoperim.verify_lemma_3_2(grid))
+        if wanted("lemma33"):
+            ns = (args.n,) if args.n is not None else range(least["lemma33"], 21)
+            for n in ns:
+                reports.append(isoperim.verify_lemma_3_3(n, grid))
+        if wanted("lemma34"):
+            ns = (args.n,) if args.n is not None else range(7, 11)
+            for n in ns:
+                reports.append(isoperim.verify_lemma_3_4(n, grid))
+        if wanted("prop35"):
+            reports.append(isoperim.verify_prop_3_5(grid))
+        if wanted("prop36"):
+            reports.append(isoperim.verify_prop_3_6(grid))
+        return reports
+
+    def suites():
+        reports = []
+        if wanted("thm31"):
+            # one draw serves both random suites
+            draw = isoperim.draw_instances(args.count, args.seed)
+            reports.append(isoperim.verify_theorem_3_1(draw))
+            if which == "all":
+                reports.append(isoperim.verify_merge_properties(draw))
+        if wanted("example312"):
+            reports.append(isoperim.verify_example_3_12())
+        return reports
+
+    if which != "all" or not hasattr(os, "fork") or _usable_cpus() < 2:
+        return sweeps() + suites()
+    # the sweeps and the random suites share no state: the sweeps run in
+    # a child while this process runs the suites.  Should both raise, the
+    # sweeps' exception wins, as it would in process, where they run first
+    wait = _in_child(sweeps)
+    try:
+        later = suites()
+    finally:
+        first = wait()
+    return first + later
 
 
 def cmd_verify(args) -> int:

@@ -287,7 +287,8 @@ class RegularPolygonSpec(namedtuple("RegularPolygonSpec", "n theta area")):
     @classmethod
     def from_area(cls, n, area: float) -> "RegularPolygonSpec":
         n = _check_area(n, area)
-        return cls(n=n, theta=_angle_from_area(n, area), area=area)
+        # positional fields: keywords cost about 0.7 us more, once per merge step
+        return cls(n, _angle_from_area(n, area), area)
 
     @property
     def side(self) -> float:

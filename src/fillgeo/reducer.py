@@ -21,7 +21,6 @@ from collections import deque, namedtuple
 from collections.abc import Sequence
 
 from .errors import DomainError, InternalInvariantError, ValidationError
-from .polygeom import _check_genus
 from .report import json_text
 from .surfmap import CombinatorialMap, from_interchange, pair_strands, to_interchange
 
@@ -29,17 +28,19 @@ from .surfmap import CombinatorialMap, from_interchange, pair_strands, to_interc
 class FillingMap(namedtuple("FillingMap", "cmap genus")):
     """A multi-curve map that fills the closed surface of its genus.
 
-    The constructor checks it: it rejects a genus that is no integer of
-    at least two, a cmap that is no CombinatorialMap, straight
-    corners, disconnected maps, odd or small valences, monogon and bigon
-    faces, and maps whose rotation-system genus differs from the stated
-    genus (the curve then fails to fill that surface).
+    The constructor checks it, and every refusal is a ValidationError: it
+    rejects a genus that is no integer of at least two (where polygeom's
+    functions raise DomainError), a cmap that is no CombinatorialMap,
+    straight corners, disconnected maps, odd or small valences, monogon
+    and bigon faces, and maps whose rotation-system genus differs from
+    the stated genus (the curve then fails to fill that surface).
     """
 
     __slots__ = ()
 
     def __new__(cls, cmap, genus):
-        _check_genus(genus)
+        if type(genus) is not int or genus < 2:
+            raise ValidationError(f"genus must be an integer of at least 2, got {genus!r}")
         if not isinstance(cmap, CombinatorialMap):
             raise ValidationError(f"a FillingMap needs a CombinatorialMap, not {type(cmap).__name__}")
         if cmap.straight_corners:

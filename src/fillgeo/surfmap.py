@@ -423,19 +423,30 @@ def to_interchange(cmap: CombinatorialMap) -> dict:
 def from_interchange(data: dict) -> CombinatorialMap:
     """Rebuild a map from its serialized form, checked by the constructor.
 
-    Every number in the serialized form must be a JSON integer: a
-    float, a string or a boolean is refused, not converted, except in
-    the straight corners, read as a set, where one equal to an integer
-    before it (true after 1) merges into that integer.
+    The data is a dict; alpha, sigma and the optional straight_corners
+    are lists, and other keys are ignored.  Every number must be a JSON
+    integer: a float, a string or a boolean is refused, not converted.
+    The straight corners are checked as the list they are, integers
+    without repeats, before they become a set, so no entry merges into
+    another; the constructor then checks that each is a dart.
     """
+    if not isinstance(data, dict):
+        raise ValidationError(f"malformed map data: a {type(data).__name__}, not an object")
     try:
-        dart_count = data["dart_count"]
-        alpha = tuple(data["alpha"])
-        sigma = tuple(data["sigma"])
-        straight = frozenset(data.get("straight_corners", ()))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed map data: {exc}") from exc
-    return CombinatorialMap(dart_count, alpha, sigma, straight)
+        dart_count, alpha, sigma = data["dart_count"], data["alpha"], data["sigma"]
+    except KeyError as exc:
+        raise ValidationError(f"malformed map data: no {exc}") from None
+    straight = data.get("straight_corners", [])
+    for name, table in (("alpha", alpha), ("sigma", sigma), ("straight_corners", straight)):
+        if not isinstance(table, list):
+            raise ValidationError(f"malformed map data: {name} is a {type(table).__name__}, not a list")
+    for d in straight:
+        if type(d) is not int:
+            raise ValidationError(f"malformed map data: {d!r} is not an integer")
+    corners = frozenset(straight)
+    if len(corners) != len(straight):
+        raise ValidationError("malformed map data: a straight corner is listed twice")
+    return CombinatorialMap(dart_count, tuple(alpha), tuple(sigma), corners)
 
 
 def polygon_vertices(n, theta: float) -> list:

@@ -232,12 +232,15 @@ class TestVerify:
     def test_side_count_is_refused_before_any_sweep(self, capsys, monkeypatch, argv, message):
         from fillgeo import isoperim
 
-        calls = []
+        def sweep(*args):
+            # raised, not recorded: a sweep may run in a forked child
+            raise AssertionError("a sweep ran before the side count was refused")
+
         for name in dir(isoperim):
             if name.startswith("verify_"):
-                monkeypatch.setattr(isoperim, name, lambda *args: calls.append(args))
+                monkeypatch.setattr(isoperim, name, sweep)
         code, out, err = run_cli(["verify", *argv], capsys)
-        assert (code, out, calls) == (2, "", [])
+        assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
 
     def test_all_draws_and_validates_each_instance_once(self, capsys, monkeypatch):
@@ -260,6 +263,128 @@ class TestVerify:
         # both random suites share one draw; example 3.12 validates one
         # instance, which the constructor refuses
         assert calls == {"random_instance": 50, "validate_instance": 51}
+
+
+SMALL_VERIFY = ["verify", "--all", "--count", "5", "--samples", "100", "--steps", "2"]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """verify --all forks its sweeps, whatever this host's CPU count."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+
+class TestVerifyInChild:
+    @pytest.mark.parametrize("flags", [
+        (), ("--steps", "3", "--samples", "150", "--count", "40"),
+    ], ids=["default density", "small density"])
+    def test_child_reports_equal_in_process(self, monkeypatch, two_cpus, flags):
+        args = cli.build_parser().parse_args(["verify", "--all", *flags])
+        children = []
+        in_child = cli._in_child
+        monkeypatch.setattr(cli, "_in_child", lambda run: children.append(run) or in_child(run))
+        forked = cli._verify_reports("all", args)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        in_process = cli._verify_reports("all", args)
+        assert len(children) == 1
+        # repr, so that a NaN in the details compares equal to itself
+        assert repr(forked) == repr(in_process)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fallback", ["one cpu", "no fork"])
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    def test_in_process_path_prints_the_same_bytes(self, capsys, monkeypatch, two_cpus,
+                                                    fallback, fmt):
+        forked = run_cli([*SMALL_VERIFY, *fmt], capsys)
+        monkeypatch.setattr(cli, "_in_child", lambda run: pytest.fail("forked"))
+        if fallback == "one cpu":
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        elif fallback == "no fork":
+            monkeypatch.delattr(os, "fork")
+        assert run_cli([*SMALL_VERIFY, *fmt], capsys) == forked
+        assert forked[0] == 0 and forked[1]
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        ("ValidationError", 2, "error: "),
+        ("InternalInvariantError", 1, "invariant failure: "),
+    ])
+    def test_child_exception_keeps_its_exit_code(self, capsys, monkeypatch, two_cpus,
+                                                  error, code, prefix):
+        from fillgeo import errors, isoperim
+
+        def sweep(*args):
+            raise getattr(errors, error)(f"refused in process {os.getpid()}")
+
+        monkeypatch.setattr(isoperim, "verify_prop_3_5", sweep)
+        got, out, err = run_cli(SMALL_VERIFY, capsys)
+        assert (got, out) == (code, "")
+        assert err.startswith(prefix + "refused in process ")
+        # the sweep ran in the child, not here
+        assert int(err.split()[-1]) != os.getpid()
+        assert_no_child_left()
+
+    def test_child_without_a_result_is_an_invariant_failure(self, capsys, monkeypatch,
+                                                            two_cpus):
+        from fillgeo import isoperim
+
+        parent = os.getpid()
+
+        def sweep(*args):
+            if os.getpid() == parent:
+                raise AssertionError("the sweeps ran in this process")
+            os._exit(0)
+
+        monkeypatch.setattr(isoperim, "verify_lemma_3_2", sweep)
+        code, out, err = run_cli(SMALL_VERIFY, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("invariant failure: the verification child exited without a result")
+        assert_no_child_left()
+
+    def test_child_is_reaped_when_the_draw_raises(self, capsys, monkeypatch, two_cpus):
+        from fillgeo import isoperim
+        from fillgeo.errors import ValidationError
+
+        def draw(*args):
+            raise ValidationError("no draw")
+
+        monkeypatch.setattr(isoperim, "draw_instances", draw)
+        code, out, err = run_cli(SMALL_VERIFY, capsys)
+        assert (code, out, err) == (2, "", "error: no draw\n")
+        assert_no_child_left()
+        # a sweep that raises in the child wins, as it would in process,
+        # where the sweeps run first
+        monkeypatch.setattr(isoperim, "verify_lemma_3_2", lambda grid: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            cli.main(SMALL_VERIFY)
+        assert_no_child_left()
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert cli._usable_cpus() == 4
+
+    def test_fresh_process_prints_the_pinned_bytes(self):
+        # the child adds no output of its own: no stdio flushed twice
+        import hashlib
+
+        golden = json.loads(open(os.path.join(DATA_DIR, "cli_digests.json")).read())
+        run = subprocess.run(
+            [sys.executable, "-m", "fillgeo", "verify", "--all", "--seed", "7"],
+            env=fresh_env(), capture_output=True, timeout=120,
+        )
+        pinned = golden["verify all seed=7 default density"]
+        assert run.returncode == pinned["exit"]
+        assert hashlib.sha256(run.stdout).hexdigest() == pinned["stdout"]
+        assert run.stderr == b""
 
 
 class TestGluing:

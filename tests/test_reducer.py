@@ -1,11 +1,13 @@
+import copy
 import json
+import math
 import pathlib
 import random
 import time
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_map
@@ -132,11 +134,41 @@ class TestValidateInput:
             validate_input(circle, 2)
 
     def test_small_genus_rejected(self):
+        # a refusal of validated input, not polygeom's DomainError
         cmap, _ = load_fixture("canonical_g2")
-        with pytest.raises(DomainError):
-            validate_input(cmap, 1)
-        with pytest.raises(DomainError):
-            validate_input(cmap, True)
+        for genus in (1, True, 2.0, "2", None):
+            with pytest.raises(ValidationError) as refused:
+                validate_input(cmap, genus)
+            assert str(refused.value) == f"genus must be an integer of at least 2, got {genus!r}"
+            with pytest.raises(ValidationError):
+                reducer.FillingMap(cmap, genus)
+
+    @pytest.mark.parametrize("straight, message", [
+        ([1, True], "malformed map data: True is not an integer"),
+        ([3, 3], "malformed map data: a straight corner is listed twice"),
+        ({}, "malformed map data: straight_corners is a dict, not a list"),
+        ("", "malformed map data: straight_corners is a str, not a list"),
+    ])
+    def test_straight_corners_read_as_a_list(self, straight, message):
+        # a set made first would merge true into 1, and read {} and "" as no corners
+        data = json.loads((DATA_DIR / "canonical_g2.json").read_text())
+        data["straight_corners"] = straight
+        with pytest.raises(ValidationError) as refused:
+            validate_input(data, 2)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("data, message", [
+        ([], "malformed map data: a list, not an object"),
+        ({"alpha": [1, 0], "sigma": [0, 1]}, "malformed map data: no 'dart_count'"),
+        ({"dart_count": 2, "alpha": (1, 0), "sigma": [0, 1]},
+         "malformed map data: alpha is a tuple, not a list"),
+        ({"dart_count": 2, "alpha": [1, 0], "sigma": "01"},
+         "malformed map data: sigma is a str, not a list"),
+    ])
+    def test_interchange_shape_checked_first(self, data, message):
+        with pytest.raises(ValidationError) as refused:
+            validate_input(data, 2)
+        assert str(refused.value) == message
 
     def test_straight_corners_rejected(self):
         cmap, _ = load_fixture("canonical_g2")
@@ -171,6 +203,92 @@ class TestValidateInput:
         data = json.loads((DATA_DIR / "canonical_g2.json").read_text())
         with pytest.raises(ValidationError, match="CombinatorialMap"):
             reducer.FillingMap(data, 2)
+
+
+INTERCHANGE_FIELDS = ("dart_count", "alpha", "sigma", "straight_corners")
+MAP_FIXTURES = [
+    data for data in (json.loads(p.read_text()) for p in sorted(DATA_DIR.glob("*.json")))
+    if "dart_count" in data
+]
+# copied when drawn: an edit may append to a drawn list
+JUNK = st.sampled_from(
+    (None, True, False, 0, 1, -1, 0.5, 2.0, math.nan, "", "1", 10**30, [], {}, [1, True], [0])
+).map(copy.deepcopy)
+
+
+@st.composite
+def mutated_maps(draw):
+    """A map fixture with up to two edits, and its genus or another: an
+    entry or field replaced by junk, entries swapped, dropped or
+    appended, a field dropped, or now and then the whole data replaced."""
+    data = copy.deepcopy(draw(st.sampled_from(MAP_FIXTURES)))
+    g = data["genus"]
+    genus = draw(st.sampled_from((g, g, g, g - 1, g + 1, 1, 0, True, 2.0, "2", None)))
+    for _ in range(draw(st.integers(0, 2))):
+        if not isinstance(data, dict):
+            break
+        field = draw(st.sampled_from(INTERCHANGE_FIELDS))
+        value = data.get(field)
+        edits = ["junk", "drop field"]
+        if isinstance(value, list):
+            edits += ["append", "append dart"] + (["entry", "swap", "drop entry"] if value else [])
+        edit = draw(st.sampled_from(edits))
+        if edit == "junk":
+            data[field] = draw(JUNK)
+        elif edit == "drop field":
+            data.pop(field, None)
+        elif edit == "append":
+            value.append(draw(JUNK))
+        elif edit == "append dart":
+            value.append(draw(st.integers(-1, 60)))
+        else:
+            i = draw(st.integers(0, len(value) - 1))
+            j = draw(st.integers(0, len(value) - 1))
+            if edit == "entry":
+                value[i] = draw(JUNK)
+            elif edit == "swap":
+                value[i], value[j] = value[j], value[i]
+            else:
+                del value[i]
+    if draw(st.integers(0, 49)) == 0:
+        data = draw(st.sampled_from(([], None, "map", 12)))
+    return data, genus
+
+
+def as_written(data):
+    """The interchange fields of data as to_interchange writes them: JSON
+    text, so that true differs from 1 and 1.0; the corners sorted."""
+    fields = {key: data.get(key, []) for key in INTERCHANGE_FIELDS}
+    if isinstance(fields["straight_corners"], list):
+        fields["straight_corners"] = sorted(fields["straight_corners"])
+    return json.dumps(fields, sort_keys=True)
+
+
+def with_corners(straight):
+    data = json.loads((DATA_DIR / "canonical_g2.json").read_text())
+    data["straight_corners"] = straight
+    return data, 2
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mutated_maps())
+@example(with_corners([1, True]))
+@example(with_corners({}))
+def test_mutated_map_is_refused_or_read_as_written(case):
+    # every input is refused with ValidationError, or read as written
+    # and certified: no entry is converted, merged or dropped on the way
+    data, genus = case
+    try:
+        cmap = surfmap.from_interchange(data)
+    except ValidationError:
+        return
+    assert json.dumps(surfmap.to_interchange(cmap), sort_keys=True) == as_written(data)
+    try:
+        filling = validate_input(data, genus)
+    except ValidationError:
+        return
+    assert filling.cmap == cmap
+    assert reduce(filling).passed
 
 
 def after_first_curve(cmap):

@@ -91,3 +91,30 @@ def test_bench_pairs_reads_the_metric_lines():
         "ok_ratio": (1.0, "ratio"),
         "op_tail_s": (0.5, "s"),
     }
+
+
+def test_bench_pairs_stops_on_a_wrong_or_failing_run(monkeypatch, capsys):
+    bench = load_script("bench_pairs")
+    assert bench.parse_verdict('cal_wall_s 1.8 s\n{"correct": false, "failed": 2}\n') == (False, 2)
+    assert bench.pair_faults(1, 5, {"ref": (True, 1), "change": (True, 1)}) == []
+    # fewer failures on the change side are not a fault
+    assert bench.pair_faults(1, 5, {"ref": (True, 2), "change": (True, 0)}) == []
+    assert bench.pair_faults(3, 5, {"ref": (False, 0), "change": (True, 1)}) == [
+        'ref run of pair 3 at seed 5 printed "correct": false',
+        "change run of pair 3 at seed 5 failed 1 ops, the ref run 0",
+    ]
+    # main stops at the first such pair, with a non-zero exit that names it
+    runs = iter([(True, 0), (True, 0), (True, 0), (False, 0)])
+
+    def run_side(root, args):
+        return {"cal_wall_s": (1.0, "s")}, next(runs)
+
+    monkeypatch.setattr(bench, "export", lambda ref, target: None)
+    monkeypatch.setattr(bench, "run_side", run_side)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--workload", "verify-suite",
+                                      "--pairs", "10", "--seconds", "1", "--seed", "17"])
+    with pytest.raises(SystemExit) as stop:
+        bench.main()
+    # pair 2 runs the change first, so its second run is the ref's
+    assert stop.value.code == 'error: ref run of pair 2 at seed 17 printed "correct": false'
+    assert capsys.readouterr().out.splitlines()[-1].startswith("pair 2:")
