@@ -148,12 +148,19 @@ def _in_child(run):
     The child pickles its outcome through a pipe and leaves through
     os._exit, so the stdio buffers it inherited are never flushed twice.
     The waiting function always reaps the child, and a child that exits
-    without a result raises InternalInvariantError.
+    without a result raises InternalInvariantError.  Should the fork
+    fail (a process or memory limit), run() runs here instead, at once.
     """
     import pickle
 
     readable, writable = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(readable)
+        os.close(writable)
+        value = run()
+        return lambda: value
     if pid == 0:
         try:
             os.close(readable)

@@ -450,13 +450,11 @@ class PolygonFamily:
 
     @classmethod
     def by_angle(cls, items) -> "PolygonFamily":
-        """The family of items, a sequence of (side count, area) tuples,
-        in descending angle order, equal angles in their given order; it
-        keeps the tuples as they are and the angles the sort computed."""
+        """The family of items in descending angle order, equal angles in
+        their given order; it keeps the angles the sort computed."""
         angles = [_angle_from_area(m, a) for m, a in items]
         order = sorted(range(len(items)), key=angles.__getitem__, reverse=True)
-        family = cls.__new__(cls)
-        family.items = tuple([items[i] for i in order])
+        family = cls([items[i] for i in order])
         family._angles = tuple([angles[i] for i in order])
         return family
 

@@ -365,6 +365,31 @@ class TestVerifyInChild:
             cli.main(SMALL_VERIFY)
         assert_no_child_left()
 
+    @pytest.mark.parametrize("error", [
+        BlockingIOError(11, "Resource temporarily unavailable"),
+        OSError(12, "Cannot allocate memory"),
+    ], ids=["process limit", "no memory"])
+    def test_failed_fork_runs_the_sweeps_here(self, capsys, monkeypatch, two_cpus, error):
+        forked = run_cli(SMALL_VERIFY, capsys)
+        pipes = []
+
+        def pipe():
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        def fork():
+            raise error
+
+        real_pipe = os.pipe
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_cli(SMALL_VERIFY, capsys) == forked
+        # both ends of the pipe are closed
+        assert len(pipes) == 1
+        for fd in pipes[0]:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
