@@ -9,8 +9,9 @@ reduction on a map file and prints the certificate.
 
 Exit codes: 0 when every invoked check passes, 1 when a check ran and
 failed (or an internal invariant broke), 2 for usage and input errors,
-an output file that cannot be written among them, and 141 (a shell's
-code for SIGPIPE), printing nothing, when stdout closes early (``| head``).
+an output file or a stdout that cannot be written among them, and 141
+(a shell's code for SIGPIPE), printing nothing, when stdout closes
+early (``| head``).
 All numeric output is printed with repr so identical flags reproduce
 identical bytes.
 """
@@ -38,25 +39,25 @@ VERIFY_SELECTORS = (
 )
 
 
-def _genus(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"genus must be an integer, got {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"genus must be at least 2, got {value}")
-    return value
+def _at_least(what: str, least: int):
+    """The argparse type of an integer that is at least least, named what
+    in its messages."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {least}, got {value}")
+        return value
+
+    return parse
 
 
-def _count(text: str) -> int:
-    """An instance count: no instance drawn would pass vacuously."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"instance count must be an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"instance count must be at least 1, got {value}")
-    return value
+_genus = _at_least("genus", 2)
+# no instance drawn would pass vacuously
+_count = _at_least("instance count", 1)
 
 
 def _genus_range(text: str) -> tuple:
@@ -93,8 +94,16 @@ def _emit(text: str, out_path) -> None:
     lines = (text, "" if text.endswith("\n") else "\n")
     if out_path:
         _write(out_path, lambda handle: handle.writelines(lines))
-    else:
+        return
+    try:
         sys.stdout.writelines(lines)
+        sys.stdout.flush()
+    except OSError as err:
+        # point stdout at devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(err, BrokenPipeError):
+            raise
+        raise DomainError(f"cannot write to stdout: {err}")
 
 
 def cmd_minlen(args) -> int:
@@ -140,32 +149,35 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_child(run):
-    """Start run() in a forked child and return the function that waits
-    for it: that function returns run()'s result or raises the exception
-    run() raised, with its type and message.
+def _alongside(first, second, fork: bool):
+    """first() + second(), with first() in a forked child while this
+    process runs second() where that can help: fork is true, os.fork
+    exists and this process may use two CPUs.  Otherwise, and should the
+    fork fail (a process or memory limit), both run here, in order.
 
     The child pickles its outcome through a pipe and leaves through
     os._exit, so the stdio buffers it inherited are never flushed twice.
-    The waiting function always reaps the child, and a child that exits
-    without a result raises InternalInvariantError.  Should the fork
-    fail (a process or memory limit), run() runs here instead, at once.
+    The child is always reaped.  Should both raise, first()'s exception
+    wins, as it would in process; a child that exits without a result
+    raises InternalInvariantError.
     """
-    import pickle
+    pid = None
+    if fork and hasattr(os, "fork") and _usable_cpus() >= 2:
+        import pickle
 
-    readable, writable = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(readable)
-        os.close(writable)
-        value = run()
-        return lambda: value
+        readable, writable = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(readable)
+            os.close(writable)
+    if pid is None:
+        return first() + second()
     if pid == 0:
         try:
             os.close(readable)
             try:
-                outcome = (True, run())
+                outcome = (True, first())
             except BaseException as err:
                 outcome = (False, err)
             with open(writable, "wb") as pipe:
@@ -173,23 +185,25 @@ def _in_child(run):
         finally:
             os._exit(0)
     os.close(writable)
-
-    def wait():
+    try:
+        later = second()
+    finally:
         try:
             # closing the pipe first frees a child blocked on writing to it
             with open(readable, "rb") as pipe:
                 data = pipe.read()
         finally:
-            os.waitpid(pid, 0)
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass  # SIGCHLD is ignored, so the kernel has reaped the child
         try:
             done, value = pickle.loads(data)
         except Exception:
             raise InternalInvariantError("the verification child exited without a result") from None
         if not done:
             raise value
-        return value
-
-    return wait
+    return value + later
 
 
 def _verify_reports(which: str, args) -> list:
@@ -237,17 +251,9 @@ def _verify_reports(which: str, args) -> list:
             reports.append(isoperim.verify_example_3_12())
         return reports
 
-    if which != "all" or not hasattr(os, "fork") or _usable_cpus() < 2:
-        return sweeps() + suites()
-    # the sweeps and the random suites share no state: the sweeps run in
-    # a child while this process runs the suites.  Should both raise, the
-    # sweeps' exception wins, as it would in process, where they run first
-    wait = _in_child(sweeps)
-    try:
-        later = suites()
-    finally:
-        first = wait()
-    return first + later
+    # the sweeps and the random suites share no state: under --all the
+    # sweeps run in a child while this process runs the suites
+    return _alongside(sweeps, suites, fork=which == "all")
 
 
 def cmd_verify(args) -> int:
@@ -345,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--genus", type=_genus_range, required=True,
         help="single genus (2) or inclusive range (2..5)",
     )
-    p_minlen.add_argument("--json", action="store_true")
-    p_minlen.add_argument("--out", default=None, help="write output to this file")
     p_minlen.set_defaults(func=cmd_minlen)
 
     p_poly = sub.add_parser(
@@ -356,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     given = p_poly.add_mutually_exclusive_group(required=True)
     given.add_argument("--theta", type=float, help="interior angle in radians")
     given.add_argument("--area", type=float, help="hyperbolic area")
-    p_poly.add_argument("--json", action="store_true")
-    p_poly.add_argument("--out", default=None)
     p_poly.set_defaults(func=cmd_polygon)
 
     p_verify = sub.add_parser("verify", help="run the verification sweeps")
@@ -376,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="random instance count")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="random seed for the instance suite")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_glue = sub.add_parser(
@@ -387,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_glue.add_argument("--svg", default=None, help="write an SVG picture here")
     p_glue.add_argument("--emit-map", default=None,
                         help="write the map interchange file here")
-    p_glue.add_argument("--json", action="store_true")
-    p_glue.add_argument("--out", default=None)
     p_glue.set_defaults(func=cmd_gluing)
 
     p_reduce = sub.add_parser(
@@ -396,10 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_reduce.add_argument("mapfile", help="map interchange JSON file")
     p_reduce.add_argument("--genus", type=_genus, required=True)
-    p_reduce.add_argument("--json", action="store_true")
-    p_reduce.add_argument("--out", default=None)
     p_reduce.set_defaults(func=cmd_reduce)
 
+    # after each subcommand's own arguments, as its usage line lists them
+    for p_sub in sub.choices.values():
+        p_sub.add_argument("--json", action="store_true")
+        p_sub.add_argument("--out", default=None, help="write output to this file")
     return parser
 
 
@@ -410,12 +410,9 @@ def main(argv=None) -> int:
         # a usage error or --help, which argparse has already printed
         return exc.code
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
+        return args.func(args)
     except BrokenPipeError:
-        # point stdout at devnull, so the flush at exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout closed early (| head): _emit has pointed it at devnull
         return 141
     except (DomainError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -128,8 +128,6 @@ def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
     for n in n_values:
         a_lo = 1.5 * math.pi
         a_hi = (n / 2.0 - 2.0) * math.pi
-        if a_hi < a_lo:
-            continue
         # the grid's a - x all lie in (pi, a_hi)
         side = _check_area(n, a_hi, positive=True)
         for i in range(steps):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -197,6 +198,22 @@ class TestVerify:
         assert out == ""
         assert "instance count must be at least 1" in err
 
+    def test_non_integer_instance_count_is_usage_error(self, capsys):
+        code, out, err = run_cli(["verify", "thm31", "--count", "x"], capsys)
+        assert (code, out) == (2, "")
+        assert "argument --count: instance count must be an integer, got 'x'" in err
+
+    def test_failed_check_prints_its_report_indented(self, capsys, monkeypatch):
+        from fillgeo import isoperim
+
+        report = isoperim.verify_prop_3_5(isoperim.GridSpec(steps=2))._replace(passed=False)
+        monkeypatch.setattr(isoperim, "verify_prop_3_5", lambda grid: report)
+        code, out, _ = run_cli(["verify", "prop35", "--steps", "2"], capsys)
+        assert code == 1
+        assert out.splitlines() == [
+            report.summary(), *("  " + line for line in report.text().splitlines())]
+        assert out.startswith("[FAIL] prop_3_5")
+
     def test_instance_count_is_refused_before_any_sweep(self, capsys, monkeypatch):
         from fillgeo import isoperim
 
@@ -273,6 +290,12 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+FORK_ERRORS = {
+    "process limit": BlockingIOError(11, "Resource temporarily unavailable"),
+    "no memory": OSError(12, "Cannot allocate memory"),
+}
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     """verify --all forks its sweeps, whatever this host's CPU count."""
@@ -287,29 +310,68 @@ class TestVerifyInChild:
     ], ids=["default density", "small density"])
     def test_child_reports_equal_in_process(self, monkeypatch, two_cpus, flags):
         args = cli.build_parser().parse_args(["verify", "--all", *flags])
-        children = []
-        in_child = cli._in_child
-        monkeypatch.setattr(cli, "_in_child", lambda run: children.append(run) or in_child(run))
+        calls, forks = [], []
+        alongside, fork = cli._alongside, os.fork
+        monkeypatch.setattr(cli, "_alongside", lambda *a, **k: calls.append(k) or alongside(*a, **k))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         forked = cli._verify_reports("all", args)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         in_process = cli._verify_reports("all", args)
-        assert len(children) == 1
+        assert calls == [{"fork": True}] * 2
+        assert len(forks) == 1
         # repr, so that a NaN in the details compares equal to itself
         assert repr(forked) == repr(in_process)
         assert_no_child_left()
 
-    @pytest.mark.parametrize("fallback", ["one cpu", "no fork"])
+    @pytest.mark.parametrize("fallback", ["one cpu", "no fork", *FORK_ERRORS])
     @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
     def test_in_process_path_prints_the_same_bytes(self, capsys, monkeypatch, two_cpus,
                                                     fallback, fmt):
         forked = run_cli([*SMALL_VERIFY, *fmt], capsys)
-        monkeypatch.setattr(cli, "_in_child", lambda run: pytest.fail("forked"))
+        pipes = []
+
+        def pipe():
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        def fork():
+            raise FORK_ERRORS[fallback]
+
+        real_pipe = os.pipe
+        monkeypatch.setattr(os, "pipe", pipe)
         if fallback == "one cpu":
             monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         elif fallback == "no fork":
             monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", fork)
         assert run_cli([*SMALL_VERIFY, *fmt], capsys) == forked
         assert forked[0] == 0 and forked[1]
+        # only a fork that failed opened a pipe, and it closed both ends
+        assert len(pipes) == (fallback in FORK_ERRORS)
+        for fd in pipes[0] if pipes else ():
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_one_check_runs_in_process(self, capsys, monkeypatch, two_cpus):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        for which in ("prop35", "example312"):
+            code, out, _ = run_cli(["verify", which, "--steps", "2"], capsys)
+            assert code == 0 and out.startswith("[PASS]")
+
+    def test_ignored_sigchld_prints_the_same_bytes(self, capsys, monkeypatch, two_cpus):
+        # the kernel reaps the child itself, so the wait finds no child
+        forked = run_cli(SMALL_VERIFY, capsys)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert run_cli(SMALL_VERIFY, capsys) == forked
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 1
+        assert_no_child_left()
 
     @pytest.mark.parametrize("error, code, prefix", [
         ("ValidationError", 2, "error: "),
@@ -365,31 +427,6 @@ class TestVerifyInChild:
             cli.main(SMALL_VERIFY)
         assert_no_child_left()
 
-    @pytest.mark.parametrize("error", [
-        BlockingIOError(11, "Resource temporarily unavailable"),
-        OSError(12, "Cannot allocate memory"),
-    ], ids=["process limit", "no memory"])
-    def test_failed_fork_runs_the_sweeps_here(self, capsys, monkeypatch, two_cpus, error):
-        forked = run_cli(SMALL_VERIFY, capsys)
-        pipes = []
-
-        def pipe():
-            pipes.append(real_pipe())
-            return pipes[-1]
-
-        def fork():
-            raise error
-
-        real_pipe = os.pipe
-        monkeypatch.setattr(os, "pipe", pipe)
-        monkeypatch.setattr(os, "fork", fork)
-        assert run_cli(SMALL_VERIFY, capsys) == forked
-        # both ends of the pipe are closed
-        assert len(pipes) == 1
-        for fd in pipes[0]:
-            with pytest.raises(OSError):
-                os.fstat(fd)
-
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
@@ -399,17 +436,29 @@ class TestVerifyInChild:
 
     def test_fresh_process_prints_the_pinned_bytes(self):
         # the child adds no output of its own: no stdio flushed twice
-        import hashlib
+        assert_pinned_verify_all()
 
-        golden = json.loads(open(os.path.join(DATA_DIR, "cli_digests.json")).read())
-        run = subprocess.run(
-            [sys.executable, "-m", "fillgeo", "verify", "--all", "--seed", "7"],
-            env=fresh_env(), capture_output=True, timeout=120,
-        )
-        pinned = golden["verify all seed=7 default density"]
-        assert run.returncode == pinned["exit"]
-        assert hashlib.sha256(run.stdout).hexdigest() == pinned["stdout"]
-        assert run.stderr == b""
+    @pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD")
+    def test_fresh_process_with_sigchld_ignored(self):
+        # an ignored SIGCHLD outlives exec, as under a shell's trap '' CHLD
+        assert_pinned_verify_all(
+            preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN))
+
+
+def assert_pinned_verify_all(**options):
+    """A fresh `verify --all --seed 7`, started with options, prints the
+    pinned bytes and nothing on stderr."""
+    import hashlib
+
+    golden = json.loads(open(os.path.join(DATA_DIR, "cli_digests.json")).read())
+    run = subprocess.run(
+        [sys.executable, "-m", "fillgeo", "verify", "--all", "--seed", "7"],
+        env=fresh_env(), capture_output=True, timeout=120, **options,
+    )
+    pinned = golden["verify all seed=7 default density"]
+    assert run.returncode == pinned["exit"]
+    assert hashlib.sha256(run.stdout).hexdigest() == pinned["stdout"]
+    assert run.stderr == b""
 
 
 class TestGluing:
@@ -501,6 +550,22 @@ class TestGluing:
     def test_genus_zero_is_usage_error(self, capsys):
         code, _, _ = run_cli(["gluing", "--genus", "0"], capsys)
         assert code == 2
+
+    def test_non_integer_genus_is_usage_error(self, capsys):
+        for argv in (["gluing"], ["reduce", "map.json"]):
+            code, out, err = run_cli([*argv, "--genus", "x"], capsys)
+            assert (code, out) == (2, "")
+            assert "argument --genus: genus must be an integer, got 'x'" in err
+
+    def test_failed_check_prints_its_report_indented(self, capsys, monkeypatch):
+        report = surfmap.canonical_report(surfmap.build_map(surfmap.canonical_word(2)), 2)
+        failed = report._replace(passed=False)
+        monkeypatch.setattr(surfmap, "canonical_report", lambda cmap, genus: failed)
+        code, out, _ = run_cli(["gluing", "--genus", "2"], capsys)
+        assert code == 1
+        assert out.splitlines() == [
+            failed.summary(), *("  " + line for line in failed.text().splitlines())]
+        assert out.startswith("[FAIL] canonical_g2")
 
 
 class TestReduce:
@@ -670,6 +735,18 @@ def test_closed_stdout_exits_quietly():
     assert first.startswith(b"# genus")
     assert b"Traceback" not in err
     assert b"Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_is_a_usage_error():
+    # every write to /dev/full fails with ENOSPC, as on a full disk
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "fillgeo", "minlen", "--genus", "2..3"],
+            env=fresh_env(), stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert run.returncode == 2
+    assert run.stderr == "error: cannot write to stdout: [Errno 28] No space left on device\n"
 
 
 def test_import_loads_only_polygeom():

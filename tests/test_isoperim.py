@@ -403,6 +403,8 @@ def test_check_instance_k2_strict():
     assert result["holds"]
     assert not result["equality"]
     assert result["rhs"] > result["lhs"]
+    # two nondegenerate members: not the shape equality requires
+    assert classify_equality(inst) == (False, 2)
 
 
 def test_validate_rejects_bad_instances():
@@ -425,6 +427,12 @@ def test_validate_rejects_bad_instances():
     # non-integer member side count
     with pytest.raises(ValidationError):
         check_instance(IsoperimetricInstance(PolygonFamily(((8.0, 3.0),))))
+    with pytest.raises(ValidationError, match="at least one polygon"):
+        IsoperimetricInstance(PolygonFamily(()))
+    # member areas outside [0, (m - 2) pi)
+    for member in ((8, -1.0), (5, 3.0 * math.pi)):
+        with pytest.raises(ValidationError, match="member area"):
+            IsoperimetricInstance(PolygonFamily((member, (8, 1.0))))
 
 
 def test_merge_sequence_k2():
