@@ -7,11 +7,17 @@ and checks the canonical gluing (optionally emitting an SVG picture
 or the map interchange file), and ``reduce`` runs the cutting-curve
 reduction on a map file and prints the certificate.
 
+Each ``cmd_*`` returns ``(to_json, lines, code)``: a callable that gives
+its JSON text, its text lines and its exit code.  ``main`` alone reads
+--json and --out and hands the one or the other to ``_emit``, which
+writes stdout, the help included, and the --out and --emit-map files.
+
 Exit codes: 0 when every invoked check passes, 1 when a check ran and
 failed (or an internal invariant broke), 2 for usage and input errors,
-an output file or a stdout that cannot be written among them, and 141
-(a shell's code for SIGPIPE), printing nothing, when stdout closes
-early (``| head``).
+an output file, a stdout or help that cannot be written among them, and
+141 (a shell's code for SIGPIPE), printing nothing, when stdout closes
+early (``| head``).  A stderr that cannot be written loses the error
+message but not the exit code.
 All numeric output is printed with repr so identical flags reproduce
 identical bytes.
 """
@@ -21,8 +27,8 @@ import functools
 import os
 import sys
 
-# isoperim, reducer, surfmap and report, whose json_text writes all JSON,
-# are imported where used: start-up and ``minlen`` without --json load none
+# isoperim, reducer and surfmap are imported where used, and report, whose
+# json_text writes all JSON, by _json: start-up and ``minlen`` load none
 from . import polygeom
 from .errors import DomainError, InternalInvariantError, ValidationError
 
@@ -87,16 +93,17 @@ def _write(out_path, write) -> None:
         raise DomainError(f"cannot write output file: {err}")
 
 
-def _emit(text: str, out_path) -> None:
-    """Write text, ending in a newline, to the file out_path or to stdout."""
-    # the newline is written on its own: text + "\n" would copy the whole
-    # text, 1.4 MB for the genus-8000 --emit-map file
-    lines = (text, "" if text.endswith("\n") else "\n")
+def _emit(lines, out_path) -> None:
+    """Write lines, each followed by a newline, to the file out_path or to
+    stdout; every write to stdout, the help's too, goes through here."""
+    # each newline is written on its own: line + "\n" would copy the line,
+    # 1.4 MB for the genus-8000 --emit-map file
+    parts = (part for line in lines for part in (line, "\n"))
     if out_path:
-        _write(out_path, lambda handle: handle.writelines(lines))
+        _write(out_path, lambda handle: handle.writelines(parts))
         return
     try:
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(parts)
         sys.stdout.flush()
     except OSError as err:
         # point stdout at devnull, so the flush at exit cannot raise again
@@ -106,40 +113,44 @@ def _emit(text: str, out_path) -> None:
         raise DomainError(f"cannot write to stdout: {err}")
 
 
-def cmd_minlen(args) -> int:
-    """One row per genus: g, side count, side, perimeter, half-perimeter."""
-    rows = [polygeom.extremal_report(g) for g in args.genus]
-    if args.json:
-        from .report import json_text
+def _json(value) -> str:
+    """value as JSON text; fillgeo.report, and json with it, load on first use."""
+    from .report import json_text
 
-        text = json_text([r.as_dict() for r in rows])
-    else:
-        lines = ["# genus  sides  side  perimeter  min_length"]
+    return json_text(value)
+
+
+def _failure_lines(report) -> list:
+    """A failed report's text, each line indented by two spaces; none for
+    a report that passed."""
+    return [] if report.passed else ["  " + line for line in report.text().splitlines()]
+
+
+def cmd_minlen(args):
+    """One row per genus: g, side count, side, perimeter, half-perimeter."""
+    # every row is computed before any is written, so a refused genus prints nothing
+    rows = [polygeom.extremal_report(g) for g in args.genus]
+
+    def lines():
+        yield "# genus  sides  side  perimeter  min_length"
         for rep in rows:
-            lines.append(
+            yield (
                 f"{rep.genus}  {8 * rep.genus - 4}  {rep.polygon_side!r}  "
                 f"{rep.polygon_perimeter!r}  {rep.min_filling_length!r}"
             )
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0
+
+    return lambda: _json([r.as_dict() for r in rows]), lines(), 0
 
 
-def cmd_polygon(args) -> int:
+def cmd_polygon(args):
     if args.theta is not None:
         spec = polygeom.RegularPolygonSpec.from_angle(args.n, args.theta)
     else:
         spec = polygeom.RegularPolygonSpec.from_area(args.n, args.area)
     data = spec.as_dict()
-    if args.json:
-        from .report import json_text
-
-        text = json_text(data)
-    else:
-        text = "\n".join(f"{key}={data[key]!r}" for key in
-                         ("n", "theta", "area", "side", "perimeter", "circumradius"))
-    _emit(text, args.out)
-    return 0
+    lines = [f"{key}={data[key]!r}" for key in
+             ("n", "theta", "area", "side", "perimeter", "circumradius")]
+    return lambda: _json(data), lines, 0
 
 
 def _usable_cpus() -> int:
@@ -256,33 +267,24 @@ def _verify_reports(which: str, args) -> list:
     return _alongside(sweeps, suites, fork=which == "all")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     which = "all" if args.all else args.which
     reports = _verify_reports(which, args)
-    if args.json:
-        from .report import json_text
 
-        text = json_text([r.as_dict() for r in reports])
-    else:
-        lines = []
+    def lines():
         for rep in reports:
-            lines.append(rep.summary())
+            yield rep.summary()
             if rep.check_id == "example_3_12":
-                lhs = rep.details["sum_plus_half"]
-                rhs = rep.details["p5_of_5"]
-                lines.append(f"  lhs = P_6(4.99) + P_3(0.01) + 1/2 = {lhs!r}")
-                lines.append(f"  rhs = P_5(5) = {rhs!r}")
-            if not rep.passed:
-                for detail_line in rep.text().splitlines():
-                    lines.append("  " + detail_line)
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0 if all(r.passed for r in reports) else 1
+                yield f"  lhs = P_6(4.99) + P_3(0.01) + 1/2 = {rep.details['sum_plus_half']!r}"
+                yield f"  rhs = P_5(5) = {rep.details['p5_of_5']!r}"
+            yield from _failure_lines(rep)
+
+    code = 0 if all(r.passed for r in reports) else 1
+    return lambda: _json([r.as_dict() for r in reports]), lines(), code
 
 
-def cmd_gluing(args) -> int:
+def cmd_gluing(args):
     from . import surfmap
-    from .report import json_text
 
     word = surfmap.canonical_word(args.genus)
     cmap = surfmap.build_map(word)
@@ -292,21 +294,13 @@ def cmd_gluing(args) -> int:
         _write(args.svg, lambda handle: surfmap.gluing_svg(word, handle))
         lines.append(f"svg written to {args.svg}")
     if args.emit_map:
-        _emit(json_text(surfmap.to_interchange(cmap)), args.emit_map)
+        _emit([_json(surfmap.to_interchange(cmap))], args.emit_map)
         lines.append(f"map written to {args.emit_map}")
-    if args.json:
-        text = json_text(report.as_dict())
-    else:
-        lines.append(report.summary())
-        if not report.passed:
-            for detail_line in report.text().splitlines():
-                lines.append("  " + detail_line)
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0 if report.passed else 1
+    lines += [report.summary(), *_failure_lines(report)]
+    return lambda: _json(report.as_dict()), lines, 0 if report.passed else 1
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     import json
 
     from . import reducer
@@ -322,14 +316,15 @@ def cmd_reduce(args) -> int:
         raise ValidationError(f"map file is not valid JSON: {err}")
     filling = reducer.validate_input(data, args.genus)
     cert = reducer.reduce(filling)
-    if args.json:
-        text = cert.to_json()
-    else:
-        lines = list(cert.steps)
-        lines.append(cert.summary())
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0 if cert.passed else 1
+    return cert.to_json, [*cert.steps, cert.summary()], 0 if cert.passed else 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, its subcommands' parsers too, whose help goes
+    to stdout through _emit: help that cannot be written is a usage error."""
+
+    def print_help(self, file=None):
+        _emit([self.format_help().removesuffix("\n")], None)
 
 
 @functools.cache
@@ -337,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: a parser holds reference
     cycles, which each call would otherwise leave to the cyclic
     garbage collector."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fillgeo",
         description="Extremal filling geodesics: lengths, verification sweeps, "
         "canonical gluings and cutting-curve reduction.",
@@ -406,20 +401,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        to_json, lines, code = args.func(args)
+        _emit([to_json()] if args.json else lines, args.out)
+        return code
     except SystemExit as exc:
-        # a usage error or --help, which argparse has already printed
+        # argparse's exit after a usage error or the help, both written
         return exc.code
-    try:
-        return args.func(args)
     except BrokenPipeError:
         # stdout closed early (| head): _emit has pointed it at devnull
         return 141
     except (DomainError, ValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        message, code = f"error: {err}", 2
     except InternalInvariantError as err:
-        print(f"invariant failure: {err}", file=sys.stderr)
-        return 1
+        message, code = f"invariant failure: {err}", 1
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass  # the message is lost; the exit code still tells what happened
+    return code
 
 
 if __name__ == "__main__":

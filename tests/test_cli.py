@@ -1,5 +1,6 @@
 """Command line behaviour: subcommands, exit codes, output formats."""
 
+import errno
 import gc
 import io
 import json
@@ -14,6 +15,7 @@ import tracemalloc
 import pytest
 
 from fillgeo import cli, polygeom, surfmap
+from fillgeo.errors import InternalInvariantError
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -737,16 +739,59 @@ def test_closed_stdout_exits_quietly():
     assert b"Exception ignored" not in err
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_full_stdout_is_a_usage_error():
-    # every write to /dev/full fails with ENOSPC, as on a full disk
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+def run_into_full(argv, stream):
+    """Run fillgeo on argv in a fresh interpreter with stream, "stdout" or
+    "stderr", written to /dev/full, where every write fails with ENOSPC
+    as on a full disk; the other stream is captured as text."""
     with open("/dev/full", "w") as full:
-        run = subprocess.run(
-            [sys.executable, "-m", "fillgeo", "minlen", "--genus", "2..3"],
-            env=fresh_env(), stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
-        )
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: full}
+        return subprocess.run([sys.executable, "-m", "fillgeo", *argv],
+                              env=fresh_env(), text=True, timeout=60, **pipes)
+
+
+FULL_STDOUT_ERROR = "error: cannot write to stdout: [Errno 28] No space left on device\n"
+
+
+@needs_dev_full
+def test_full_stdout_is_a_usage_error():
+    run = run_into_full(["minlen", "--genus", "2..3"], "stdout")
     assert run.returncode == 2
-    assert run.stderr == "error: cannot write to stdout: [Errno 28] No space left on device\n"
+    assert run.stderr == FULL_STDOUT_ERROR
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [["--help"], ["minlen", "--help"]], ids=" ".join)
+def test_help_to_full_stdout_is_a_usage_error(argv):
+    # argparse's own writer drops the error and exits 0 with the help lost
+    run = run_into_full(argv, "stdout")
+    assert run.returncode == 2
+    assert run.stderr == FULL_STDOUT_ERROR
+
+
+@needs_dev_full
+def test_usage_error_to_full_stderr_keeps_exit_code_2():
+    # the message is lost; exit 1 would read as a check that failed
+    run = run_into_full(["polygon", "--n", "2", "--area", "1"], "stderr")
+    assert (run.returncode, run.stdout) == (2, "")
+
+
+class FullStream(io.StringIO):
+    """A text stream that refuses every write, as a full disk does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_invariant_failure_to_full_stderr_keeps_exit_code_1(monkeypatch):
+    def broken(genus):
+        raise InternalInvariantError("stub")
+
+    monkeypatch.setattr(polygeom, "extremal_report", broken)
+    monkeypatch.setattr(sys, "stderr", FullStream())
+    assert cli.main(["minlen", "--genus", "2"]) == 1
 
 
 def test_import_loads_only_polygeom():
@@ -760,6 +805,18 @@ def test_import_loads_only_polygeom():
         assert name not in loaded
     for name in ("dataclasses", "inspect", "json", "typing"):
         assert name not in added
+
+
+def test_minlen_text_loads_no_json():
+    # only --json asks a subcommand for its JSON text
+    code = (
+        "import contextlib, io, sys\nfrom fillgeo import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['minlen', '--genus', '2']) == 0\n"
+    )
+    loaded = fresh_modules(code)
+    assert "fillgeo.polygeom" in loaded
+    assert not loaded & {"fillgeo.report", "json"}
 
 
 @pytest.mark.parametrize("argv", [

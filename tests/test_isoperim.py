@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fillgeo import polygeom
+from fillgeo import isoperim, polygeom
 from fillgeo import tolerances as tol
 from fillgeo.errors import DomainError, ValidationError
 from fillgeo.isoperim import (
+    EqualityClassification,
     GridSpec,
     IsoperimetricInstance,
     PolygonFamily,
@@ -234,6 +235,24 @@ def test_prop_3_6_reduced():
     assert report.min_value >= -1e-9
     assert report.details["near_zero_off_line"] == 0
     assert report.details["exact_zero_at_x0"]
+
+
+def test_prop_3_6_fails_on_a_zero_off_the_x0_line(monkeypatch):
+    # no valid row has one; a kernel that is zero everywhere stands in
+    monkeypatch.setattr(isoperim, "_f", lambda n, a, xs, squares: [0.0] * len(xs))
+    report = verify_prop_3_6(GridSpec(steps=4))
+    assert not report.passed
+    assert report.details["near_zero_off_line"] > 0
+    assert report.details["exact_zero_at_x0"]
+
+
+def test_prop_3_6_fails_on_a_nonzero_at_x0(monkeypatch):
+    row = isoperim._f
+    monkeypatch.setattr(isoperim, "_f", lambda *args: [v + 1e-300 for v in row(*args)])
+    report = verify_prop_3_6(GridSpec(steps=4))
+    assert not report.passed
+    assert report.details["near_zero_off_line"] == 0
+    assert not report.details["exact_zero_at_x0"]
 
 
 def reference_lemma_3_3(n: int, grid: GridSpec) -> CheckReport:
@@ -455,6 +474,22 @@ def test_merge_sequence_requires_sorted():
         merge_sequence(inst)
 
 
+def test_merge_sequence_refuses_a_step_outside_the_domain(monkeypatch):
+    # the steps of a valid instance stay in the domain; a refusing
+    # polygon constructor stands in for one that leaves it
+    area = area_from_angle(8, math.pi / 2.0)
+    inst = IsoperimetricInstance(family=PolygonFamily(((6, 2.0), (6, area - 2.0))))
+
+    class Refusing:
+        @staticmethod
+        def from_area(n, a):
+            raise DomainError("stub refusal")
+
+    monkeypatch.setattr(isoperim, "RegularPolygonSpec", Refusing)
+    with pytest.raises(ValidationError, match="merge step 1 leaves the polygon domain: stub"):
+        merge_sequence(inst)
+
+
 def test_classify_equality_fully_degenerate():
     inst = IsoperimetricInstance(family=PolygonFamily(((4, 0.0), (4, 0.0))))
     assert inst.target == RegularPolygonSpec.from_area(4, 0.0)
@@ -502,6 +537,50 @@ def test_merge_properties_reduced():
     assert report.details["merge_angle_failures"] == 0
     assert report.details["final_step_mismatches"] == 0
     assert report.details["member_angle_bound_failures"] == 0
+
+
+@pytest.mark.parametrize("result, expected_shape, counter", [
+    ({"lhs": 1.0, "rhs": 0.5, "holds": False, "equality": False}, True, "holds_failures"),
+    ({"lhs": 1.0, "rhs": 1.0, "holds": True, "equality": True}, False, "classifier_failures"),
+], ids=["holds", "classifier"])
+def test_theorem_3_1_counts_each_failure(monkeypatch, result, expected_shape, counter):
+    # valid instances satisfy the inequality; stubbed checks stand in
+    monkeypatch.setattr(isoperim, "check_instance", lambda inst: result)
+    monkeypatch.setattr(isoperim, "classify_equality",
+                        lambda inst: EqualityClassification(expected_shape, 1))
+    report = verify_theorem_3_1(draw_instances(3, seed=0))
+    assert not report.passed
+    failures = {key: report.details[key] for key in ("holds_failures", "classifier_failures")}
+    assert failures == {"holds_failures": 0, "classifier_failures": 0, counter: 3}
+
+
+@pytest.mark.parametrize("case, counter", [
+    ("sharp step", "merge_angle_failures"),
+    ("wrong final sides", "final_step_mismatches"),
+    ("no right angle", "member_angle_bound_failures"),
+    ("member above target", "member_angle_bound_failures"),
+])
+def test_merge_properties_counts_each_failure(monkeypatch, case, counter):
+    # valid instances pass every bound; a stubbed merge sequence or a
+    # replaced angle tuple breaks one
+    draw = draw_instances(1, seed=0)
+    inst = draw.instances[0]
+    steps = list(merge_sequence(inst))
+    if case == "sharp step":
+        steps[0] = steps[0]._replace(theta=math.pi / 2.0 - 0.1)
+    elif case == "wrong final sides":
+        steps[-1] = steps[-1]._replace(n=steps[-1].n + 1)
+    elif case == "no right angle":
+        inst.family._angles = (math.pi / 2.0 - 0.1,) * inst.family.k
+    else:
+        inst.family._angles = (inst.target.theta + 0.1,) * inst.family.k
+    monkeypatch.setattr(isoperim, "merge_sequence", lambda inst: tuple(steps))
+    report = verify_merge_properties(draw)
+    assert not report.passed
+    counters = ("merge_angle_failures", "final_step_mismatches", "member_angle_bound_failures")
+    assert {key: report.details[key] for key in counters} == {
+        "merge_angle_failures": 0, "final_step_mismatches": 0,
+        "member_angle_bound_failures": 0, counter: 1}
 
 
 @pytest.mark.parametrize("verify", [verify_theorem_3_1, verify_merge_properties])
@@ -553,6 +632,13 @@ def test_example_report():
     assert report.details["strict_rejected"]
     assert not report.details["permissive_holds"]
     assert report.details["target_theta"] < math.pi / 2.0
+
+
+def test_example_report_fails_when_the_family_is_accepted(monkeypatch):
+    monkeypatch.setattr(isoperim, "IsoperimetricInstance", lambda family: None)
+    report = verify_example_3_12()
+    assert not report.passed
+    assert not report.details["strict_rejected"]
 
 
 def test_report_text_round_trip():

@@ -734,6 +734,43 @@ class TestReduce:
         with pytest.raises(ValidationError, match="FillingMap"):
             reduce({"dart_count": 0, "alpha": [], "sigma": []})
 
+    def test_stops_at_its_iteration_budget(self, monkeypatch):
+        # every valid input fills within budget; a cut that adds nothing never does
+        cmap, genus = load_fixture("canonical_g2")
+        budget = cmap.dart_count // 2
+        cuts = []
+
+        def adds_nothing(state, cut):
+            cuts.append(cut)
+            assert len(cuts) <= budget, "reduce ran past its budget"
+            return state
+
+        monkeypatch.setattr(reducer, "add_cutting_curve", adds_nothing)
+        with pytest.raises(InternalInvariantError) as info:
+            reduce(validate_input(cmap, genus))
+        message, log = str(info.value).split(" [step log: ")
+        assert message == "reduction exceeded its iteration budget of one step per input edge"
+        assert log.count("; step ") == budget - 1
+        assert f"step {budget}: " in log
+
+    def test_search_failure_carries_the_step_log(self, monkeypatch):
+        cmap, genus = load_fixture("canonical_g2")
+        find = reducer.find_cutting_curve
+        searches = []
+
+        def fails_third(state):
+            searches.append(state)
+            if len(searches) == 3:
+                raise InternalInvariantError("stub: no essential cutting curve")
+            return find(state)
+
+        monkeypatch.setattr(reducer, "find_cutting_curve", fails_third)
+        with pytest.raises(InternalInvariantError) as info:
+            reduce(validate_input(cmap, genus))
+        message = str(info.value)
+        assert message.startswith("stub: no essential cutting curve [step log: step 1: ")
+        assert "; step 2: " in message and "step 3" not in message
+
     def test_replay_of_step_log_reaches_certificate(self):
         cmap, genus = load_fixture("sixvalent_b")
         cert = reduce(validate_input(cmap, genus))
