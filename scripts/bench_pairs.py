@@ -19,6 +19,14 @@ Which way is better comes from BENCHMARK.json's end-to-end metrics;
 of the other metrics, a rate (a unit per second) is better higher and
 anything else is better lower.
 
+The last line printed is the whole comparison as one JSON object: the
+ref and the commit it resolved to, the workload, seed, pair count and
+run length, the Python version, the platform and the CPUs the process
+may use, and for every metric its unit, which way is better, both
+sides' runs in pair order, their quartiles, the change's wins and
+losses and the verdict.  Redirected into ``BENCH_<n>.json``, it is the
+committed record of a performance claim.
+
 A pair in which either run's closing JSON line reads ``"correct":
 false``, or in which the change fails more ops than the ref, stops the
 script with a non-zero exit that names the side, the pair and the seed:
@@ -29,6 +37,7 @@ import argparse
 import io
 import json
 import pathlib
+import platform
 import statistics
 import subprocess
 import sys
@@ -37,6 +46,10 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXPORTED = ("src", "perfbench", "BENCHMARK.json")
+
+sys.path.insert(0, str(ROOT / "src"))
+
+from fillgeo.cli import _usable_cpus  # noqa: E402
 
 
 def quartiles(values):
@@ -106,6 +119,36 @@ def pair_faults(pair, seed, verdicts):
     return faults
 
 
+def comparison(runs, higher):
+    """{metric: summary} over the pairs for every metric both sides
+    printed in every run, each summary with the metric's unit, which way
+    is better and both sides' runs; runs maps "ref" and "change" to each
+    run's {metric: (value, unit)}, and higher maps the declared metrics
+    to whether higher is better."""
+    metrics = {}
+    for name, (_, unit) in runs["ref"][0].items():
+        if not all(name in run for side in runs.values() for run in side):
+            continue
+        better_higher = higher.get(name, unit.endswith("/s"))
+        values = {side: [run[name][0] for run in runs[side]] for side in runs}
+        metrics[name] = {
+            "unit": unit,
+            "better": "higher" if better_higher else "lower",
+            "ref_runs": values["ref"],
+            "change_runs": values["change"],
+            **summarize(values["ref"], values["change"], better_higher),
+        }
+    return metrics
+
+
+def resolve(ref):
+    """The commit a git ref names."""
+    return subprocess.run(
+        ["git", "rev-parse", "--verify", f"{ref}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
 def export(ref, target):
     archive = subprocess.run(
         ["git", "archive", "--format=tar", ref, "--", *EXPORTED],
@@ -137,9 +180,10 @@ def main():
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     higher = {m["name"]: m["better"] == "higher" for m in declared}
+    commit = resolve(args.ref)
     runs = {"ref": [], "change": []}
     with tempfile.TemporaryDirectory() as refdir:
-        export(args.ref, refdir)
+        export(commit, refdir)
         for i in range(args.pairs):
             order = (("ref", refdir), ("change", ROOT))
             verdicts = {}
@@ -154,16 +198,23 @@ def main():
 
     print(f"# {args.workload} seed={args.seed} seconds={args.seconds:g} "
           f"pairs={args.pairs} ref={args.ref}: median [q1, q3]")
-    for name, (_, unit) in runs["ref"][0].items():
-        if not all(name in run for run in runs["change"]):
-            continue
-        better_higher = higher.get(name, unit.endswith("/s"))
-        s = summarize([run[name][0] for run in runs["ref"]],
-                      [run[name][0] for run in runs["change"]], better_higher)
-        print(f"{name} ({unit}): ref {s['ref'][1]:.6g} [{s['ref'][0]:.6g}, {s['ref'][2]:.6g}]"
+    metrics = comparison(runs, higher)
+    for name, s in metrics.items():
+        print(f"{name} ({s['unit']}): ref {s['ref'][1]:.6g} [{s['ref'][0]:.6g}, {s['ref'][2]:.6g}]"
               f"  change {s['change'][1]:.6g} [{s['change'][0]:.6g}, {s['change'][2]:.6g}]"
               f"  wins {s['wins']}/{s['pairs']} {s['verdict']}".rstrip())
-
+    print(json.dumps({
+        "ref": args.ref,
+        "ref_commit": commit,
+        "workload": args.workload,
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "usable_cpus": _usable_cpus(),
+        "metrics": metrics,
+    }))
 
 if __name__ == "__main__":
     main()

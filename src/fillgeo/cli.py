@@ -106,8 +106,16 @@ def _emit(lines, out_path) -> None:
         sys.stdout.writelines(parts)
         sys.stdout.flush()
     except OSError as err:
-        # point stdout at devnull, so the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # point stdout at devnull, so the flush at exit cannot raise again;
+        # a stream with no descriptor (a StringIO) has nothing to point
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         if isinstance(err, BrokenPipeError):
             raise
         raise DomainError(f"cannot write to stdout: {err}")

@@ -16,6 +16,7 @@ Faces are traced with the convention next(d) = sigma(alpha(d)).
 
 import math
 from collections import namedtuple
+from itertools import chain, pairwise
 from operator import ne
 
 from . import tolerances as tol
@@ -456,26 +457,28 @@ def polygon_vertices(n, theta: float) -> list:
     realized on the Euclidean radius tanh(R/2); a degenerate polygon
     collapses every corner to the origin.
     """
+    return [(z.real, z.imag) for z in _corners(n, theta)]
+
+
+def _corners(n, theta: float):
+    """polygon_vertices(n, theta) as complex numbers, yielded one at a
+    time; n is checked before the first."""
     number = isinstance(n, (int, float)) and not isinstance(n, bool)
     if not number or not 3 <= n < math.inf or n != int(n):
         raise DomainError(f"side count must be an integer >= 3, got {n!r}")
     n = int(n)
     radius = math.tanh(circumradius(n, theta) / 2.0)
-    points = []
-    for k in range(n):
-        angle = 2.0 * math.pi * k / n
-        points.append((radius * math.cos(angle), radius * math.sin(angle)))
-    return points
+
+    def corners():
+        for k in range(n):
+            angle = 2.0 * math.pi * k / n
+            yield complex(radius * math.cos(angle), radius * math.sin(angle))
+
+    return corners()
 
 
-# the 25 sample fractions along a side, and the SVG lines drawn from
-# them, each ending in its newline; %-formatting gives the same text as
-# the :.5f format spec
-_SAMPLES = tuple(t / 24 for t in range(25))
-_POLYLINE = (
-    '<polyline points="' + " ".join(["%.5f,%.5f"] * len(_SAMPLES))
-    + '" fill="none" stroke="#224488" stroke-width="0.006"/>\n'
-)
+# the SVG lines, each ending in its newline; %-formatting gives the same
+# text as the :.5f format spec
 _LABEL = (
     '<text x="%.5f" y="%.5f" font-size="%.4f" text-anchor="middle" '
     'dominant-baseline="middle" fill="#333333">%s</text>\n'
@@ -483,17 +486,45 @@ _LABEL = (
 _CORNER = '<circle cx="%.5f" cy="%.5f" r="0.008" fill="#cc3333"/>\n'
 
 
-def _geodesic_points(z1: complex, z2: complex) -> list:
-    """Sample the hyperbolic segment between two disk points at 25
-    points, as the flat SVG coordinates x0, y0, x1, y1, ... (y = -Im z)."""
+def _geodesic_points(z1: complex, z2: complex, fractions) -> list:
+    """Sample the hyperbolic segment between two disk points at the given
+    fractions of the way (0 gives z1, 1 gives z2), as the flat SVG
+    coordinates x0, y0, x1, y1, ... (y = -Im z)."""
     c1 = z1.conjugate()
     w = (z2 - z1) / (1.0 - c1 * z2)
     coords = []
-    for t in _SAMPLES:
+    for t in fractions:
         u = w * t
         z = (u + z1) / (1.0 + c1 * u)
         coords += (z.real, -z.imag)
     return coords
+
+
+def _side_fractions(z1: complex, z2: complex) -> tuple:
+    """The fewest equal fractions 0, 1/m, ..., 1 whose samples of the
+    side z1 z2 draw it with every segment within SVG_SAG_TOL of its arc.
+
+    The side is an arc of the circle through z1 and z2 orthogonal to
+    |z| = 1, whose centre c solves 2 Re(c conj z) = 1 + |z|^2 at both.
+    A chord of length L on a circle of radius r lies
+    r - sqrt(r^2 - L^2/4) from its arc at most, so a segment is close
+    enough when L <= 2 sqrt(s (2r - s)), s the tolerance; when s >= r
+    every chord is.
+    """
+    det = z1.real * z2.imag - z2.real * z1.imag
+    h1, h2 = (1.0 + abs(z1) ** 2) / 2.0, (1.0 + abs(z2) ** 2) / 2.0
+    centre = complex(h1 * z2.imag - h2 * z1.imag, z1.real * h2 - z2.real * h1) / det
+    r, s = abs(centre - z1), tol.SVG_SAG_TOL
+    longest = 2.0 * math.sqrt(s * (2.0 * r - s)) if s < r else math.inf
+    m = 1
+    while True:
+        fractions = tuple(j / m for j in range(m + 1))
+        xy = _geodesic_points(z1, z2, fractions)
+        chords = (math.hypot(xy[i + 2] - xy[i], xy[i + 3] - xy[i + 1])
+                  for i in range(0, 2 * m, 2))
+        if max(chords) <= longest:
+            return fractions
+        m += 1
 
 
 def gluing_svg(word, out) -> None:
@@ -501,13 +532,22 @@ def gluing_svg(word, out) -> None:
     sides, and each token as its side's label.  The tokens are drawn as
     given, not checked: build_map checks a word.  Writes the SVG to the
     text stream out one line at a time, each line ending in a newline,
-    so the picture is never held whole.  A four-sided word draws the
-    degenerate square as a point at the origin."""
+    and computes the corners as it draws them, so neither the picture
+    nor its corner list is ever held whole.  A four-sided word draws the
+    degenerate square as a point at the origin.
+
+    Each side is a <polyline> through points on its geodesic, as few as
+    keep every segment within SVG_SAG_TOL (1/20 px of the 720 px
+    picture) of the true arc.  The polygon is regular, so the count is
+    found once, on side 0: 24 points a side at g = 2, 8 at g = 40, and
+    the chord alone (2 points) from g = 2000 on, whose picture is about
+    4.7 MB.
+    """
     tokens = _tokens(word)
     n = len(tokens)
-    corners = polygon_vertices(n, math.pi / 2.0)
-    zs = [complex(x, y) for x, y in corners]
-    degenerate = all(abs(z) < tol.SVG_POINT_TOL for z in zs)
+    corners = _corners(n, math.pi / 2.0)
+    z0 = next(corners)
+    degenerate = abs(z0) < tol.SVG_POINT_TOL
 
     font = max(0.018, min(0.06, 2.5 / n))
     out.write(
@@ -520,11 +560,17 @@ def gluing_svg(word, out) -> None:
     if degenerate:
         out.write('<circle cx="0" cy="0" r="0.01" fill="#cc3333"/>\n')
     else:
-        for k in range(n):
-            out.write(_POLYLINE % tuple(_geodesic_points(zs[k], zs[(k + 1) % n])))
+        z1 = next(corners)
+        fractions = _side_fractions(z0, z1)
+        line = (
+            '<polyline points="' + " ".join(["%.5f,%.5f"] * len(fractions))
+            + '" fill="none" stroke="#224488" stroke-width="0.006"/>\n'
+        )
+        for za, zb in pairwise(chain((z0, z1), corners, (z0,))):
+            out.write(line % tuple(_geodesic_points(za, zb, fractions)))
         for k, token in enumerate(tokens):
             phi = 2.0 * math.pi * (k + 0.5) / n
             out.write(_LABEL % (1.09 * math.cos(phi), -1.09 * math.sin(phi), font, token))
-        for z in zs:
+        for z in _corners(n, math.pi / 2.0):
             out.write(_CORNER % (z.real, -z.imag))
     out.write("</svg>\n")

@@ -38,3 +38,7 @@ MERGE_AREA_TOL = 1e-12
 LENGTH_REL_TOL = 1e-12
 # surfmap.gluing_svg: corners this close to the origin draw as one point
 SVG_POINT_TOL = 1e-12
+# surfmap.gluing_svg: a side's polyline may leave its true arc by 1/20 px
+# of the 720 px picture (the viewBox is 2.5 units wide), so it takes 24
+# points a side at g = 2 and the bare chord from g = 2000 on
+SVG_SAG_TOL = 2.5 / 720 / 20

@@ -541,6 +541,28 @@ class TestGluing:
         assert code == 0
         assert peak < svg_path.stat().st_size, (peak, svg_path.stat().st_size)
 
+    @pytest.mark.parametrize("g", [500, 2000])
+    def test_svg_writer_streams(self, g):
+        """gluing_svg alone, on a word built beforehand and into a stream
+        that keeps nothing, peaks below half the picture's size."""
+
+        class Discard:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        word = surfmap.canonical_word(g)
+        surfmap.gluing_svg(word, Discard())
+        sink = Discard()
+        tracemalloc.start()
+        try:
+            surfmap.gluing_svg(word, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sink.size / 2, (peak, sink.size)
+
     def test_genus_fifty_is_fast(self, capsys):
         start = time.perf_counter()
         code, out, _ = run_cli(["gluing", "--genus", "50"], capsys)
@@ -792,6 +814,35 @@ def test_invariant_failure_to_full_stderr_keeps_exit_code_1(monkeypatch):
     monkeypatch.setattr(polygeom, "extremal_report", broken)
     monkeypatch.setattr(sys, "stderr", FullStream())
     assert cli.main(["minlen", "--genus", "2"]) == 1
+
+
+class ClosedPipeStream(io.StringIO):
+    """A text stream whose reader has gone, as a pipe to ``head`` does."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("stream, code, err", [
+    (FullStream, 2, FULL_STDOUT_ERROR),
+    (ClosedPipeStream, 141, ""),
+], ids=["full", "closed pipe"])
+def test_unwritable_stdout_without_a_descriptor(monkeypatch, capsys, stream, code, err):
+    # an in-process caller may capture stdout in a stream with no fileno
+    monkeypatch.setattr(sys, "stdout", stream())
+    assert cli.main(["minlen", "--genus", "2"]) == code
+    assert capsys.readouterr().err == err
+
+
+@needs_dev_full
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_full_stdout_in_process_keeps_the_descriptor_count(monkeypatch, capsys):
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        before = len(os.listdir("/proc/self/fd"))
+        assert cli.main(["minlen", "--genus", "2"]) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err == FULL_STDOUT_ERROR
 
 
 def test_import_loads_only_polygeom():

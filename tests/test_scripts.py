@@ -11,6 +11,7 @@ directory, and what it writes must be the committed map fixtures.
 import importlib.util
 import json
 import pathlib
+import platform
 import subprocess
 import sys
 
@@ -109,6 +110,7 @@ def test_bench_pairs_stops_on_a_wrong_or_failing_run(monkeypatch, capsys):
     def run_side(root, args):
         return {"cal_wall_s": (1.0, "s")}, next(runs)
 
+    monkeypatch.setattr(bench, "resolve", lambda ref: "0" * 40)
     monkeypatch.setattr(bench, "export", lambda ref, target: None)
     monkeypatch.setattr(bench, "run_side", run_side)
     monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--workload", "verify-suite",
@@ -118,3 +120,57 @@ def test_bench_pairs_stops_on_a_wrong_or_failing_run(monkeypatch, capsys):
     # pair 2 runs the change first, so its second run is the ref's
     assert stop.value.code == 'error: ref run of pair 2 at seed 17 printed "correct": false'
     assert capsys.readouterr().out.splitlines()[-1].startswith("pair 2:")
+
+
+def test_bench_pairs_closes_with_its_json_record(monkeypatch, capsys):
+    bench = load_script("bench_pairs")
+    # pair i's runs read ref_cal[i] and change_cal[i]; even pairs run the ref first
+    ref_cal = [2.0, 2.2, 1.9, 2.1]
+    change_cal = [1.8, 1.9, 1.7, 2.3]
+    sides = iter([
+        ("ref", 0), ("change", 0), ("change", 1), ("ref", 1),
+        ("ref", 2), ("change", 2), ("change", 3), ("ref", 3),
+    ])
+
+    def run_side(root, args):
+        side, i = next(sides)
+        cal = (ref_cal if side == "ref" else change_cal)[i]
+        metrics = {"cal_wall_s": (cal, "s"), "darts_per_s": (10.0 / cal, "darts/s"),
+                   "ok_ratio": (1.0, "ratio")}
+        if side == "ref" or i:
+            metrics["svg_s"] = (0.5, "s")  # missing from one change run
+        return metrics, (True, 0)
+
+    commit = "0123456789abcdef0123456789abcdef01234567"
+    exported = []
+    monkeypatch.setattr(bench, "resolve", lambda ref: commit if ref == "HEAD~1" else None)
+    monkeypatch.setattr(bench, "export", lambda ref, target: exported.append(ref))
+    monkeypatch.setattr(bench, "run_side", run_side)
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "HEAD~1", "--workload", "verify-suite",
+                                      "--pairs", "4", "--seconds", "2.5", "--seed", "91"])
+    bench.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert exported == [commit]
+    assert lines[-2].startswith("ok_ratio (ratio): ref 1 [1, 1]  change 1 [1, 1]  wins 0/4")
+    record = json.loads(lines[-1])
+    assert {key: record[key] for key in
+            ("ref", "ref_commit", "workload", "seed", "pairs", "seconds", "usable_cpus")} == {
+        "ref": "HEAD~1", "ref_commit": commit, "workload": "verify-suite",
+        "seed": 91, "pairs": 4, "seconds": 2.5, "usable_cpus": 3,
+    }
+    assert record["python"] == platform.python_version()
+    assert record["platform"] == platform.platform()
+    # a metric some run lacks is left out, the others keep the runs' order
+    metrics = record["metrics"]
+    assert list(metrics) == ["cal_wall_s", "darts_per_s", "ok_ratio"]
+    cal = metrics["cal_wall_s"]
+    assert (cal["unit"], cal["better"]) == ("s", "lower")
+    assert (cal["ref_runs"], cal["change_runs"]) == (ref_cal, change_cal)
+    # inclusive quartiles of four values sit at sorted positions 0.75, 1.5, 2.25
+    assert cal["ref"] == pytest.approx([1.975, 2.05, 2.125])
+    assert cal["change"] == pytest.approx([1.775, 1.85, 2.0])
+    assert (cal["wins"], cal["losses"], cal["pairs"], cal["verdict"]) == (3, 1, 4, "")
+    rate = metrics["darts_per_s"]
+    assert (rate["better"], rate["wins"], rate["losses"]) == ("higher", 3, 1)
+    assert rate["ref_runs"] == [10.0 / c for c in ref_cal]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fillgeo import tolerances as tol
 from fillgeo.errors import DomainError, InternalInvariantError, ValidationError
 from fillgeo.polygeom import min_filling_length, side_length
 from fillgeo.surfmap import (
@@ -422,16 +423,76 @@ def svg_text(word):
     return out.getvalue()
 
 
+def polylines(svg):
+    """The points of each <polyline> of an SVG picture, as (x, y) pairs."""
+    return [
+        [tuple(map(float, point.split(","))) for point in points.split()]
+        for points in re.findall(r'<polyline points="([^"]*)"', svg)
+    ]
+
+
+# points per drawn side: the fewest that keep each segment within
+# 1/20 px of its arc
+SIDE_POINTS = {2: 24, 3: 22, 40: 8, 500: 3, 2000: 2}
+
+
 def test_gluing_svg():
     svg = svg_text(canonical_word(2))
     assert svg.startswith("<svg")
     assert svg.endswith("</svg>\n")
     assert svg.count("<polyline") == 12
     assert re.findall(r">([^<]*)</text>", svg) == canonical_word(2)
+    for g, points in SIDE_POINTS.items():
+        counts = {len(side) for side in polylines(svg_text(canonical_word(g)))}
+        assert counts == {points}, g
     # a right-angled square is degenerate: single marker, no sides
     degenerate = svg_text("a b a' b'")
     assert "<polyline" not in degenerate
     assert "<circle" in degenerate
+
+
+# the SVG prints coordinates with five decimals
+PRINTED = 1e-5
+
+
+def check_svg_geometry(g, sides=None):
+    """Check the first sides drawn sides (all when None) of the genus-g
+    picture against the right-angled regular (8g - 4)-gon."""
+    svg = svg_text(canonical_word(g))
+    n = 8 * g - 4
+    # 1/20 px of the picture: its viewBox width over its width in px
+    view_width = float(re.search(r'viewBox="\S+ \S+ (\S+) \S+"', svg).group(1))
+    px = view_width / float(re.search(r'width="(\d+)"', svg).group(1))
+    assert tol.SVG_SAG_TOL == pytest.approx(px / 20)
+    drawn = polylines(svg)
+    assert len(drawn) == n
+    assert len({len(side) for side in drawn}) == 1
+    corners = [(x, -y) for x, y in polygon_vertices(n, math.pi / 2.0)]
+    rho = math.hypot(*corners[0])
+    # each side's circle is orthogonal to |z| = 1: its centre lies on the
+    # side's bisector at distance t, with r^2 = t^2 - 1
+    t = (rho * rho + 1.0) / (2.0 * rho * math.cos(math.pi / n))
+    r = math.sqrt(t * t - 1.0)
+    for k, side in enumerate(drawn[:sides]):
+        for end, corner in ((side[0], corners[k]), (side[-1], corners[(k + 1) % n])):
+            assert math.dist(end, corner) <= PRINTED, (g, k)
+        phi = math.pi * (2 * k + 1) / n
+        centre = (t * math.cos(phi), -t * math.sin(phi))
+        for point in side:
+            assert abs(math.dist(point, centre) - r) <= PRINTED, (g, k, point)
+        for p, q in zip(side, side[1:]):
+            half = math.dist(p, q) / 2.0
+            sagitta = r - math.sqrt(max(0.0, r * r - half * half))
+            assert sagitta <= px / 20 + PRINTED, (g, k, sagitta)
+
+
+def test_svg_sides_lie_on_their_geodesics():
+    for g in range(2, 41):
+        check_svg_geometry(g)
+
+
+def test_svg_sides_lie_on_their_geodesics_at_genus_2000():
+    check_svg_geometry(2000, sides=200)
 
 
 @given(st.integers(min_value=0, max_value=100_000))
