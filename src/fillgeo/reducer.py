@@ -119,8 +119,8 @@ class _MutableMap:
     straight corners, the vertex rotations (cycles), the vertex of each
     dart (owner) and the strand opposites (opp).  _refine applies the
     split rule to a curve, for _Complement and, on the bare tables, as
-    the oracle test's reference commit; freeze gives the map as a
-    CombinatorialMap.
+    the oracle test's reference commit, and lists the ends it displaces
+    in stubs (see _deviate); freeze gives the map as a CombinatorialMap.
     """
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
@@ -131,6 +131,7 @@ class _MutableMap:
         self.owner = list(cmap.vertex_of_dart())
         self.opp = list(cmap.strand_opposites())
         self.g = set(subgraph)
+        self.stubs = []
 
     def freeze(self) -> CombinatorialMap:
         """The live map as a CombinatorialMap: the map this one was built
@@ -221,7 +222,10 @@ class _MutableMap:
         vertices), and lands with a new three-valent vertex on the side
         of the first edge of either it meets.  The new curve darts join
         placed.  Returns the dart that replaces germ as the curve's
-        terminal germ.
+        terminal germ.  germ stays off the curve, a stub from the vertex
+        to the clip point; stubs records it with the germs the sweep
+        crossed and the landing germ, whose faces are then the corner
+        pieces the sweep cut off between the stub and the landing.
         """
         alpha, sigma = self.alpha, self.sigma
         crossed = []
@@ -232,6 +236,7 @@ class _MutableMap:
             crossed.append(x)
             x = sigma[x]
         landing = x
+        self.stubs.append((germ, (*crossed, landing)))
         # the new darts, numbered in the order they are made
         fresh = iter(range(len(alpha), len(alpha) + 4 * len(crossed) + 6))
         for table in (alpha, sigma, self.owner, self.opp):
@@ -330,6 +335,20 @@ class _Complement(_MutableMap):
     leaves P's gap transitions as they were; and a displaced end does not
     change the verdict of any curve that is not a one-vertex arc (see
     trial).  So P is still a disk piece with at most two changes.
+
+    A commit also makes clean, untried, the stub each displaced end
+    leaves off the subgraph (see _deviate) while it is still a
+    candidate: its walk is the one-edge arc ((germ,), "V") to the clip
+    point, and P is the corner pieces the sweep cut off between the stub
+    and the landing, the faces of the crossed and landing germs after
+    _retrace.  Its verdict is known: those corners are glued only across
+    the crossed edges' halves at the vertex, so P is a disk, and a piece
+    of the cut along the stub whose boundary is the stub (curve), then
+    the sweep and the landing half-edge (old boundary).  That is two
+    changes, so _pushes_off would reject the stub by P, and the argument
+    above keeps the verdict while no face of P changes.  The stub ends at
+    a new vertex, so it is never a one-vertex arc, and those stay never
+    clean.
 
     Two rules void clean germs and keep the invariant.  Faces: a commit
     voids the germs indexed by each face it changes.  Arrival darts: a
@@ -456,8 +475,9 @@ class _Complement(_MutableMap):
 
     def _clean(self, kind: str, darts: tuple, piece):
         """Make the germ of an arc or lasso, the walk from it, clean: the
-        disk piece of the faces in piece rejected it.  A loop's germ never
-        is."""
+        disk piece of the faces in piece rejects it.  A loop's germ never
+        is.  This is the one place a germ becomes clean, for a curve
+        trial rejected or the stub of a displaced end (add_cutting_curve)."""
         if kind not in ("V", "VI"):
             return
         x, alpha = darts[0], self.alpha
@@ -784,8 +804,10 @@ def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
     or lasso end whose direct attachment would spoil the corner pattern
     at its vertex is displaced; old darts keep their sigma, new ones
     are numbered from the old dart count up), and is cut again on the
-    refined map if the map gained darts.  Only a _Cut is taken, and one
-    made before the state's last commit is refused.
+    refined map if the map gained darts.  The stubs the displaced ends
+    leave are then made clean while they are candidates (see
+    _Complement).  Only a _Cut is taken, and one made before the
+    state's last commit is refused.
     """
     if not isinstance(cut, _Cut):
         raise ValidationError(f"add_cutting_curve takes a cut, not {type(cut).__name__}")
@@ -832,6 +854,12 @@ def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
         state.candidates = [
             x for x in candidates if state.euler2[state.region_of(x)] != 2
         ]
+    # the stubs of displaced ends, rejected by their corner pieces
+    while state.stubs:
+        germ, swept = state.stubs.pop()
+        i = bisect_left(state.candidates, germ)
+        if state.candidates[i:i + 1] == [germ]:
+            state._clean("V", (germ,), {state.face_of[x] for x in swept})
     return state
 
 

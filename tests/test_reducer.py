@@ -861,7 +861,7 @@ def test_mixed_valence_reproducer_passes(path):
 # Seed-1 {4,6,8} maps of scripts/reduce_scaling.py: vertices -> trials.
 # The scan walked 17,030, 64,551 and 246,094 germs for these when it
 # walked every candidate on every iteration.
-SCALING_TRIALS = {96: 683, 192: 1251, 384: 2461}
+SCALING_TRIALS = {96: 524, 192: 919, 384: 1840}
 
 
 @pytest.mark.parametrize("vertices", sorted(SCALING_TRIALS))

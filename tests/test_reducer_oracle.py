@@ -32,7 +32,11 @@ a face of the disk piece that rejected a clean germ (its darts, their
 edges or its Euler share) must void that germ, and a germ that stays
 clean after a commit changed the germs at one of its curve's vertices
 must still hold: the oracle rejects its curve.  No clean germ's walk
-is a one-vertex arc (kind V with both ends at one vertex).  A complement
+is a one-vertex arc (kind V with both ends at one vertex).  The germs
+a commit makes clean itself, the stubs its displaced ends leave off the
+subgraph, must each be indexed by exactly the faces of a disk piece of
+the stub's cut with at most two changes, found by the oracle's own
+region code.  A complement
 built from a caller's subgraph must match the oracle too, and a commit
 with an end displaced must cut the region's old faces into the pieces
 its trial's cut did, which the index's argument assumes.  The inputs are
@@ -283,33 +287,96 @@ def check_stale(state, before, clean, pieces):
 
 def recording_pieces(monkeypatch):
     """Record, per germ, the faces of the disk piece that last made it
-    clean.  A state and its copies share the record: a copy is made in a
-    trial, and either it is dropped with its cut or it becomes the next
-    state and the one it was made from is scanned no more, so the last
-    piece recorded for a germ is the one the state in use holds."""
-    pieces = {}
+    clean, and log each germ made clean with its piece, in order.  A
+    state and its copies share the record: a copy is made in a trial,
+    and either it is dropped with its cut or it becomes the next state
+    and the one it was made from is scanned no more, so the last piece
+    recorded for a germ is the one the state in use holds."""
+    pieces, log = {}, []
     clean = reducer._Complement._clean
 
     def recorded(self, kind, darts, piece):
         clean(self, kind, darts, piece)
         if darts[0] in self.clean:
             pieces[darts[0]] = frozenset(piece)
+            log.append((darts[0], pieces[darts[0]]))
 
     monkeypatch.setattr(reducer._Complement, "_clean", recorded)
-    return pieces
+    return pieces, log
+
+
+def commit_stubs(cut, alpha_before, after):
+    """The stubs a commit leaves: the ends of its curve that stay off
+    the subgraph although their edge was cut short (their alpha changed)."""
+    darts = cut.curve.darts
+    ends = {darts[0], alpha_before[darts[-1]]}
+    return {x for x in ends if x not in after.g and after.alpha[x] != alpha_before[x]}
+
+
+def check_marked(after, cut, alpha_before, marks):
+    """Every germ a commit made clean (marks, with the faces of their
+    pieces) is a stub of its commit, clean with the one-edge walk
+    ((germ,), "V")."""
+    stubs = commit_stubs(cut, alpha_before, after)
+    for x, _ in marks:
+        assert x in stubs, ("a commit made a germ other than its stubs clean", x)
+        assert after.clean[x] == ((x,), "V"), after.clean[x]
+
+
+def check_released(after, cut, alpha_before, marks, faces, arrivals):
+    """After a commit, each of faces and arrivals indexes exactly the
+    stubs the commit marked (marks, see check_marked) under it: every
+    germ that was clean before the commit is released from them, and
+    every germ still indexed there is a stub of this commit, held once
+    under each face of its piece and under its arrival.  Returns how
+    many entries the stubs hold there."""
+    check_marked(after, cut, alpha_before, marks)
+    held = 0
+    for index, keys, holds in (
+        (after.clean_by_face, faces, lambda f, x, piece: f in piece),
+        (after.clean_by_arrival, arrivals, lambda a, x, piece: after.alpha[x] == a),
+    ):
+        for key in keys:
+            stubs = Counter(x for x, piece in marks if holds(key, x, piece))
+            assert Counter(index.get(key, ())) == stubs, ("a changed key still indexes", key)
+            held += sum(stubs.values())
+    return held
+
+
+def check_stub_piece(state, x, piece):
+    """The piece that marked stub x clean is exactly the face set of a
+    disk piece of the stub's cut with at most two changes, as the
+    oracle's region code finds it on the stub attached directly."""
+    cmap = state.freeze()
+    g = state.g | {x, state.alpha[x]}
+    face, region, euler = oracle_complement(cmap, g)
+    inside = [d for d, f in enumerate(state.face_of) if f in piece]
+    regions = {region[d] for d in inside}
+    assert len(regions) == 1, ("a stub's piece is not one piece of its cut", x, piece)
+    (r,) = regions
+    assert {face[d] for d in inside} == {face[d] for d, q in enumerate(region) if q == r}, (
+        "a stub's piece is not a whole piece of its cut", x)
+    assert euler[r] == 1, ("a stub's piece is no disk", x)
+    (cycle,) = [c for c in oracle_boundary_cycles(cmap, g) if region[c[0]] == r]
+    labels = [d in (x, state.alpha[x]) for d in cycle]
+    transitions = sum(labels[i] != labels[i - 1] for i in range(len(labels)))
+    assert any(labels) and transitions <= 2, ("a stub's piece has more changes", x)
 
 
 @pytest.fixture
 def watched(monkeypatch):
     """Check every state, every refinement and every trial of the
-    reductions run under it, and every clean germ before each scan."""
+    reductions run under it, every clean germ before each scan and
+    every stub a commit marks clean (check_stub_piece)."""
     seen = {"states": 0, "trials": 0, "essential": 0, "split": 0, "one_vertex": 0,
             "refined": 0, "skipped": 0, "new_face_later_region": 0,
-            "moved_vertex_fresh": 0}
+            "moved_vertex_fresh": 0, "stubs": 0, "stubs_skipped": 0}
     live = reducer._Complement
     original = {name: getattr(live, name) for name in ("trial", "_refine")}
     find, commit = reducer.find_cutting_curve, reducer.add_cutting_curve
-    pieces = recording_pieces(monkeypatch)
+    pieces, log = recording_pieces(monkeypatch)
+    # germs whose last clean spell a commit's stub marking began
+    stubs = set()
 
     def find_cutting_curve(state):
         # the scan skips the clean candidates below the germ it finds,
@@ -317,20 +384,32 @@ def watched(monkeypatch):
         check_state(state)
         seen["states"] += 1
         clean = check_clean(state)
+
+        def skip(skipped):
+            seen["skipped"] += len(skipped)
+            seen["stubs_skipped"] += len(stubs.intersection(skipped))
+
         try:
             cut = find(state)
         except InternalInvariantError:
-            seen["skipped"] += len(clean)
+            skip(clean)
             raise
-        seen["skipped"] += sum(x < cut.curve.darts[0] for x in clean)
+        skip([x for x in clean if x < cut.curve.darts[0]])
         return cut
 
     def add_cutting_curve(state, cut):
         before, clean = touchable(state), dict(state.clean)
+        alpha, marked = list(state.alpha), len(log)
         state = commit(state, cut)
         seen["moved_vertex_fresh"] += check_stale(state, before, clean, pieces)
         check_state(state)
         seen["states"] += 1
+        marks = log[marked:]
+        check_marked(state, cut, alpha, marks)
+        for x, piece in marks:
+            check_stub_piece(state, x, piece)
+            stubs.add(x)
+        seen["stubs"] += len(marks)
         return state
 
     def refine(self, kind, darts):
@@ -347,6 +426,7 @@ def watched(monkeypatch):
 
     def trial(self, curve):
         cut = original["trial"](self, curve)
+        stubs.discard(curve.darts[0])
         cmap = self.freeze()
         essential, new_map = oracle_essential(cmap, self.g, curve)
         assert (cut is not None) == essential, curve
@@ -422,6 +502,8 @@ def test_mixed_valence_reductions_match_oracle(watched):
     # the index answers more of the repeated rejections than trials make
     assert watched["skipped"] > watched["trials"] - watched["essential"]
     assert watched["moved_vertex_fresh"] > 0, "clean germs should outlive a germ change"
+    assert watched["stubs"] > 0, "commits should mark the stubs of displaced ends"
+    assert watched["stubs_skipped"] > 0, "scans should skip marked stubs unwalked"
 
 
 def test_one_vertex_arcs_are_never_recorded(monkeypatch):
@@ -546,22 +628,28 @@ def displaced(cut):
 
 
 def test_commit_stamps_every_face_it_reweighs(monkeypatch):
-    """After a commit with no end displaced no face of cut.weight still
-    indexes a clean germ, a face whose Euler share it leaves as it was
-    too: such a face holds a dart of the curve, so a germ rejected by a
-    piece holding it must be voided.  check_stale never meets one in a
-    clean germ's piece.  On the mixed maps no such face indexes a germ
-    before its commit; on the unvalidated maps some do."""
+    """After a commit with no end displaced (or one judged on a refined
+    copy) no face of cut.weight still indexes a germ that was clean
+    before it, a face whose Euler share it leaves as it was too: such a
+    face holds a dart of the curve, so a germ rejected by a piece
+    holding it must be voided.  The only germs such a face may index
+    are the stubs of ends the commit displaced, which it marks clean
+    under the corner pieces it cut off (check_released).  check_stale
+    never meets one in a clean germ's piece.  On the mixed maps no such
+    face indexes a germ before its commit; on the unvalidated maps some
+    do."""
     counts = Counter()
     commit = reducer.add_cutting_curve
+    _, log = recording_pieces(monkeypatch)
 
     def checked_commit(state, cut):
         moved = displaced(cut)
         indexed = {f for f in cut.weight if f in cut.state.clean_by_face}
+        alpha, marked = list(state.alpha), len(log)
         after = commit(state, cut)
         if not moved:
+            counts["stubs"] += check_released(after, cut, alpha, log[marked:], cut.weight, ())
             for f, change in cut.weight.items():
-                assert f not in after.clean_by_face, ("face still indexes", f, change)
                 counts["faces"] += 1
                 counts["unchanged"] += change == 0
             counts["indexed"] += len(indexed)
@@ -574,6 +662,7 @@ def test_commit_stamps_every_face_it_reweighs(monkeypatch):
     assert counts["unchanged"] > 0, "some commit should leave a face's Euler share as it was"
     assert counts["faces"] > counts["unchanged"]
     assert counts["indexed"] > 0, "some commit should reweigh a face that indexes a germ"
+    assert counts["stubs"] > 0, "some refined commit should index its stubs there"
 
 
 # the first commit that changes the first face of its cut in a clean
@@ -636,7 +725,9 @@ def test_every_clean_candidate_still_counts_as_tried():
 
 def test_commits_release_the_index_where_they_change(monkeypatch):
     """After each commit no face it changed and no arrival dart whose
-    walk it may have changed still indexes a clean germ.  A commit
+    walk it may have changed still indexes a germ that was clean before
+    it; the only germs indexed there are the stubs of the ends it
+    displaced, which it marks clean itself (check_released).  A commit
     changes the faces of the curve material it adds, the face of the
     first dart of each vertex that gains its first subgraph germ, and
     every face whose darts, their membership or alpha, or Euler share
@@ -648,10 +739,11 @@ def test_commits_release_the_index_where_they_change(monkeypatch):
     this checks each rule as the _Complement docstring states it."""
     counts = Counter()
     commit = reducer.add_cutting_curve
+    _, log = recording_pieces(monkeypatch)
 
     def checked_commit(state, cut):
         before, g = touchable(state), set(state.g)
-        gcount, alpha = list(state.gcount), list(state.alpha)
+        gcount, alpha, marked = list(state.gcount), list(state.alpha), len(log)
         after = commit(state, cut)
         faces, _ = touchable(after)
         first = [v for v, n in enumerate(gcount) if not n and after.gcount[v]]
@@ -660,8 +752,7 @@ def test_commits_release_the_index_where_they_change(monkeypatch):
         changed.update(after.face_of[after.cycles[v][0]] for v in first)
         moved = {x for v in first for x in after.cycles[v]}
         moved.update(x for x, a in enumerate(alpha) if after.alpha[x] != a)
-        assert not changed & after.clean_by_face.keys(), "a changed face still indexes"
-        assert not moved & after.clean_by_arrival.keys(), "a changed arrival still indexes"
+        counts["stubs"] += check_released(after, cut, alpha, log[marked:], changed, moved)
         counts["faces"] += len(changed)
         counts["arrivals"] += len(moved)
         return after
@@ -671,6 +762,7 @@ def test_commits_release_the_index_where_they_change(monkeypatch):
     for _ in stepped_unvalidated():
         pass
     assert counts["faces"] and counts["arrivals"]
+    assert counts["stubs"] > 0, "some commit should index its stubs under a face it changed"
 
 
 def test_complement_builds_match_oracle():
