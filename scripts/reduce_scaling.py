@@ -7,7 +7,8 @@ until ``validate_input`` accepts it at its own genus), reduces it
 ``--repeats`` times and prints the median wall time, the iteration
 count and the time per iteration.  One more, untimed reduction counts
 the candidate curves judged (trials) and the arc walks of the scan,
-by wrapping ``_Complement.trial`` and ``_walk_arc`` from outside the
+by wrapping ``is_essential``, the one judge that ``reduce`` drives
+through ``find_cutting_curve``, and ``_walk_arc`` from outside the
 reducer.  The last line is the least-squares slope of log(seconds)
 against log(vertices): about 1 for a reducer linear in map size, 2 for
 a quadratic one.
@@ -71,21 +72,21 @@ def valence_set(text):
 def counted(filling):
     """(trials, walks) of one reduction of filling."""
     counts = {"trials": 0, "walks": 0}
-    trial, walk = reducer._Complement.trial, reducer._walk_arc
+    judge, walk = reducer.is_essential, reducer._walk_arc
 
-    def counted_trial(state, curve):
+    def counted_judge(state, curve):
         counts["trials"] += 1
-        return trial(state, curve)
+        return judge(state, curve)
 
     def counted_walk(*args):
         counts["walks"] += 1
         return walk(*args)
 
-    reducer._Complement.trial, reducer._walk_arc = counted_trial, counted_walk
+    reducer.is_essential, reducer._walk_arc = counted_judge, counted_walk
     try:
         reducer.reduce(filling)
     finally:
-        reducer._Complement.trial, reducer._walk_arc = trial, walk
+        reducer.is_essential, reducer._walk_arc = judge, walk
     return counts["trials"], counts["walks"]
 
 

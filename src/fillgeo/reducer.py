@@ -18,7 +18,6 @@ degrees and the outcome of every check; it never hides a failure.
 
 from bisect import bisect_left, insort
 from collections import deque, namedtuple
-from collections.abc import Sequence
 
 from .errors import DomainError, InternalInvariantError, ValidationError
 from .report import json_text
@@ -105,8 +104,8 @@ class _Cut(namedtuple(
     curve is the cutting curve, state the complement the cut was made
     in and step that complement's step then.  refined marks a cut whose
     curve the split rule has already refined, on a copy of the
-    complement (a one-vertex arc; see trial); add_cutting_curve refines
-    the curve of any other cut (_refine) before it commits.
+    complement (a one-vertex arc; see is_essential); add_cutting_curve
+    refines the curve of any other cut (_refine) before it commits.
     """
 
     __slots__ = ()
@@ -300,41 +299,41 @@ class _Complement(_MutableMap):
     commit (add_cutting_curve), refined maps included: the split rule
     refines the tables in place (_refine) and relabels only the corner
     pieces it cuts off faces (_retrace), raising InternalInvariantError
-    on a refinement that splits a face otherwise.  A trial judges a
-    curve as its direct attachment, from the faces and vertices it
-    touches alone (see trial); a one-vertex arc is judged on a refined
-    copy.  freeze gives the live map as a CombinatorialMap.
-    The subgraph is taken as valid: complement checks a caller's
-    (_checked_subgraph), and the reducer's own subgraphs are.
+    on a refinement that splits a face otherwise.  is_essential judges
+    a curve as its direct attachment, from the faces and vertices it
+    touches alone; a one-vertex arc is judged on a refined copy.  freeze
+    gives the live map as a CombinatorialMap.  The state checks nothing:
+    its map comes through FillingMap, the one boundary, and its subgraph
+    is what reduce's own commits made.
 
     Most trials of a reduction reject a curve that an earlier iteration
     already rejected, so the state keeps a memo of rejections, and the
     arc search walks a candidate germ only when its verdict can have
-    changed.  When trial rejects an arc or lasso by a disk piece P split
-    off the region (not its unwalked rest), the curve's germ becomes
-    clean (_clean): the state keeps the walk from it (clean) and indexes
-    the germ by the faces of P (clean_by_face) and by the arrival alpha[d]
-    of each dart d of the walk (clean_by_arrival).  A commit changes a
-    face when the face is in its cut's weight (the only faces whose Euler
-    shares and edge counts it changes) or holds an exit of its
-    refinement (see _retrace).  The invariant: a
+    changed.  When is_essential rejects an arc or lasso by a disk piece
+    P split off the region (not its unwalked rest), the curve's germ
+    becomes clean (_clean): the state keeps the walk from it (clean) and
+    indexes the germ by the faces of P (clean_by_face) and by the
+    arrival alpha[d] of each dart d of the walk (clean_by_arrival).  A
+    commit changes a face when the face is in its cut's weight (the only
+    faces whose Euler shares and edge counts it changes) or holds an
+    exit of its refinement (see _retrace).  The invariant: a
     clean germ's walk equals _walk_arc now, and no face of the disk piece
     that rejected it has changed since.
 
     So its curve is still inessential.  A one-vertex arc (kind V with
     both ends at one vertex) is never made clean: it is judged on its
-    refinement (see trial), whose split decisions read every germ at its
-    vertex.  For any other curve, every edge between a face of P and a
-    face outside it is a subgraph edge or a curve edge, and a commit only
-    adds subgraph material, so while no face of P changes P stays a
-    piece of the cut, with its Euler shares.  Four facts keep P's
-    boundary: while the walk stays, the curve's inner vertices have no
-    subgraph germ and its end vertices keep theirs; a germ added inside
-    one of P's corner gaps changes a face of P, the face of the new dart,
-    which holds the corner just before it; a germ added in another gap
-    leaves P's gap transitions as they were; and a displaced end does not
-    change the verdict of any curve that is not a one-vertex arc (see
-    trial).  So P is still a disk piece with at most two changes.
+    refinement (see is_essential), whose split decisions read every germ
+    at its vertex.  For any other curve, every edge between a face of P
+    and a face outside it is a subgraph edge or a curve edge, and a
+    commit only adds subgraph material, so while no face of P changes P
+    stays a piece of the cut, with its Euler shares.  Four facts keep
+    P's boundary: while the walk stays, the curve's inner vertices have
+    no subgraph germ and its end vertices keep theirs; a germ added
+    inside one of P's corner gaps changes a face of P, the face of the
+    new dart, which holds the corner just before it; a germ added in
+    another gap leaves P's gap transitions as they were; and a displaced
+    end does not change the verdict of any curve that is not a one-vertex
+    arc (see is_essential).  So P is still a disk piece with at most two changes.
 
     A commit also makes clean, untried, the stub each displaced end
     leaves off the subgraph (see _deviate) while it is still a
@@ -434,50 +433,12 @@ class _Complement(_MutableMap):
     def fills(self) -> bool:
         return all(e == 2 for e in self.euler2)
 
-    def trial(self, curve: "CuttingCurve"):
-        """The _Cut that commits curve, or None if the curve is inessential.
-
-        The curve is inessential when the cut leaves a disk piece whose
-        boundary is all curve (a contractible loop) or one run of curve
-        against one run of old boundary (the curve merely pushes off
-        existing boundary); see _pushes_off.  A displaced end (see
-        _deviate) slides the curve's end along the boundary, inside the
-        corner gap it attaches in, to a point on the next subgraph edge;
-        that changes neither the pieces, nor their Euler characteristics,
-        nor the boundary runs, so the curve is judged as its direct
-        attachment, without asking which ends the split rule displaces:
-        add_cutting_curve refines the map for it (_refine) on the cut's
-        state, which its step check proves is the state judged here.
-        Only an arc with both ends at one vertex is not: its displaced
-        arrival can sweep to the arc's own start germ and land on it (or
-        cross it, on a one-edge arc), and there the direct attachment can
-        misjudge it; so a one-vertex arc is refined and cut on a copy of
-        this complement, which add_cutting_curve takes as the next state.
-
-        The curve is taken as valid for this complement: the reducer's
-        own candidates are, and is_essential checks an outside one.
-        """
-        alpha, owner, kind, darts = self.alpha, self.owner, curve.kind, curve.darts
-        region = self.region_of(darts[0])
-        one_vertex = kind == "V" and owner[darts[0]] == owner[alpha[darts[-1]]]
-        if one_vertex:
-            state = self.copy()
-            cut = state._cut(state._refine(kind, darts), region, curve, refined=True)
-        else:
-            added = frozenset(darts) | frozenset(alpha[d] for d in darts)
-            cut = self._cut(added, region, curve)
-        piece = cut.state._pushes_off(cut)
-        if piece is None:
-            return cut
-        if not one_vertex and piece < len(cut.closed):
-            self._clean(kind, tuple(darts), cut.closed[piece])
-        return None
-
     def _clean(self, kind: str, darts: tuple, piece):
         """Make the germ of an arc or lasso, the walk from it, clean: the
         disk piece of the faces in piece rejects it.  A loop's germ never
         is.  This is the one place a germ becomes clean, for a curve
-        trial rejected or the stub of a displaced end (add_cutting_curve)."""
+        is_essential rejected or the stub of a displaced end
+        (add_cutting_curve)."""
         if kind not in ("V", "VI"):
             return
         x, alpha = darts[0], self.alpha
@@ -684,32 +645,6 @@ class _Complement(_MutableMap):
         self.candidates += self._candidates(new)
 
 
-def _checked_subgraph(cmap: CombinatorialMap, subgraph) -> set:
-    """A caller's subgraph as a set, checked for range and edge closure."""
-    try:
-        g = set(subgraph)
-    except TypeError:
-        raise ValidationError(f"a subgraph is a set of darts, not {subgraph!r}") from None
-    for d in g:
-        if type(d) is not int or not 0 <= d < cmap.dart_count:
-            raise ValidationError(f"subgraph dart {d!r} out of range")
-        if cmap.alpha[d] not in g:
-            raise ValidationError(
-                "subgraph is not closed under the edge involution"
-            )
-    return g
-
-
-def complement(cmap: CombinatorialMap, subgraph=frozenset()) -> _Complement:
-    """The complement of a caller's subgraph in a map, checked
-    here once: the state that complement_regions, find_cutting_curve,
-    is_essential and add_cutting_curve take, as reduce's own unchecked
-    state does."""
-    if not isinstance(cmap, CombinatorialMap):
-        raise ValidationError(f"complement needs a CombinatorialMap, not {type(cmap).__name__}")
-    return _Complement(cmap, _checked_subgraph(cmap, subgraph))
-
-
 def complement_regions(state: _Complement) -> tuple:
     """Cut the surface along the subgraph and describe every piece.
 
@@ -748,57 +683,52 @@ def _clean_corner_pattern(opp, germs: set) -> bool:
     return len(germs) in (3, 4) and len(paired) == 2 * len(germs) - 4
 
 
-def _checked_darts(state: _Complement, curve: CuttingCurve):
-    """Check a caller's cutting curve against the state: unused material
-    and a strand walk, a loop (kinds I to IV) on no vertex twice back to
-    its first vertex, an arc or lasso the walk _walk_arc makes."""
-    if not isinstance(curve, CuttingCurve):
-        raise ValidationError(f"is_essential judges a CuttingCurve, not {type(curve).__name__}")
-    if not isinstance(curve.darts, Sequence):
-        raise ValidationError(f"cutting curve darts are a sequence, not {curve.darts!r}")
-    darts = tuple(curve.darts)
-    if not darts:
-        raise ValidationError("empty cutting curve")
-    alpha, opp, owner, gcount, g = state.alpha, state.opp, state.owner, state.gcount, state.g
-    for d in darts:
-        if type(d) is not int or not 0 <= d < len(alpha):
-            raise ValidationError(f"cutting curve dart {d!r} out of range")
-        if d in g or alpha[d] in g:
-            raise ValidationError("cutting curve reuses subgraph material")
-    if curve.kind in ("I", "II", "III", "IV"):
-        if g:
-            raise ValidationError(
-                "loop cutting curves (kinds I-IV) apply only to an empty subgraph"
-            )
-        walk = (
-            all(opp[alpha[d]] == e for d, e in zip(darts, darts[1:]))
-            and owner[alpha[darts[-1]]] == owner[darts[0]]
-            and len({owner[d] for d in darts}) == len(darts)
-        )
-    elif curve.kind in ("V", "VI"):
-        if not gcount[owner[darts[0]]]:
-            shape = "arc" if curve.kind == "V" else "lasso"
-            raise ValidationError(f"{shape} cutting curve must start on the subgraph")
-        walk = _walk_arc(alpha, opp, owner, gcount, darts[0]) == (darts, curve.kind)
-    else:
-        raise ValidationError(f"unknown cutting curve kind {curve.kind!r}")
-    if not walk:
-        raise ValidationError(f"kind {curve.kind} cutting curve is not a strand walk")
-
-
 def is_essential(state: _Complement, curve: CuttingCurve) -> "_Cut | None":
-    """Judge a caller's cutting curve: the cut that commits it, or None
-    when it is inessential (the cut leaves a disk piece bounded by curve
-    alone, or by one run of curve and one of old boundary).  The curve
-    is checked (_checked_darts), then judged as reduce judges its own
-    (trial)."""
-    _checked_darts(state, curve)
-    return state.trial(curve)
+    """The one judge: the _Cut that commits curve, or None if the curve
+    is inessential.  find_cutting_curve calls it once per candidate.
+
+    The curve is inessential when the cut leaves a disk piece whose
+    boundary is all curve (a contractible loop) or one run of curve
+    against one run of old boundary (the curve merely pushes off
+    existing boundary); see _pushes_off.  A displaced end (see
+    _deviate) slides the curve's end along the boundary, inside the
+    corner gap it attaches in, to a point on the next subgraph edge;
+    that changes neither the pieces, nor their Euler characteristics,
+    nor the boundary runs, so the curve is judged as its direct
+    attachment, without asking which ends the split rule displaces:
+    add_cutting_curve refines the map for it (_refine) on the cut's
+    state, which its step check proves is the state judged here.
+    Only an arc with both ends at one vertex is not: its displaced
+    arrival can sweep to the arc's own start germ and land on it (or
+    cross it, on a one-edge arc), and there the direct attachment can
+    misjudge it; so a one-vertex arc is refined and cut on a copy of
+    the state, which add_cutting_curve takes as the next state.
+
+    The curve is taken as valid for the state, unchecked: a loop or the
+    walk from its first germ that _extract_loop or _walk_arc makes on
+    the state.
+    """
+    alpha, owner, kind, darts = state.alpha, state.owner, curve.kind, curve.darts
+    region = state.region_of(darts[0])
+    one_vertex = kind == "V" and owner[darts[0]] == owner[alpha[darts[-1]]]
+    if one_vertex:
+        twin = state.copy()
+        cut = twin._cut(twin._refine(kind, darts), region, curve, refined=True)
+    else:
+        added = frozenset(darts) | frozenset(alpha[d] for d in darts)
+        cut = state._cut(added, region, curve)
+    piece = cut.state._pushes_off(cut)
+    if piece is None:
+        return cut
+    if not one_vertex and piece < len(cut.closed):
+        state._clean(kind, tuple(darts), cut.closed[piece])
+    return None
 
 
 def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
-    """Commit a cut; returns the state after it: this one, updated in
-    place, or the refined copy a one-vertex arc was judged on.
+    """Commit a cut that is_essential made; returns the state after it:
+    this one, updated in place, or the refined copy a one-vertex arc was
+    judged on.
 
     A cut not yet refined has its curve refined first (_refine: an arc
     or lasso end whose direct attachment would spoil the corner pattern
@@ -806,11 +736,9 @@ def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
     are numbered from the old dart count up), and is cut again on the
     refined map if the map gained darts.  The stubs the displaced ends
     leave are then made clean while they are candidates (see
-    _Complement).  Only a _Cut is taken, and one made before the
-    state's last commit is refused.
+    _Complement).  A cut made before the state's last commit is
+    refused.
     """
-    if not isinstance(cut, _Cut):
-        raise ValidationError(f"add_cutting_curve takes a cut, not {type(cut).__name__}")
     if cut.step != state.step or cut.state.step != cut.step:
         raise ValidationError("the cut was made before the state's last commit")
     state = cut.state
@@ -912,7 +840,10 @@ def _walk_arc(alpha, opp, owner, g_vertex, start: int):
     """Walk unused strand material from a germ at a subgraph vertex.
 
     Stops on reaching another subgraph vertex (a simple arc, kind V) or
-    on revisiting an interior vertex (a lasso, kind VI).
+    on revisiting an interior vertex (a lasso, kind VI).  A strand ends
+    only at a three-valent vertex, which _deviate makes and its commit
+    puts curve or subgraph material at, so the walk stops there first;
+    reading a strand end is an InternalInvariantError.
     """
     darts = [start]
     visited = set()
@@ -927,7 +858,7 @@ def _walk_arc(alpha, opp, owner, g_vertex, start: int):
         visited.add(u)
         nxt = opp[arrival]
         if nxt is None:
-            return None, None
+            raise InternalInvariantError("arc walk reached a strand end")
         darts.append(nxt)
         steps += 1
         if steps > len(alpha):
@@ -939,8 +870,9 @@ def find_cutting_curve(state: _Complement) -> _Cut:
     commits it, with the curve as cut.curve.
 
     Calling this on a state whose complement is already all disks is a
-    precondition violation (DomainError).  Candidates are tried
-    deterministically, lowest dart first, skipping clean germs unwalked.
+    precondition violation (DomainError).  Candidates are tried, each
+    by one is_essential call, deterministically, lowest dart first,
+    skipping clean germs unwalked.
     For an empty subgraph the candidates are simple loops extracted
     from the strands (kinds I to IV); afterwards they are arcs and
     lassos grown from boundary germs of non-disk regions (kinds V and
@@ -962,10 +894,8 @@ def find_cutting_curve(state: _Complement) -> _Cut:
         walks = (_extract_loop(alpha, opp, owner, d) for d in range(len(alpha)))
     tried = 0
     for darts, kind in walks:
-        if darts is None:
-            continue
         tried += 1
-        cut = state.trial(CuttingCurve(darts=darts, kind=kind))
+        cut = is_essential(state, CuttingCurve(darts=darts, kind=kind))
         if cut is not None:
             return cut
     # a clean candidate counts as tried: its curve was rejected

@@ -9,6 +9,14 @@ import hypothesis
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "scripts"))
 from make_reducer_fixtures import random_map  # noqa: E402,F401
 
+from fillgeo import reducer  # noqa: E402
+
+
+def complement(cmap, subgraph=()):
+    """The reducer's state for cmap and subgraph, taken as valid."""
+    return reducer._Complement(cmap, frozenset(subgraph))
+
+
 hypothesis.settings.register_profile(
     "default", max_examples=100, deadline=None
 )

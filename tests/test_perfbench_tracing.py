@@ -9,11 +9,13 @@ from the checkout and takes it off again.
 """
 
 import importlib.util
+import json
 import pathlib
 
 from fillgeo import cli, isoperim, polygeom, reducer, surfmap
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+REPRODUCER = TRACING.parent.parent / "tests" / "data" / "reproducer_6-6-4-4@690.json"
 
 
 def load_tracing():
@@ -68,3 +70,32 @@ def test_random_suites_count_through_the_public_checks(capsys):
         "check_instance": 50,
         "merge_sequence": 50,
     }
+
+
+def test_reduce_records_one_is_essential_span_per_trial(monkeypatch, capsys):
+    # find_cutting_curve judges each candidate by one is_essential call,
+    # and each judgement asks _pushes_off once: counted there, apart
+    # from the tracer, the reproducer's reduction makes 9 trials
+    trials = []
+    pushes_off = reducer._Complement._pushes_off
+
+    def counted(state, cut):
+        trials.append(cut.curve)
+        return pushes_off(state, cut)
+
+    monkeypatch.setattr(reducer._Complement, "_pushes_off", counted)
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        code = cli.main(["reduce", str(REPRODUCER), "--genus", "3", "--json"])
+    finally:
+        restore()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    spans = tracer.spans
+    judged = [span for span in spans if span[tracing.NAME] == "reducer.is_essential"]
+    assert len(trials) == 9
+    assert len(judged) == len(trials)
+    assert all(spans[span[tracing.PARENT]][tracing.NAME] == "reducer.find_cutting_curve"
+               for span in judged)

@@ -11,7 +11,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fillgeo import polygeom
+from fillgeo import polygeom, tolerances
 from fillgeo.errors import DomainError
 from fillgeo.polygeom import (
     area_from_angle,
@@ -297,6 +297,17 @@ def test_largest_side_count_keeps_a_finite_area_bound():
         max_area(math.nextafter(n, math.inf))
 
 
+def test_acosh_argument_just_below_one_clamps_to_zero():
+    # rounding may push a cosh value below 1 by up to ACOSH_CLAMP; past
+    # that the argument is a bug, not rounding
+    clamp = tolerances.ACOSH_CLAMP
+    for x in (math.nextafter(1.0, 0.0), 1.0 - clamp / 2, 1.0 - clamp):
+        assert polygeom._acosh_clamped(x) == 0.0
+    assert polygeom._acosh_clamped(1.0) == 0.0
+    with pytest.raises(DomainError, match="below 1 by more than"):
+        polygeom._acosh_clamped(1.0 - 2 * clamp)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         perimeter_from_area(2.5, 1.0)
@@ -323,6 +334,9 @@ def test_domain_errors():
         min_filling_length(2.5)
     with pytest.raises(DomainError):
         RegularPolygonSpec.from_angle(4, 2.0)
+    for n in ("8", None, True, 8j):
+        with pytest.raises(DomainError, match="side count must be a number"):
+            max_area(n)
 
 
 # The grid on which the perimeter line kernels are pinned bit for bit:

@@ -189,18 +189,34 @@ def test_census_prints_the_pinned_line():
 
 
 def test_reduce_checks_no_curve_of_its_own(monkeypatch):
-    # the outside-curve and outside-subgraph checks belong to the public
-    # functions; reduce's own candidates and subgraphs are valid by
-    # construction
-    calls = []
-    for name in ("_checked_darts", "_checked_subgraph"):
-        checked = getattr(reducer, name)
-        monkeypatch.setattr(
-            reducer, name, lambda *args, checked=checked: calls.append(1) or checked(*args)
-        )
+    """is_essential takes its curve unchecked, because every curve
+    reduce judges is valid by construction: unused strand material, a
+    loop of the empty subgraph that follows its strand back to its first
+    vertex and meets no vertex twice, or an arc or lasso that starts on
+    the subgraph and is the walk from its first germ."""
+    kinds = Counter()
+    judge = reducer.is_essential
+
+    def checked(state, curve):
+        alpha, opp, owner, g = state.alpha, state.opp, state.owner, state.g
+        darts, kind = curve
+        assert not any(d in g or alpha[d] in g for d in darts), curve
+        if kind in ("V", "VI"):
+            assert state.gcount[owner[darts[0]]], curve
+            walk = reducer._walk_arc(alpha, opp, owner, state.gcount, darts[0])
+            assert walk == (darts, kind), curve
+        else:
+            assert not g and kind in ("I", "II", "III", "IV"), curve
+            assert all(opp[alpha[d]] == e for d, e in zip(darts, darts[1:])), curve
+            assert owner[alpha[darts[-1]]] == owner[darts[0]], curve
+            assert len({owner[d] for d in darts}) == len(darts), curve
+        kinds[kind] += 1
+        return judge(state, curve)
+
+    monkeypatch.setattr(reducer, "is_essential", checked)
     for seed in SEEDS:
         outcome(*mixed(seed))
-    assert len(calls) == 0
+    assert kinds["V"] and kinds["VI"] and kinds.keys() - {"V", "VI"}, kinds
 
 
 if __name__ == "__main__":

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_map
+from conftest import complement, random_map
 from fillgeo import reducer, surfmap
 from fillgeo.errors import DomainError, InternalInvariantError, ValidationError
 from fillgeo.reducer import (
     CuttingCurve,
     add_cutting_curve,
-    complement,
     complement_regions,
     find_cutting_curve,
     is_essential,
@@ -308,7 +307,7 @@ class TestComplementRegions:
 
     def test_full_subgraph_gives_faces(self):
         cmap, _ = load_fixture("canonical_g2")
-        regions = complement_regions(complement(cmap, frozenset(range(cmap.dart_count))))
+        regions = complement_regions(complement(cmap, range(cmap.dart_count)))
         assert len(regions) == len(cmap.faces())
         assert all(r.is_disk for r in regions)
 
@@ -320,35 +319,15 @@ class TestComplementRegions:
 
     def test_annulus_between_curve_sides(self):
         cmap = torus_two_curves()
-        regions = complement_regions(complement(cmap, frozenset({0, 2, 4, 6})))
+        regions = complement_regions(complement(cmap, {0, 2, 4, 6}))
         assert len(regions) == 1
         annulus = regions[0]
         assert annulus.euler == 0
-
-    def test_subgraph_dart_out_of_range(self):
-        cmap, _ = load_fixture("canonical_g2")
-        with pytest.raises(ValidationError, match="out of range"):
-            complement(cmap, frozenset({cmap.dart_count}))
 
     def test_non_orientable_map_refused(self):
         # no map is built, so none reaches complement
         with pytest.raises(ValidationError, match="non-orientable"):
             surfmap.build_map(["a", "b", "a", "b"])
-
-    def test_subgraph_must_be_edge_closed(self):
-        cmap, _ = load_fixture("canonical_g2")
-        with pytest.raises(ValidationError, match="involution"):
-            complement(cmap, frozenset({0}))
-
-    def test_complement_needs_a_map(self):
-        data = json.loads((DATA_DIR / "canonical_g2.json").read_text())
-        with pytest.raises(ValidationError, match="CombinatorialMap"):
-            complement(data)
-
-    def test_subgraph_must_be_a_set_of_darts(self):
-        cmap, _ = load_fixture("canonical_g2")
-        with pytest.raises(ValidationError, match="set of darts"):
-            complement(cmap, 5)
 
     def test_torus_grid_builds_within_budget(self):
         # 40,000 faces, every one a source of the region search
@@ -378,7 +357,7 @@ class TestFindCuttingCurve:
     def test_filling_subgraph_is_precondition_violation(self):
         cmap, _ = load_fixture("canonical_g2")
         with pytest.raises(DomainError, match="already fills"):
-            find_cutting_curve(complement(cmap, frozenset(range(cmap.dart_count))))
+            find_cutting_curve(complement(cmap, range(cmap.dart_count)))
 
     def test_deterministic(self):
         cmap, _ = load_fixture("triangle_a")
@@ -386,93 +365,20 @@ class TestFindCuttingCurve:
         b = find_cutting_curve(complement(cmap)).curve
         assert a == b
 
+    def test_arc_walk_raises_at_a_strand_end(self):
+        # dart 0 leaves a subgraph vertex for a vertex with no subgraph
+        # germ, where dart 1 has no strand opposite
+        alpha, opp, owner, g_vertex = [1, 0], [None, None], [0, 1], [1, 0]
+        with pytest.raises(InternalInvariantError, match="strand end"):
+            reducer._walk_arc(alpha, opp, owner, g_vertex, 0)
+
 
 class TestAddCuttingCurve:
-    """Commits, and the curves that never reach one: a caller's curve is
-    committed as the cut is_essential made of it, so is_essential is
-    where a bad curve is refused."""
-
-    def test_loop_requires_empty_subgraph(self):
-        cmap, _ = load_fixture("canonical_g2")
-        state = after_first_curve(cmap)
-        fresh = min(
-            d for d in range(len(state.alpha))
-            if d not in state.g and state.alpha[d] not in state.g
-        )
-        loop = CuttingCurve(darts=(fresh,), kind="II")
-        with pytest.raises(ValidationError, match="empty subgraph"):
-            is_essential(state, loop)
-
-    def test_rejects_reused_material(self):
-        cmap, _ = load_fixture("canonical_g2")
-        state = after_first_curve(cmap)
-        stale = CuttingCurve(darts=(min(state.g),), kind="V")
-        with pytest.raises(ValidationError, match="reuses"):
-            is_essential(state, stale)
-
-    def test_rejects_empty_curve(self):
-        cmap, _ = load_fixture("canonical_g2")
-        with pytest.raises(ValidationError, match="empty"):
-            is_essential(complement(cmap), CuttingCurve(darts=(), kind="I"))
-
-    def test_curve_darts_are_ints_not_bools(self):
-        # the spanning arc of test_spanning_arc_of_annulus, True for dart 1
-        state = complement(torus_two_curves(), frozenset({0, 2, 4, 6}))
-        with pytest.raises(ValidationError, match="True out of range"):
-            is_essential(state, CuttingCurve(darts=(True,), kind="V"))
-
-    def test_commits_only_a_cut(self):
-        state = complement(torus_two_curves(), frozenset({0, 2, 4, 6}))
-        with pytest.raises(ValidationError, match="takes a cut"):
-            add_cutting_curve(state, CuttingCurve(darts=(1,), kind="V"))
-
-    def test_rejects_unknown_kind(self):
-        cmap, _ = load_fixture("canonical_g2")
-        with pytest.raises(ValidationError, match="unknown"):
-            is_essential(complement(cmap), CuttingCurve(darts=(0,), kind="X"))
-
-    def test_arc_must_start_on_subgraph(self):
-        cmap = torus_two_curves()
-        bad = CuttingCurve(darts=(1,), kind="V")
-        with pytest.raises(ValidationError, match="start on the subgraph"):
-            is_essential(complement(cmap), bad)
-
-    def test_rejects_arcs_that_are_not_strand_walks(self):
-        cmap, _ = load_fixture("sixvalent_a")
-        state = after_first_curve(cmap)
-        alpha, opp, owner, g = state.alpha, state.opp, state.owner, state.g
-        free = [d for d in range(len(alpha)) if d not in g and alpha[d] not in g]
-        arcs = [
-            CuttingCurve(darts=(a, b), kind="V")
-            for a in state.candidates
-            for b in free
-            if b != opp[alpha[a]] and state.gcount[owner[alpha[b]]]
-        ]
-        assert len(arcs) > 50
-        for arc in arcs:
-            with pytest.raises(ValidationError, match="not a strand walk"):
-                is_essential(state, arc)
-        for x in state.candidates:
-            walk, kind = reducer._walk_arc(alpha, opp, owner, state.gcount, x)
-            if walk is not None:
-                with pytest.raises(ValidationError, match="not a strand walk"):
-                    is_essential(state, CuttingCurve(darts=walk, kind="VI" if kind == "V" else "V"))
-
-    def test_rejects_loops_that_are_not_strand_walks(self):
-        cmap, _ = load_fixture("canonical_g2")
-        state = complement(cmap)
-        loop = find_cutting_curve(state).curve.darts
-        strand = tuple(reducer._strand_orbit(state.alpha, state.opp, loop[0]))
-        assert len(loop) >= 2
-        assert len({state.owner[d] for d in strand}) < len(strand)
-        # unclosed, leaving its strand, and repeating a vertex
-        for darts in (loop[:-1], (loop[0], state.sigma[loop[1]], *loop[2:]), strand):
-            with pytest.raises(ValidationError, match="not a strand walk"):
-                is_essential(state, CuttingCurve(darts=darts, kind="III"))
+    """Commits of the cuts is_essential makes."""
 
     def test_spanning_arc_makes_two_trivalent_vertices(self):
-        state = complement(torus_two_curves(), frozenset({0, 2, 4, 6}))
-        arc = CuttingCurve(darts=(1,), kind="V")
+        state = complement(torus_two_curves(), {0, 2, 4, 6})
+        arc = walked(state, CuttingCurve(darts=(1,), kind="V"))
         state = add_cutting_curve(state, is_essential(state, arc))
         owner = state.freeze().vertex_of_dart()
         valence = {}
@@ -567,58 +473,30 @@ class TestAddCuttingCurve:
         assert len(state.alpha) > cmap.dart_count, "the split rule should fire"
 
 
-# A caller's subgraph reaches the public step functions only as the state
-# complement builds from it, so complement is where a bad one is refused.
-PUBLIC_WITH_SUBGRAPH = {
-    "complement_regions": lambda cmap, g, cut: complement_regions(complement(cmap, g)),
-    "find_cutting_curve": lambda cmap, g, cut: find_cutting_curve(complement(cmap, g)),
-    "is_essential": lambda cmap, g, cut: is_essential(complement(cmap, g), cut.curve),
-    "add_cutting_curve": lambda cmap, g, cut: add_cutting_curve(complement(cmap, g), cut),
-}
-
-
-@pytest.mark.parametrize("name", sorted(PUBLIC_WITH_SUBGRAPH))
-def test_public_functions_check_a_callers_subgraph(name):
-    call = PUBLIC_WITH_SUBGRAPH[name]
-    cmap, _ = load_fixture("canonical_g2")
-    state = after_first_curve(cmap)
-    subgraph = frozenset(state.g)
-    cut = find_cutting_curve(state)
-    with pytest.raises(ValidationError, match="out of range"):
-        call(cmap, subgraph | {999}, cut)
-    with pytest.raises(ValidationError, match="involution"):
-        call(cmap, subgraph - {min(subgraph)}, cut)
-    # True equals dart 1, the alpha of dart 0, but is no dart
-    assert cmap.alpha[0] == 1
-    with pytest.raises(ValidationError, match="True out of range"):
-        call(cmap, {True, 0}, cut)
+def walked(state, curve):
+    """curve, once it is the walk _walk_arc makes on state from its
+    first germ: is_essential takes its curve unchecked."""
+    walk = reducer._walk_arc(state.alpha, state.opp, state.owner, state.gcount, curve.darts[0])
+    assert walk == tuple(curve), (walk, curve)
+    return curve
 
 
 class TestIsEssential:
     def test_spanning_arc_of_annulus(self):
-        cmap = torus_two_curves()
-        arc = CuttingCurve(darts=(1,), kind="V")
-        assert is_essential(complement(cmap, frozenset({0, 2, 4, 6})), arc) is not None
+        state = complement(torus_two_curves(), {0, 2, 4, 6})
+        arc = walked(state, CuttingCurve(darts=(1,), kind="V"))
+        assert is_essential(state, arc) is not None
 
     def test_boundary_parallel_arc(self):
         cmap, _ = load_fixture("triangle_b")
-        pushoff = CuttingCurve(darts=(13, 1), kind="V")
-        assert is_essential(after_first_curve(cmap), pushoff) is None
+        state = after_first_curve(cmap)
+        pushoff = walked(state, CuttingCurve(darts=(13, 1), kind="V"))
+        assert is_essential(state, pushoff) is None
 
     def test_lasso_with_contractible_loop(self):
-        cmap = lasso_with_trivial_loop()
-        lasso = CuttingCurve(darts=(1, 6), kind="VI")
-        assert is_essential(complement(cmap, frozenset({0, 2})), lasso) is None
-
-    def test_judges_only_a_cutting_curve(self):
-        state = complement(torus_two_curves(), frozenset({0, 2, 4, 6}))
-        with pytest.raises(ValidationError, match="CuttingCurve"):
-            is_essential(state, (1,))
-
-    def test_curve_darts_are_a_sequence(self):
-        state = complement(torus_two_curves(), frozenset({0, 2, 4, 6}))
-        with pytest.raises(ValidationError, match="sequence"):
-            is_essential(state, CuttingCurve(darts=1, kind="V"))
+        state = complement(lasso_with_trivial_loop(), {0, 2})
+        lasso = walked(state, CuttingCurve(darts=(1, 6), kind="VI"))
+        assert is_essential(state, lasso) is None
 
 
 class TestReduce:
@@ -658,7 +536,7 @@ class TestReduce:
         darts = set(cert.subgraph_darts)
         assert all(0 <= d < ambient.dart_count for d in darts)
         assert all(ambient.alpha[d] in darts for d in darts)
-        regions = complement_regions(complement(ambient, frozenset(darts)))
+        regions = complement_regions(complement(ambient, darts))
         assert all(r.is_disk for r in regions)
 
     def test_canonical_reduction_is_idempotent(self):
@@ -874,18 +752,18 @@ def test_scan_walks_only_germs_whose_verdict_can_have_changed(monkeypatch, verti
 
     filling = draw_input(random.Random(1), vertices, (4, 6, 8))
     counts = Counter()
-    walk, trial = reducer._walk_arc, reducer._Complement.trial
+    walk, judge = reducer._walk_arc, reducer.is_essential
 
     def counted_walk(*args):
         counts["walks"] += 1
         return walk(*args)
 
-    def counted_trial(self, curve):
+    def counted_judge(state, curve):
         counts["trials"] += 1
-        return trial(self, curve)
+        return judge(state, curve)
 
     monkeypatch.setattr(reducer, "_walk_arc", counted_walk)
-    monkeypatch.setattr(reducer._Complement, "trial", counted_trial)
+    monkeypatch.setattr(reducer, "is_essential", counted_judge)
     assert reduce(filling).passed
     assert counts["trials"] == SCALING_TRIALS[vertices]
     assert counts["walks"] <= 1.2 * counts["trials"], counts

@@ -37,14 +37,14 @@ a commit makes clean itself, the stubs its displaced ends leave off the
 subgraph, must each be indexed by exactly the faces of a disk piece of
 the stub's cut with at most two changes, found by the oracle's own
 region code.  A complement
-built from a caller's subgraph must match the oracle too, and a commit
+built from a given subgraph must match the oracle too, and a commit
 with an end displaced must cut the region's old faces into the pieces
-its trial's cut did, which the index's argument assumes.  The inputs are
-the 4-valent 48-vertex maps and the {4,6,8}-valent maps of
+is_essential's cut did, which the index's argument assumes.  The
+inputs are the 4-valent 48-vertex maps and the {4,6,8}-valent maps of
 ``test_reduce_digests.py``, with four more mixed maps that try arcs
-with both ends at one vertex and an end displaced (trial refines and
-cuts every one-vertex arc on a copy); the split rule fires on many of
-the mixed maps.  The fixture
+with both ends at one vertex and an end displaced (is_essential refines
+and cuts every one-vertex arc on a copy); the split rule fires on many
+of the mixed maps.  The fixture
 ``second_region_face`` refines its map into a face of new darts alone
 while the complement has two non-disk regions, in the second one.
 """
@@ -56,7 +56,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_map
+from conftest import complement, random_map
 from fillgeo import reducer, surfmap
 from fillgeo.errors import InternalInvariantError, ValidationError
 from test_reduce_digests import SEEDS, four_valent, mixed
@@ -372,7 +372,7 @@ def watched(monkeypatch):
             "refined": 0, "skipped": 0, "new_face_later_region": 0,
             "moved_vertex_fresh": 0, "stubs": 0, "stubs_skipped": 0}
     live = reducer._Complement
-    original = {name: getattr(live, name) for name in ("trial", "_refine")}
+    judge, refine_of = reducer.is_essential, live._refine
     find, commit = reducer.find_cutting_curve, reducer.add_cutting_curve
     pieces, log = recording_pieces(monkeypatch)
     # germs whose last clean spell a commit's stub marking began
@@ -414,7 +414,7 @@ def watched(monkeypatch):
 
     def refine(self, kind, darts):
         n = len(self.alpha)
-        added = original["_refine"](self, kind, darts)
+        added = refine_of(self, kind, darts)
         if len(self.alpha) > n:
             check_state(self)
             seen["refined"] += 1
@@ -424,11 +424,11 @@ def watched(monkeypatch):
             )
         return added
 
-    def trial(self, curve):
-        cut = original["trial"](self, curve)
+    def is_essential(state, curve):
+        cut = judge(state, curve)
         stubs.discard(curve.darts[0])
-        cmap = self.freeze()
-        essential, new_map = oracle_essential(cmap, self.g, curve)
+        cmap = state.freeze()
+        essential, new_map = oracle_essential(cmap, state.g, curve)
         assert (cut is not None) == essential, curve
         seen["trials"] += 1
         seen["essential"] += essential
@@ -438,14 +438,14 @@ def watched(monkeypatch):
 
     monkeypatch.setattr(reducer, "find_cutting_curve", find_cutting_curve)
     monkeypatch.setattr(reducer, "add_cutting_curve", add_cutting_curve)
-    monkeypatch.setattr(live, "trial", trial)
+    monkeypatch.setattr(reducer, "is_essential", is_essential)
     monkeypatch.setattr(live, "_refine", refine)
     return seen
 
 
 # Mixed maps whose reductions try arcs with both ends at one vertex and
-# an end displaced, which trial judges on a refined copy, as it judges
-# every one-vertex arc.  Judged as their
+# an end displaced, which is_essential judges on a refined copy, as it
+# judges every one-vertex arc.  Judged as their
 # direct attachment, 169, 342 and 368 leave a face of degree 3 in the
 # certificate; with the halves of the subdivided landing edge counted as
 # curve material, the reduction of 50 raises InternalInvariantError.
@@ -511,14 +511,14 @@ def test_one_vertex_arcs_are_never_recorded(monkeypatch):
     no end displaced are rejected on the live state, and every germ made
     clean is indexed by the faces of a piece of the state."""
     counts = Counter()
-    trial, clean = reducer._Complement.trial, reducer._Complement._clean
+    judge, clean = reducer.is_essential, reducer._Complement._clean
     commit = reducer.add_cutting_curve
 
-    def counted_trial(self, curve):
-        cut = trial(self, curve)
+    def counted_judge(state, curve):
+        cut = judge(state, curve)
         counts["live_rejected"] += (
-            cut is None and is_one_vertex(self, curve.kind, curve.darts)
-            and not displaces(self, curve)
+            cut is None and is_one_vertex(state, curve.kind, curve.darts)
+            and not displaces(state, curve)
         )
         return cut
 
@@ -532,7 +532,7 @@ def test_one_vertex_arcs_are_never_recorded(monkeypatch):
             counts["clean"] += 1
         return commit(state, cut)
 
-    monkeypatch.setattr(reducer._Complement, "trial", counted_trial)
+    monkeypatch.setattr(reducer, "is_essential", counted_judge)
     monkeypatch.setattr(reducer._Complement, "_clean", checked_clean)
     monkeypatch.setattr(reducer, "add_cutting_curve", checked_commit)
     reduce_all(mixed(seed) for seed in (*ONE_VERTEX_SEEDS, *LIVE_ONE_VERTEX_SEEDS))
@@ -594,22 +594,22 @@ def test_mixed_reductions_build_the_complement_once(monkeypatch):
     displaces one of its ends."""
     builds = counting_builds(monkeypatch)
     copies, one_vertex, displaced_ends = [], [], []
-    copy, trial = reducer._Complement.copy, reducer._Complement.trial
+    copy, judge = reducer._Complement.copy, reducer.is_essential
 
     def counted_copy(self):
         copies.append(len(self.alpha))
         return copy(self)
 
-    def counted_trial(self, curve):
-        cut = trial(self, curve)
-        cmap = self.freeze()
-        new_map, _ = reference_commit(cmap, self.g, curve)
-        one_vertex.append(is_one_vertex(self, curve.kind, curve.darts))
+    def counted_judge(state, curve):
+        cut = judge(state, curve)
+        cmap = state.freeze()
+        new_map, _ = reference_commit(cmap, state.g, curve)
+        one_vertex.append(is_one_vertex(state, curve.kind, curve.darts))
         displaced_ends.append(one_vertex_displaced(cmap, curve, new_map))
         return cut
 
     monkeypatch.setattr(reducer._Complement, "copy", counted_copy)
-    monkeypatch.setattr(reducer._Complement, "trial", counted_trial)
+    monkeypatch.setattr(reducer, "is_essential", counted_judge)
     for seed in (*SEEDS, *ONE_VERTEX_SEEDS):
         del builds[:]
         cmap, genus = mixed(seed)
@@ -685,7 +685,7 @@ def stepped_unvalidated():
         cmap = unvalidated(seed)
         if cmap is None:
             continue
-        state = reducer.complement(cmap)
+        state = complement(cmap)
         try:
             while not state.fills:
                 state = reducer.add_cutting_curve(state, reducer.find_cutting_curve(state))
@@ -714,7 +714,7 @@ def test_every_clean_candidate_still_counts_as_tried():
     this unvalidated map, after a scan that finds every candidate
     inessential, every candidate is clean, and the next scan raises the
     same error, not the one for a region with no cutting curve."""
-    state = reducer.complement(unvalidated(14))
+    state = complement(unvalidated(14))
     with pytest.raises(InternalInvariantError, match="every candidate cutting curve"):
         while not state.fills:
             state = reducer.add_cutting_curve(state, reducer.find_cutting_curve(state))
@@ -766,17 +766,17 @@ def test_commits_release_the_index_where_they_change(monkeypatch):
 
 
 def test_complement_builds_match_oracle():
-    """A complement built from a caller's subgraph, as complement builds
-    it, has the oracle's faces, regions, Euler characteristics and
-    candidates: an annulus on the torus, the 36 disks and the 6 annuli
-    of a 30 x 30 torus grid cut along every fifth row and column or row
-    alone, every face its own disk, and the subgraph after every commit
-    of a reduction, rebuilt from scratch; the last is the certificate's
-    subgraph in its ambient map."""
-    check_state(reducer.complement(torus_two_curves(), frozenset({0, 2, 4, 6})))
+    """A complement built whole from a given subgraph has the oracle's
+    faces, regions, Euler characteristics and candidates: an annulus on
+    the torus, the 36 disks and the 6 annuli of a 30 x 30 torus grid cut
+    along every fifth row and column or row alone, every face its own
+    disk, and the subgraph after every commit of a reduction, rebuilt
+    from scratch; the last is the certificate's subgraph in its ambient
+    map."""
+    check_state(complement(torus_two_curves(), {0, 2, 4, 6}))
     fifths = range(0, 30, 5)
     for columns, euler2 in ((fifths, [2] * 36), ((), [0] * 6)):
-        state = reducer.complement(*torus_grid(30, fifths, columns))
+        state = complement(*torus_grid(30, fifths, columns))
         check_state(state)
         assert state.euler2 == euler2
     two_non_disks = 0
@@ -785,11 +785,11 @@ def test_complement_builds_match_oracle():
         if "genus" not in data or path.stem in ("bigon", "torus_claim"):
             continue
         cmap = surfmap.from_interchange(data)
-        check_state(reducer.complement(cmap, frozenset(range(cmap.dart_count))))
-        state = reducer.complement(cmap)
+        check_state(complement(cmap, range(cmap.dart_count)))
+        state = complement(cmap)
         while not state.fills:
             state = reducer.add_cutting_curve(state, reducer.find_cutting_curve(state))
-            rebuilt = reducer.complement(state.freeze(), frozenset(state.g))
+            rebuilt = complement(state.freeze(), state.g)
             check_state(rebuilt)
             two_non_disks += sum(e != 2 for e in rebuilt.euler2) > 1
     assert two_non_disks > 0, "some rebuilt complement should have two non-disk regions"
@@ -798,7 +798,7 @@ def test_complement_builds_match_oracle():
 def test_a_displaced_end_changes_no_piece(monkeypatch):
     """A curve judged as its direct attachment and committed with an end
     displaced: the cut of the refinement splits the region's old faces
-    into the pieces the trial's cut did, with the same Euler
+    into the pieces is_essential's cut did, with the same Euler
     characteristics, though which piece keeps the region's index may
     differ.  The clean-germ argument in the _Complement docstring rests
     on this."""

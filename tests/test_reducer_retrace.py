@@ -20,6 +20,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import complement
 from fillgeo import reducer
 from fillgeo.errors import InternalInvariantError
 from test_reduce_digests import SEEDS, four_valent, mixed
@@ -136,7 +137,7 @@ CHORDS = (
 @pytest.mark.parametrize("seed, cuts, chords", CHORDS)
 def test_chords_across_a_long_face_raise_the_guard(seed, cuts, chords):
     cmap, genus = four_valent(seed)
-    state = reducer.complement(reducer.validate_input(cmap, genus).cmap)
+    state = complement(reducer.validate_input(cmap, genus).cmap)
     for _ in range(cuts):
         state = reducer.add_cutting_curve(state, reducer.find_cutting_curve(state))
     darts = longest_face(state)
