@@ -6,12 +6,14 @@ random 4-valent rotation system (``random_map`` of
 until ``validate_input`` accepts it at its own genus), reduces it
 ``--repeats`` times and prints the median wall time, the iteration
 count and the time per iteration.  One more, untimed reduction counts
-the candidate curves judged (trials) and the arc walks of the scan,
-by wrapping ``is_essential``, the one judge that ``reduce`` drives
-through ``find_cutting_curve``, and ``_walk_arc`` from outside the
-reducer.  The last line is the least-squares slope of log(seconds)
-against log(vertices): about 1 for a reducer linear in map size, 2 for
-a quadratic one.
+the candidate curves judged (trials), the arc walks of the scan, and
+the refinements of the map by the split rule and the copies of the
+complement, both made only where the split rule moves a curve end.  It
+wraps ``is_essential``, the one judge that ``reduce`` drives through
+``find_cutting_curve``, ``_walk_arc``, ``_MutableMap._refine`` and
+``_Complement.copy`` from outside the reducer.  The last line is the
+least-squares slope of log(seconds) against log(vertices): about 1 for
+a reducer linear in map size, 2 for a quadratic one.
 
 With ``--valences 4,6,8`` (any set other than the default 4) the ladder
 is 24, 48, 96, 192, 384 and 768 vertices, and each vertex valence is
@@ -70,9 +72,11 @@ def valence_set(text):
 
 
 def counted(filling):
-    """(trials, walks) of one reduction of filling."""
-    counts = {"trials": 0, "walks": 0}
+    """(trials, walks, refinements, copies) of one reduction of filling."""
+    counts = {"trials": 0, "walks": 0, "refinements": 0, "copies": 0}
     judge, walk = reducer.is_essential, reducer._walk_arc
+    tables, state = reducer._MutableMap, reducer._Complement
+    refine, copy = tables._refine, state.copy
 
     def counted_judge(state, curve):
         counts["trials"] += 1
@@ -82,12 +86,22 @@ def counted(filling):
         counts["walks"] += 1
         return walk(*args)
 
+    def counted_refine(self, *args):
+        counts["refinements"] += 1
+        return refine(self, *args)
+
+    def counted_copy(self):
+        counts["copies"] += 1
+        return copy(self)
+
     reducer.is_essential, reducer._walk_arc = counted_judge, counted_walk
+    tables._refine, state.copy = counted_refine, counted_copy
     try:
         reducer.reduce(filling)
     finally:
         reducer.is_essential, reducer._walk_arc = judge, walk
-    return counts["trials"], counts["walks"]
+        tables._refine, state.copy = refine, copy
+    return tuple(counts.values())
 
 
 def slope(xs, ys):
@@ -107,7 +121,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sizes = SIZES if args.valences == (4,) else MIXED_SIZES
 
-    print("# vertices  genus  iterations  seconds  ms/iteration  trials  walks")
+    print("# vertices  genus  iterations  seconds  ms/iteration  trials  walks  refinements  copies")
     seconds = []
     for vertices in sizes:
         filling = draw_input(random.Random(args.seed), vertices, args.valences)
@@ -118,10 +132,10 @@ def main(argv=None):
             times.append(time.perf_counter() - start)
         median = statistics.median(times)
         seconds.append(median)
-        trials, walks = counted(filling)
+        counts = "  ".join(map(str, counted(filling)))
         print(
             f"{vertices}  {filling.genus}  {cert.iterations}  {median:.3f}  "
-            f"{1000 * median / cert.iterations:.3f}  {trials}  {walks}"
+            f"{1000 * median / cert.iterations:.3f}  {counts}"
         )
     exponent = slope([math.log(v) for v in sizes], [math.log(s) for s in seconds])
     print(f"log-log slope (seconds vs vertices): {exponent:.2f}")

@@ -103,9 +103,9 @@ class _Cut(namedtuple(
     which keeps the region's index.
     curve is the cutting curve, state the complement the cut was made
     in and step that complement's step then.  refined marks a cut whose
-    curve the split rule has already refined, on a copy of the
-    complement (a one-vertex arc; see is_essential); add_cutting_curve
-    refines the curve of any other cut (_refine) before it commits.
+    ends the split rule has already decided (a one-vertex arc; see
+    is_essential): made on a refined copy if an end moved, else on the
+    state itself.  add_cutting_curve decides the ends of any other cut.
     """
 
     __slots__ = ()
@@ -116,10 +116,12 @@ class _MutableMap:
 
     The tables, copied from the map when made, are alpha, sigma and the
     straight corners, the vertex rotations (cycles), the vertex of each
-    dart (owner) and the strand opposites (opp).  _refine applies the
-    split rule to a curve, for _Complement and, on the bare tables, as
-    the oracle test's reference commit, and lists the ends it displaces
-    in stubs (see _deviate); freeze gives the map as a CombinatorialMap.
+    dart (owner) and the strand opposites (opp).  _first_moved decides,
+    read-only, whether the split rule moves an end of a curve; only then
+    does _Complement call _refine, which refines the tables and lists the
+    ends it displaces in stubs (see _deviate).  On the bare tables, as
+    the oracle test's reference commit, _refine decides every end
+    itself.  freeze gives the map as a CombinatorialMap.
     """
 
     def __init__(self, cmap: CombinatorialMap, subgraph):
@@ -144,43 +146,55 @@ class _MutableMap:
             )
         return self._frozen
 
-    def _refine(self, kind: str, darts) -> frozenset:
+    def _refine(self, kind: str, darts, first=None) -> frozenset:
         """Refine the map in place for a curve by the split rule; returns
         the curve material.
 
-        This is the one split rule.  Each end of an arc or lasso is
-        decided on the live tables as it is attached: it attaches
-        directly when the germs at its vertex in the subgraph or placed
-        form a clean corner pattern with it (_attaches), and is
-        displaced (see _deviate) otherwise.  The start goes first, with
-        nothing placed; a displaced start leaves its germ off the
-        subgraph.  An arc's arrival goes after the arc's other edges,
-        with its start counted as placed, though a one-edge arc's start
-        is placed only with it; an arrival that the start's sweep
-        crossed sits at that four-valent crossing and attaches
-        directly.  New darts are numbered from the old dart count up,
-        in the order _deviate makes them, and form new vertices,
-        numbered by least dart; old darts keep their sigma.  The
-        subgraph gains only the halves of its subdivided edges, so the
-        regions stay as they were.
+        This is the one split rule.  Each end of an arc or lasso but
+        first, which _first_moved found displaced, is decided on the
+        live tables as it is attached: it attaches directly when the
+        germs at its vertex in the subgraph or placed form a clean
+        corner pattern with it (_attaches), and is displaced (see
+        _deviate) otherwise.  The start goes first, with nothing placed;
+        a displaced start leaves its germ off the subgraph.  An arc's
+        arrival goes after the arc's other edges, with its start counted
+        as placed, though a one-edge arc's start is placed only with it;
+        an arrival that the start's sweep crossed sits at that
+        four-valent crossing and attaches directly.  New darts are
+        numbered from the old dart count up, in the order _deviate makes
+        them, and form new vertices, numbered by least dart; old darts
+        keep their sigma.  The subgraph gains only the halves of its
+        subdivided edges, so the regions stay as they were.
         """
         n, start = len(self.alpha), darts[0]
         placed = set()
         darts = list(darts)
-        if kind in ("V", "VI") and not self._attaches(start, ()):
+        if first is None and kind in ("V", "VI") and not self._attaches(start, ()):
+            first = start
+        if first == start:
             darts[0] = self._deviate(start, placed)
         if kind == "V":
             for d in darts[:-1]:
                 placed.update((d, self.alpha[d]))
             arrival = self.alpha[darts[-1]]
-            if not self._attaches(arrival, placed | {darts[0]}):
+            if arrival == first or not self._attaches(arrival, placed | {darts[0]}):
                 arrival = self._deviate(arrival, placed)
             darts = [arrival, darts[0]]
         for d in darts:
             placed.update((d, self.alpha[d]))
-        if len(self.alpha) > n:
-            self._retrace(n, start)
+        self._retrace(n, start)
         return frozenset(placed)
+
+    def _first_moved(self, kind: str, darts, added):
+        """The end of a curve the split rule displaces first, decided
+        read-only, or None: the start, decided with nothing placed, or an
+        arc's arrival, decided with added, the curve material, which holds
+        the germs at the arrival's vertex that _refine counts there."""
+        if kind in ("V", "VI") and not self._attaches(darts[0], ()):
+            return darts[0]
+        if kind == "V" and not self._attaches(self.alpha[darts[-1]], added):
+            return self.alpha[darts[-1]]
+        return None
 
     def _attaches(self, end: int, placed) -> bool:
         """Whether end attaches directly: the germs at its vertex in the
@@ -295,16 +309,17 @@ class _Complement(_MutableMap):
     germs of the arc search, in dart order: germs outside the subgraph
     at subgraph vertices of non-disk regions.
 
-    reduce builds one per run and keeps it current through every
-    commit (add_cutting_curve), refined maps included: the split rule
-    refines the tables in place (_refine) and relabels only the corner
-    pieces it cuts off faces (_retrace), raising InternalInvariantError
-    on a refinement that splits a face otherwise.  is_essential judges
-    a curve as its direct attachment, from the faces and vertices it
-    touches alone; a one-vertex arc is judged on a refined copy.  freeze
-    gives the live map as a CombinatorialMap.  The state checks nothing:
-    its map comes through FillingMap, the one boundary, and its subgraph
-    is what reduce's own commits made.
+    reduce builds one per run and keeps it current through every commit
+    (add_cutting_curve), refined maps included: where the split rule
+    moves a curve end it refines the tables in place (_refine) and
+    relabels only the corner pieces it cuts off faces (_retrace),
+    raising InternalInvariantError on a refinement that splits a face
+    otherwise.  is_essential judges a curve as its direct attachment,
+    from the faces and vertices it touches alone; a one-vertex arc with
+    a moving end is judged on a refined copy.  freeze gives the live map
+    as a CombinatorialMap.  The state checks nothing: its map comes
+    through FillingMap, the one boundary, and its subgraph is what
+    reduce's own commits made.
 
     Most trials of a reduction reject a curve that an earlier iteration
     already rejected, so the state keeps a memo of rejections, and the
@@ -321,9 +336,9 @@ class _Complement(_MutableMap):
     that rejected it has changed since.
 
     So its curve is still inessential.  A one-vertex arc (kind V with
-    both ends at one vertex) is never made clean: it is judged on its
-    refinement (see is_essential), whose split decisions read every germ
-    at its vertex.  For any other curve, every edge between a face of P
+    both ends at one vertex) is never made clean: its verdict rests on
+    split decisions that read every germ at its vertex (see
+    is_essential).  For any other curve, every edge between a face of P
     and a face outside it is a subgraph edge or a curve edge, and a
     commit only adds subgraph material, so while no face of P changes P
     stays a piece of the cut, with its Euler shares.  Four facts keep
@@ -690,19 +705,20 @@ def is_essential(state: _Complement, curve: CuttingCurve) -> "_Cut | None":
     The curve is inessential when the cut leaves a disk piece whose
     boundary is all curve (a contractible loop) or one run of curve
     against one run of old boundary (the curve merely pushes off
-    existing boundary); see _pushes_off.  A displaced end (see
-    _deviate) slides the curve's end along the boundary, inside the
-    corner gap it attaches in, to a point on the next subgraph edge;
-    that changes neither the pieces, nor their Euler characteristics,
-    nor the boundary runs, so the curve is judged as its direct
-    attachment, without asking which ends the split rule displaces:
-    add_cutting_curve refines the map for it (_refine) on the cut's
-    state, which its step check proves is the state judged here.
-    Only an arc with both ends at one vertex is not: its displaced
-    arrival can sweep to the arc's own start germ and land on it (or
-    cross it, on a one-edge arc), and there the direct attachment can
-    misjudge it; so a one-vertex arc is refined and cut on a copy of
-    the state, which add_cutting_curve takes as the next state.
+    existing boundary); see _pushes_off.  A displaced end (see _deviate)
+    slides the curve's end along the boundary, inside the corner gap it
+    attaches in, to a point on the next subgraph edge; that changes
+    neither the pieces, nor their Euler characteristics, nor the
+    boundary runs, so the curve is judged as its direct attachment,
+    without asking which ends the split rule displaces:
+    add_cutting_curve decides that (_first_moved) on the cut's state,
+    which its step check proves is the state judged here.  Only an arc
+    with both ends at one vertex is not: its displaced arrival can sweep
+    to the arc's own start germ and land on it (or cross it, on a
+    one-edge arc), and there the direct attachment can misjudge it.  So
+    its ends are decided here, once: if one moves, the arc is refined
+    and cut on a copy of the state, which add_cutting_curve takes as the
+    next state; else it is cut on the state itself.
 
     The curve is taken as valid for the state, unchecked: a loop or the
     walk from its first germ that _extract_loop or _walk_arc makes on
@@ -710,13 +726,14 @@ def is_essential(state: _Complement, curve: CuttingCurve) -> "_Cut | None":
     """
     alpha, owner, kind, darts = state.alpha, state.owner, curve.kind, curve.darts
     region = state.region_of(darts[0])
+    added = frozenset(darts) | frozenset(alpha[d] for d in darts)
     one_vertex = kind == "V" and owner[darts[0]] == owner[alpha[darts[-1]]]
-    if one_vertex:
-        twin = state.copy()
-        cut = twin._cut(twin._refine(kind, darts), region, curve, refined=True)
+    first = state._first_moved(kind, darts, added) if one_vertex else None
+    if first is None:
+        cut = state._cut(added, region, curve, refined=one_vertex)
     else:
-        added = frozenset(darts) | frozenset(alpha[d] for d in darts)
-        cut = state._cut(added, region, curve)
+        twin = state.copy()
+        cut = twin._cut(twin._refine(kind, darts, first), region, curve, refined=True)
     piece = cut.state._pushes_off(cut)
     if piece is None:
         return cut
@@ -730,23 +747,21 @@ def add_cutting_curve(state: _Complement, cut: _Cut) -> _Complement:
     this one, updated in place, or the refined copy a one-vertex arc was
     judged on.
 
-    A cut not yet refined has its curve refined first (_refine: an arc
-    or lasso end whose direct attachment would spoil the corner pattern
-    at its vertex is displaced; old darts keep their sigma, new ones
-    are numbered from the old dart count up), and is cut again on the
-    refined map if the map gained darts.  The stubs the displaced ends
+    The ends of a cut not yet decided are decided first, read-only
+    (_first_moved: an arc or lasso end whose direct attachment would
+    spoil the corner pattern at its vertex moves).  If none moves, the
+    judged cut is committed as it is; else the map is refined (_refine:
+    old darts keep their sigma, new ones are numbered from the old dart
+    count up) and the curve cut again.  The stubs the displaced ends
     leave are then made clean while they are candidates (see
-    _Complement).  A cut made before the state's last commit is
-    refused.
+    _Complement).  A cut made before the state's last commit is refused.
     """
     if cut.step != state.step or cut.state.step != cut.step:
         raise ValidationError("the cut was made before the state's last commit")
-    state = cut.state
-    if not cut.refined:
-        n = len(state.alpha)
-        added = state._refine(cut.curve.kind, cut.curve.darts)
-        if len(state.alpha) > n:
-            cut = state._cut(added, cut.region, cut.curve)
+    state, kind, darts = cut.state, cut.curve.kind, cut.curve.darts
+    first = None if cut.refined else state._first_moved(kind, darts, cut.added)
+    if first is not None:
+        cut = state._cut(state._refine(kind, darts, first), cut.region, cut.curve)
     g, gcount, cycles = state.g, state.gcount, state.cycles
     state.step += 1
     fresh = [v for v in cut.touched if not gcount[v]]

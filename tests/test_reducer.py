@@ -441,8 +441,8 @@ class TestAddCuttingCurve:
             add_cutting_curve(state, stale)
 
     def test_cut_judged_on_a_copy_commits_once(self):
-        """A one-vertex arc is cut on a copy of the state, refined there
-        when the split rule displaces an end; the copy is the next state,
+        """A one-vertex arc whose end the split rule displaces is cut on
+        a copy of the state, refined there; the copy is the next state,
         and the cut commits once."""
         cmap, genus = mixed(50)
         state = complement(cmap)

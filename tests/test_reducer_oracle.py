@@ -43,8 +43,8 @@ is_essential's cut did, which the index's argument assumes.  The
 inputs are the 4-valent 48-vertex maps and the {4,6,8}-valent maps of
 ``test_reduce_digests.py``, with four more mixed maps that try arcs
 with both ends at one vertex and an end displaced (is_essential refines
-and cuts every one-vertex arc on a copy); the split rule fires on many
-of the mixed maps.  The fixture
+and cuts such an arc on a copy); the split rule fires on many of the
+mixed maps.  The fixture
 ``second_region_face`` refines its map into a face of new darts alone
 while the complement has two non-disk regions, in the second one.
 """
@@ -161,7 +161,8 @@ def old_boundary(cmap, new_map, g):
 
 def reference_commit(cmap, g, curve):
     """The refined map and subgraph after committing curve: the split
-    rule alone, on the bare map tables (_MutableMap)."""
+    rule alone, on the bare map tables (_MutableMap), deciding every end
+    itself."""
     live = reducer._MutableMap(cmap, g)
     added = live._refine(curve.kind, curve.darts)
     return live.freeze(), frozenset(live.g | added)
@@ -412,9 +413,9 @@ def watched(monkeypatch):
         seen["stubs"] += len(marks)
         return state
 
-    def refine(self, kind, darts):
+    def refine(self, kind, darts, first=None):
         n = len(self.alpha)
-        added = refine_of(self, kind, darts)
+        added = refine_of(self, kind, darts, first)
         if len(self.alpha) > n:
             check_state(self)
             seen["refined"] += 1
@@ -444,9 +445,9 @@ def watched(monkeypatch):
 
 
 # Mixed maps whose reductions try arcs with both ends at one vertex and
-# an end displaced, which is_essential judges on a refined copy, as it
-# judges every one-vertex arc.  Judged as their
-# direct attachment, 169, 342 and 368 leave a face of degree 3 in the
+# an end displaced, which is_essential judges on a refined copy (a
+# one-vertex arc with no end displaced is judged on the state).  Judged
+# as their direct attachment, 169, 342 and 368 leave a face of degree 3 in the
 # certificate; with the halves of the subdivided landing edge counted as
 # curve material, the reduction of 50 raises InternalInvariantError.
 ONE_VERTEX_SEEDS = (50, 169, 342, 368)
@@ -590,8 +591,9 @@ def test_reduction_builds_the_complement_once(monkeypatch):
 
 def test_mixed_reductions_build_the_complement_once(monkeypatch):
     """Every mixed reduction builds its complement once, and copies it
-    once per trial of a one-vertex arc, whether or not the split rule
-    displaces one of its ends."""
+    once per trial of a one-vertex arc whose end the split rule
+    displaces; a one-vertex arc with no end displaced is cut on the
+    state itself."""
     builds = counting_builds(monkeypatch)
     copies, one_vertex, displaced_ends = [], [], []
     copy, judge = reducer._Complement.copy, reducer.is_essential
@@ -616,14 +618,95 @@ def test_mixed_reductions_build_the_complement_once(monkeypatch):
         cert = reducer.reduce(reducer.validate_input(cmap, genus))
         assert cert.passed, seed
         assert len(builds) == 1, (seed, len(builds))
-    assert len(copies) == sum(one_vertex)
-    assert 0 < sum(displaced_ends) < len(copies)
+    assert len(copies) == sum(displaced_ends)
+    assert 0 < sum(displaced_ends) < sum(one_vertex)
+
+
+def counting_work(monkeypatch, calls):
+    """Count in calls each _refine and copy of a complement (the bare
+    tables of reference_commit are not counted) and each _attaches."""
+    for cls, name in ((reducer._Complement, "_refine"), (reducer._Complement, "copy"),
+                      (reducer._MutableMap, "_attaches")):
+        def counted(self, *args, _method=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+
+def test_the_state_refines_exactly_where_the_reference_commit_adds_darts(monkeypatch):
+    """The split rule decides each end once, read-only, before anything
+    is refined or copied.  On the mixed maps every commit, and every
+    trial of a one-vertex arc, calls _refine once exactly when
+    reference_commit (the bare split rule, deciding every end itself)
+    adds darts, and not otherwise; the trial then copies the state once.
+    A commit leaves the map and subgraph of reference_commit, and a
+    trial of any other curve neither refines nor copies."""
+    calls, counts = Counter(), Counter()
+    counting_work(monkeypatch, calls)
+    judge, commit = reducer.is_essential, reducer.add_cutting_curve
+
+    def checked_judge(state, curve):
+        one_vertex = is_one_vertex(state, curve.kind, curve.darts)
+        moves = one_vertex and displaces(state, curve)
+        calls.clear()
+        cut = judge(state, curve)
+        assert (calls["_refine"], calls["copy"]) == (moves, moves), curve
+        counts["one_vertex"] += one_vertex
+        counts["one_vertex_moved"] += moves
+        return cut
+
+    def checked_commit(state, cut):
+        new_map, new_g = reference_commit(state.freeze(), state.g, cut.curve)
+        moves = not cut.refined and new_map.dart_count > len(state.alpha)
+        calls.clear()
+        after = commit(state, cut)
+        assert (calls["_refine"], calls["copy"]) == (moves, 0), cut.curve
+        assert after.freeze() == new_map and after.g == new_g, cut.curve
+        counts["commits"] += 1
+        counts["commits_moved"] += moves
+        return after
+
+    monkeypatch.setattr(reducer, "is_essential", checked_judge)
+    monkeypatch.setattr(reducer, "add_cutting_curve", checked_commit)
+    for seed in (*SEEDS, *ONE_VERTEX_SEEDS):
+        assert reducer.reduce(reducer.validate_input(*mixed(seed))).passed, seed
+    assert 0 < counts["one_vertex_moved"] < counts["one_vertex"], counts
+    assert 0 < counts["commits_moved"] < counts["commits"], counts
+
+
+# _attaches calls per reduction before the ends were decided read-only,
+# when every commit and every one-vertex trial refined: the seed-1
+# 4-valent maps of scripts/reduce_scaling.py by vertex count, and the
+# mixed maps of SEEDS and ONE_VERTEX_SEEDS together
+ATTACHES_BEFORE = {96: 180, 192: 369, 384: 767, "mixed": 1219}
+
+
+def test_work_counts_per_reduction(monkeypatch):
+    """On 4-valent maps the split rule never moves an end, so a
+    reduction neither refines nor copies its complement; and no
+    reduction decides an end more often than when every commit and
+    one-vertex trial refined (ATTACHES_BEFORE)."""
+    from reduce_scaling import draw_input
+
+    calls = Counter()
+    counting_work(monkeypatch, calls)
+    for vertices in (96, 192, 384):
+        calls.clear()
+        assert reducer.reduce(draw_input(random.Random(1), vertices, (4,))).passed
+        assert (calls["_refine"], calls["copy"]) == (0, 0), (vertices, calls)
+        assert calls["_attaches"] <= ATTACHES_BEFORE[vertices], (vertices, calls)
+    calls.clear()
+    for seed in (*SEEDS, *ONE_VERTEX_SEEDS):
+        reducer.reduce(reducer.validate_input(*mixed(seed)))
+    assert 0 < calls["_attaches"] <= ATTACHES_BEFORE["mixed"], calls
+    assert 0 < calls["copy"] < calls["_refine"], calls
 
 
 def displaced(cut):
     """Whether the commit of cut displaces an end: decided when it is
-    committed, on the state the cut was judged on, unless the cut was
-    made on a refined copy."""
+    committed, on the state the cut was judged on, unless its ends were
+    decided when it was judged (a one-vertex arc)."""
     return not cut.refined and displaces(cut.state, cut.curve)
 
 
