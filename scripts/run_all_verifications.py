@@ -70,7 +70,8 @@ def timed_check(check, *args):
 def sweep_section():
     print("# sweeps and randomized suites (full density)")
     checks = [(isoperim.verify_lemma_3_2,)]
-    checks += [(isoperim.verify_lemma_3_3, n) for n in range(4, 21)]
+    lemma_3_3_ns = (*range(4, 21), 64, 10**3, 10**6, 10**9)
+    checks += [(isoperim.verify_lemma_3_3, n) for n in lemma_3_3_ns]
     checks += [(isoperim.verify_lemma_3_4, n) for n in (7, 8, 9, 10, 30)]
     checks += [(isoperim.verify_prop_3_5,), (isoperim.verify_prop_3_6,)]
     passed = [timed_check(*check) for check in checks]

@@ -13,10 +13,10 @@ concavity facts, instances checked when they are made, the merge
 sequence that proves the inequality by absorbing polygons one at a
 time, and the classifier for the equality case.
 
-All verifiers return CheckReport records; they gather floating-point
-evidence on grids, they do not prove anything symbolically.  A draw
-makes tens of thousands of instances, each checked once, when it is
-made.
+All verifiers return CheckReport records.  Most gather floating-point
+evidence on grids; lemma 3.3 also computes its sign change in closed
+form and checks its samples against it.  A draw makes tens of
+thousands of instances, each checked once, when it is made.
 """
 
 import math
@@ -170,66 +170,47 @@ def verify_lemma_3_2(grid: GridSpec | None = None) -> CheckReport:
 def verify_lemma_3_3(n: int, grid: GridSpec | None = None) -> CheckReport:
     """Sign pattern of the perimeter second derivative for one n.
 
-    Samples P'' at midpoints of (0, (n-2)*pi) and requires exactly one
-    sign change, negative then positive.  Each sample is also checked
-    against the closed-form sign criterion, derived as follows.  With
-    c = cos(pi/n) and w = ((n-2)*pi - x)/(2n) = pi/2 - (2*pi + x)/(2n),
+    With c = cos(pi/n) and w = ((n-2)*pi - x)/(2n) = pi/2 - (2*pi + x)/(2n),
     the perimeter is P(x) = 2n*acosh(c/sin(w)) and dw/dx = -1/(2n), so
 
         P'(x)  = c*cos(w) / (sin(w) * sqrt(d)),   d = c**2 - sin(w)**2,
         P''(x) = (c/(2n)) * (d - sin(w)**2 * cos(w)**2) / (sin(w)**2 * d**1.5).
 
     On (0, (n-2)*pi) the angle w lies in (0, pi/2 - pi/n), so sin(w) > 0
-    and d > 0, and c > 0 for n >= 3.  Hence
+    and d > 0, and c > 0 for n >= 3.  Hence, as c**2 = 1 - sin(pi/n)**2,
 
-        sign P'' = sign(c**2 - sin(w)**2 * (1 + cos(w)**2)).
+        sign P'' = sign(c**2 - sin(w)**2 * (1 + cos(w)**2))
+                 = sign(cos(w)**4 - sin(pi/n)**2),
 
-    The kernel evaluates P'' in the split form
-    (c/(2n)) * (1/(sin(w)**2*sqrt(d)) - cos(w)**2/d**1.5) and the
-    criterion in the same pass from the same sin(w) and cos(w); sharing
-    only those, their agreement on every sample cross-checks the algebra.
-    At the default density the first sample lies past the sign change
-    from about n = 2.99e8 on (n = 298,691,406 passes, 298,886,230 fails
-    with no sign change): a sampling limit that ROADMAP item 10 removes.
+    which rises with x, as w falls.  So P'' changes sign once, from - to
+    +, where cos(w) = sin((2*pi + x)/(2n)) = sqrt(sin(pi/n)), at
+    x* = 2n*asin(sqrt(sin(pi/n))) - 2*pi.  The check requires
+    0 < x* < (n-2)*pi and each midpoint sample of P'' to have the sign
+    of x - x*, unless it is within SECOND_DERIVATIVE_TOL of 0.
     """
     side = _check_n(n, _LEMMA_3_3_MIN_N)
     samples = (grid or GridSpec()).samples
     span = _max_area(side)
+    x_star = 2.0 * side * math.asin(math.sqrt(math.sin(math.pi / side))) - 2.0 * math.pi
     xs = [span * (i + 0.5) / samples for i in range(samples)]
-    crits = []
-    values = _perimeter_second_derivatives(side, xs, crits)
-    signs = [value > 0.0 for value in values]
-    # a disagreement counts unless either side is within its tolerance of 0
-    criterion_mismatches = sum(
-        1
-        for crit, value, sign in zip(crits, values, signs)
-        if (crit > 0) != sign
-        and abs(crit) > tol.SIGN_CRITERION_TOL
-        and abs(value) > tol.SECOND_DERIVATIVE_TOL
-    )
-    # the samples at which the sign differs from the one before
-    change_xs = [x for x, sign, prev in zip(xs[1:], signs[1:], signs) if sign != prev]
-    changes = len(change_xs)
-    passed = (
-        changes == 1
-        and not signs[0]
-        and signs[-1]
-        and criterion_mismatches == 0
-    )
+    values = _perimeter_second_derivatives(side, xs)
+    mismatch_xs = [
+        x
+        for x, value in zip(xs, values)
+        if (value > 0.0) != (x > x_star) and abs(value) > tol.SECOND_DERIVATIVE_TOL
+    ]
     return CheckReport(
         check_id=f"lemma_3_3_n{n}",
-        passed=passed,
+        passed=0.0 < x_star < span and not mismatch_xs,
         domain=f"x in (0, {span:.6g}), n={n}",
         grid_size=samples,
         min_value=None,
         argmin=None,
-        tolerance=0.0,
+        tolerance=tol.SECOND_DERIVATIVE_TOL,
         details={
-            "sign_changes": changes,
-            "first_negative": not signs[0],
-            "last_positive": signs[-1],
-            "change_near_x": change_xs[0] if change_xs else None,
-            "criterion_mismatches": criterion_mismatches,
+            "x_star": x_star,
+            "sign_mismatches": len(mismatch_xs),
+            "first_mismatch_x": mismatch_xs[0] if mismatch_xs else None,
         },
     )
 

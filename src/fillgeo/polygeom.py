@@ -209,14 +209,12 @@ def perimeter_derivative(n, area: float) -> float:
     return _perimeter_derivatives(_check_area(n, area, positive=True), (area,))[0]
 
 
-def _perimeter_second_derivatives(n: float, areas, criteria=None) -> list:
-    """perimeter_second_derivative(n, area) for each area, n and areas checked;
-    given a list criteria, also appends each area's sign criterion to it."""
+def _perimeter_second_derivatives(n: float, areas) -> list:
+    """perimeter_second_derivative(n, area) for each area, n and areas checked."""
     top = _max_area(n)
     two_n = 2.0 * n
     c = math.cos(math.pi / n)
     c2 = c * c
-    crit_c2 = c**2  # the criterion keeps the ** of its derivation, bit for bit
     scale = c / two_n
     curvatures = []
     for area in areas:
@@ -230,8 +228,6 @@ def _perimeter_second_derivatives(n: float, areas, criteria=None) -> list:
                 f"second derivative undefined at area {area!r} for n = {n}"
             )
         curvatures.append(scale * (1.0 / (s2 * math.sqrt(d)) - cw * cw / d**1.5))
-        if criteria is not None:
-            criteria.append(crit_c2 - sw**2 * (1.0 + cw**2))
     return curvatures
 
 

@@ -21,9 +21,7 @@ DEGENERATE_TOL = 1e-9
 INEQ_TOL = 1e-9
 # isoperim: slack for angle lower bounds (right angles up to rounding)
 ANGLE_TOL = 1e-12
-# verify_lemma_3_3 compares a sample with the closed-form sign criterion
-# only when both are clear of zero by these; nearer, rounding decides
-SIGN_CRITERION_TOL = 1e-12
+# verify_lemma_3_3: a sample of P'' this near 0 may have either sign
 SECOND_DERIVATIVE_TOL = 1e-15
 # verify_lemma_3_2: the written constant 1.29521 has five decimals
 LEMMA_3_2_CONSTANT_TOL = 5e-6

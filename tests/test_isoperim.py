@@ -158,15 +158,16 @@ def test_lemma_3_3_sign_change():
     for n in (4, 6, 12, 20):
         report = verify_lemma_3_3(n, GridSpec(samples=2000))
         assert report.passed, report.text()
-        assert report.details["sign_changes"] == 1
-        assert report.details["criterion_mismatches"] == 0
+        assert 0.0 < report.details["x_star"] < (n - 2) * math.pi
+        assert report.details["sign_mismatches"] == 0
+        assert report.details["first_mismatch_x"] is None
 
 
-@pytest.mark.xfail(strict=True, reason="the first default-density sample lies past "
-                   "the sign change from n of about 2.99e8 on")
 def test_lemma_3_3_holds_at_a_billion_sides():
+    # x* ~ 1.1e5 lies left of the first default-density sample, 1.6e5
     report = verify_lemma_3_3(10**9)
     assert report.passed, report.text()
+    assert report.details["sign_mismatches"] == 0
 
 
 def test_lemma_3_3_domain():
@@ -256,8 +257,9 @@ def test_prop_3_6_fails_on_a_nonzero_at_x0(monkeypatch):
 
 
 def reference_lemma_3_3(n: int, grid: GridSpec) -> CheckReport:
-    """verify_lemma_3_3 as it was while it computed the sign criterion in
-    a pass of its own, with its own sin(w) and cos(w)."""
+    """verify_lemma_3_3 as it was while it searched its samples for the
+    sign change, cross-checking each against the sign criterion, which
+    it computed in a pass of its own with its own sin(w) and cos(w)."""
     samples = grid.samples
     span = (n - 2.0) * math.pi
     side = _check_area(n, span * 0.5 / samples, positive=True)
@@ -274,7 +276,7 @@ def reference_lemma_3_3(n: int, grid: GridSpec) -> CheckReport:
         1
         for crit, value, sign in zip(crits, values, signs)
         if (crit > 0) != sign
-        and abs(crit) > tol.SIGN_CRITERION_TOL
+        and abs(crit) > 1e-12
         and abs(value) > tol.SECOND_DERIVATIVE_TOL
     )
     change_xs = [x for x, sign, prev in zip(xs[1:], signs[1:], signs) if sign != prev]
@@ -340,21 +342,22 @@ def reference_prop_3_6(grid: GridSpec) -> CheckReport:
 
 
 def test_lemma_3_3_matches_its_separate_criterion_pass():
-    for n in range(4, 21):
-        assert verify_lemma_3_3(n) == reference_lemma_3_3(n, GridSpec()), n
-
-
-def test_criterion_line_is_the_separate_pass_bit_for_bit():
-    for n in range(4, 21):
+    """The old sampled search finds one sign change, agreeing with the
+    criterion everywhere, at the first midpoint sample past x*."""
+    cases = [(n, GridSpec()) for n in range(4, 21)] + [(64, GridSpec(samples=3001))]
+    for n, grid in cases:
+        report = verify_lemma_3_3(n, grid)
+        reference = reference_lemma_3_3(n, grid)
+        assert report.passed and reference.passed, n
+        assert reference.details["sign_changes"] == 1, n
+        assert reference.details["criterion_mismatches"] == 0, n
         span = (n - 2.0) * math.pi
-        xs = [span * (i + 0.5) / 1000 for i in range(1000)]
-        crits = []
-        _perimeter_second_derivatives(float(n), xs, crits)
-        c2 = math.cos(math.pi / n) ** 2
-        assert crits == [
-            c2 - math.sin(w) ** 2 * (1.0 + math.cos(w) ** 2)
-            for w in [(span - x) / (2.0 * n) for x in xs]
-        ], n
+        x_star = report.details["x_star"]
+        first_past = next(
+            x for x in (span * (i + 0.5) / grid.samples for i in range(grid.samples))
+            if x > x_star
+        )
+        assert reference.details["change_near_x"] == first_past, n
 
 
 @pytest.mark.parametrize("steps", [13, 40])
@@ -364,28 +367,26 @@ def test_prop_3_6_matches_a_p4_line_per_row(steps):
 
 
 def test_sign_criterion_matches_mpmath_second_derivative():
-    """The criterion the kernel computes from its own sin(w) and cos(w)
-    has the sign of P'' as mpmath differentiates the perimeter at 40
-    digits, at samples whose criterion is clear of the root."""
+    """P'' as mpmath differentiates the perimeter at 40 digits has the
+    sign of x - x*, with x* the closed form verify_lemma_3_3 computes,
+    at samples clear of x*."""
     mp = mpmath.mp.clone()
     mp.dps = 40
     checked = {False: 0, True: 0}
     for n in range(4, 21, 4):
         span = (n - 2.0) * math.pi
-        xs = [span * (i + 0.5) / 48 for i in range(48)]
-        crits = []
-        _perimeter_second_derivatives(float(n), xs, crits)
+        x_star = verify_lemma_3_3(n, GridSpec(samples=isoperim.MIN_SAMPLES)).details["x_star"]
         c = mp.cos(mp.pi / n)
 
         def perimeter(x):
             return 2 * n * mp.acosh(c / mp.cos((2 * mp.pi + x) / (2 * n)))
 
-        for x, crit in zip(xs, crits):
-            if abs(crit) < 1e-6:
+        for x in (span * (i + 0.5) / 48 for i in range(48)):
+            if abs(x - x_star) < 1e-6 * span:
                 continue
             second = mp.diff(perimeter, mp.mpf(x), 2)
-            assert (second > 0) == (crit > 0), (n, x, crit, second)
-            checked[crit > 0] += 1
+            assert (second > 0) == (x > x_star), (n, x, x_star, second)
+            checked[x > x_star] += 1
     assert min(checked.values()) >= 50, checked
 
 

@@ -1,4 +1,4 @@
-"""Lemma 3.2 proved with outward rounding, not sampled.
+"""Lemmas 3.2 and 3.3 proved with outward rounding, not sampled.
 
 Lemma 3.2: for every n = 8..64 the partial derivative of the split cost
 f (``isoperim.f``) in x,
@@ -31,12 +31,29 @@ a cell [a0, a1] x [x0, x1] two bounds are enclosed:
   domain points (a - x > pi there).  This rests on lemma 3.3's shape
   fact: P''_n changes sign once on (0, (n - 2)pi), negative then
   positive, so P'_n has one minimum and takes its largest value on an
-  interval at an end.  The argument for that fact is in the
-  ``isoperim.verify_lemma_3_3`` docstring; this module does not prove it.
+  interval at an end.  That fact is proved below, so the proof of
+  lemma 3.2 has its dependency proved.
 
 A cell is certified for a floor when the lower end of the enclosed
 difference of the two bounds lies above the floor.  The bound pairs
 P'_4's two ends, so it is looser than the sampled minimum (0.8830).
+
+Lemma 3.3: for every n = 4..64, P''_n changes sign once on
+(0, (n - 2)pi), negative then positive.  The ``isoperim.verify_lemma_3_3``
+docstring derives that, with w = ((n - 2)pi - x)/(2n), the sign of P''_n
+is that of
+
+    q_n(x) = cos^4 w - sin^2(pi/n),
+
+and that q_n rises with x, since w falls in (0, pi/2) as x rises; that
+monotonicity is the argument, not enclosed here.  So P''_n has one sign
+change, at the root x*_n = 2n asin(sqrt(sin(pi/n))) - 2pi of q_n, once
+q_n is below 0 somewhere in the domain and above 0 somewhere to its
+right.  ``iv`` has no asin, so the bracket is taken from the float x*_n
+the verifier reports: q_n is enclosed below 0 at x*_n - 1e-9 span and
+above 0 at x*_n + 1e-9 span, span = (n - 2)pi, both inside the domain.
+That proves the lemma and places the sign change within 1e-9 span of
+the reported x*_n.
 """
 
 import time
@@ -44,8 +61,12 @@ import time
 import pytest
 from mpmath import iv
 
+from fillgeo.isoperim import GridSpec, verify_lemma_3_3
+
 N_VALUES = range(8, 65)
 CELLS_PER_AXIS = 4
+SHAPE_N_VALUES = range(4, 65)
+BRACKET = iv.mpf("1e-9")
 
 
 def slope(n, x):
@@ -115,3 +136,40 @@ def test_a_false_floor_is_not_certified(bounds):
     assert 3 * iv.pi / 2 < a and x < a - iv.pi
     value = slope(4, x) - slope(n, a - x)
     assert 0 < value.a and value.b < 0.9, value
+
+
+def sign_criterion(n, x):
+    """An enclosure of q_n = cos^4 w - sin^2(pi/n) at x, which has the sign of P''_n."""
+    w = ((n - 2) * iv.pi - x) / (2 * n)
+    return iv.cos(w) ** 4 - iv.sin(iv.pi / n) ** 2
+
+
+def reported_x_star(n):
+    """x*_n as verify_lemma_3_3 computes it, as an exact interval point."""
+    return iv.mpf(verify_lemma_3_3(n, GridSpec(samples=100)).details["x_star"])
+
+
+def test_lemma_3_3_sign_change_is_proved_at_the_reported_x_star():
+    iv.prec = 53
+    start = time.perf_counter()
+    margins = []
+    for n in SHAPE_N_VALUES:
+        x_star, span = reported_x_star(n), (n - 2) * iv.pi
+        left, right = x_star - BRACKET * span, x_star + BRACKET * span
+        assert 0 < left.a and right.b < span.a, n
+        below, above = sign_criterion(n, left), sign_criterion(n, right)
+        assert below.b < 0 < above.a, (n, below, above)
+        margins.append((min(-below.b, above.a), n))
+    margin, n = min(margins)
+    print(f"lemma 3.3: {len(margins)} brackets certified in "
+          f"{time.perf_counter() - start:.2f} s; smallest margin {float(margin):.3g} at n = {n}")
+    assert len(margins) == 61
+
+
+def test_a_wrong_side_claim_is_not_certified():
+    """The claim that the sign change lies 1e-6 span right of x*_n is
+    false, and certified for no n: q_n is never enclosed below 0 there."""
+    iv.prec = 53
+    for n in SHAPE_N_VALUES:
+        x_star, span = reported_x_star(n), (n - 2) * iv.pi
+        assert not sign_criterion(n, x_star + iv.mpf("1e-6") * span).b < 0, n
